@@ -150,7 +150,7 @@ const linalg::SparseCholesky* IrSolver::sparse(std::string* error) const {
     try {
       linalg::SparseCholeskyOptions opts;
       opts.max_fill_ratio = options_.max_fill_ratio;
-      sparse_ = std::make_unique<linalg::SparseCholesky>(g_, linalg::rcm_ordering(g_), opts);
+      sparse_ = std::make_unique<linalg::SparseCholesky>(g_, opts);
       m_builds.add(1);
       m_fill_ratio.set(sparse_->fill_ratio());
       m_factor_nnz.set(static_cast<double>(sparse_->factor_nnz()));

@@ -59,7 +59,7 @@ namespace pdn3d::irdrop {
 
 enum class SolverKind {
   kMacromodel,    ///< hierarchical Schur macromodels + Woodbury design deltas
-  kSparseDirect,  ///< RCM + sparse Cholesky: factor once, two sweeps per RHS
+  kSparseDirect,  ///< AMD-ordered sparse Cholesky: factor once, two sweeps per RHS
   kPcgIc,         ///< IC(0)-preconditioned CG (default, fast)
   kPcgJacobi,     ///< Jacobi-preconditioned CG
   kBandedDirect,  ///< RCM + banded Cholesky: factor once, O(n*b) per state
@@ -119,8 +119,9 @@ struct IrSolverOptions {
   std::size_t dense_escalation_limit = 4096;
   /// Fill guard for the sparse-direct factor: the factorization is declined
   /// (rung fails, ladder escalates) when nnz(L) would exceed this multiple of
-  /// the lower triangle of G. The paper's 3D stack meshes factor at fill
-  /// 40-65 under RCM; the default admits them (see SparseCholeskyOptions).
+  /// the lower triangle of G. The paper's 3D stack meshes factor at fill 5-6
+  /// under the factor's AMD ordering; the default admits them with an order
+  /// of magnitude of headroom (see SparseCholeskyOptions).
   double max_fill_ratio = 96.0;
   /// Shared reuse context of the hierarchical macromodel rung (die-block
   /// cache + Woodbury base registry). Null = the rung builds private blocks

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "linalg/coo.hpp"
-#include "linalg/reorder.hpp"
 #include "util/fnv.hpp"
 
 namespace pdn3d::linalg {
@@ -185,7 +184,7 @@ SchurMacromodel::SchurMacromodel(const Csr& a, std::span<const int> block_of,
       const Csr a_ii = local.compress();
       // Throws on non-SPD block or fill-guard trip; the caller's rung fails.
       auto built = std::make_shared<SchurBlock>(
-          fingerprint, ni, ns, SparseCholesky(a_ii, rcm_ordering(a_ii), chol_opts));
+          fingerprint, ni, ns, SparseCholesky(a_ii, chol_opts));
 
       built->e_row = std::move(e_row);
       built->e_col = std::move(e_col);
@@ -250,7 +249,7 @@ SchurMacromodel::SchurMacromodel(const Csr& a, std::span<const int> block_of,
   const Csr s = s_builder.compress();
   // The Schur complement of an SPD matrix is SPD; a non-positive pivot here
   // means the mesh itself is defective and the rung should fail.
-  reduced_.emplace(s, rcm_ordering(s), chol_opts);
+  reduced_.emplace(s, chol_opts);
 }
 
 void SchurMacromodel::solve(std::span<const double> b, std::span<double> x,

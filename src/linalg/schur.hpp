@@ -73,7 +73,7 @@ struct SchurBlock {
   std::uint64_t fingerprint = 0;  ///< sub-mesh fingerprint this was built from
   std::size_t interior_count = 0;
   std::size_t interface_count = 0;     ///< local interface slots
-  SparseCholesky factor;               ///< A_II,b under RCM
+  SparseCholesky factor;               ///< A_II,b under AMD
   /// E_b = A(interior, interface) as triplets (interior local, slot, value).
   std::vector<std::size_t> e_row;
   std::vector<std::size_t> e_col;

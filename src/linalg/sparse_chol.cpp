@@ -7,6 +7,8 @@
 
 #include "exec/cancel.hpp"
 #include "faults/faults.hpp"
+#include "linalg/reorder.hpp"
+#include "obs/trace.hpp"
 
 namespace pdn3d::linalg {
 
@@ -14,7 +16,15 @@ namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
+std::vector<std::size_t> fill_reducing_ordering(const Csr& a) {
+  PDN3D_TRACE_SPAN("solver/factor_order");
+  return amd_ordering(a);
+}
+
 }  // namespace
+
+SparseCholesky::SparseCholesky(const Csr& a, const SparseCholeskyOptions& options)
+    : SparseCholesky(a, fill_reducing_ordering(a), options) {}
 
 SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
                                const SparseCholeskyOptions& options)

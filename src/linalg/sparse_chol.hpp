@@ -4,12 +4,19 @@
 /// @brief General sparse Cholesky factorization (elimination-tree up-looking).
 ///
 /// The same-matrix/many-RHS fast path: factor the SPD conductance matrix once
-/// under a fill-reducing permutation (RCM from reorder.hpp works well on the
-/// near-planar power-grid meshes), then every subsequent solve is two sparse
-/// triangular sweeps -- typically 10-100x cheaper than a PCG solve at the
-/// mesh sizes the LUT construction and Monte Carlo sweeps run. Unlike
+/// under a fill-reducing permutation, then every subsequent solve is two
+/// sparse triangular sweeps -- typically 10-100x cheaper than a PCG solve at
+/// the mesh sizes the LUT construction and Monte Carlo sweeps run. Unlike
 /// BandedCholesky this stores only the structural nonzeros of L, so it stays
-/// cheap on meshes whose RCM bandwidth is large (TSV-stitched 3D stacks).
+/// cheap on meshes whose bandwidth is large (TSV-stitched 3D stacks).
+///
+/// The factor picks its own ordering: approximate minimum degree
+/// (amd_ordering in reorder.hpp), the one fill-reducing ordering of every
+/// sparse factor in the library. On the four paper benchmarks it leaves
+/// nnz(L) at 5.3-6.1x the lower triangle of G, where the RCM bandwidth
+/// ordering would leave 43-74x. The ordering runs under its own
+/// `solver/factor_order` trace span, a child of whichever span wraps the
+/// factor build.
 ///
 /// The factorization is the classic up-looking algorithm: the elimination
 /// tree of the permuted matrix gives, via ereach, the nonzero pattern of each
@@ -34,21 +41,26 @@ namespace pdn3d::linalg {
 struct SparseCholeskyOptions {
   /// Refuse factorizations whose fill ratio nnz(L) / nnz(lower(A)) would
   /// exceed this (std::runtime_error). A guard, not a tuning knob: the
-  /// TSV-stitched 3D stack meshes sit at fill 40-65 under RCM (the paper
-  /// benchmarks: Wide I/O 43x, stacked DDR3 61x), so the default admits them
-  /// with headroom while still rejecting meshes whose factor would dwarf the
-  /// matrix, where an iterative rung is the better fallback.
+  /// TSV-stitched 3D stack meshes factor at fill 5-6 under AMD (the paper
+  /// benchmarks: off-chip DDR3 5.3x, on-chip 5.7x, Wide I/O 6.1x, HMC 5.9x),
+  /// so the default leaves an order of magnitude of headroom while still
+  /// rejecting meshes whose factor would dwarf the matrix, where an
+  /// iterative rung is the better fallback.
   double max_fill_ratio = 96.0;
 };
 
 class SparseCholesky {
  public:
-  /// Factor SPD matrix @p a under @p perm (e.g. rcm_ordering(a); new index k
-  /// corresponds to old index perm[k]). Throws std::runtime_error when a
-  /// pivot is non-positive (not SPD) or the fill-ratio guard trips, and
-  /// std::invalid_argument on a malformed permutation.
-  explicit SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
-                          const SparseCholeskyOptions& options = {});
+  /// Factor SPD matrix @p a under its approximate-minimum-degree ordering.
+  /// Throws std::runtime_error when a pivot is non-positive (not SPD) or the
+  /// fill-ratio guard trips.
+  explicit SparseCholesky(const Csr& a, const SparseCholeskyOptions& options = {});
+
+  /// Factor under an explicit permutation @p perm (new index k corresponds
+  /// to old index perm[k]); for tests that compare orderings. Additionally
+  /// throws std::invalid_argument on a malformed permutation.
+  SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
+                 const SparseCholeskyOptions& options = {});
 
   /// Solve A x = b in the original ordering. @p x and @p b must have size
   /// dimension() and may alias each other; @p work is resized here.

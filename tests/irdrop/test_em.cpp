@@ -166,8 +166,8 @@ TEST(EmCheck, WideIoGoldenNumbers) {
   const auto* tsv = rep.find(pdn::ElementKind::kTsv);
   ASSERT_NE(tsv, nullptr);
   EXPECT_EQ(tsv->current.count, 640u);
-  near(tsv->current.max_amps, 0.0026414843964207885);
-  near(tsv->max_j_ma_cm2, 0.013452969561295363);
+  near(tsv->current.max_amps, 0.0026414843959903637);
+  near(tsv->max_j_ma_cm2, 0.013452969559103228);
 
   const auto* c4 = rep.find(pdn::ElementKind::kC4);
   ASSERT_NE(c4, nullptr);

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
+
+#include "core/benchmarks.hpp"
+#include "obs/metrics.hpp"
+#include "pdn/stack_builder.hpp"
 
 namespace pdn3d::irdrop {
 namespace {
@@ -355,6 +360,20 @@ TEST(IrSolver, SparseDirectMatchesIterativeOnLadderNetwork) {
   const auto vi = solve_voltages(IrSolver(m, SolverKind::kPcgIc), sinks);
   for (std::size_t i = 0; i < vi.size(); ++i) {
     EXPECT_NEAR(outcome.x[i], vi[i], 1e-8);
+  }
+}
+
+TEST(IrSolver, BenchmarkBaselinesFactorAtLowFill) {
+  // The sparse-direct factor orders itself by approximate minimum degree,
+  // which keeps the four paper stacks near fill 6. A bandwidth ordering
+  // leaves them at 43-74x, so a silent fallback to one fails this bound.
+  for (const auto& b : core::all_benchmarks()) {
+    const auto built = pdn::build_stack(b.stack, b.baseline);
+    const std::uint64_t builds_before = obs::counter("solver.factor_builds").value();
+    const IrSolver solver(built.model, SolverKind::kSparseDirect);
+    ASSERT_TRUE(solver.sparse_factor_available()) << b.name;
+    ASSERT_EQ(obs::counter("solver.factor_builds").value(), builds_before + 1) << b.name;
+    EXPECT_LE(obs::gauge("solver.factor_fill_ratio").value(), 10.0) << b.name;
   }
 }
 

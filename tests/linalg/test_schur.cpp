@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "linalg/coo.hpp"
-#include "linalg/reorder.hpp"
 #include "linalg/sparse_chol.hpp"
 
 namespace pdn3d::linalg {
@@ -79,7 +78,7 @@ std::vector<double> rhs_for(std::size_t n, std::uint64_t seed) {
 }
 
 std::vector<double> reference_solve(const Csr& a, std::span<const double> b) {
-  const SparseCholesky chol(a, rcm_ordering(a));
+  const SparseCholesky chol(a);
   return chol.solve(b);
 }
 

@@ -68,7 +68,7 @@ std::vector<double> dense_reference_solve(const Csr& a, const std::vector<double
 
 TEST(SparseCholesky, MatchesDenseSolveOnGrid) {
   const Csr a = make_grid(12, 9);
-  const SparseCholesky chol(a, rcm_ordering(a));
+  const SparseCholesky chol(a);
 
   util::Rng rng(3);
   std::vector<double> b(a.dimension(), 0.0);
@@ -84,22 +84,29 @@ TEST(SparseCholesky, MatchesDenseSolveOnGrid) {
 
 TEST(SparseCholesky, PropertyMatchesDenseOnRandomizedMeshes) {
   // The headline property test: across many randomized SPD conductance
-  // meshes, sparse Cholesky agrees with the dense reference to 1e-10.
+  // meshes and both orderings in the library, sparse Cholesky agrees with
+  // the dense reference to 1e-10.
   util::Rng rng(2026);
   for (int trial = 0; trial < 12; ++trial) {
     const int nx = 4 + trial % 7;
     const int ny = 3 + (trial * 5) % 8;
     const Csr a = make_random_mesh(rng, nx, ny);
-    const SparseCholesky chol(a, rcm_ordering(a));
 
     std::vector<double> b(a.dimension(), 0.0);
     for (double& x : b) x = rng.next_double() * 2.0 - 1.0;
-
     const auto x_ref = dense_reference_solve(a, b);
-    const auto x = chol.solve(b);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      ASSERT_NEAR(x[i], x_ref[i], 1e-10)
-          << "trial " << trial << " (" << nx << "x" << ny << ") index " << i;
+
+    const struct {
+      const char* name;
+      std::vector<std::size_t> perm;
+    } orderings[] = {{"rcm", rcm_ordering(a)}, {"amd", amd_ordering(a)}};
+    for (const auto& ordering : orderings) {
+      const SparseCholesky chol(a, ordering.perm);
+      const auto x = chol.solve(b);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        ASSERT_NEAR(x[i], x_ref[i], 1e-10) << ordering.name << " trial " << trial << " (" << nx
+                                            << "x" << ny << ") index " << i;
+      }
     }
   }
 }
@@ -107,11 +114,11 @@ TEST(SparseCholesky, PropertyMatchesDenseOnRandomizedMeshes) {
 TEST(SparseCholesky, IdentityOrderingAlsoCorrect) {
   const Csr a = make_grid(8, 8);
   const SparseCholesky natural(a, identity_ordering(a.dimension()));
-  const SparseCholesky rcm(a, rcm_ordering(a));
+  const SparseCholesky ordered(a);
   std::vector<double> b(a.dimension(), 0.0);
   b[10] = 1.0;
   const auto x1 = natural.solve(b);
-  const auto x2 = rcm.solve(b);
+  const auto x2 = ordered.solve(b);
   for (std::size_t i = 0; i < x1.size(); ++i) {
     EXPECT_NEAR(x1[i], x2[i], 1e-10);
   }
@@ -120,7 +127,7 @@ TEST(SparseCholesky, IdentityOrderingAlsoCorrect) {
 TEST(SparseCholesky, BatchSolveBitwiseMatchesIndividualSolves) {
   util::Rng rng(17);
   const Csr a = make_random_mesh(rng, 9, 7);
-  const SparseCholesky chol(a, rcm_ordering(a));
+  const SparseCholesky chol(a);
   const std::size_t n = a.dimension();
 
   constexpr std::size_t kCount = 5;
@@ -143,7 +150,7 @@ TEST(SparseCholesky, BatchSolveBitwiseMatchesIndividualSolves) {
 
 TEST(SparseCholesky, BatchOfOneMatchesSolve) {
   const Csr a = make_grid(6, 6);
-  const SparseCholesky chol(a, rcm_ordering(a));
+  const SparseCholesky chol(a);
   std::vector<double> b(a.dimension());
   util::Rng rng(5);
   for (double& x : b) x = rng.next_double();
@@ -160,12 +167,12 @@ TEST(SparseCholesky, FillRatioGuardTrips) {
   const Csr a = make_grid(10, 10);
   SparseCholeskyOptions opts;
   opts.max_fill_ratio = 0.5;  // nnz(L) >= nnz(lower(A)) always, so this trips
-  EXPECT_THROW(SparseCholesky(a, rcm_ordering(a), opts), std::runtime_error);
+  EXPECT_THROW(SparseCholesky(a, opts), std::runtime_error);
 }
 
 TEST(SparseCholesky, ReportsFillStatistics) {
   const Csr a = make_grid(10, 10);
-  const SparseCholesky chol(a, rcm_ordering(a));
+  const SparseCholesky chol(a);
   EXPECT_EQ(chol.dimension(), a.dimension());
   // L contains at least the lower triangle of A (no cancellation here).
   EXPECT_GE(chol.factor_nnz(), a.dimension());
@@ -199,7 +206,7 @@ TEST(SparseCholesky, RejectsIndefiniteAndBadInput) {
 
 TEST(SparseCholesky, LinearityOfSolutions) {
   const Csr a = make_grid(10, 10);
-  const SparseCholesky chol(a, rcm_ordering(a));
+  const SparseCholesky chol(a);
   std::vector<double> b1(a.dimension(), 0.0);
   b1[5] = 1.0;
   std::vector<double> b2(a.dimension(), 0.0);
