@@ -9,10 +9,10 @@ Two baseline formats, auto-detected:
     than --threshold slower than the baseline fails the gate. With
     --repetitions N the minimum across repetitions is gated (noise only adds
     time), and --series restricts both the comparison and the fresh run
-    (via --benchmark_filter) to the named series. --require-ratio
-    SLOW:FAST:MIN additionally asserts a cross-series speedup floor on the
-    fresh run (e.g. the hierarchical solver tier must stay >= 2x faster
-    than the per-point sparse-direct sweep).
+    (via --benchmark_filter) to the named series. A compared series whose
+    label differs between baseline and fresh run is refused (exit 2): its
+    name now measures something else, e.g. after a solver-rung renumbering,
+    and the baseline needs re-keying before the timings mean anything.
   * service soak JSON (bench/BENCH_service.json, written by
     scripts/bench_service.py): compared file-vs-file via --fresh on
     soak.requests_per_s (higher is better), since re-running the 60 s soak
@@ -99,47 +99,16 @@ def run_google_bench(binary, min_time, repetitions=1, only_names=None):
         sys.exit(2)
 
 
-def parse_ratio_specs(specs):
-    """'SLOW:FAST:MIN' triples -> [(slow, fast, min_ratio)], exit 2 on junk."""
-    out = []
-    for spec in specs or []:
-        parts = spec.rsplit(":", 2)
-        try:
-            slow, fast, min_ratio = parts[0], parts[1], float(parts[2])
-        except (IndexError, ValueError):
-            print(f"bench_compare: bad --require-ratio '{spec}' "
-                  f"(want SLOW:FAST:MIN)", file=sys.stderr)
-            sys.exit(2)
-        out.append((slow, fast, min_ratio))
-    return out
+def series_labels(doc):
+    """name -> label for the non-aggregate rows that carry one."""
+    labels = {}
+    for row in doc.get("benchmarks", []):
+        if row.get("run_type") != "aggregate" and "name" in row and "label" in row:
+            labels.setdefault(row["name"], row["label"])
+    return labels
 
 
-def gate_ratios(fresh_times, require_ratios):
-    """Cross-series speedup floors (e.g. hierarchical tier vs sparse-direct).
-
-    Measured on the fresh run, not the baseline: the claim "series FAST is
-    at least MIN times faster than series SLOW" must hold on this box today,
-    not merely in the recording. Both series come from the same in-process
-    run, so machine speed divides out of the ratio.
-    """
-    failures = 0
-    for slow, fast, min_ratio in require_ratios:
-        missing = [n for n in (slow, fast) if n not in fresh_times]
-        if missing:
-            print(f"bench_compare: --require-ratio series missing from run: "
-                  f"{missing}", file=sys.stderr)
-            return 2
-        ratio = fresh_times[slow] / fresh_times[fast]
-        marker = "ok" if ratio >= min_ratio else "RATIO FAIL"
-        print(f"  speedup {fast} vs {slow}: {ratio:.2f}x "
-              f"(floor {min_ratio:.2f}x)  {marker}")
-        if ratio < min_ratio:
-            failures += 1
-    return 1 if failures else 0
-
-
-def gate_google(baseline, fresh, threshold, slowdown, series_filter,
-                require_ratios=()):
+def gate_google(baseline, fresh, threshold, slowdown, series_filter):
     base_times = series_times_ns(baseline)
     fresh_times = series_times_ns(fresh)
 
@@ -163,6 +132,16 @@ def gate_google(baseline, fresh, threshold, slowdown, series_filter,
         print("bench_compare: no comparable series between baseline and run",
               file=sys.stderr)
         return 2
+    base_labels = series_labels(baseline)
+    fresh_labels = series_labels(fresh)
+    relabeled = [n for n in names if n in base_labels and n in fresh_labels
+                 and base_labels[n] != fresh_labels[n]]
+    if relabeled:
+        for name in relabeled:
+            print(f"bench_compare: series {name} changed label: baseline "
+                  f"{base_labels[name]!r}, fresh {fresh_labels[name]!r} -- "
+                  f"re-key the baseline", file=sys.stderr)
+        return 2
     only_base = sorted(set(base_times) - set(fresh_times))
     if only_base:
         print(f"note: {len(only_base)} baseline series not in fresh run "
@@ -178,18 +157,11 @@ def gate_google(baseline, fresh, threshold, slowdown, series_filter,
         if ratio > 1.0 + threshold:
             regressions.append((name, ratio))
 
-    ratio_rc = gate_ratios(fresh_times, require_ratios)
-    if ratio_rc == 2:
-        return 2
-
     if regressions:
         print(f"bench_compare: FAIL -- {len(regressions)} series regressed "
               f"beyond {threshold:.0%}:")
         for name, ratio in regressions:
             print(f"  {name}: {ratio:.2f}x baseline")
-        return 1
-    if ratio_rc:
-        print("bench_compare: FAIL -- cross-series speedup floor not met")
         return 1
     print(f"bench_compare: PASS ({len(names)} series within {threshold:.0%} "
           f"of baseline)")
@@ -251,10 +223,6 @@ def main():
                     help="multiply fresh timings by F (gate self-test)")
     ap.add_argument("--series", nargs="*", default=None,
                     help="gate only these series (default: all shared)")
-    ap.add_argument("--require-ratio", action="append", default=[],
-                    metavar="SLOW:FAST:MIN",
-                    help="also require fresh time(SLOW)/time(FAST) >= MIN "
-                         "(cross-series speedup floor; repeatable)")
     args = ap.parse_args()
 
     baseline = load_json(args.baseline)
@@ -277,8 +245,7 @@ def main():
         print("bench_compare: need --binary or --fresh", file=sys.stderr)
         return 2
     return gate_google(baseline, fresh, args.threshold, args.inject_slowdown,
-                       set(args.series) if args.series else None,
-                       parse_ratio_specs(args.require_ratio))
+                       set(args.series) if args.series else None)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a pdn3d --report JSON file against run-report schema v8.
+"""Validate a pdn3d --report JSON file against run-report schema v9.
 
 Stdlib-only so it can run anywhere the repo builds. Exits 0 when the report
 conforms, 1 with a list of problems otherwise. The schema is documented in
@@ -19,10 +19,12 @@ v6 added the optional top-level "fingerprint" key (canonical request
 fingerprint, facade commands only), the session "cache" sub-object
 (result-cache stats), and per-request "fingerprint"/"cache" keys under
 session.requests.
-v7 added the "macromodel" sub-object to "solver": hierarchical-tier reuse
-statistics (builds, reuses, woodbury_updates, fallbacks).
+v7 added a "solver" sub-object of hierarchical-solver-tier reuse statistics
+(removed in v9).
 v8 added the "em" sub-object to "solver": electromigration pass statistics
 (checks, violations, worst_utilization, min_mttf_hours).
+v9 removed the v7 sub-object together with the hierarchical solver tier it
+reported on.
 
 Usage: check_report_schema.py report.json [report2.json ...]
 """
@@ -31,7 +33,7 @@ import json
 import numbers
 import sys
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 # key -> allowed python types for the documented top-level fields.
 TOP_LEVEL = {
@@ -75,7 +77,6 @@ SOLVER_KEYS = {
     "rung_attempts": dict,
     "rung_failures": dict,
     "factor": dict,
-    "macromodel": dict,
     "em": dict,
 }
 
@@ -85,14 +86,6 @@ FACTOR_KEYS = {
     "cache_hits": numbers.Number,
     "fill_ratio": numbers.Number,
     "nnz": numbers.Number,
-}
-
-# v7: the hierarchical-tier block inside the solver block.
-MACROMODEL_KEYS = {
-    "builds": numbers.Number,
-    "reuses": numbers.Number,
-    "woodbury_updates": numbers.Number,
-    "fallbacks": numbers.Number,
 }
 
 # v8: the electromigration block inside the solver block.
@@ -204,12 +197,6 @@ def check_report(report):
     check_block(errors, report["solver"], SOLVER_KEYS, "solver")
     if isinstance(report["solver"], dict) and isinstance(report["solver"].get("factor"), dict):
         check_block(errors, report["solver"]["factor"], FACTOR_KEYS, "solver.factor")
-    if isinstance(report["solver"], dict) and isinstance(
-        report["solver"].get("macromodel"), dict
-    ):
-        check_block(
-            errors, report["solver"]["macromodel"], MACROMODEL_KEYS, "solver.macromodel"
-        )
     if isinstance(report["solver"], dict) and isinstance(report["solver"].get("em"), dict):
         check_block(errors, report["solver"]["em"], EM_KEYS, "solver.em")
 

@@ -43,11 +43,10 @@ if [[ "$preset" == thread ]]; then
   # The concurrency suites: the thread-pool unit tests plus every test that
   # drives a multi-threaded sweep, hammers a shared cache, or exercises the
   # batch service / fault registry across threads. The naming convention
-  # (ThreadPool.*, Concurrent*, Parallel*, Service*, Faults*,
-  # MacromodelConcurrency.*) is what this regex keys on -- new concurrency
-  # tests should follow it to be picked up.
+  # (ThreadPool.*, Concurrent*, Parallel*, Service*, Faults*) is what this
+  # regex keys on -- new concurrency tests should follow it to be picked up.
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
-    -R '(ThreadPool|Concurrent|Parallel|Service|Faults|MacromodelConcurrency)' "$@"
+    -R '(ThreadPool|Concurrent|Parallel|Service|Faults)' "$@"
 else
   # Abort on the first sanitizer report instead of trying to continue, and
   # make UBSan print stacks so CI logs are actionable.

@@ -1,12 +1,9 @@
 #include "core/platform.hpp"
 
-#include <cstdlib>
 #include <sstream>
-#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 
 namespace pdn3d::core {
 
@@ -17,20 +14,9 @@ namespace {
 /// 4-die stack), usually much more (controller runs, co-optimizer probes).
 constexpr std::size_t kManyStateSolves = 81;
 
-/// PDN3D_HIER_TIER environment opt-in for the hierarchical solver tier.
-bool hier_tier_from_env() {
-  const char* value = std::getenv("PDN3D_HIER_TIER");
-  if (value == nullptr) return false;
-  const std::string_view v(value);
-  return !(v.empty() || v == "0" || v == "off" || v == "false");
-}
-
 }  // namespace
 
-Platform::Platform(Benchmark benchmark)
-    : bench_(std::move(benchmark)),
-      hier_tier_(hier_tier_from_env()),
-      macromodel_ctx_(std::make_shared<irdrop::MacromodelContext>()) {}
+Platform::Platform(Benchmark benchmark) : bench_(std::move(benchmark)) {}
 
 power::MemoryState Platform::parse_state(std::string_view text, double io_activity) const {
   return power::parse_memory_state(text, bench_.stack.dram_spec, io_activity);
@@ -105,42 +91,6 @@ double Platform::measure_ir_mv(const pdn::PdnConfig& config) const {
                                     power_binding());
   const auto state = parse_state(bench_.default_state, bench_.default_io_activity);
   return analyzer.analyze(state).dram_max_mv;
-}
-
-double Platform::measure_ir_mv(const pdn::PdnConfig& config,
-                               std::size_t expected_design_points) const {
-  const irdrop::SolverKind kind = irdrop::select_solver_kind(
-      1, hier_tier_ ? irdrop::ReuseHint::kSharedDies : irdrop::ReuseHint::kNone,
-      expected_design_points);
-  if (kind != irdrop::SolverKind::kMacromodel) return measure_ir_mv(config);
-
-  const auto built = pdn::build_stack(bench_.stack, config);
-  irdrop::IrSolverOptions options;
-  options.macromodel = macromodel_ctx_;
-  const irdrop::IrAnalyzer analyzer(built.model, bench_.stack.dram_fp, bench_.stack.logic_fp,
-                                    power_binding(), kind, std::move(options));
-  const auto state = parse_state(bench_.default_state, bench_.default_io_activity);
-  return analyzer.analyze(state).dram_max_mv;
-}
-
-void Platform::prepare_sweep(const pdn::PdnConfig& representative,
-                             std::size_t expected_design_points) const {
-  if (!hier_tier_ || expected_design_points < irdrop::kMacromodelMinDesignPoints) return;
-  PDN3D_TRACE_SPAN("platform/prepare_sweep");
-  try {
-    const auto built = pdn::build_stack(bench_.stack, representative);
-    irdrop::IrSolverOptions options;
-    options.macromodel = macromodel_ctx_;
-    const irdrop::IrSolver solver(built.model, irdrop::SolverKind::kMacromodel,
-                                  std::move(options));
-    if (auto base = solver.macromodel_base()) {
-      macromodel_ctx_->register_base(std::move(base));
-    }
-  } catch (const std::exception& e) {
-    // The anchor is an optimization; a representative the mesh builder or
-    // the macromodel guards reject just leaves the sweep anchor-less.
-    util::log_warn("prepare_sweep: no macromodel anchor -- ", e.what());
-  }
 }
 
 irdrop::EmReport Platform::em_check(const pdn::PdnConfig& config,

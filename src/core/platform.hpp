@@ -42,42 +42,6 @@ class Platform {
   /// Uncached (one-shot) so design-space sweeps do not accumulate memory.
   [[nodiscard]] double measure_ir_mv(const pdn::PdnConfig& config) const;
 
-  /// measure_ir_mv for sweep callers that declare how many sibling design
-  /// points the sweep will evaluate. With the hierarchical tier enabled and
-  /// enough declared points (kMacromodelMinDesignPoints), the measurement
-  /// runs on the macromodel solver rung backed by the platform-shared
-  /// MacromodelContext -- die blocks and (after prepare_sweep) whole
-  /// factorizations are reused across the sweep's points. Identical
-  /// semantics to measure_ir_mv(config) otherwise; the rung's answers pass
-  /// the same true-residual verification either way.
-  [[nodiscard]] double measure_ir_mv(const pdn::PdnConfig& config,
-                                     std::size_t expected_design_points) const;
-
-  /// Prepare the hierarchical tier for a sweep: build the macromodel of
-  /// @p representative (through the shared block cache) and register it as
-  /// the context's Woodbury anchor. Call before the sweep's workers start
-  /// with a deterministically chosen representative (the co-optimizer uses
-  /// each batch's first config) -- anchors registered up front are what
-  /// keeps tier-on sweeps bitwise identical at any thread count. No-op when
-  /// the tier is disabled or the point count is below the amortization
-  /// threshold; a macromodel decline is swallowed (the sweep just runs
-  /// without an anchor).
-  void prepare_sweep(const pdn::PdnConfig& representative,
-                     std::size_t expected_design_points) const;
-
-  /// The hierarchical (Schur macromodel + Woodbury) solver tier is strictly
-  /// opt-in: the PDN3D_HIER_TIER environment variable (any value but
-  /// "0"/"off"/"false"/"") at construction, or this setter. Default-off
-  /// keeps every pre-existing output byte-identical.
-  void set_hierarchical_tier(bool on) { hier_tier_ = on; }
-  [[nodiscard]] bool hierarchical_tier() const { return hier_tier_; }
-
-  /// The platform-wide macromodel reuse context (fingerprint-keyed die-block
-  /// cache + Woodbury anchors) behind every tier-enabled measurement.
-  [[nodiscard]] const std::shared_ptr<irdrop::MacromodelContext>& macromodel_context() const {
-    return macromodel_ctx_;
-  }
-
   /// Electromigration analysis of @p state on the design point @p config:
   /// solves for node voltages on the cached analyzer, then runs the
   /// irdrop::em_check post-solve pass against this benchmark's technology.
@@ -149,8 +113,6 @@ class Platform {
   [[nodiscard]] irdrop::PowerBinding power_binding() const;
 
   Benchmark bench_;
-  bool hier_tier_ = false;  ///< hierarchical solver tier opt-in (see setter)
-  std::shared_ptr<irdrop::MacromodelContext> macromodel_ctx_;
   /// Guards cache_ only. CachedDesign entries are heap-allocated, so the
   /// references design() hands out stay valid while the map grows; the
   /// analyzer inside is safe for concurrent const use by construction.
@@ -160,31 +122,20 @@ class Platform {
 
 /// opt::Evaluator over a Platform's one-shot R-Mesh measurement. fork()ed
 /// siblings share the (const) platform; measure_ir_mv builds and discards
-/// everything per call, so siblings never contend on mutable state. When the
-/// platform's hierarchical tier is on, hint_sweep prepares the shared
-/// macromodel anchor and every measurement declares the sweep size, riding
-/// the reuse tier; forks inherit the declared size.
+/// everything per call, so siblings never contend on mutable state.
 class PlatformEvaluator final : public opt::Evaluator {
  public:
   /// @param platform must outlive the evaluator and all of its forks.
   explicit PlatformEvaluator(const Platform& platform) : platform_(&platform) {}
   [[nodiscard]] double measure(const pdn::PdnConfig& config) override {
-    return sweep_points_ > 1 ? platform_->measure_ir_mv(config, sweep_points_)
-                             : platform_->measure_ir_mv(config);
-  }
-  void hint_sweep(const pdn::PdnConfig& representative, std::size_t expected_points) override {
-    sweep_points_ = expected_points;
-    platform_->prepare_sweep(representative, expected_points);
+    return platform_->measure_ir_mv(config);
   }
   [[nodiscard]] std::unique_ptr<opt::Evaluator> fork() const override {
-    auto sibling = std::make_unique<PlatformEvaluator>(*platform_);
-    sibling->sweep_points_ = sweep_points_;
-    return sibling;
+    return std::make_unique<PlatformEvaluator>(*platform_);
   }
 
  private:
   const Platform* platform_;
-  std::size_t sweep_points_ = 0;
 };
 
 }  // namespace pdn3d::core

@@ -9,6 +9,7 @@
 
 #include "exec/cancel.hpp"
 #include "obs/metrics.hpp"
+#include "util/fnv.hpp"
 #include "util/string_util.hpp"
 
 namespace pdn3d::faults {
@@ -18,15 +19,6 @@ namespace {
 // Global gate mirrored from the registry so inert probes cost one relaxed
 // atomic load and nothing else.
 std::atomic<bool> g_enabled{false};
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -107,7 +99,7 @@ std::string Registry::configure(std::string_view spec) {
     }
 
     auto site = std::make_shared<Site>();
-    site->name_hash = fnv1a(name);
+    site->name_hash = util::fnv1a(name);
     // Peel `:param` then `#max` off the tail: site=rate[#max][:param].
     if (const std::size_t colon = value.find(':'); colon != std::string_view::npos) {
       const std::string_view param = util::trim(value.substr(colon + 1));

@@ -19,10 +19,9 @@ floorplan::Rect to_global(const floorplan::Rect& r, const pdn::LayerGrid& g) {
 }  // namespace
 
 IrAnalyzer::IrAnalyzer(const pdn::StackModel& model, const floorplan::Floorplan& dram_fp,
-                       const floorplan::Floorplan& logic_fp, PowerBinding power, SolverKind solver,
-                       IrSolverOptions options)
+                       const floorplan::Floorplan& logic_fp, PowerBinding power, SolverKind solver)
     : model_(model), dram_fp_(dram_fp), logic_fp_(logic_fp), power_(power),
-      solver_(model, solver, std::move(options)) {
+      solver_(model, solver) {
   // Rasterize every block of every die onto its device layer once.
   dram_block_nodes_.resize(static_cast<std::size_t>(model_.dram_die_count()));
   for (int d = 0; d < model_.dram_die_count(); ++d) {

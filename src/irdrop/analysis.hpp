@@ -51,11 +51,9 @@ class IrAnalyzer {
   /// @param model built stack (kept by reference; must outlive the analyzer).
   /// @param dram_fp the (identical) DRAM die floorplan.
   /// @param logic_fp host floorplan; required when the model has a logic die.
-  /// @param options solver tuning, including the shared MacromodelContext
-  /// that lets the hierarchical rung reuse die blocks across design points.
   IrAnalyzer(const pdn::StackModel& model, const floorplan::Floorplan& dram_fp,
              const floorplan::Floorplan& logic_fp, PowerBinding power,
-             SolverKind solver = SolverKind::kPcgIc, IrSolverOptions options = {});
+             SolverKind solver = SolverKind::kPcgIc);
 
   /// Full IR analysis of one memory state.
   [[nodiscard]] IrResult analyze(const power::MemoryState& state) const;

@@ -22,9 +22,9 @@ namespace {
 /// Process-wide mirrors of the per-instance SolveTelemetry counters, named
 /// `solver.<noun_verb>[.<rung>]` per the metric naming convention.
 obs::Counter& rung_attempt_counter(SolverKind kind) {
-  static std::array<obs::Counter*, kSolverKindCount> counters = [] {
-    std::array<obs::Counter*, kSolverKindCount> out{};
-    for (std::size_t k = 0; k < kSolverKindCount; ++k) {
+  static std::array<obs::Counter*, kSolverKindEnd> counters = [] {
+    std::array<obs::Counter*, kSolverKindEnd> out{};
+    for (auto k = static_cast<std::size_t>(SolverKind::kSparseDirect); k < kSolverKindEnd; ++k) {
       out[k] = &obs::counter(std::string("solver.rung_attempts.") +
                              to_string(static_cast<SolverKind>(k)));
     }
@@ -34,9 +34,9 @@ obs::Counter& rung_attempt_counter(SolverKind kind) {
 }
 
 obs::Counter& rung_failure_counter(SolverKind kind) {
-  static std::array<obs::Counter*, kSolverKindCount> counters = [] {
-    std::array<obs::Counter*, kSolverKindCount> out{};
-    for (std::size_t k = 0; k < kSolverKindCount; ++k) {
+  static std::array<obs::Counter*, kSolverKindEnd> counters = [] {
+    std::array<obs::Counter*, kSolverKindEnd> out{};
+    for (auto k = static_cast<std::size_t>(SolverKind::kSparseDirect); k < kSolverKindEnd; ++k) {
       out[k] = &obs::counter(std::string("solver.rung_failures.") +
                              to_string(static_cast<SolverKind>(k)));
     }
@@ -49,7 +49,6 @@ obs::Counter& rung_failure_counter(SolverKind kind) {
 
 const char* to_string(SolverKind kind) {
   switch (kind) {
-    case SolverKind::kMacromodel: return "macromodel";
     case SolverKind::kSparseDirect: return "sparse-direct";
     case SolverKind::kPcgIc: return "ic-pcg";
     case SolverKind::kPcgJacobi: return "jacobi-pcg";
@@ -62,15 +61,6 @@ const char* to_string(SolverKind kind) {
 SolverKind select_solver_kind(std::size_t expected_solves) {
   return expected_solves >= kSparseDirectMinSolves ? SolverKind::kSparseDirect
                                                    : SolverKind::kPcgIc;
-}
-
-SolverKind select_solver_kind(std::size_t expected_solves, ReuseHint hint,
-                              std::size_t expected_design_points) {
-  if (hint == ReuseHint::kSharedDies && expected_design_points >= kMacromodelMinDesignPoints &&
-      expected_solves >= 1) {
-    return SolverKind::kMacromodel;
-  }
-  return select_solver_kind(expected_solves);
 }
 
 IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOptions options)
@@ -99,14 +89,6 @@ IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOption
     supply_rhs_[t.node] += g * vdd_;
   }
   g_ = builder.compress();
-
-  // The per-die partition costs O(n); computed unconditionally so the
-  // macromodel rung is available whenever the start kind asks for it.
-  try {
-    block_of_ = stack_partition(model);
-  } catch (const std::exception&) {
-    block_of_.clear();  // synthetic grid-less meshes: the rung declines
-  }
 
   if (kind_ == SolverKind::kPcgIc) {
     std::call_once(ic_once_, [&] {
@@ -166,92 +148,12 @@ const linalg::SparseCholesky* IrSolver::sparse(std::string* error) const {
 
 bool IrSolver::sparse_factor_available() const { return sparse(nullptr) != nullptr; }
 
-const IrSolver::Hierarchical* IrSolver::macromodel(std::string* error) const {
-  static auto& m_builds = obs::counter("solver.macromodel.builds");
-  static auto& m_reuses = obs::counter("solver.macromodel.reuses");
-  static auto& m_woodbury = obs::counter("solver.macromodel.woodbury_updates");
-
-  std::call_once(hier_once_, [&] {
-    PDN3D_TRACE_SPAN("solver/macromodel_build");
-    const util::ScopedTimer build_timer("solver.macromodel_build_seconds");
-    try {
-      if (block_of_.empty()) {
-        throw std::runtime_error("stack partition unavailable");
-      }
-      auto hier = std::make_unique<Hierarchical>();
-      MacromodelContext* ctx = options_.macromodel.get();
-      linalg::SchurOptions opts = ctx != nullptr ? ctx->options() : linalg::SchurOptions{};
-      opts.max_fill_ratio = options_.max_fill_ratio;
-
-      // Cheapest first: an identical mesh reuses a context base outright; a
-      // small design delta rides a Woodbury overlay on it (die factors AND
-      // the reduced factorization reused). Anything else builds fresh -- but
-      // through the context's block cache, so untouched dies still rebuild
-      // nothing -- and becomes the new base for its neighbors.
-      if (ctx != nullptr) {
-        if (auto base = ctx->base_for(g_.dimension())) {
-          const auto touched = linalg::WoodburyUpdate::touched_nodes(base->matrix(), g_);
-          if (touched.empty()) {
-            hier->base = std::move(base);
-            m_reuses.add(1);
-          } else if (touched.size() <= options_.woodbury_max_rank) {
-            try {
-              hier->update = std::make_unique<linalg::WoodburyUpdate>(base, g_,
-                                                                      options_.woodbury_max_rank);
-              hier->base = std::move(base);
-              m_woodbury.add(1);
-              m_reuses.add(1);
-            } catch (const std::exception&) {
-              // Rank-deficient capture or a guard decline: fresh build below.
-            }
-          }
-        }
-      }
-      if (hier->base == nullptr) {
-        // Deliberately NOT registered as a context base: bases come only from
-        // explicit anchor preparation (Platform::prepare_sweep), so which
-        // base a sweep point sees never depends on worker arrival order --
-        // the cross-thread-count bitwise determinism contract.
-        auto built = std::make_shared<const linalg::SchurMacromodel>(
-            g_, block_of_, opts, ctx != nullptr ? &ctx->blocks() : nullptr);
-        m_builds.add(1);
-        m_reuses.add(built->blocks_reused());  // die blocks served from the cache
-        hier->base = std::move(built);
-      }
-      hier_ = std::move(hier);
-    } catch (const std::exception& e) {
-      hier_error_ = e.what();
-    }
-  });
-  if (!hier_ && error != nullptr) *error = hier_error_;
-  return hier_.get();
-}
-
-bool IrSolver::macromodel_available() const { return macromodel(nullptr) != nullptr; }
-
-std::shared_ptr<const linalg::SchurMacromodel> IrSolver::macromodel_base() const {
-  const Hierarchical* hier = macromodel(nullptr);
-  return hier != nullptr ? hier->base : nullptr;
-}
-
 IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double> rhs,
                                         SolveScratch& ws) const {
   RungResult out;
   const std::size_t n = g_.dimension();
   try {
     switch (kind) {
-      case SolverKind::kMacromodel: {
-        std::string error;
-        const Hierarchical* hier = macromodel(&error);
-        if (hier == nullptr) {
-          out.detail = "macromodel declined: " + error;
-          return out;
-        }
-        out.x.assign(n, 0.0);
-        hier->solve_batch(rhs, out.x, 1, ws.schur);
-        out.produced = true;
-        return out;
-      }
       case SolverKind::kSparseDirect: {
         std::string error;
         const linalg::SparseCholesky* fac = sparse(&error);
@@ -349,8 +251,7 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
 
   std::ostringstream trail;  // per-rung failure reasons for the final status
   const std::size_t first = static_cast<std::size_t>(kind_);
-  const std::size_t last =
-      options_.escalate ? kSolverKindCount - 1 : first;
+  const std::size_t last = options_.escalate ? kSolverKindEnd - 1 : first;
 
   for (std::size_t k = first; k <= last; ++k) {
     // Cooperative cancellation (service watchdog): stop climbing the ladder
@@ -402,8 +303,6 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
         outcome.kind_used = kind;
         outcome.iterations = rung.iterations;
         outcome.rel_residual = rel;
-        last_iterations_.store(rung.iterations, std::memory_order_relaxed);
-        last_kind_used_.store(kind, std::memory_order_relaxed);
         ++telemetry_.solves;
         m_solves.add(1);
         m_iters_hist.observe(static_cast<double>(rung.iterations));
@@ -412,7 +311,8 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
         span.attribute("iterations", static_cast<std::uint64_t>(rung.iterations));
         if (outcome.escalations > 0) {
           util::log_warn("IrSolver: ", to_string(kind_), " failed, recovered by ",
-                         to_string(kind), " after ", outcome.escalations, " escalation(s)");
+                         to_string(kind), " after ", outcome.escalations, " escalation(s) [",
+                         trail.str(), "]");
         }
         return outcome;
       }
@@ -420,10 +320,6 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
 
     ++telemetry_.rung_failures[k];
     rung_failure_counter(kind).add(1);
-    if (kind == SolverKind::kMacromodel) {
-      static auto& m_fallbacks = obs::counter("solver.macromodel.fallbacks");
-      m_fallbacks.add(1);
-    }
     if (trail.tellp() > 0) trail << "; ";
     trail << to_string(kind) << ": " << reject;
     if (k < last) {
@@ -455,19 +351,13 @@ SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws
   out.x.assign(n * count, 0.0);
   std::vector<char> done(count, 0);
 
-  // Fast path: one batched solve covers every right-hand side -- through the
-  // hierarchical macromodel when it is the start kind, otherwise the cached
-  // sparse-direct factor -- then each slice is residual-verified exactly as a
-  // scalar solve would be. Slices the verification rejects (and everything,
-  // when the engine was declined) fall through to the scalar escalation
-  // ladder below.
-  const bool macro_path = kind_ == SolverKind::kMacromodel;
-  if (macro_path || kind_ == SolverKind::kSparseDirect) {
-    const Hierarchical* hier = macro_path ? macromodel(nullptr) : nullptr;
-    const linalg::SparseCholesky* fac = macro_path ? nullptr : sparse(nullptr);
-    if (hier != nullptr || fac != nullptr) {
-      const SolverKind fast_kind =
-          macro_path ? SolverKind::kMacromodel : SolverKind::kSparseDirect;
+  // Fast path: one batched pair of triangular sweeps covers every right-hand
+  // side, then each slice is residual-verified exactly as a scalar solve
+  // would be. Slices the verification rejects (and everything, when the
+  // factor was declined) fall through to the scalar escalation ladder below.
+  if (kind_ == SolverKind::kSparseDirect) {
+    const linalg::SparseCholesky* fac = sparse(nullptr);
+    if (fac != nullptr) {
       std::vector<double>& rhs = ws.batch_rhs;
       rhs.assign(n * count, 0.0);
       for (std::size_t r = 0; r < count; ++r) {
@@ -476,11 +366,7 @@ SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws
         }
       }
       ws.batch_x.assign(n * count, 0.0);
-      if (hier != nullptr) {
-        hier->solve_batch(rhs, ws.batch_x, count, ws.schur);
-      } else {
-        fac->solve_batch(rhs, ws.batch_x, count, ws.direct);
-      }
+      fac->solve_batch(rhs, ws.batch_x, count, ws.direct);
 
       for (std::size_t r = 0; r < count; ++r) {
         const std::span<const double> brhs(rhs.data() + r * n, n);
@@ -500,19 +386,17 @@ SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws
         const double rel = bnorm > 0.0 ? res / bnorm : res;
         if (!finite || !std::isfinite(rel) || rel > options_.verify_rel_tol) continue;
 
-        ++telemetry_.rung_attempts[static_cast<std::size_t>(fast_kind)];
-        rung_attempt_counter(fast_kind).add(1);
+        ++telemetry_.rung_attempts[static_cast<std::size_t>(SolverKind::kSparseDirect)];
+        rung_attempt_counter(SolverKind::kSparseDirect).add(1);
         for (std::size_t i = 0; i < n; ++i) {
           out.x[r * n + i] = request.want_ir ? vdd_ - bx[i] : bx[i];
         }
-        out.kind_used = fast_kind;
+        out.kind_used = SolverKind::kSparseDirect;
         out.rel_residual = std::max(out.rel_residual, rel);
-        last_iterations_.store(0, std::memory_order_relaxed);
-        last_kind_used_.store(fast_kind, std::memory_order_relaxed);
         ++telemetry_.solves;
         m_solves.add(1);
         m_iters_hist.observe(0.0);
-        m_rung_used.set(static_cast<double>(static_cast<std::size_t>(fast_kind)));
+        m_rung_used.set(static_cast<double>(static_cast<std::size_t>(SolverKind::kSparseDirect)));
         done[r] = 1;
       }
     }

@@ -25,16 +25,6 @@
 /// pattern through select_solver_kind(expected_solves); one-shot callers keep
 /// ic-pcg. A factorization the fill-ratio guard declines simply fails the
 /// rung and the ladder escalates as usual (see docs/SOLVER.md).
-///
-/// Above sparse-direct sits the hierarchical macromodel rung (kMacromodel):
-/// per-die Schur elimination blocks shared through a MacromodelContext, a
-/// small reduced interface system per design point, and Woodbury overlays for
-/// design deltas that touch only a few nodes (see linalg/schur.hpp and the
-/// "Hierarchical tier" section of docs/SOLVER.md). It is chosen only by
-/// callers that declare cross-design reuse (select_solver_kind with a
-/// ReuseHint); every answer it produces passes the same true-residual
-/// verification as any other rung, and any guard decline or verification
-/// failure falls through to sparse-direct and onward down the ladder.
 
 #include <array>
 #include <atomic>
@@ -46,27 +36,31 @@
 #include <vector>
 
 #include "core/status.hpp"
-#include "irdrop/macromodel.hpp"
 #include "linalg/banded.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/ichol.hpp"
-#include "linalg/schur.hpp"
 #include "linalg/sparse_chol.hpp"
 #include "pdn/stack_model.hpp"
 
 namespace pdn3d::irdrop {
 
+/// Ladder rungs in escalation order. The values are pinned: they key the
+/// solver micro-bench series (bench/BENCH_solver.json), the parameterized
+/// test instances and the `solver.rung_used` gauge, so removing a rung
+/// retires its value instead of renumbering the rest. Value 0 is retired (it
+/// was the hierarchical macromodel rung).
 enum class SolverKind {
-  kMacromodel,    ///< hierarchical Schur macromodels + Woodbury design deltas
-  kSparseDirect,  ///< AMD-ordered sparse Cholesky: factor once, two sweeps per RHS
-  kPcgIc,         ///< IC(0)-preconditioned CG (default, fast)
-  kPcgJacobi,     ///< Jacobi-preconditioned CG
-  kBandedDirect,  ///< RCM + banded Cholesky: factor once, O(n*b) per state
-  kDense,         ///< dense Cholesky -- exact reference ("signoff") path
+  kSparseDirect = 1,  ///< AMD-ordered sparse Cholesky: factor once, two sweeps per RHS
+  kPcgIc = 2,         ///< IC(0)-preconditioned CG (default, fast)
+  kPcgJacobi = 3,     ///< Jacobi-preconditioned CG
+  kBandedDirect = 4,  ///< RCM + banded Cholesky: factor once, O(n*b) per state
+  kDense = 5,         ///< dense Cholesky -- exact reference ("signoff") path
 };
 
-inline constexpr std::size_t kSolverKindCount = 6;
+/// One past the largest SolverKind value: the size of per-rung arrays indexed
+/// by the value (slot 0, the retired value, stays zero).
+inline constexpr std::size_t kSolverKindEnd = 6;
 
 [[nodiscard]] const char* to_string(SolverKind kind);
 
@@ -76,30 +70,9 @@ inline constexpr std::size_t kSolverKindCount = 6;
 /// factorization amortizes; one-shot solves keep ic-pcg.
 [[nodiscard]] SolverKind select_solver_kind(std::size_t expected_solves);
 
-/// What a sweep knows about reuse *across* design points (the per-point
-/// same-matrix solve count is the other select_solver_kind argument).
-enum class ReuseHint {
-  kNone,        ///< independent meshes; nothing shared between points
-  kSharedDies,  ///< points share die sub-meshes / differ by small deltas
-                ///< (TSV count/placement, one die's metal usage)
-};
-
-/// Reuse-aware selection: with ReuseHint::kSharedDies and enough design
-/// points to amortize the macromodel build, pick the hierarchical tier;
-/// otherwise defer to select_solver_kind(expected_solves). The tier is never
-/// auto-selected without the hint -- a lone design point would pay the
-/// per-die elimination for nothing.
-[[nodiscard]] SolverKind select_solver_kind(std::size_t expected_solves, ReuseHint hint,
-                                            std::size_t expected_design_points);
-
 /// Expected solve count at which select_solver_kind switches to the cached
 /// sparse-direct factor (factorization ~ a handful of PCG solves).
 inline constexpr std::size_t kSparseDirectMinSolves = 8;
-
-/// Design-point count at which shared-die sweeps switch to the hierarchical
-/// macromodel tier (block builds amortize across points via the cache and
-/// Woodbury overlays).
-inline constexpr std::size_t kMacromodelMinDesignPoints = 4;
 
 struct IrSolverOptions {
   double cg_rel_tolerance = 1e-10;
@@ -123,16 +96,6 @@ struct IrSolverOptions {
   /// under the factor's AMD ordering; the default admits them with an order
   /// of magnitude of headroom (see SparseCholeskyOptions).
   double max_fill_ratio = 96.0;
-  /// Shared reuse context of the hierarchical macromodel rung (die-block
-  /// cache + Woodbury base registry). Null = the rung builds private blocks
-  /// and never reuses across solver instances; set by sweeps that share a
-  /// Platform's context.
-  std::shared_ptr<MacromodelContext> macromodel;
-  /// Woodbury overlays are declined (falling back to a fresh macromodel
-  /// build through the block cache) when a design delta touches more nodes
-  /// than this -- beyond it the m base solves of the overlay build cost more
-  /// than re-eliminating through cached blocks.
-  std::size_t woodbury_max_rank = 256;
 };
 
 /// Per-rung retry counters, accumulated across all solves of this solver
@@ -146,8 +109,8 @@ struct SolveTelemetry {
   std::atomic<std::size_t> solves{0};       ///< successful solves
   std::atomic<std::size_t> failures{0};     ///< solves that exhausted the ladder
   std::atomic<std::size_t> escalations{0};  ///< rung failures that moved down the ladder
-  std::array<std::atomic<std::size_t>, kSolverKindCount> rung_attempts{};
-  std::array<std::atomic<std::size_t>, kSolverKindCount> rung_failures{};
+  std::array<std::atomic<std::size_t>, kSolverKindEnd> rung_attempts{};
+  std::array<std::atomic<std::size_t>, kSolverKindEnd> rung_failures{};
 };
 
 /// One solve, fully specified. This is the single entry shape (the historical
@@ -200,7 +163,6 @@ struct SolveScratch {
   std::vector<double> batch_rhs;  ///< batched fast-path right-hand sides
   std::vector<double> batch_x;    ///< batched fast-path solutions
   std::vector<double> direct;     ///< triangular-sweep workspace
-  linalg::SchurScratch schur;     ///< macromodel-rung workspace
 };
 
 class IrSolver {
@@ -229,29 +191,6 @@ class IrSolver {
   /// decide whether the sequential warm-start fallback is worth enabling.
   [[nodiscard]] bool sparse_factor_available() const;
 
-  /// True when the hierarchical macromodel exists (built or reused through
-  /// the context), building it on first call. A decline (guard, Woodbury
-  /// rank cap with no cheap rebuild) is sticky -- the rung fails from then
-  /// on and the ladder starts at sparse-direct.
-  [[nodiscard]] bool macromodel_available() const;
-
-  /// The hierarchical rung's base macromodel (built on first call), or null
-  /// when the rung declined. Platforms register this in their
-  /// MacromodelContext as the deterministic Woodbury anchor of a sweep.
-  [[nodiscard]] std::shared_ptr<const linalg::SchurMacromodel> macromodel_base() const;
-
-  /// @deprecated Iterations used by the last successful solve (0 for direct
-  /// rungs). Under concurrency this is "some recent solve" -- prefer
-  /// SolveOutcome::iterations, which is per-request.
-  [[nodiscard]] std::size_t last_iterations() const {
-    return last_iterations_.load(std::memory_order_relaxed);
-  }
-  /// @deprecated Rung of the last successful solve; same caveat as
-  /// last_iterations(). Prefer SolveOutcome::kind_used.
-  [[nodiscard]] SolverKind last_kind_used() const {
-    return last_kind_used_.load(std::memory_order_relaxed);
-  }
-
   /// Cumulative per-rung retry counters for this solver instance.
   [[nodiscard]] const SolveTelemetry& telemetry() const { return telemetry_; }
 
@@ -263,27 +202,10 @@ class IrSolver {
     std::string detail;      ///< failure context when rejected
   };
 
-  /// The hierarchical rung's solve engine: a base macromodel, optionally
-  /// composed with a Woodbury overlay for this solver's design delta.
-  struct Hierarchical {
-    std::shared_ptr<const linalg::SchurMacromodel> base;
-    std::unique_ptr<linalg::WoodburyUpdate> update;  ///< null = base solves directly
-
-    void solve_batch(std::span<const double> b, std::span<double> x, std::size_t count,
-                     linalg::SchurScratch& scratch) const {
-      if (update) {
-        update->solve_batch(b, x, count, scratch);
-      } else {
-        base->solve_batch(b, x, count, scratch);
-      }
-    }
-  };
-
   [[nodiscard]] RungResult run_rung(SolverKind kind, std::span<const double> rhs,
                                     SolveScratch& ws) const;
   [[nodiscard]] const linalg::BandedCholesky* banded(std::string* error) const;
   [[nodiscard]] const linalg::SparseCholesky* sparse(std::string* error) const;
-  [[nodiscard]] const Hierarchical* macromodel(std::string* error) const;
   [[nodiscard]] SolveOutcome solve_one(std::span<const double> sinks, bool want_ir,
                                        SolveScratch& ws) const;
   [[nodiscard]] SolveOutcome solve_batch(const SolveRequest& request, SolveScratch& ws) const;
@@ -293,7 +215,6 @@ class IrSolver {
   double vdd_;
   linalg::Csr g_;
   std::vector<double> supply_rhs_;  ///< sum of g*VDD per node
-  std::vector<int> block_of_;       ///< per-die partition (macromodel rung)
   // The factors are immutable once built; call_once makes the lazy builds
   // safe under concurrent solves (the factors themselves are applied through
   // const, buffer-free-or-caller-buffered paths).
@@ -305,11 +226,6 @@ class IrSolver {
   mutable std::once_flag sparse_once_;
   mutable std::unique_ptr<linalg::SparseCholesky> sparse_;
   mutable std::string sparse_error_;  ///< sticky decline reason (fill guard, not SPD)
-  mutable std::once_flag hier_once_;
-  mutable std::unique_ptr<Hierarchical> hier_;
-  mutable std::string hier_error_;  ///< sticky decline reason (guards, rank cap)
-  mutable std::atomic<std::size_t> last_iterations_{0};
-  mutable std::atomic<SolverKind> last_kind_used_{SolverKind::kPcgIc};
   mutable SolveTelemetry telemetry_;
 };
 

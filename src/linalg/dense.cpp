@@ -77,52 +77,6 @@ std::vector<double> solve_cholesky(DenseMatrix a, std::span<const double> b) {
   return x;
 }
 
-DenseLu::DenseLu(DenseMatrix a) : lu_(std::move(a)) {
-  const std::size_t n = lu_.rows();
-  if (lu_.cols() != n) throw std::invalid_argument("DenseLu: matrix must be square");
-  perm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t piv = k;
-    double best = std::abs(lu_(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double v = std::abs(lu_(i, k));
-      if (v > best) {
-        best = v;
-        piv = i;
-      }
-    }
-    if (best == 0.0) throw std::runtime_error("DenseLu: singular matrix");
-    if (piv != k) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(piv, c));
-      std::swap(perm_[k], perm_[piv]);
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double m = lu_(i, k) / lu_(k, k);
-      lu_(i, k) = m;
-      for (std::size_t c = k + 1; c < n; ++c) lu_(i, c) -= m * lu_(k, c);
-    }
-  }
-}
-
-void DenseLu::solve(std::span<const double> b, std::span<double> x) const {
-  const std::size_t n = lu_.rows();
-  if (b.size() != n || x.size() != n) throw std::invalid_argument("DenseLu::solve: size mismatch");
-  std::vector<double> y(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) y[i] = b[perm_[i]];
-  // Forward solve (unit lower).
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < i; ++k) y[i] -= lu_(i, k) * y[k];
-  }
-  // Backward solve (upper).
-  for (std::size_t ii = n; ii-- > 0;) {
-    for (std::size_t k = ii + 1; k < n; ++k) y[ii] -= lu_(ii, k) * y[k];
-    y[ii] /= lu_(ii, ii);
-  }
-  std::copy(y.begin(), y.end(), x.begin());
-}
-
 std::vector<double> solve_lu(DenseMatrix a, std::span<const double> b) {
   const std::size_t n = a.rows();
   if (a.cols() != n || b.size() != n) throw std::invalid_argument("solve_lu: size mismatch");

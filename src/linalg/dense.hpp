@@ -46,26 +46,4 @@ std::vector<double> solve_cholesky(DenseMatrix a, std::span<const double> b);
 /// Throws std::runtime_error on (numerical) singularity.
 std::vector<double> solve_lu(DenseMatrix a, std::span<const double> b);
 
-/// Factor-retaining partially pivoted LU for small general square systems --
-/// the Woodbury capture matrix K = I + D*U^T*Z of the hierarchical solver
-/// tier, factored once per design delta and applied per right-hand side.
-/// Thread-safety: construction does all mutation; solve() is const and
-/// touches only caller-owned buffers.
-class DenseLu {
- public:
-  /// Factor @p a in place. Throws std::runtime_error on (numerical)
-  /// singularity -- for the solver tier that is the rank-deficient-update
-  /// signal that makes the rung fall through cleanly.
-  explicit DenseLu(DenseMatrix a);
-
-  /// Solve A x = b. @p x and @p b must have size dimension() and may alias.
-  void solve(std::span<const double> b, std::span<double> x) const;
-
-  [[nodiscard]] std::size_t dimension() const { return lu_.rows(); }
-
- private:
-  DenseMatrix lu_;                  ///< L (unit lower) and U packed in place
-  std::vector<std::size_t> perm_;   ///< row permutation from partial pivoting
-};
-
 }  // namespace pdn3d::linalg

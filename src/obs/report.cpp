@@ -153,15 +153,6 @@ json::Value solver_block(const MetricsSnapshot& snap) {
   factor.set("nnz", gauge_or_zero("solver.factor_nnz"));
   solver.set("factor", std::move(factor));
 
-  // Schema v7: hierarchical-tier reuse statistics. Zeros when the run never
-  // selected the macromodel rung.
-  json::Value macromodel = json::Value::object();
-  macromodel.set("builds", counter_or_zero("solver.macromodel.builds"));
-  macromodel.set("reuses", counter_or_zero("solver.macromodel.reuses"));
-  macromodel.set("woodbury_updates", counter_or_zero("solver.macromodel.woodbury_updates"));
-  macromodel.set("fallbacks", counter_or_zero("solver.macromodel.fallbacks"));
-  solver.set("macromodel", std::move(macromodel));
-
   // Schema v8: electromigration pass statistics. Zeros when the run never
   // executed an EM check.
   json::Value em = json::Value::object();

@@ -33,12 +33,14 @@ namespace pdn3d::obs {
 ///     fingerprint of the evaluated request, facade commands only); the
 ///     session block gained the "cache" sub-object (result-cache stats) and
 ///     session requests gained "fingerprint" and "cache" keys.
-/// v7: added the "macromodel" sub-object to the "solver" block (hierarchical
-///     tier reuse statistics: builds, reuses, woodbury_updates, fallbacks).
+/// v7: added a "solver" sub-object of hierarchical-solver-tier reuse
+///     statistics (removed in v9).
 /// v8: added the "em" sub-object to the "solver" block (electromigration
 ///     pass statistics: checks, violations, worst_utilization,
 ///     min_mttf_hours).
-inline constexpr int kReportSchemaVersion = 8;
+/// v9: removed the v7 sub-object together with the hierarchical solver tier
+///     it reported on.
+inline constexpr int kReportSchemaVersion = 9;
 
 struct RunReportOptions {
   std::string command;            ///< CLI command ("analyze", "profile", ...)

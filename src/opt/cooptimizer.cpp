@@ -33,9 +33,8 @@ std::vector<CoOptimizer::PointResult> CoOptimizer::evaluate_batch(
   // enumerates points deterministically, so index base+i names the same
   // config in the original and the resumed run.
   const std::uint64_t base = static_cast<std::uint64_t>(total_samples_);
-  // Announce the batch before any fork: reuse-aware evaluators prepare
-  // shared solver state (hierarchical-tier anchors) off the deterministic
-  // first config, so what the workers see is independent of scheduling.
+  // Announce the batch before any fork, off the deterministic first config,
+  // so whatever an evaluator records per sweep is independent of scheduling.
   if (!configs.empty()) evaluate_->hint_sweep(configs.front(), configs.size());
   exec::ThreadPool pool(static_cast<std::size_t>(threads_));
   pool.parallel_chunks(configs.size(), [&](std::size_t, std::size_t begin, std::size_t end) {

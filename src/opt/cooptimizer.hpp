@@ -45,12 +45,10 @@ class Evaluator {
   /// Sweep announcement, called once (on the root evaluator, before any
   /// fork) per batch of sibling design points: @p representative is the
   /// batch's first config in deterministic enumeration order and
-  /// @p expected_points its size. Reuse-aware evaluators (PlatformEvaluator)
-  /// use it to prepare shared solver state -- e.g. the hierarchical tier's
-  /// Woodbury anchor -- so that the whole batch amortizes one build. The
-  /// default is a no-op; measurements must return the same values whether or
-  /// not the hint was delivered (it is a performance channel, not a
-  /// correctness one).
+  /// @p expected_points its size. Evaluators that account per sweep (e.g.
+  /// a tracing evaluator opening one span per batch) hook it; the default is
+  /// a no-op. Measurements must return the same values whether or not the
+  /// announcement was delivered.
   virtual void hint_sweep(const pdn::PdnConfig& representative, std::size_t expected_points) {
     (void)representative;
     (void)expected_points;

@@ -4,22 +4,16 @@
 /// Streaming FNV-1a 64-bit hashing.
 ///
 /// The canonical-fingerprint machinery (api::RequestFingerprint,
-/// util::checkpoint_key) hashes canonical *text*; the hierarchical solver
-/// tier extends the same FNV-1a stream to binary sub-mesh fingerprints
-/// (node counts, local indices, IEEE-754 conductance bits), where building a
-/// canonical string per die block would cost more than the hash itself.
-/// Both spellings share this one implementation so a fingerprint is always
-/// "FNV-1a over a canonical byte stream", whatever the payload.
+/// util::checkpoint_key) and the fault-injection site keys hash text with
+/// this one implementation.
 
-#include <bit>
 #include <cstdint>
 #include <string_view>
 
 namespace pdn3d::util {
 
 /// Incremental FNV-1a 64-bit hasher. Feed bytes in canonical order; value()
-/// is stable across platforms (integers are hashed little-endian-explicitly,
-/// doubles by their IEEE-754 bit pattern).
+/// is stable across platforms.
 class Fnv1a {
  public:
   static constexpr std::uint64_t kOffsetBasis = 1469598103934665603ULL;
@@ -33,12 +27,6 @@ class Fnv1a {
   constexpr void text(std::string_view s) {
     for (const char c : s) byte(static_cast<unsigned char>(c));
   }
-
-  constexpr void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-  }
-
-  constexpr void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
   [[nodiscard]] constexpr std::uint64_t value() const { return hash_; }
 

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "opt/cooptimizer.hpp"
 
 namespace pdn3d::core {
 namespace {
@@ -107,6 +109,35 @@ TEST(ConcurrentPlatformCache, ParallelCheckoutBuildsEachDesignOnce) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(p.cache_size(), 2u);
   EXPECT_EQ(inserts.value(), i0 + 2);  // losers' duplicate builds discarded
+}
+
+TEST(ParallelCoOptimizer, PlatformWinnerBitwiseEqualAcrossThreadCounts) {
+  // The determinism contract on a real PlatformEvaluator sweep: the
+  // co-optimizer's sampled fits and re-measured winner are bitwise
+  // identical at --threads 1 and --threads 8.
+  opt::DesignSpace space;
+  space.tsv_locations = {pdn::TsvLocation::kCenter};
+  space.dedicated_options = {false};
+  space.bonding_options = {pdn::BondingStyle::kF2B};
+  space.rdl_options = {pdn::RdlMode::kNone};
+  space.wirebond_options = {false};
+  space.m2_samples = {0.12, 0.15, 0.18};
+  space.m3_samples = {0.15, 0.22, 0.30};
+  space.tc_samples = {40, 80};
+
+  const auto run = [&space](int threads) {
+    Platform platform(make_benchmark(BenchmarkKind::kStackedDdr3OffChip));
+    opt::CoOptimizer co(space, std::make_unique<PlatformEvaluator>(platform), threads);
+    return co.optimize(0.5);
+  };
+  const opt::Optimum serial = run(1);
+  const opt::Optimum threaded = run(8);
+
+  EXPECT_EQ(serial.config.summary(), threaded.config.summary());
+  EXPECT_EQ(serial.measured_ir_mv, threaded.measured_ir_mv);  // bitwise
+  EXPECT_EQ(serial.predicted_ir_mv, threaded.predicted_ir_mv);
+  EXPECT_EQ(serial.cost, threaded.cost);
+  EXPECT_EQ(serial.objective, threaded.objective);
 }
 
 TEST(ConcurrentPlatformCache, ParallelLutAccessReturnsOneInstance) {

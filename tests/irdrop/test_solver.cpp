@@ -5,11 +5,13 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/benchmarks.hpp"
 #include "obs/metrics.hpp"
 #include "pdn/stack_builder.hpp"
+#include "util/log.hpp"
 
 namespace pdn3d::irdrop {
 namespace {
@@ -208,13 +210,20 @@ TEST(IrSolver, EscalationLadderRecoversStarvedPcg) {
   starved.cg_max_iterations = 1;
   IrSolver solver(m, SolverKind::kPcgIc, starved);
   std::vector<double> sinks(m.node_count(), 0.01);
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::kWarn);
+  testing::internal::CaptureStderr();
   const auto outcome = solver.solve(SolveRequest{.sinks = sinks});
+  const std::string warning = testing::internal::GetCapturedStderr();
+  util::set_log_level(level);
   ASSERT_TRUE(outcome.ok()) << outcome.status.to_string();
   // Both PCG rungs starve; a direct rung produces the verified answer.
   EXPECT_GE(outcome.escalations, 2u);
   EXPECT_TRUE(outcome.kind_used == SolverKind::kBandedDirect ||
               outcome.kind_used == SolverKind::kDense);
-  EXPECT_EQ(solver.last_kind_used(), outcome.kind_used);
+  // The recovery warning says why each skipped rung failed.
+  EXPECT_NE(warning.find("recovered by"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("ic-pcg: max-iterations"), std::string::npos) << warning;
 
   // And the recovered answer matches an unstarved reference solve.
   const auto reference = solve_voltages(IrSolver(m), sinks);

@@ -69,20 +69,6 @@ TEST(RunReport, SolverBlockMirrorsRegistryCounters) {
   EXPECT_GE(solver->find("rung_attempts")->find("ic-pcg")->as_number(), 2.0);
 }
 
-TEST(RunReport, SolverBlockCarriesMacromodelStats) {
-  counter("solver.macromodel.builds").add(1);
-  counter("solver.macromodel.woodbury_updates").add(3);
-
-  const json::Value report = build_run_report(options_for_test());
-  const json::Value* macromodel = report.find("solver")->find("macromodel");
-  ASSERT_NE(macromodel, nullptr);
-  for (const char* key : {"builds", "reuses", "woodbury_updates", "fallbacks"}) {
-    ASSERT_NE(macromodel->find(key), nullptr) << "missing macromodel key: " << key;
-  }
-  EXPECT_GE(macromodel->find("builds")->as_number(), 1.0);
-  EXPECT_GE(macromodel->find("woodbury_updates")->as_number(), 3.0);
-}
-
 TEST(RunReport, TraceEventsCanBeExcluded) {
   { TraceSpan span("test_report_excluded"); }
   RunReportOptions opt = options_for_test();
