@@ -26,7 +26,7 @@ int main() {
     const auto built = pdn::build_stack(bench_cfg.stack, cfg);
     const irdrop::IrAnalyzer analyzer(built.model, bench_cfg.stack.dram_fp,
                                       bench_cfg.stack.logic_fp, power,
-                                      irdrop::SolverKind::kBandedDirect);
+                                      irdrop::SolverKind::kSparseDirect);
     irdrop::MonteCarloConfig mc;
     mc.samples = 200;
     const auto r = irdrop::sample_ir_distribution(analyzer, bench_cfg.stack.dram_spec, mc);

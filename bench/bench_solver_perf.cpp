@@ -35,8 +35,6 @@ const char* kind_label(irdrop::SolverKind kind) {
   switch (kind) {
     case irdrop::SolverKind::kSparseDirect: return "sparse-direct";
     case irdrop::SolverKind::kPcgIc: return "IC-PCG";
-    case irdrop::SolverKind::kPcgJacobi: return "Jacobi-PCG";
-    case irdrop::SolverKind::kBandedDirect: return "RCM banded direct";
     case irdrop::SolverKind::kDense: return "dense";
   }
   return "?";
@@ -80,9 +78,7 @@ void BM_SolveState(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveState)
     ->Arg(static_cast<int>(irdrop::SolverKind::kSparseDirect))
-    ->Arg(static_cast<int>(irdrop::SolverKind::kPcgIc))
-    ->Arg(static_cast<int>(irdrop::SolverKind::kPcgJacobi))
-    ->Arg(static_cast<int>(irdrop::SolverKind::kBandedDirect));
+    ->Arg(static_cast<int>(irdrop::SolverKind::kPcgIc));
 
 // --- Same-matrix/many-RHS fast path ----------------------------------------
 // The sparse-direct rung's two cost components, measured separately on the

@@ -7,15 +7,6 @@
 
 namespace pdn3d::core {
 
-namespace {
-
-/// Expected-solve-count hint for cached designs: a design that earns a cache
-/// slot is about to serve at least a LUT build (3^4 states on the paper's
-/// 4-die stack), usually much more (controller runs, co-optimizer probes).
-constexpr std::size_t kManyStateSolves = 81;
-
-}  // namespace
-
 Platform::Platform(Benchmark benchmark) : bench_(std::move(benchmark)) {}
 
 power::MemoryState Platform::parse_state(std::string_view text, double io_activity) const {
@@ -60,13 +51,13 @@ Platform::CachedDesign& Platform::design(const pdn::PdnConfig& config) const {
   PDN3D_TRACE_SPAN("platform/build_design");
   auto cd = std::make_unique<CachedDesign>();
   cd->built = pdn::build_stack(bench_.stack, config);
-  // Cached designs serve many states (LUT construction, controller runs):
-  // declare the many-solves access pattern so the analyzer gets the cached
-  // sparse-direct factor (two triangular sweeps per state; the ladder still
-  // covers it if the factorization is declined).
+  // Cached designs serve many states (a LUT build is 3^4 states on the
+  // paper's 4-die stack; controller runs and co-optimizer probes add more),
+  // so they start on the cached sparse-direct factor: two triangular sweeps
+  // per state, with ic-pcg behind it if the factorization is declined.
   cd->analyzer = std::make_unique<irdrop::IrAnalyzer>(
       cd->built.model, bench_.stack.dram_fp, bench_.stack.logic_fp, power_binding(),
-      irdrop::select_solver_kind(kManyStateSolves));
+      irdrop::SolverKind::kSparseDirect);
   const std::unique_lock<std::shared_mutex> lock(cache_mutex_);
   auto [pos, inserted] = cache_.emplace(key, std::move(cd));
   if (inserted) m_inserts.add(1);

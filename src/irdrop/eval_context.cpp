@@ -17,9 +17,4 @@ SolveOutcome EvalContext::solve(const SolveRequest& request) {
   return outcome;
 }
 
-void EvalContext::set_warm_start(bool on) {
-  scratch_.warm_start = on;
-  if (!on) scratch_.warm.clear();
-}
-
 }  // namespace pdn3d::irdrop

@@ -4,11 +4,11 @@
 /// @brief Per-thread evaluation handle over a shared IrAnalyzer.
 ///
 /// The ownership rule of the parallel sweep engine in one sentence: platform
-/// and stack data (the StackModel, the conductance matrix, the IC(0)/banded
-/// factors, the block rasterization) are immutable and shared; everything a
-/// solve writes (assembled RHS, CG work vectors, verification products, the
-/// sink-current buffer, telemetry tallies) lives in an EvalContext owned by
-/// exactly one thread at a time.
+/// and stack data (the StackModel, the conductance matrix, the IC(0) and
+/// sparse Cholesky factors, the block rasterization) are immutable and
+/// shared; everything a solve writes (assembled RHS, CG work vectors,
+/// verification products, the sink-current buffer, telemetry tallies) lives
+/// in an EvalContext owned by exactly one thread at a time.
 ///
 /// The intended pattern over a ThreadPool:
 ///
@@ -46,13 +46,6 @@ class EvalContext {
 
   /// Raw solve through this context's scratch (the non-analysis entry).
   [[nodiscard]] SolveOutcome solve(const SolveRequest& request);
-
-  /// Opt in to CG warm starts: subsequent solves through this context seed CG
-  /// from the previous solve's voltages. Only meaningful on fallback paths
-  /// where the sparse-direct factor was declined, and only safe where the
-  /// solve order is not part of a determinism contract (the warm-started bits
-  /// depend on it) -- see docs/SOLVER.md. Direct rungs are unaffected.
-  void set_warm_start(bool on);
 
   [[nodiscard]] const IrAnalyzer& analyzer() const { return *analyzer_; }
 

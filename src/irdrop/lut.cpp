@@ -31,27 +31,18 @@ IrLut IrLut::build(const IrAnalyzer& analyzer, const floorplan::DramFloorplanSpe
 
   // Each table entry is a pure function of its key (mixed-radix decode ->
   // worst-case state -> verified solve), so the sweep parallelizes with no
-  // cross-entry state; an unsolvable state throws exactly as it would
-  // serially (the pool surfaces the lowest-key failure).
-  //
-  // Warm starts engage only on the fallback path: a sparse-direct analyzer
-  // whose factorization was declined re-solves with CG, and consecutive
-  // entries within a chunk are similar enough that seeding from the previous
-  // solution saves most iterations. On the default paths (exact direct
-  // solves, or plain PCG analyzers) warm start stays off, which is what keeps
-  // the table bitwise identical at any thread count.
-  // Warm starts make an entry depend on its chunk predecessors, which would
-  // break the checkpoint contract (each entry a pure function of its key), so
-  // they stay off while checkpointing.
-  const bool warm_start = checkpoint == nullptr &&
-                          analyzer.solver().kind() == SolverKind::kSparseDirect &&
-                          !analyzer.solver().sparse_factor_available();
+  // cross-entry state and the table is bitwise identical at any thread
+  // count; an unsolvable state throws exactly as it would serially (the pool
+  // surfaces the lowest-key failure). A sparse-direct analyzer's factor is
+  // built here, before the workers share it.
+  if (analyzer.solver().kind() == SolverKind::kSparseDirect) {
+    (void)analyzer.solver().sparse_factor_available();
+  }
   std::vector<double> table(total, 0.0);
   exec::ThreadPool pool(static_cast<std::size_t>(threads));
   EvalContext root(analyzer);
   pool.parallel_chunks(total, [&](std::size_t, std::size_t begin, std::size_t end) {
     EvalContext ctx = root.fork();
-    ctx.set_warm_start(warm_start);
     std::vector<int> counts(static_cast<std::size_t>(dies), 0);
     for (std::size_t key = begin; key < end; ++key) {
       if (checkpoint != nullptr) {

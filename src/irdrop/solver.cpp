@@ -1,6 +1,7 @@
 #include "irdrop/solver.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,7 +9,6 @@
 #include "faults/faults.hpp"
 #include "linalg/coo.hpp"
 #include "linalg/dense.hpp"
-#include "linalg/reorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pdn/mesh_validator.hpp"
@@ -19,48 +19,71 @@ namespace pdn3d::irdrop {
 
 namespace {
 
+/// The live rungs, declared once: to_string and the per-rung counters read
+/// this table.
+struct RungInfo {
+  SolverKind kind;
+  const char* name;
+};
+constexpr std::array<RungInfo, 3> kRungs{{
+    {SolverKind::kSparseDirect, "sparse-direct"},
+    {SolverKind::kPcgIc, "ic-pcg"},
+    {SolverKind::kDense, "dense-cholesky"},
+}};
+
 /// Process-wide mirrors of the per-instance SolveTelemetry counters, named
-/// `solver.<noun_verb>[.<rung>]` per the metric naming convention.
+/// `solver.<noun_verb>.<rung>` per the metric naming convention and indexed
+/// by the SolverKind value.
+using RungCounters = std::array<obs::Counter*, kSolverKindEnd>;
+
+RungCounters register_rung_counters(const std::string& prefix) {
+  RungCounters out{};
+  for (const RungInfo& rung : kRungs) {
+    out[static_cast<std::size_t>(rung.kind)] = &obs::counter(prefix + rung.name);
+  }
+  return out;
+}
+
 obs::Counter& rung_attempt_counter(SolverKind kind) {
-  static std::array<obs::Counter*, kSolverKindEnd> counters = [] {
-    std::array<obs::Counter*, kSolverKindEnd> out{};
-    for (auto k = static_cast<std::size_t>(SolverKind::kSparseDirect); k < kSolverKindEnd; ++k) {
-      out[k] = &obs::counter(std::string("solver.rung_attempts.") +
-                             to_string(static_cast<SolverKind>(k)));
-    }
-    return out;
-  }();
+  static const RungCounters counters = register_rung_counters("solver.rung_attempts.");
   return *counters[static_cast<std::size_t>(kind)];
 }
 
 obs::Counter& rung_failure_counter(SolverKind kind) {
-  static std::array<obs::Counter*, kSolverKindEnd> counters = [] {
-    std::array<obs::Counter*, kSolverKindEnd> out{};
-    for (auto k = static_cast<std::size_t>(SolverKind::kSparseDirect); k < kSolverKindEnd; ++k) {
-      out[k] = &obs::counter(std::string("solver.rung_failures.") +
-                             to_string(static_cast<SolverKind>(k)));
-    }
-    return out;
-  }();
+  static const RungCounters counters = register_rung_counters("solver.rung_failures.");
   return *counters[static_cast<std::size_t>(kind)];
+}
+
+/// The acceptance check every rung's answer must pass: the true relative
+/// residual ||rhs - Gx|| / ||rhs|| (plain ||rhs - Gx|| when rhs = 0), or NaN
+/// when x has a non-finite entry. @p ax receives G*x. A factorization of a
+/// near-singular system can "succeed" and still return garbage, so no rung
+/// is trusted without it.
+double relative_residual(const linalg::Csr& g, std::span<const double> rhs,
+                         std::span<const double> x, std::vector<double>& ax) {
+  const std::size_t n = g.dimension();
+  ax.assign(n, 0.0);
+  g.multiply(x, ax);
+  double res = 0.0;
+  bool finite = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = rhs[i] - ax[i];
+    res += d * d;
+    if (!std::isfinite(x[i])) finite = false;
+  }
+  if (!finite) return std::numeric_limits<double>::quiet_NaN();
+  res = std::sqrt(res);
+  const double bnorm = linalg::norm2(rhs);
+  return bnorm > 0.0 ? res / bnorm : res;
 }
 
 }  // namespace
 
 const char* to_string(SolverKind kind) {
-  switch (kind) {
-    case SolverKind::kSparseDirect: return "sparse-direct";
-    case SolverKind::kPcgIc: return "ic-pcg";
-    case SolverKind::kPcgJacobi: return "jacobi-pcg";
-    case SolverKind::kBandedDirect: return "banded-direct";
-    case SolverKind::kDense: return "dense-cholesky";
+  for (const RungInfo& rung : kRungs) {
+    if (rung.kind == kind) return rung.name;
   }
   return "?";
-}
-
-SolverKind select_solver_kind(std::size_t expected_solves) {
-  return expected_solves >= kSparseDirectMinSolves ? SolverKind::kSparseDirect
-                                                   : SolverKind::kPcgIc;
 }
 
 IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOptions options)
@@ -90,31 +113,21 @@ IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOption
   }
   g_ = builder.compress();
 
-  if (kind_ == SolverKind::kPcgIc) {
-    std::call_once(ic_once_, [&] {
-      PDN3D_TRACE_SPAN("solver/precond_build");
-      const util::ScopedTimer build_timer("solver.precond_build_seconds");
-      ic_ = std::make_unique<linalg::IncompleteCholesky>(g_);
-    });
-  }
-  // The direct factorizations (sparse, banded) are built lazily (see
-  // sparse() / banded()) so that a starting rung and an escalation into it
-  // share one path, and a factorization failure becomes a rung failure
-  // instead of a constructor throw.
+  // An ic-pcg start builds IC(0) now, as part of setting up the design. The
+  // sparse factor is built on first use (see sparse()) so that a declined
+  // factorization becomes a rung failure instead of a constructor throw.
+  // Both builds go through one accessor each, so a start rung and an
+  // escalation into it share one path, span and timer.
+  if (kind_ == SolverKind::kPcgIc) (void)ic();
 }
 
-const linalg::BandedCholesky* IrSolver::banded(std::string* error) const {
-  // call_once so concurrent solves escalating into this rung race neither on
-  // the build nor on the sticky error string.
-  std::call_once(banded_once_, [&] {
-    try {
-      banded_ = std::make_unique<linalg::BandedCholesky>(g_, linalg::rcm_ordering(g_));
-    } catch (const std::exception& e) {
-      banded_error_ = e.what();
-    }
+const linalg::IncompleteCholesky& IrSolver::ic() const {
+  std::call_once(ic_once_, [&] {
+    PDN3D_TRACE_SPAN("solver/precond_build");
+    const util::ScopedTimer build_timer("solver.precond_build_seconds");
+    ic_ = std::make_unique<linalg::IncompleteCholesky>(g_);
   });
-  if (!banded_ && error != nullptr) *error = banded_error_;
-  return banded_.get();
+  return *ic_;
 }
 
 const linalg::SparseCholesky* IrSolver::sparse(std::string* error) const {
@@ -166,21 +179,13 @@ IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double>
         out.produced = true;
         return out;
       }
-      case SolverKind::kPcgIc:
-      case SolverKind::kPcgJacobi: {
+      case SolverKind::kPcgIc: {
         linalg::CgOptions opts;
         opts.rel_tolerance = options_.cg_rel_tolerance;
         opts.max_iterations = options_.cg_max_iterations;
-        if (kind == SolverKind::kPcgIc) {
-          opts.preconditioner = linalg::Preconditioner::kIncompleteCholesky;
-          // Reuse the factor built at construction; per-state re-solves are
-          // the hot path of LUT construction and co-optimization sweeps.
-          std::call_once(ic_once_, [&] { ic_ = std::make_unique<linalg::IncompleteCholesky>(g_); });
-          opts.cached_ic = ic_.get();
-        } else {
-          opts.preconditioner = linalg::Preconditioner::kJacobi;
-        }
-        if (ws.warm_start && ws.warm.size() == n) opts.x0 = ws.warm;
+        // Reuse the cached IC(0) factor; per-state re-solves are the hot path
+        // of LUT construction and co-optimization sweeps.
+        opts.cached_ic = &ic();
         auto result = linalg::solve_cg(g_, rhs, opts, &ws.cg);
         out.iterations = result.iterations;
         if (!result.converged) {
@@ -192,24 +197,7 @@ IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double>
         out.produced = true;
         return out;
       }
-      case SolverKind::kBandedDirect: {
-        std::string error;
-        const linalg::BandedCholesky* fac = banded(&error);
-        if (fac == nullptr) {
-          out.detail = "banded factorization failed: " + error;
-          return out;
-        }
-        out.x = fac->solve(rhs);
-        out.produced = true;
-        return out;
-      }
       case SolverKind::kDense: {
-        if (kind_ != SolverKind::kDense && n > options_.dense_escalation_limit) {
-          out.detail = "matrix dimension " + std::to_string(n) +
-                       " exceeds the dense escalation limit " +
-                       std::to_string(options_.dense_escalation_limit);
-          return out;
-        }
         linalg::DenseMatrix a(n, n);
         const auto rp = g_.row_ptr();
         const auto ci = g_.col_idx();
@@ -247,15 +235,19 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
   std::vector<double>& rhs = ws.rhs;
   rhs.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) rhs[i] = supply_rhs_[i] - sinks[i];
-  const double bnorm = linalg::norm2(rhs);
+
+  // The two production rungs back each other up: a failed ic-pcg start
+  // escalates to the sparse factor, and a failed or declined factor to
+  // ic-pcg. The dense reference rung runs only when a caller starts on it.
+  const SolverKind fallback =
+      kind_ == SolverKind::kSparseDirect ? SolverKind::kPcgIc : SolverKind::kSparseDirect;
+  const SolverKind ladder[] = {kind_, fallback};
+  const std::size_t rungs = options_.escalate && kind_ != SolverKind::kDense ? 2 : 1;
 
   std::ostringstream trail;  // per-rung failure reasons for the final status
-  const std::size_t first = static_cast<std::size_t>(kind_);
-  const std::size_t last = options_.escalate ? kSolverKindEnd - 1 : first;
-
-  for (std::size_t k = first; k <= last; ++k) {
-    // Cooperative cancellation (service watchdog): stop climbing the ladder
-    // and report kCancelled instead of escalating into ever-pricier rungs.
+  for (std::size_t step = 0; step < rungs; ++step) {
+    // Cooperative cancellation (service watchdog): stop instead of
+    // escalating into the other rung.
     if (exec::cancellation_requested()) {
       ++telemetry_.failures;
       m_failures.add(1);
@@ -263,7 +255,8 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
           trail.tellp() > 0 ? "solve cancelled [" + trail.str() + "]" : "solve cancelled");
       return outcome;
     }
-    const SolverKind kind = static_cast<SolverKind>(k);
+    const SolverKind kind = ladder[step];
+    const auto k = static_cast<std::size_t>(kind);
     ++telemetry_.rung_attempts[k];
     rung_attempt_counter(kind).add(1);
     RungResult rung = run_rung(kind, rhs, ws);
@@ -272,21 +265,8 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
     if (!rung.produced) {
       reject = rung.detail.empty() ? "no solution produced" : rung.detail;
     } else {
-      // Verify the true residual before trusting any rung; a factorization
-      // of a near-singular system can "succeed" and still return garbage.
-      std::vector<double>& ax = ws.ax;
-      ax.assign(n, 0.0);
-      g_.multiply(rung.x, ax);
-      double res = 0.0;
-      bool finite = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double d = rhs[i] - ax[i];
-        res += d * d;
-        if (!std::isfinite(rung.x[i])) finite = false;
-      }
-      res = std::sqrt(res);
-      const double rel = bnorm > 0.0 ? res / bnorm : res;
-      if (!finite || !std::isfinite(rel)) {
+      const double rel = relative_residual(g_, rhs, rung.x, ws.ax);
+      if (!std::isfinite(rel)) {
         reject = "solution contains non-finite entries";
       } else if (rel > options_.verify_rel_tol) {
         std::ostringstream os;
@@ -296,7 +276,6 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
       } else {
         // Verified-correct: accept this rung.
         outcome.x = std::move(rung.x);
-        if (ws.warm_start) ws.warm = outcome.x;  // voltages, pre-IR-conversion
         if (want_ir) {
           for (double& v : outcome.x) v = vdd_ - v;
         }
@@ -322,7 +301,7 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
     rung_failure_counter(kind).add(1);
     if (trail.tellp() > 0) trail << "; ";
     trail << to_string(kind) << ": " << reject;
-    if (k < last) {
+    if (step + 1 < rungs) {
       ++outcome.escalations;
       ++telemetry_.escalations;
       m_escalations.add(1);
@@ -354,7 +333,8 @@ SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws
   // Fast path: one batched pair of triangular sweeps covers every right-hand
   // side, then each slice is residual-verified exactly as a scalar solve
   // would be. Slices the verification rejects (and everything, when the
-  // factor was declined) fall through to the scalar escalation ladder below.
+  // factor was declined) fall through to the scalar solve below, which
+  // escalates as usual.
   if (kind_ == SolverKind::kSparseDirect) {
     const linalg::SparseCholesky* fac = sparse(nullptr);
     if (fac != nullptr) {
@@ -371,20 +351,8 @@ SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws
       for (std::size_t r = 0; r < count; ++r) {
         const std::span<const double> brhs(rhs.data() + r * n, n);
         const std::span<const double> bx(ws.batch_x.data() + r * n, n);
-        std::vector<double>& ax = ws.ax;
-        ax.assign(n, 0.0);
-        g_.multiply(bx, ax);
-        double res = 0.0;
-        bool finite = true;
-        for (std::size_t i = 0; i < n; ++i) {
-          const double d = brhs[i] - ax[i];
-          res += d * d;
-          if (!std::isfinite(bx[i])) finite = false;
-        }
-        res = std::sqrt(res);
-        const double bnorm = linalg::norm2(brhs);
-        const double rel = bnorm > 0.0 ? res / bnorm : res;
-        if (!finite || !std::isfinite(rel) || rel > options_.verify_rel_tol) continue;
+        const double rel = relative_residual(g_, brhs, bx, ws.ax);
+        if (!std::isfinite(rel) || rel > options_.verify_rel_tol) continue;
 
         ++telemetry_.rung_attempts[static_cast<std::size_t>(SolverKind::kSparseDirect)];
         rung_attempt_counter(SolverKind::kSparseDirect).add(1);

@@ -5,26 +5,28 @@
 ///
 /// Nodal analysis with the ideal VDD rail eliminated: every supply tap of
 /// conductance g contributes g to its node's diagonal and g*VDD to the RHS;
-/// block currents are sinks on the RHS. The conductance matrix is SPD, solved
-/// with IC(0)-preconditioned CG. The matrix and preconditioner are built once
-/// per design point and reused across memory states (only the RHS changes),
+/// block currents are sinks on the RHS. The conductance matrix is SPD. The
+/// matrix and the chosen rung's preconditioner or factor are built once per
+/// design point and reused across memory states (only the RHS changes),
 /// which is what makes LUT construction and co-optimization sweeps cheap.
 ///
 /// Numerical health: construction runs the pdn mesh validator (floating
 /// nodes, non-positive conductances, zero-tap dies) and throws a structured
-/// core::ValidationError on defects. Each solve climbs an escalation ladder
-/// -- sparse direct -> IC-PCG -> Jacobi-PCG -> RCM banded direct -> dense
-/// Cholesky -- starting at the configured kind, and accepts a rung's answer
-/// only after verifying the true residual. The result is that every solve is
-/// either verified-correct or a structured, recoverable error (SolveOutcome /
+/// core::ValidationError on defects. Each solve starts on the configured
+/// rung and accepts its answer only after verifying the true residual. The
+/// two production rungs back each other up: a failed IC-PCG solve escalates
+/// to the sparse direct factor, and a failed or declined factor to IC-PCG.
+/// Dense Cholesky is the reference a caller asks for explicitly; it is never
+/// an escalation target. The result is that every solve is either
+/// verified-correct or a structured, recoverable error (SolveOutcome /
 /// core::NumericalError); never silent garbage.
 ///
 /// The sparse-direct rung is the same-matrix/many-RHS fast path: a cached
 /// sparse Cholesky factor built once per solver instance (once_flag), after
-/// which every solve is two triangular sweeps. Sweeps declare their access
-/// pattern through select_solver_kind(expected_solves); one-shot callers keep
-/// ic-pcg. A factorization the fill-ratio guard declines simply fails the
-/// rung and the ladder escalates as usual (see docs/SOLVER.md).
+/// which every solve is two triangular sweeps. Cached designs, which serve
+/// many states, start on it; one-shot callers keep ic-pcg. A factorization
+/// the fill-ratio guard declines simply fails the rung and the solve
+/// escalates to ic-pcg (see docs/SOLVER.md).
 
 #include <array>
 #include <atomic>
@@ -36,7 +38,6 @@
 #include <vector>
 
 #include "core/status.hpp"
-#include "linalg/banded.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/ichol.hpp"
@@ -45,17 +46,15 @@
 
 namespace pdn3d::irdrop {
 
-/// Ladder rungs in escalation order. The values are pinned: they key the
-/// solver micro-bench series (bench/BENCH_solver.json), the parameterized
-/// test instances and the `solver.rung_used` gauge, so removing a rung
-/// retires its value instead of renumbering the rest. Value 0 is retired (it
-/// was the hierarchical macromodel rung).
+/// Solver rungs. The values are pinned: they key the solver micro-bench
+/// series (bench/BENCH_solver.json), the parameterized test instances and
+/// the `solver.rung_used` gauge, so removing a rung retires its value instead
+/// of renumbering the rest. Values 0 (hierarchical macromodel), 3
+/// (Jacobi-PCG) and 4 (RCM banded direct) are retired.
 enum class SolverKind {
   kSparseDirect = 1,  ///< AMD-ordered sparse Cholesky: factor once, two sweeps per RHS
   kPcgIc = 2,         ///< IC(0)-preconditioned CG (default, fast)
-  kPcgJacobi = 3,     ///< Jacobi-preconditioned CG
-  kBandedDirect = 4,  ///< RCM + banded Cholesky: factor once, O(n*b) per state
-  kDense = 5,         ///< dense Cholesky -- exact reference ("signoff") path
+  kDense = 5,         ///< dense Cholesky -- exact reference ("signoff") path, start only
 };
 
 /// One past the largest SolverKind value: the size of per-rung arrays indexed
@@ -64,34 +63,21 @@ inline constexpr std::size_t kSolverKindEnd = 6;
 
 [[nodiscard]] const char* to_string(SolverKind kind);
 
-/// Method auto-selection: callers that know how many same-matrix solves they
-/// are about to run (LUT builds, Monte Carlo sweeps, co-optimizer sampling)
-/// declare it and get the cached-factor sparse-direct path once the
-/// factorization amortizes; one-shot solves keep ic-pcg.
-[[nodiscard]] SolverKind select_solver_kind(std::size_t expected_solves);
-
-/// Expected solve count at which select_solver_kind switches to the cached
-/// sparse-direct factor (factorization ~ a handful of PCG solves).
-inline constexpr std::size_t kSparseDirectMinSolves = 8;
-
 struct IrSolverOptions {
   double cg_rel_tolerance = 1e-10;
   std::size_t cg_max_iterations = 20000;
   /// A rung's answer is accepted only if ||b - Gx|| / ||b|| is finite and at
-  /// most this; otherwise the rung counts as failed and the ladder escalates.
+  /// most this; otherwise the rung counts as failed and the solve escalates.
   double verify_rel_tol = 1e-7;
-  /// Climb to sturdier rungs on failure. Off = fail fast on the configured
-  /// kind only (used by tests that probe a single rung).
+  /// Retry a failed ic-pcg or sparse-direct start on the other of the two.
+  /// Off = fail fast on the configured kind only (used by tests that probe a
+  /// single rung).
   bool escalate = true;
   /// Run the mesh validator at construction (throws core::ValidationError on
   /// defects). Off only for callers that already validated.
   bool validate = true;
-  /// Escalating *into* the dense rung is capped at this dimension (the O(n^2)
-  /// memory and O(n^3) factor are hopeless on full stacks). An explicitly
-  /// requested kDense start rung is always honored.
-  std::size_t dense_escalation_limit = 4096;
   /// Fill guard for the sparse-direct factor: the factorization is declined
-  /// (rung fails, ladder escalates) when nnz(L) would exceed this multiple of
+  /// (rung fails, solve escalates) when nnz(L) would exceed this multiple of
   /// the lower triangle of G. The paper's 3D stack meshes factor at fill 5-6
   /// under the factor's AMD ordering; the default admits them with an order
   /// of magnitude of headroom (see SparseCholeskyOptions).
@@ -108,7 +94,7 @@ struct IrSolverOptions {
 struct SolveTelemetry {
   std::atomic<std::size_t> solves{0};       ///< successful solves
   std::atomic<std::size_t> failures{0};     ///< solves that exhausted the ladder
-  std::atomic<std::size_t> escalations{0};  ///< rung failures that moved down the ladder
+  std::atomic<std::size_t> escalations{0};  ///< rung failures retried on the other rung
   std::array<std::atomic<std::size_t>, kSolverKindEnd> rung_attempts{};
   std::array<std::atomic<std::size_t>, kSolverKindEnd> rung_failures{};
 };
@@ -129,10 +115,10 @@ struct SolveRequest {
 
 /// Structured result of one solve attempt. `x` is written only after residual
 /// verification succeeds on some rung -- callers can never observe a
-/// partially-written or unverified solution, no matter how many rungs the
-/// escalation ladder burned through first. For batched requests the scalar
-/// telemetry aggregates across the batch (iterations and escalations sum,
-/// rel_residual is the worst slice, kind_used is the last slice's rung).
+/// partially-written or unverified solution, whether or not the solve
+/// escalated first. For batched requests the scalar telemetry aggregates
+/// across the batch (iterations and escalations sum, rel_residual is the
+/// worst slice, kind_used is the last slice's rung).
 struct SolveOutcome {
   core::Status status;     ///< ok, or kInputError / kNumericalFailure
   std::vector<double> x;   ///< node voltages (or IR drops); empty when !status.is_ok()
@@ -152,14 +138,6 @@ struct SolveScratch {
   std::vector<double> rhs;  ///< supply_rhs - sinks
   std::vector<double> ax;   ///< G*x for residual verification
   linalg::CgScratch cg;
-  /// Warm-start opt-in: when true, CG rungs start from `warm` (the previous
-  /// successful solve's voltages through this scratch) instead of zero.
-  /// Direct rungs are exact and ignore it. Off by default because a warm
-  /// start makes the converged bits depend on solve order -- only enable it
-  /// on paths exempt from the cross-thread-count determinism contract (the
-  /// sequential LUT fallback when the sparse factor was declined).
-  bool warm_start = false;
-  std::vector<double> warm;       ///< previous voltages (never IR-converted)
   std::vector<double> batch_rhs;  ///< batched fast-path right-hand sides
   std::vector<double> batch_x;    ///< batched fast-path solutions
   std::vector<double> direct;     ///< triangular-sweep workspace
@@ -183,12 +161,13 @@ class IrSolver {
   [[nodiscard]] std::size_t node_count() const { return g_.dimension(); }
   [[nodiscard]] double vdd() const { return vdd_; }
   [[nodiscard]] const linalg::Csr& conductance_matrix() const { return g_; }
-  /// The configured starting rung (the ladder may still escalate past it).
+  /// The configured starting rung (a failed solve may still escalate past it).
   [[nodiscard]] SolverKind kind() const { return kind_; }
 
   /// True when the cached sparse-direct factor exists, building it on first
-  /// call (once_flag; concurrent callers race safely). Sweeps use this to
-  /// decide whether the sequential warm-start fallback is worth enabling.
+  /// call (once_flag; concurrent callers race safely). The LUT build calls it
+  /// before fanning out, so the factor is built on the calling thread rather
+  /// than inside one worker's first solve.
   [[nodiscard]] bool sparse_factor_available() const;
 
   /// Cumulative per-rung retry counters for this solver instance.
@@ -204,7 +183,7 @@ class IrSolver {
 
   [[nodiscard]] RungResult run_rung(SolverKind kind, std::span<const double> rhs,
                                     SolveScratch& ws) const;
-  [[nodiscard]] const linalg::BandedCholesky* banded(std::string* error) const;
+  [[nodiscard]] const linalg::IncompleteCholesky& ic() const;
   [[nodiscard]] const linalg::SparseCholesky* sparse(std::string* error) const;
   [[nodiscard]] SolveOutcome solve_one(std::span<const double> sinks, bool want_ir,
                                        SolveScratch& ws) const;
@@ -220,9 +199,6 @@ class IrSolver {
   // const, buffer-free-or-caller-buffered paths).
   mutable std::once_flag ic_once_;
   mutable std::unique_ptr<linalg::IncompleteCholesky> ic_;
-  mutable std::once_flag banded_once_;
-  mutable std::unique_ptr<linalg::BandedCholesky> banded_;
-  mutable std::string banded_error_;  ///< sticky factorization failure
   mutable std::once_flag sparse_once_;
   mutable std::unique_ptr<linalg::SparseCholesky> sparse_;
   mutable std::string sparse_error_;  ///< sticky decline reason (fill guard, not SPD)

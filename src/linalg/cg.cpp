@@ -21,7 +21,6 @@ const char* to_string(CgFailure failure) {
     case CgFailure::kDivergedNonFinite: return "diverged-non-finite";
     case CgFailure::kStagnated: return "stagnated";
     case CgFailure::kIndefinite: return "indefinite";
-    case CgFailure::kBadPreconditioner: return "bad-preconditioner";
     case CgFailure::kCancelled: return "cancelled";
   }
   return "?";
@@ -71,61 +70,15 @@ CgResult solve_cg(const Csr& a, std::span<const double> b, const CgOptions& opti
   std::vector<double>& z = ws.z;
   std::vector<double>& p = ws.p;
   std::vector<double>& ap = ws.ap;
-  std::vector<double>& inv_diag = ws.inv_diag;
-  if (!options.x0.empty() && options.x0.size() != n) {
-    throw std::invalid_argument("solve_cg: x0 size mismatch");
-  }
-  bool warm = options.x0.size() == n;
-  if (warm) {
-    for (const double v : options.x0) {
-      if (!std::isfinite(v)) {
-        warm = false;  // a poisoned guess must not poison the solve
-        break;
-      }
-    }
-  }
-  if (warm) {
-    std::copy(options.x0.begin(), options.x0.end(), result.x.begin());
-    r.resize(n);
-    a.multiply(result.x, r);  // r = b - A*x0
-    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-    if (norm2(r) <= target) {
-      result.converged = true;
-      result.residual_norm = norm2(r);
-      return result;
-    }
-  } else {
-    r.assign(b.begin(), b.end());  // r = b - A*0
-  }
+  r.assign(b.begin(), b.end());  // r = b - A*0
   z.assign(n, 0.0);
   p.assign(n, 0.0);
   ap.assign(n, 0.0);
-  inv_diag.clear();
   std::unique_ptr<IncompleteCholesky> owned_ic;
   const IncompleteCholesky* ic = nullptr;
   switch (options.preconditioner) {
     case Preconditioner::kNone:
       break;
-    case Preconditioner::kJacobi: {
-      inv_diag = a.diagonal();
-      for (std::size_t i = 0; i < n; ++i) {
-        // A non-positive (or non-finite) diagonal entry on a system that is
-        // supposed to be SPD is a mesh defect (floating node, negative
-        // conductance). Report it -- substituting 1.0 here would mask the
-        // defect and let CG return plausible-looking garbage.
-        if (!(inv_diag[i] > 0.0) || !std::isfinite(inv_diag[i])) {
-          result.failure = CgFailure::kBadPreconditioner;
-          result.detail = "Jacobi preconditioner: non-positive diagonal at row " +
-                          std::to_string(i) + " (value " + std::to_string(inv_diag[i]) +
-                          "); the system is not SPD";
-          result.residual_norm = bnorm;
-          m_failures.add(1);
-          return result;
-        }
-        inv_diag[i] = 1.0 / inv_diag[i];
-      }
-      break;
-    }
     case Preconditioner::kIncompleteCholesky:
       if (options.cached_ic != nullptr) {
         if (options.cached_ic->dimension() != n) {
@@ -145,9 +98,6 @@ CgResult solve_cg(const Csr& a, std::span<const double> b, const CgOptions& opti
     switch (options.preconditioner) {
       case Preconditioner::kNone:
         std::copy(rr.begin(), rr.end(), zz.begin());
-        break;
-      case Preconditioner::kJacobi:
-        for (std::size_t i = 0; i < rr.size(); ++i) zz[i] = rr[i] * inv_diag[i];
         break;
       case Preconditioner::kIncompleteCholesky:
         ic->apply(rr, zz);

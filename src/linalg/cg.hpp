@@ -6,10 +6,10 @@
 ///
 /// solve_cg never throws for data-dependent reasons: every failure mode --
 /// non-finite right-hand side, divergence to NaN/Inf, stagnation, an
-/// indefinite matrix, a defective preconditioner -- is reported through
-/// CgResult::failure with a human-readable detail string, so the solver
-/// escalation ladder (irdrop::IrSolver) can retry on a sturdier rung instead
-/// of the sweep dying or silently consuming garbage.
+/// indefinite matrix -- is reported through CgResult::failure with a
+/// human-readable detail string, so the solver escalation ladder
+/// (irdrop::IrSolver) can retry on the sparse direct factor instead of the
+/// sweep dying or silently consuming garbage.
 
 #include <cstddef>
 #include <functional>
@@ -23,8 +23,10 @@ namespace pdn3d::linalg {
 
 class IncompleteCholesky;
 
-/// Identity / Jacobi / incomplete-Cholesky preconditioner choice.
-enum class Preconditioner { kNone, kJacobi, kIncompleteCholesky };
+/// Identity / incomplete-Cholesky preconditioner choice. The values are
+/// pinned: the parameterized test instances are named by them, so a removed
+/// choice retires its value (1 was Jacobi).
+enum class Preconditioner { kNone = 0, kIncompleteCholesky = 2 };
 
 struct CgOptions {
   double rel_tolerance = 1e-10;  ///< stop when ||r|| <= rel_tolerance * ||b||
@@ -39,15 +41,6 @@ struct CgOptions {
   /// iterations. 0 disables the check.
   std::size_t stagnation_window = 500;
   double stagnation_improvement = 1e-3;  ///< required fractional improvement
-  /// Optional warm start (non-owning; must stay alive for the call). When it
-  /// has dimension() finite entries, CG starts from it instead of zero --
-  /// worth hundreds of iterations when consecutive right-hand sides are
-  /// similar (sequential LUT entries). A non-finite x0 silently falls back to
-  /// the zero start. Determinism caveat: the converged solution depends
-  /// (bitwise) on x0, so sweep paths with cross-thread-count determinism
-  /// contracts must only enable this where x0 cannot depend on chunk layout
-  /// (see docs/SOLVER.md).
-  std::span<const double> x0;
 };
 
 /// Why a CG solve did not produce a verified answer.
@@ -57,7 +50,6 @@ enum class CgFailure {
   kDivergedNonFinite,  ///< residual (or rhs) went NaN/Inf -- bail immediately
   kStagnated,          ///< residual stopped improving (watchdog window)
   kIndefinite,         ///< p'Ap <= 0: matrix not SPD on the Krylov subspace
-  kBadPreconditioner,  ///< preconditioner unusable (e.g. non-positive diagonal)
   kCancelled,          ///< an exec::CancelScope on this thread requested a stop
 };
 
@@ -72,16 +64,15 @@ struct CgResult {
   std::string detail;                    ///< human-readable failure context
 };
 
-/// Reusable CG work vectors. A plain solve_cg call allocates four (or five,
-/// with Jacobi) n-vectors; a sweep of thousands of same-sized solves can
-/// instead keep one CgScratch per evaluation context and amortize the
-/// allocations. Never share one CgScratch between concurrent solves.
+/// Reusable CG work vectors. A plain solve_cg call allocates four n-vectors;
+/// a sweep of thousands of same-sized solves can instead keep one CgScratch
+/// per evaluation context and amortize the allocations. Never share one
+/// CgScratch between concurrent solves.
 struct CgScratch {
   std::vector<double> r;
   std::vector<double> z;
   std::vector<double> p;
   std::vector<double> ap;
-  std::vector<double> inv_diag;
 };
 
 /// Solve A x = b for SPD A. Throws std::invalid_argument only on caller bugs

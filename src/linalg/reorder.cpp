@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <queue>
 #include <utility>
 
 namespace pdn3d::linalg {
@@ -316,72 +315,6 @@ std::vector<std::size_t> amd_ordering(const Csr& a) {
     for (std::size_t m = p; m != kNone; m = member_next[m]) order.push_back(m);
   }
   return order;
-}
-
-std::vector<std::size_t> rcm_ordering(const Csr& a) {
-  const std::size_t n = a.dimension();
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-
-  const auto degree = [&](std::size_t v) { return rp[v + 1] - rp[v]; };
-
-  std::vector<char> visited(n, 0);
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<std::size_t> neighbors;
-
-  for (std::size_t seed_scan = 0; seed_scan < n; ++seed_scan) {
-    if (visited[seed_scan]) continue;
-
-    // Choose the minimum-degree unvisited node of this component region as
-    // the seed (a cheap peripheral-node heuristic).
-    std::size_t seed = seed_scan;
-    for (std::size_t v = seed_scan; v < n; ++v) {
-      if (!visited[v] && degree(v) < degree(seed)) seed = v;
-      if (degree(seed) <= 1) break;
-    }
-
-    std::queue<std::size_t> q;
-    q.push(seed);
-    visited[seed] = 1;
-    while (!q.empty()) {
-      const std::size_t v = q.front();
-      q.pop();
-      order.push_back(v);
-      neighbors.clear();
-      for (std::size_t k = rp[v]; k < rp[v + 1]; ++k) {
-        const std::size_t w = ci[k];
-        if (w != v && !visited[w]) {
-          visited[w] = 1;
-          neighbors.push_back(w);
-        }
-      }
-      std::sort(neighbors.begin(), neighbors.end(),
-                [&](std::size_t x, std::size_t y) { return degree(x) < degree(y); });
-      for (std::size_t w : neighbors) q.push(w);
-    }
-  }
-
-  std::reverse(order.begin(), order.end());
-  return order;
-}
-
-std::size_t bandwidth_under(const Csr& a, const std::vector<std::size_t>& perm) {
-  const std::size_t n = a.dimension();
-  std::vector<std::size_t> pos(n, 0);
-  for (std::size_t k = 0; k < n; ++k) pos[perm[k]] = k;
-
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  std::size_t band = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
-      const std::size_t c = ci[k];
-      const std::size_t d = pos[r] > pos[c] ? pos[r] - pos[c] : pos[c] - pos[r];
-      band = std::max(band, d);
-    }
-  }
-  return band;
 }
 
 std::vector<std::size_t> identity_ordering(std::size_t n) {

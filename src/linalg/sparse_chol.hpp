@@ -6,15 +6,15 @@
 /// The same-matrix/many-RHS fast path: factor the SPD conductance matrix once
 /// under a fill-reducing permutation, then every subsequent solve is two
 /// sparse triangular sweeps -- typically 10-100x cheaper than a PCG solve at
-/// the mesh sizes the LUT construction and Monte Carlo sweeps run. Unlike
-/// BandedCholesky this stores only the structural nonzeros of L, so it stays
-/// cheap on meshes whose bandwidth is large (TSV-stitched 3D stacks).
+/// the mesh sizes the LUT construction and Monte Carlo sweeps run. It stores
+/// only the structural nonzeros of L, not a band, so it stays cheap on meshes
+/// whose bandwidth is large (TSV-stitched 3D stacks).
 ///
 /// The factor picks its own ordering: approximate minimum degree
 /// (amd_ordering in reorder.hpp), the one fill-reducing ordering of every
 /// sparse factor in the library. On the four paper benchmarks it leaves
-/// nnz(L) at 5.3-6.1x the lower triangle of G, where the RCM bandwidth
-/// ordering would leave 43-74x. The ordering runs under its own
+/// nnz(L) at 5.3-6.1x the lower triangle of G, where the reverse
+/// Cuthill-McKee bandwidth ordering it replaced left 43-74x. The ordering runs under its own
 /// `solver/factor_order` trace span, a child of whichever span wraps the
 /// factor build.
 ///

@@ -31,8 +31,8 @@ TEST(Platform, MeasureMatchesAnalyze) {
   const double via_measure = p.measure_ir_mv(bench.baseline);
   const double via_analyze =
       p.analyze(bench.baseline, bench.default_state, bench.default_io_activity).dram_max_mv;
-  // measure_ir_mv runs one-shot PCG; analyze uses the cached banded direct
-  // factorization -- identical up to solver tolerance.
+  // measure_ir_mv runs one-shot IC-PCG; analyze uses the cached sparse
+  // direct factorization -- identical up to solver tolerance.
   EXPECT_NEAR(via_measure, via_analyze, 1e-4);
 }
 

@@ -125,8 +125,8 @@ TEST(FaultInjection, SingularSystemNeverSilent) {
 }
 
 TEST(FaultInjection, LadderRecoversWhenPcgIsStarved) {
-  // Starve both PCG rungs of iterations; the ladder must fall through to a
-  // direct rung and still match the dense reference to 1e-8.
+  // Starve IC-PCG of iterations; the solve must escalate to the sparse
+  // factor and still match the dense reference to 1e-8.
   const auto m = ladder_mesh();
   IrSolverOptions starved;
   starved.cg_max_iterations = 1;
@@ -134,9 +134,8 @@ TEST(FaultInjection, LadderRecoversWhenPcgIsStarved) {
   const std::vector<double> sinks(m.node_count(), 0.01);
   const auto outcome = solver.solve(SolveRequest{.sinks = sinks});
   ASSERT_TRUE(outcome.ok()) << outcome.status.to_string();
-  EXPECT_GE(outcome.escalations, 2u);
-  EXPECT_TRUE(outcome.kind_used == SolverKind::kBandedDirect ||
-              outcome.kind_used == SolverKind::kDense);
+  EXPECT_EQ(outcome.escalations, 1u);
+  EXPECT_EQ(outcome.kind_used, SolverKind::kSparseDirect);
 
   const auto ref_outcome =
       IrSolver(m, SolverKind::kDense).solve(SolveRequest{.sinks = sinks});
@@ -149,19 +148,19 @@ TEST(FaultInjection, LadderRecoversWhenPcgIsStarved) {
     EXPECT_NEAR(outcome.x[i], reference[i], 1e-8 * ref_max);
   }
 
-  // Telemetry recorded the failed PCG rungs and the recovery.
+  // Telemetry recorded the failed PCG rung and the recovery.
   const auto& t = solver.telemetry();
   EXPECT_EQ(t.solves, 1u);
   EXPECT_EQ(t.failures, 0u);
-  EXPECT_GE(t.escalations, 2u);
+  EXPECT_EQ(t.escalations, 1u);
   EXPECT_GE(t.rung_failures[static_cast<std::size_t>(SolverKind::kPcgIc)], 1u);
-  EXPECT_GE(t.rung_failures[static_cast<std::size_t>(SolverKind::kPcgJacobi)], 1u);
+  EXPECT_EQ(t.rung_failures[static_cast<std::size_t>(SolverKind::kSparseDirect)], 0u);
 }
 
 TEST(FaultInjection, FillRatioGuardDeclinesFactorAndLadderRecovers) {
   // A near-zero fill budget makes the sparse-direct factorization decline
-  // every mesh; the configured sparse-direct start must fall through the
-  // ladder and still deliver a dense-verified answer, with the declined rung
+  // every mesh; the configured sparse-direct start must escalate to IC-PCG
+  // and still deliver a dense-verified answer, with the declined rung
   // visible in telemetry.
   const auto m = ladder_mesh();
   IrSolverOptions opts;
@@ -191,8 +190,8 @@ TEST(FaultInjection, FillRatioGuardDeclinesFactorAndLadderRecovers) {
 
 TEST(FaultInjection, SingularSubmatrixFailsSparseFactorAndFallsThrough) {
   // A loaded floating island sneaked past validation: the sparse Cholesky
-  // factor build hits a non-positive pivot and the rung fails over to the
-  // ladder, which (correctly) cannot solve the inconsistent system either --
+  // factor build hits a non-positive pivot and the rung fails over to
+  // IC-PCG, which (correctly) cannot solve the inconsistent system either --
   // the outcome is a structured numerical failure, never silent garbage.
   pdn::StackModel m(1.0);
   pdn::LayerGrid g;

@@ -4,13 +4,17 @@
 
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/benchmarks.hpp"
+#include "irdrop/analysis.hpp"
 #include "obs/metrics.hpp"
 #include "pdn/stack_builder.hpp"
+#include "power/memory_state.hpp"
 #include "util/log.hpp"
 
 namespace pdn3d::irdrop {
@@ -103,7 +107,6 @@ TEST_P(SolverKinds, ParallelPathsShareCurrent) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, SolverKinds,
                          ::testing::Values(SolverKind::kSparseDirect, SolverKind::kPcgIc,
-                                           SolverKind::kPcgJacobi, SolverKind::kBandedDirect,
                                            SolverKind::kDense));
 
 TEST(IrSolver, NoTapsRejected) {
@@ -217,11 +220,10 @@ TEST(IrSolver, EscalationLadderRecoversStarvedPcg) {
   const std::string warning = testing::internal::GetCapturedStderr();
   util::set_log_level(level);
   ASSERT_TRUE(outcome.ok()) << outcome.status.to_string();
-  // Both PCG rungs starve; a direct rung produces the verified answer.
-  EXPECT_GE(outcome.escalations, 2u);
-  EXPECT_TRUE(outcome.kind_used == SolverKind::kBandedDirect ||
-              outcome.kind_used == SolverKind::kDense);
-  // The recovery warning says why each skipped rung failed.
+  // IC-PCG starves; the sparse factor produces the verified answer.
+  EXPECT_EQ(outcome.escalations, 1u);
+  EXPECT_EQ(outcome.kind_used, SolverKind::kSparseDirect);
+  // The recovery warning says why the skipped rung failed.
   EXPECT_NE(warning.find("recovered by"), std::string::npos) << warning;
   EXPECT_NE(warning.find("ic-pcg: max-iterations"), std::string::npos) << warning;
 
@@ -245,7 +247,7 @@ TEST(IrSolver, EscalationCanBeDisabled) {
   // Only the configured rung was tried.
   const auto& t = solver.telemetry();
   EXPECT_EQ(t.rung_attempts[static_cast<std::size_t>(SolverKind::kPcgIc)], 1u);
-  EXPECT_EQ(t.rung_attempts[static_cast<std::size_t>(SolverKind::kPcgJacobi)], 0u);
+  EXPECT_EQ(t.rung_attempts[static_cast<std::size_t>(SolverKind::kSparseDirect)], 0u);
   EXPECT_EQ(t.failures, 1u);
 }
 
@@ -262,12 +264,10 @@ TEST(IrSolver, TelemetryAccumulatesAcrossSolves) {
 }
 
 TEST(IrSolver, ExplicitDenseStartIgnoresEscalationLimit) {
-  // The dense cap only guards *escalation into* the dense rung; a caller who
+  // Dense is never an escalation target, so nothing caps it: a caller who
   // asked for the signoff path gets it regardless of dimension.
   const auto m = two_node_divider();
-  IrSolverOptions opts;
-  opts.dense_escalation_limit = 1;  // smaller than the model
-  IrSolver solver(m, SolverKind::kDense, opts);
+  IrSolver solver(m, SolverKind::kDense);
   const auto outcome = solver.solve(SolveRequest{.sinks = std::vector<double>{0.0, 1.0}});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.kind_used, SolverKind::kDense);
@@ -324,19 +324,28 @@ TEST(IrSolver, SolverKindNamesStable) {
   // The rung names appear in failure trails and CLI output; keep them fixed.
   EXPECT_STREQ(to_string(SolverKind::kSparseDirect), "sparse-direct");
   EXPECT_STREQ(to_string(SolverKind::kPcgIc), "ic-pcg");
-  EXPECT_STREQ(to_string(SolverKind::kPcgJacobi), "jacobi-pcg");
-  EXPECT_STREQ(to_string(SolverKind::kBandedDirect), "banded-direct");
   EXPECT_STREQ(to_string(SolverKind::kDense), "dense-cholesky");
 }
 
-TEST(IrSolver, SelectSolverKindThreshold) {
-  // The heuristic contract sweeps rely on: one-shot callers keep ic-pcg,
-  // many-solve callers get the cached sparse-direct factor.
-  EXPECT_EQ(select_solver_kind(0), SolverKind::kPcgIc);
-  EXPECT_EQ(select_solver_kind(1), SolverKind::kPcgIc);
-  EXPECT_EQ(select_solver_kind(kSparseDirectMinSolves - 1), SolverKind::kPcgIc);
-  EXPECT_EQ(select_solver_kind(kSparseDirectMinSolves), SolverKind::kSparseDirect);
-  EXPECT_EQ(select_solver_kind(100000), SolverKind::kSparseDirect);
+TEST(IrSolver, RungCountersAreTheThreeLiveRungs) {
+  // A failing solve registers both per-rung counter families. They key the
+  // run report's rung_attempts / rung_failures, so a retired rung value must
+  // not leave a stray name behind.
+  const auto m = starvable_mesh();
+  IrSolverOptions opts;
+  opts.cg_max_iterations = 1;
+  opts.escalate = false;
+  ASSERT_FALSE(IrSolver(m, SolverKind::kPcgIc, opts)
+                   .solve(SolveRequest{.sinks = std::vector<double>(m.node_count(), 0.01)})
+                   .ok());
+  const std::set<std::string> live = {"dense-cholesky", "ic-pcg", "sparse-direct"};
+  for (const std::string_view prefix : {"solver.rung_attempts.", "solver.rung_failures."}) {
+    std::set<std::string> registered;
+    for (const auto& [name, value] : obs::MetricsRegistry::instance().snapshot().counters) {
+      if (name.starts_with(prefix)) registered.insert(name.substr(prefix.size()));
+    }
+    EXPECT_EQ(registered, live) << prefix;
+  }
 }
 
 TEST(IrSolver, SparseDirectMatchesIterativeOnLadderNetwork) {
@@ -454,18 +463,31 @@ TEST(IrSolver, BatchFailsAsAWhole) {
 
 TEST(IrSolver, DeclinedSparseFactorFallsDownLadder) {
   // A fill guard of ~zero declines the factorization; the configured
-  // sparse-direct start must escalate and still return a verified answer.
+  // sparse-direct start must escalate to ic-pcg and still return a verified
+  // answer. The escalation builds IC(0) through the same accessor as an
+  // ic-pcg start, so that build is timed (and traced) exactly once.
   const auto m = starvable_mesh();
   IrSolverOptions opts;
   opts.max_fill_ratio = 1e-9;
+  const auto precond_builds = [] {
+    return obs::MetricsRegistry::instance()
+        .snapshot()
+        .histograms["solver.precond_build_seconds"]
+        .count;
+  };
+  const std::uint64_t builds_before = precond_builds();
   IrSolver solver(m, SolverKind::kSparseDirect, opts);
   EXPECT_FALSE(solver.sparse_factor_available());
 
   const std::vector<double> sinks(m.node_count(), 0.01);
   const auto outcome = solver.solve(SolveRequest{.sinks = sinks});
   ASSERT_TRUE(outcome.ok()) << outcome.status.to_string();
-  EXPECT_GE(outcome.escalations, 1u);
-  EXPECT_NE(outcome.kind_used, SolverKind::kSparseDirect);
+  EXPECT_EQ(outcome.escalations, 1u);
+  EXPECT_EQ(outcome.kind_used, SolverKind::kPcgIc);
+  EXPECT_EQ(precond_builds(), builds_before + 1);
+  ASSERT_TRUE(solver.solve(SolveRequest{.sinks = sinks}).ok());
+  EXPECT_EQ(precond_builds(), builds_before + 1);  // built once, then reused
+  EXPECT_EQ(solver.telemetry().rung_attempts[static_cast<std::size_t>(SolverKind::kDense)], 0u);
 
   const auto reference = solve_voltages(IrSolver(m), sinks);
   for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -473,26 +495,48 @@ TEST(IrSolver, DeclinedSparseFactorFallsDownLadder) {
   }
 }
 
-TEST(IrSolver, WarmStartScratchStaysCorrect) {
-  // Warm starts change the CG trajectory, never the answer (verified against
-  // the residual tolerance like every other solve).
+TEST(IrSolver, BothRungsFailingIsATypedFailureNamingBoth) {
+  // Starved CG and a declined factor: whichever rung starts, the other one is
+  // tried once and dense never is.
   const auto m = starvable_mesh();
-  IrSolver solver(m);
-  const std::size_t n = m.node_count();
-  SolveScratch scratch;
-  scratch.warm_start = true;
-  std::vector<double> sinks(n, 0.005);
-  for (int rep = 0; rep < 3; ++rep) {
-    sinks[3] = 0.005 + 0.001 * rep;
-    const auto outcome = solver.solve(SolveRequest{.sinks = sinks}, &scratch);
-    ASSERT_TRUE(outcome.ok());
-    const auto reference = solve_voltages(IrSolver(m), sinks);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(outcome.x[i], reference[i], 1e-8);
+  IrSolverOptions opts;
+  opts.cg_max_iterations = 1;
+  opts.max_fill_ratio = 1e-9;
+  for (const SolverKind start : {SolverKind::kPcgIc, SolverKind::kSparseDirect}) {
+    IrSolver solver(m, start, opts);
+    const auto outcome =
+        solver.solve(SolveRequest{.sinks = std::vector<double>(m.node_count(), 0.01)});
+    ASSERT_FALSE(outcome.ok()) << to_string(start);
+    EXPECT_EQ(outcome.status.code(), core::StatusCode::kNumericalFailure);
+    EXPECT_TRUE(outcome.x.empty());
+    EXPECT_EQ(outcome.escalations, 1u);
+    const std::string& message = outcome.status.message();
+    EXPECT_NE(message.find("ic-pcg: max-iterations"), std::string::npos) << message;
+    EXPECT_NE(message.find("sparse-direct: sparse factorization declined"), std::string::npos)
+        << message;
+    const auto& t = solver.telemetry();
+    EXPECT_EQ(t.rung_attempts[static_cast<std::size_t>(SolverKind::kDense)], 0u);
+    EXPECT_EQ(t.failures, 1u);
+  }
+}
+
+TEST(IrSolver, BaselineStacksSolveOnTheirFirstRung) {
+  // The traffic assumption behind a two-rung ladder: every paper benchmark
+  // solves its default state on whichever production rung it starts on.
+  for (const auto& b : core::all_benchmarks()) {
+    const auto built = pdn::build_stack(b.stack, b.baseline);
+    const PowerBinding power{.dram = b.dram_power,
+                             .logic = b.logic_power,
+                             .dram_scale = b.power_scale};
+    const auto state =
+        power::parse_memory_state(b.default_state, b.stack.dram_spec, b.default_io_activity);
+    for (const SolverKind start : {SolverKind::kPcgIc, SolverKind::kSparseDirect}) {
+      const IrAnalyzer analyzer(built.model, b.stack.dram_fp, b.stack.logic_fp, power, start);
+      const IrResult r = analyzer.analyze(state);
+      EXPECT_EQ(r.solver_kind, start) << b.name << " " << to_string(start);
+      EXPECT_EQ(r.solver_escalations, 0u) << b.name << " " << to_string(start);
     }
   }
-  // The scratch retained the previous voltages for the next warm start.
-  EXPECT_EQ(scratch.warm.size(), n);
 }
 
 }  // namespace

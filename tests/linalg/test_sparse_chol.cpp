@@ -84,8 +84,8 @@ TEST(SparseCholesky, MatchesDenseSolveOnGrid) {
 
 TEST(SparseCholesky, PropertyMatchesDenseOnRandomizedMeshes) {
   // The headline property test: across many randomized SPD conductance
-  // meshes and both orderings in the library, sparse Cholesky agrees with
-  // the dense reference to 1e-10.
+  // meshes, under both the shipped AMD ordering and the unordered identity,
+  // sparse Cholesky agrees with the dense reference to 1e-10.
   util::Rng rng(2026);
   for (int trial = 0; trial < 12; ++trial) {
     const int nx = 4 + trial % 7;
@@ -99,7 +99,7 @@ TEST(SparseCholesky, PropertyMatchesDenseOnRandomizedMeshes) {
     const struct {
       const char* name;
       std::vector<std::size_t> perm;
-    } orderings[] = {{"rcm", rcm_ordering(a)}, {"amd", amd_ordering(a)}};
+    } orderings[] = {{"identity", identity_ordering(a.dimension())}, {"amd", amd_ordering(a)}};
     for (const auto& ordering : orderings) {
       const SparseCholesky chol(a, ordering.perm);
       const auto x = chol.solve(b);

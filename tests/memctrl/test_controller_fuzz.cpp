@@ -37,7 +37,7 @@ const irdrop::IrLut& fuzz_lut() {
     h->built = pdn::build_stack(h->spec, pdn::PdnConfig{});
     h->analyzer = std::make_unique<irdrop::IrAnalyzer>(
         h->built.model, h->spec.dram_fp, h->spec.logic_fp, h->power,
-        irdrop::SolverKind::kBandedDirect);
+        irdrop::SolverKind::kSparseDirect);
     h->lut = std::make_unique<irdrop::IrLut>(
         irdrop::IrLut::build(*h->analyzer, h->spec.dram_spec, 2, 0.8));
     return h;

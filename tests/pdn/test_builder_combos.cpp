@@ -94,7 +94,7 @@ TEST_P(BuilderCombos, BuildsConnectedSolvableNetwork) {
 
   irdrop::PowerBinding power;
   const irdrop::IrAnalyzer analyzer(built.model, spec.dram_fp, spec.logic_fp, power,
-                                    irdrop::SolverKind::kBandedDirect);
+                                    irdrop::SolverKind::kSparseDirect);
   const auto state = power::parse_memory_state("0-0-0-2", ds);
   const auto r = analyzer.analyze(state);
   EXPECT_GT(r.dram_max_mv, 1.0) << cfg.summary();
