@@ -4,8 +4,9 @@
 # Pipes a small NDJSON request mix -- evaluate (twice, so the second is a
 # cache hit), ping, stats, metrics, a bad line, validate -- through the stdin
 # transport and asserts the exactly-one-response-per-request contract
-# (request_id echo included) plus a schema-v6 run report with the session
-# block and its result-cache stats.
+# (request_id echo included) plus a schema-v9 run report with the session
+# block and its result-cache stats. The server runs with a tiny --slow-ms, so
+# the first evaluate must also leave a serve.slow_request event on stderr.
 #
 # Usage: serve_smoke.sh /path/to/pdn3d scratch-dir
 set -euo pipefail
@@ -15,16 +16,17 @@ scratch="$2"
 mkdir -p "$scratch"
 out="$scratch/serve_out.ndjson"
 report="$scratch/serve_report.json"
+err="$scratch/serve_err.log"
 
 printf '%s\n' \
-  '{"id":1,"op":"evaluate","benchmark":"off-chip","state":"0-0-0-2","design":{"bd":"f2f"}}' \
+  '{"id":1,"op":"evaluate","benchmark":"off-chip","state":"0-0-0-2","design":{"bd":"f2f"},"request_id":"smoke-eval"}' \
   '{"id":2,"op":"ping","request_id":"smoke-ping"}' \
   'this line is not json' \
   '{"id":4,"op":"validate","benchmark":"wide-io"}' \
   '{"id":5,"op":"stats"}' \
   '{"id":6,"op":"metrics"}' \
   '{"id":7,"op":"evaluate","benchmark":"off-chip","state":"0-0-0-2","design":{"bd":"f2f"}}' \
-  | "$bin" serve --queue 8 --threads 1 --report "$report" > "$out"
+  | "$bin" serve --queue 8 --threads 1 --slow-ms 0.001 --report "$report" > "$out" 2> "$err"
 
 fail() { echo "serve_smoke: FAIL: $1" >&2; cat "$out" >&2; exit 1; }
 
@@ -42,5 +44,6 @@ grep -q '"session"' "$report"                       || fail "report lacks sessio
 grep -q '"windows"' "$report"                       || fail "report lacks metrics.windows"
 grep -q '"cache"' "$report"                         || fail "report lacks session cache block"
 grep -q 'service.cache.hits' "$report"              || fail "report lacks cache counters"
+grep -q 'serve\.slow_request.*smoke-eval' "$err" || { cat "$err" >&2; fail "no serve.slow_request event for smoke-eval"; }
 
 echo "serve_smoke: OK ($out)"

@@ -25,16 +25,6 @@ void Csr::multiply(std::span<const double> x, std::span<double> y) const {
   }
 }
 
-std::vector<double> Csr::diagonal() const {
-  std::vector<double> d(n_, 0.0);
-  for (std::size_t r = 0; r < n_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      if (col_idx_[k] == r) d[r] = values_[k];
-    }
-  }
-  return d;
-}
-
 double Csr::at(std::size_t row, std::size_t col) const {
   if (row >= n_ || col >= n_) throw std::out_of_range("Csr::at: index out of range");
   const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row]);

@@ -22,9 +22,6 @@ class Csr {
   /// y = A x. @p x and @p y must have size dimension(); they must not alias.
   void multiply(std::span<const double> x, std::span<double> y) const;
 
-  /// Diagonal entries (0 where a row has no diagonal entry).
-  [[nodiscard]] std::vector<double> diagonal() const;
-
   /// Entry lookup (binary search inside the row); 0.0 when absent.
   [[nodiscard]] double at(std::size_t row, std::size_t col) const;
 

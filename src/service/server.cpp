@@ -75,8 +75,7 @@ struct CachePlan {
 
 CachePlan plan_cache(const ServiceConfig& config, const Request& req) {
   CachePlan plan;
-  const bool eligible = config.cache_entries > 0 && !config.cache_bypass &&
-                        req.cache != Request::CacheMode::kBypass &&
+  const bool eligible = config.cache_entries > 0 && req.cache != Request::CacheMode::kBypass &&
                         req.eval.checkpoint_path.empty() && req.test_sleep_ms <= 0.0;
   if (!eligible) {
     plan.token = "bypass";
@@ -108,6 +107,35 @@ std::uint64_t estimate_cost(const Request& req) {
       return 64;
   }
   return 1;
+}
+
+/// The 11 aggregate counters, as keys of @p obj (the stats op's `totals`
+/// block and the report's `session` block spell them identically).
+void set_totals(obs::json::Value* obj, const BatchService::Stats& s) {
+  obj->set("submitted", obs::json::Value(s.submitted));
+  obj->set("completed", obs::json::Value(s.completed));
+  obj->set("rejected_queue_full", obs::json::Value(s.rejected_full));
+  obj->set("rejected_shutdown", obs::json::Value(s.rejected_shutdown));
+  obj->set("rejected_overload", obs::json::Value(s.rejected_overload));
+  obj->set("rejected_too_large", obs::json::Value(s.rejected_too_large));
+  obj->set("bad_requests", obs::json::Value(s.bad_requests));
+  obj->set("deadline_expired", obs::json::Value(s.deadline_expired));
+  obj->set("cancelled", obs::json::Value(s.cancelled));
+  obj->set("timeouts", obs::json::Value(s.timeouts));
+  obj->set("internal_errors", obs::json::Value(s.internal_errors));
+}
+
+/// The result-cache block shared by the stats op and the report.
+obs::json::Value cache_json(const CacheStats& cs) {
+  auto block = obs::json::Value::object();
+  block.set("entries", obs::json::Value(static_cast<std::uint64_t>(cs.entries)));
+  block.set("capacity", obs::json::Value(static_cast<std::uint64_t>(cs.capacity)));
+  block.set("hits", obs::json::Value(cs.hits));
+  block.set("misses", obs::json::Value(cs.misses));
+  block.set("insertions", obs::json::Value(cs.insertions));
+  block.set("evictions", obs::json::Value(cs.evictions));
+  block.set("bypass", obs::json::Value(cs.bypass));
+  return block;
 }
 
 }  // namespace
@@ -180,7 +208,7 @@ void BatchService::watchdog_loop() {
       if (watched.cancel_at <= now) {
         // Cooperative: the worker notices at its next poll point (CG
         // iteration / Cholesky column / solver rung). The entry stays until
-        // finish() erases it; cancel() is idempotent so re-firing is fine.
+        // dispatch() erases it; cancel() is idempotent so re-firing is fine.
         watched.token->cancel();
       } else {
         next = std::min(next, watched.cancel_at);
@@ -272,31 +300,9 @@ std::string BatchService::stats_response(const Request& req) {
           obs::json::Value(static_cast<std::uint64_t>(config_.queue_capacity)));
 
   auto totals_block = obs::json::Value::object();
-  totals_block.set("submitted", obs::json::Value(totals.submitted));
-  totals_block.set("completed", obs::json::Value(totals.completed));
-  totals_block.set("rejected_queue_full", obs::json::Value(totals.rejected_full));
-  totals_block.set("rejected_shutdown", obs::json::Value(totals.rejected_shutdown));
-  totals_block.set("rejected_overload", obs::json::Value(totals.rejected_overload));
-  totals_block.set("rejected_too_large", obs::json::Value(totals.rejected_too_large));
-  totals_block.set("bad_requests", obs::json::Value(totals.bad_requests));
-  totals_block.set("deadline_expired", obs::json::Value(totals.deadline_expired));
-  totals_block.set("cancelled", obs::json::Value(totals.cancelled));
-  totals_block.set("timeouts", obs::json::Value(totals.timeouts));
-  totals_block.set("internal_errors", obs::json::Value(totals.internal_errors));
+  set_totals(&totals_block, totals);
   doc.set("totals", std::move(totals_block));
-
-  {
-    const CacheStats cs = cache_->stats();
-    auto cache_block = obs::json::Value::object();
-    cache_block.set("entries", obs::json::Value(static_cast<std::uint64_t>(cs.entries)));
-    cache_block.set("capacity", obs::json::Value(static_cast<std::uint64_t>(cs.capacity)));
-    cache_block.set("hits", obs::json::Value(cs.hits));
-    cache_block.set("misses", obs::json::Value(cs.misses));
-    cache_block.set("insertions", obs::json::Value(cs.insertions));
-    cache_block.set("evictions", obs::json::Value(cs.evictions));
-    cache_block.set("bypass", obs::json::Value(cs.bypass));
-    doc.set("cache", std::move(cache_block));
-  }
+  doc.set("cache", cache_json(cache_->stats()));
 
   auto counters = obs::json::Value::object();
   for (const auto& [name, value] : snap.counters) counters.set(name, obs::json::Value(value));
@@ -526,243 +532,24 @@ void BatchService::submit_line(std::string_view line, ResponseSink sink) {
 void BatchService::worker_loop() {
   while (auto pending = queue_->pop()) {
     PDN3D_FAULT_STALL("service.queue.delay", 50.0);
-    if (coalescible(pending->req)) {
-      // Evaluation planner: drain every queued request sharing this
-      // factorization (same benchmark + canonical design) in one atomic
-      // sweep and dispatch the group as one multi-RHS solve. A member
-      // drained here has been "popped" for cancellation purposes, exactly
-      // like a singleton pop.
-      std::vector<Pending> group;
-      group.push_back(std::move(*pending));
+    // Evaluation planner: a coalescible leader drains every queued request
+    // sharing its factorization (same benchmark + canonical design) in one
+    // atomic sweep; any other request is a group of one. A member drained
+    // here has been "popped" for cancellation purposes, exactly like the
+    // leader.
+    std::vector<Pending> group;
+    group.push_back(std::move(*pending));
+    if (coalescible(group.front().req)) {
       const std::string key = factor_key(group.front().req);
       queue_->remove_all_if(
           [&key](const Pending& p) { return coalescible(p.req) && factor_key(p.req) == key; },
           kMaxCoalesce - 1, &group);
-      if (group.size() > 1) {
-        publish_queue_depth();
-        finish_group(std::move(group));
-      } else {
-        finish(std::move(group.front()));
-      }
-      continue;
     }
-    finish(std::move(*pending));
+    dispatch(std::move(group));
   }
 }
 
-void BatchService::finish(Pending&& pending) {
-  static auto& m_completed = obs::counter("service.completed");
-  static auto& m_deadline = obs::counter("service.deadline_expired");
-  static auto& m_timeouts = obs::counter("service.timeouts");
-  static auto& m_internal = obs::counter("service.internal_errors");
-  static auto& h_queue = obs::histogram("service.queue_ms", {1, 10, 100, 1000, 10000});
-  static auto& h_run = obs::histogram("service.run_ms", {1, 10, 100, 1000, 10000});
-  static auto& w_queue = obs::window("service.queue_ms");
-  static auto& w_run = obs::window("service.run_ms");
-
-  const Clock::time_point start = Clock::now();
-  publish_queue_depth();
-  const double queue_ms = ms_between(pending.enqueued, start);
-  h_queue.observe(queue_ms);
-  w_queue.observe(queue_ms);
-
-  RequestRecord rec;
-  rec.id = pending.req.id;
-  rec.request_id = pending.req.request_id;
-  rec.op = api::to_string(pending.req.eval.op);
-  rec.benchmark = api::benchmark_token(pending.req.eval.benchmark);
-  rec.queue_ms = queue_ms;
-
-  if (start > pending.deadline) {
-    m_deadline.add(1);
-    outstanding_cost_.fetch_sub(pending.cost, std::memory_order_relaxed);
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.deadline_expired;
-    }
-    rec.error = to_string(ErrorKind::kDeadlineExceeded);
-    record(std::move(rec));
-    pending.sink(error_response(pending.req.id, ErrorKind::kDeadlineExceeded,
-                                "deadline expired after " + std::to_string(queue_ms) +
-                                    " ms in queue",
-                                pending.req.request_id));
-    return;
-  }
-
-  PDN3D_TRACE_SPAN_NAMED(span, "serve/request");
-  span.attribute("op", rec.op);
-  span.attribute("benchmark", rec.benchmark);
-  span.attribute("request_id", pending.req.request_id);
-
-  // Result cache: a hit answers with the stored result -- byte-identical to
-  // a fresh evaluation by the fingerprint contract (api/api.hpp) -- without
-  // touching a worker-side solve.
-  const CachePlan cplan = plan_cache(config_, pending.req);
-  api::RequestFingerprint fp;
-  if (cplan.store) {
-    fp = pending.req.eval.fingerprint();
-  } else {
-    cache_->note_bypass();
-  }
-  if (cplan.consult) {
-    if (const auto cached = cache_->lookup(fp)) {
-      const double run_ms = ms_between(start, Clock::now());
-      h_run.observe(run_ms);
-      w_run.observe(run_ms);
-      m_completed.add(1);
-      outstanding_cost_.fetch_sub(pending.cost, std::memory_order_relaxed);
-      rec.ok = true;
-      rec.run_ms = run_ms;
-      rec.headline_mv = cached->headline_mv;
-      rec.fingerprint = cached->fingerprint;
-      rec.cache = "hit";
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.completed;
-      }
-      record(std::move(rec));
-      pending.sink(ok_response(pending.req, *cached, queue_ms, run_ms, "hit"));
-      return;
-    }
-  }
-
-  // Slow-request tracing: capture every span this evaluation completes on
-  // this thread (sound because the request runs inline here -- the nested-
-  // region rule), and export the tree as a structured event if the run
-  // crosses the threshold.
-  const bool capture = config_.slow_request_ms > 0.0;
-  if (capture) obs::begin_capture();
-
-  if (config_.enable_test_ops && pending.req.test_sleep_ms > 0.0) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(pending.req.test_sleep_ms));
-  }
-
-  // Register with the watchdog before evaluating. The per-request sweep runs
-  // inline on this worker (exec's nested-region rule), so installing the
-  // token here covers every CG/Cholesky poll point the request will hit.
-  publish_in_flight(in_flight_.fetch_add(1, std::memory_order_relaxed) + 1);
-  exec::CancelToken cancel;
-  std::uint64_t ticket = 0;
-  const bool watched = config_.watchdog_ms > 0.0;
-  if (watched) {
-    ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
-    const Clock::time_point cancel_at =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double, std::milli>(config_.watchdog_ms));
-    {
-      const std::lock_guard<std::mutex> lock(watchdog_mutex_);
-      inflight_[ticket] = {&cancel, cancel_at};
-    }
-    watchdog_cv_.notify_one();
-  }
-
-  api::EvaluateResult result;
-  bool internal_error = false;
-  std::string internal_message;
-  {
-    const exec::CancelScope scope(cancel);
-    PDN3D_FAULT_STALL("service.worker.stall", 100.0);
-    try {
-      result = session_.evaluate(pending.req.eval);
-    } catch (const std::exception& e) {
-      // evaluate() is documented never to throw for data-dependent reasons;
-      // anything escaping (fault-injected bad_alloc included) is answered
-      // with a typed `internal` error rather than torn down with the worker.
-      internal_error = true;
-      internal_message = e.what();
-    } catch (...) {
-      internal_error = true;
-      internal_message = "unknown exception";
-    }
-  }
-  if (watched) {
-    const std::lock_guard<std::mutex> lock(watchdog_mutex_);
-    inflight_.erase(ticket);
-  }
-  publish_in_flight(in_flight_.fetch_sub(1, std::memory_order_relaxed) - 1);
-  outstanding_cost_.fetch_sub(pending.cost, std::memory_order_relaxed);
-
-  const double run_ms = ms_between(start, Clock::now());
-  h_run.observe(run_ms);
-  w_run.observe(run_ms);
-  m_completed.add(1);
-  rec.run_ms = run_ms;
-
-  if (capture) {
-    const obs::CaptureResult trace = obs::end_capture();
-    if (run_ms >= config_.slow_request_ms) {
-      static auto& m_slow = obs::counter("service.slow_requests");
-      m_slow.add(1);
-      auto spans = obs::json::Value::array();
-      for (const auto& s : trace.spans) {
-        auto row = obs::json::Value::object();
-        row.set("path", obs::json::Value(s.path));
-        row.set("start_us", obs::json::Value(s.start_us));
-        row.set("duration_us", obs::json::Value(s.duration_us));
-        spans.push_back(std::move(row));
-      }
-      obs::log_event(util::LogLevel::kWarn, "serve.slow_request",
-                     {{"request_id", pending.req.request_id},
-                      {"id", pending.req.id},
-                      {"op", rec.op},
-                      {"benchmark", rec.benchmark},
-                      {"run_ms", run_ms},
-                      {"queue_ms", queue_ms},
-                      {"threshold_ms", config_.slow_request_ms},
-                      {"spans_dropped", trace.dropped},
-                      {"spans", std::move(spans)}});
-    }
-  }
-
-  if (internal_error) {
-    m_internal.add(1);
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.completed;
-      ++stats_.internal_errors;
-    }
-    rec.error = to_string(ErrorKind::kInternal);
-    record(std::move(rec));
-    pending.sink(error_response(pending.req.id, ErrorKind::kInternal, internal_message,
-                                pending.req.request_id));
-    return;
-  }
-
-  // Cancelled AND failed = the watchdog stopped it mid-solve. A request that
-  // finished ok despite a late cancel still delivers its result.
-  if (cancel.cancelled() && !result.ok()) {
-    m_timeouts.add(1);
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.completed;
-      ++stats_.timeouts;
-    }
-    rec.error = to_string(ErrorKind::kTimeout);
-    record(std::move(rec));
-    pending.sink(error_response(pending.req.id, ErrorKind::kTimeout,
-                                "evaluation exceeded watchdog (" +
-                                    std::to_string(static_cast<long long>(config_.watchdog_ms)) +
-                                    " ms): " + std::string(result.status.message()),
-                                pending.req.request_id));
-    return;
-  }
-
-  rec.ok = result.ok();
-  if (!result.ok()) rec.error = to_string(ErrorKind::kEvaluationFailed);
-  rec.headline_mv = result.headline_mv;
-  rec.fingerprint = result.fingerprint;
-  rec.cache = cplan.token;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.completed;
-  }
-  record(std::move(rec));
-  if (cplan.store && result.ok()) cache_->insert(fp, result);
-  pending.sink(ok_response(pending.req, result, queue_ms, run_ms, cplan.token));
-}
-
-void BatchService::finish_group(std::vector<Pending>&& group) {
+void BatchService::dispatch(std::vector<Pending>&& group) {
   static auto& m_completed = obs::counter("service.completed");
   static auto& m_deadline = obs::counter("service.deadline_expired");
   static auto& m_timeouts = obs::counter("service.timeouts");
@@ -774,16 +561,28 @@ void BatchService::finish_group(std::vector<Pending>&& group) {
   static auto& w_queue = obs::window("service.queue_ms");
   static auto& w_run = obs::window("service.run_ms");
 
-  m_groups.add(1);
-  m_members.add(group.size());
-
   const Clock::time_point start = Clock::now();
-  PDN3D_TRACE_SPAN_NAMED(span, "serve/batch");
-  span.attribute("members", std::to_string(group.size()));
-  span.attribute("benchmark", std::string(api::benchmark_token(group.front().req.eval.benchmark)));
+  publish_queue_depth();
+  if (group.size() > 1) {
+    m_groups.add(1);
+    m_members.add(group.size());
+  }
+
+  std::string request_ids;
+  for (const Pending& p : group) {
+    if (!request_ids.empty()) request_ids += ',';
+    request_ids += p.req.request_id;
+  }
+  PDN3D_TRACE_SPAN_NAMED(span, "serve/request");
+  span.attribute("op", api::to_string(group.front().req.eval.op));
+  span.attribute("benchmark", api::benchmark_token(group.front().req.eval.benchmark));
+  span.attribute("members", static_cast<std::uint64_t>(group.size()));
+  span.attribute("request_id", request_ids);
 
   // Per-member admission bookkeeping: expired deadlines and cache hits are
-  // answered here exactly as finish() would have, and never reach the solve.
+  // answered here and never reach the solve. A hit answers with the stored
+  // result -- byte-identical to a fresh evaluation by the fingerprint
+  // contract (api/api.hpp).
   struct Member {
     Pending pending;
     RequestRecord rec;
@@ -854,9 +653,24 @@ void BatchService::finish_group(std::vector<Pending>&& group) {
 
   if (to_run.empty()) return;
 
-  // One watchdog ticket and one cancel token cover the whole batch: the
+  // Slow-request tracing: capture every span this dispatch completes on this
+  // thread (sound because the members evaluate inline here -- the nested-
+  // region rule), and export the tree once per member if the run crosses
+  // the threshold.
+  const bool capture = config_.slow_request_ms > 0.0;
+  if (capture) obs::begin_capture();
+
+  // Only a group of one can carry test_sleep_ms: coalescible() excludes it.
+  if (config_.enable_test_ops && to_run.front().pending.req.test_sleep_ms > 0.0) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(to_run.front().pending.req.test_sleep_ms));
+  }
+
+  // One watchdog ticket and one cancel token cover the whole group: the
   // members share a solve, so a timeout stops all of them at the same poll
-  // point (each then answers `timeout` individually below).
+  // point (each then answers `timeout` individually below). The solve runs
+  // inline on this worker (exec's nested-region rule), so installing the
+  // token here covers every CG/Cholesky poll point it will hit.
   publish_in_flight(in_flight_.fetch_add(to_run.size(), std::memory_order_relaxed) +
                     to_run.size());
   exec::CancelToken cancel;
@@ -898,6 +712,8 @@ void BatchService::finish_group(std::vector<Pending>&& group) {
     reqs.push_back(m.pending.req.eval);
   }
 
+  // A group of one is answered by Session::evaluate; larger groups share one
+  // multi-RHS solve.
   std::vector<api::EvaluateResult> results;
   bool internal_error = false;
   std::string internal_message;
@@ -907,6 +723,9 @@ void BatchService::finish_group(std::vector<Pending>&& group) {
     try {
       results = session_.evaluate_group(reqs);
     } catch (const std::exception& e) {
+      // evaluate() is documented never to throw for data-dependent reasons;
+      // anything escaping (fault-injected bad_alloc included) is answered
+      // with a typed `internal` error rather than torn down with the worker.
       internal_error = true;
       internal_message = e.what();
     } catch (...) {
@@ -923,6 +742,19 @@ void BatchService::finish_group(std::vector<Pending>&& group) {
 
   // run_ms is shared: the members finished together in one solve.
   const double run_ms = ms_between(start, Clock::now());
+  const obs::CaptureResult trace = capture ? obs::end_capture() : obs::CaptureResult{};
+  const bool slow = capture && run_ms >= config_.slow_request_ms;
+  auto spans = obs::json::Value::array();
+  if (slow) {
+    for (const auto& s : trace.spans) {
+      auto row = obs::json::Value::object();
+      row.set("path", obs::json::Value(s.path));
+      row.set("start_us", obs::json::Value(s.start_us));
+      row.set("duration_us", obs::json::Value(s.duration_us));
+      spans.push_back(std::move(row));
+    }
+  }
+
   for (std::size_t i = 0; i < to_run.size(); ++i) {
     Member& m = to_run[i];
     outstanding_cost_.fetch_sub(m.pending.cost, std::memory_order_relaxed);
@@ -931,6 +763,21 @@ void BatchService::finish_group(std::vector<Pending>&& group) {
     m_completed.add(1);
     m.rec.run_ms = run_ms;
     const double queue_ms = m.rec.queue_ms;
+
+    if (slow) {
+      static auto& m_slow = obs::counter("service.slow_requests");
+      m_slow.add(1);
+      obs::log_event(util::LogLevel::kWarn, "serve.slow_request",
+                     {{"request_id", m.pending.req.request_id},
+                      {"id", m.pending.req.id},
+                      {"op", m.rec.op},
+                      {"benchmark", m.rec.benchmark},
+                      {"run_ms", run_ms},
+                      {"queue_ms", queue_ms},
+                      {"threshold_ms", config_.slow_request_ms},
+                      {"spans_dropped", trace.dropped},
+                      {"spans", spans}});
+    }
 
     if (internal_error || slot[i] >= results.size()) {
       m_internal.add(1);
@@ -947,6 +794,8 @@ void BatchService::finish_group(std::vector<Pending>&& group) {
       continue;
     }
 
+    // Cancelled AND failed = the watchdog stopped it mid-solve. A request
+    // that finished ok despite a late cancel still delivers its result.
     api::EvaluateResult& result = results[slot[i]];
     if (cancel.cancelled() && !result.ok()) {
       m_timeouts.add(1);
@@ -1022,36 +871,15 @@ obs::json::Value BatchService::session_block() const {
   block.set("workers", obs::json::Value(static_cast<std::uint64_t>(config_.workers)));
   block.set("queue_capacity",
             obs::json::Value(static_cast<std::uint64_t>(config_.queue_capacity)));
-  // Schema v6: lifetime and peak load plus the result-cache block, so a
+  // Schema v9: lifetime and peak load plus the result-cache block, so a
   // report alone answers "how hard was this server actually pushed" and "how
   // much of it was absorbed by the cache".
   block.set("uptime_seconds", obs::json::Value(uptime_seconds()));
   block.set("peak_queue_depth",
             obs::json::Value(peak_queue_depth_.load(std::memory_order_relaxed)));
   block.set("peak_in_flight", obs::json::Value(peak_in_flight_.load(std::memory_order_relaxed)));
-  block.set("submitted", obs::json::Value(stats_.submitted));
-  block.set("completed", obs::json::Value(stats_.completed));
-  block.set("rejected_queue_full", obs::json::Value(stats_.rejected_full));
-  block.set("rejected_shutdown", obs::json::Value(stats_.rejected_shutdown));
-  block.set("rejected_overload", obs::json::Value(stats_.rejected_overload));
-  block.set("rejected_too_large", obs::json::Value(stats_.rejected_too_large));
-  block.set("bad_requests", obs::json::Value(stats_.bad_requests));
-  block.set("deadline_expired", obs::json::Value(stats_.deadline_expired));
-  block.set("cancelled", obs::json::Value(stats_.cancelled));
-  block.set("timeouts", obs::json::Value(stats_.timeouts));
-  block.set("internal_errors", obs::json::Value(stats_.internal_errors));
-  {
-    const CacheStats cs = cache_->stats();
-    auto cache_block = obs::json::Value::object();
-    cache_block.set("entries", obs::json::Value(static_cast<std::uint64_t>(cs.entries)));
-    cache_block.set("capacity", obs::json::Value(static_cast<std::uint64_t>(cs.capacity)));
-    cache_block.set("hits", obs::json::Value(cs.hits));
-    cache_block.set("misses", obs::json::Value(cs.misses));
-    cache_block.set("insertions", obs::json::Value(cs.insertions));
-    cache_block.set("evictions", obs::json::Value(cs.evictions));
-    cache_block.set("bypass", obs::json::Value(cs.bypass));
-    block.set("cache", std::move(cache_block));
-  }
+  set_totals(&block, stats_);
+  block.set("cache", cache_json(cache_->stats()));
   auto requests = obs::json::Value::array();
   for (const auto& rec : records_) {
     auto r = obs::json::Value::object();

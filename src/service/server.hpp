@@ -78,17 +78,14 @@ struct ServiceConfig {
   /// cancelled cooperatively and answered `timeout` (0 = off). Measured from
   /// evaluation start, not admission (deadline_ms covers queue time).
   double watchdog_ms = 0.0;
-  /// Slow-request tracing: an evaluation whose run time exceeds this logs a
-  /// `serve.slow_request` event carrying the request's captured span tree
-  /// (0 = off). The CLI flag is `--slow-ms`.
+  /// Slow-request tracing: a dispatch whose run time exceeds this logs one
+  /// `serve.slow_request` event per evaluated member, carrying the captured
+  /// span tree (0 = off). The CLI flag is `--slow-ms`.
   double slow_request_ms = 0.0;
   /// Result-cache capacity in entries, content-addressed by request
-  /// fingerprint (0 = cache off). The CLI flag is `--cache-entries`.
+  /// fingerprint (0 = cache off: every request answers `cache:"bypass"`).
+  /// The CLI flag is `--cache-entries`.
   std::size_t cache_entries = 256;
-  /// Force every request to bypass the result cache regardless of its
-  /// per-request `cache` field (CLI `--cache-bypass`). The cache stays
-  /// allocated so stats keep reporting its configuration.
-  bool cache_bypass = false;
 };
 
 /// Delivery callback for one response line (no trailing newline). Invoked
@@ -140,7 +137,7 @@ class BatchService {
   /// aid: polling for 0 after a submit proves the worker picked it up.
   [[nodiscard]] std::size_t queued() const;
 
-  /// The run report's "session" block (schema v6): aggregate counters,
+  /// The run report's "session" block (schema v9): aggregate counters,
   /// uptime, peak load, the result-cache block, plus one record per
   /// evaluated request with its fingerprint and cache disposition
   /// (docs/OBSERVABILITY.md).
@@ -159,13 +156,12 @@ class BatchService {
 
   void worker_loop();
   void watchdog_loop();
-  void finish(Pending&& pending);
-  /// The coalescing planner's batch path: a factor-sharing group (>= 2
-  /// plain-evaluate requests on one benchmark+design) dispatched as one
-  /// multi-RHS solve via Session::evaluate_group, with per-member deadline,
-  /// cache, watchdog, and response handling. Responses are byte-identical to
-  /// what N finish() calls would have produced (modulo queue_ms/run_ms).
-  void finish_group(std::vector<Pending>&& group);
+  /// Answer one group popped by worker_loop: a single request, or up to
+  /// kMaxCoalesce factor-sharing plain evaluates. Per-member deadline and
+  /// cache checks, one watchdog ticket, in-group fingerprint dedupe, one
+  /// Session::evaluate_group call, then one response per member. Coalesced
+  /// responses are byte-identical to single ones (modulo queue_ms/run_ms).
+  void dispatch(std::vector<Pending>&& group);
   void record(RequestRecord rec);
   /// Refresh the live service.queue_depth / service.inflight gauges (and
   /// their peaks) from the authoritative sources. Called on every queue or

@@ -74,18 +74,6 @@ TEST(Csr, MultiplyMatchesManual) {
   EXPECT_DOUBLE_EQ(y[2], 1.0);
 }
 
-TEST(Csr, DiagonalExtraction) {
-  CooBuilder b(3);
-  b.add(0, 0, 1.5);
-  b.add(2, 2, -2.5);
-  b.add(0, 1, 9.0);
-  const Csr m = b.compress();
-  const auto d = m.diagonal();
-  EXPECT_DOUBLE_EQ(d[0], 1.5);
-  EXPECT_DOUBLE_EQ(d[1], 0.0);
-  EXPECT_DOUBLE_EQ(d[2], -2.5);
-}
-
 TEST(Csr, AtMissingEntryIsZero) {
   CooBuilder b(2);
   b.add(0, 0, 1.0);

@@ -1,6 +1,7 @@
 // The content-addressed result cache (src/service/cache.hpp) and its service
 // integration: LRU bounds, hash-collision safety, cached-vs-fresh byte
-// parity, per-request cache modes, and the coalescing planner's batch path.
+// parity, per-request cache modes, and the coalescing planner's group path
+// (per-member deadlines and slow-request events included).
 // The ConcurrentResultCache suite follows the Concurrent* naming convention
 // so the TSan suite (scripts/run_sanitized_tests.sh) picks it up.
 
@@ -8,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "api/api.hpp"
 #include "obs/metrics.hpp"
 #include "service/server.hpp"
+#include "util/log.hpp"
 
 namespace pdn3d::service {
 namespace {
@@ -251,7 +255,7 @@ TEST(ServiceCache, ServerBypassOverridesRequests) {
   api::Session session;
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.cache_bypass = true;
+  cfg.cache_entries = 0;
   BatchService service(session, cfg);
   service.start();
   Collector c;
@@ -465,6 +469,124 @@ TEST(ServiceCache, DuplicateGroupMembersDedupeAsHits) {
   EXPECT_TRUE(contains(first_is_miss ? twin : first, "\"cache\":\"hit\""))
       << first << "\n" << twin;
   EXPECT_EQ(output_field(first), output_field(twin));
+}
+
+// The wide-io evaluate that the group-path tests coalesce: one factor key,
+// a distinct state per member.
+std::string wide_io_line(int id, const std::string& state, const std::string& extra) {
+  return "{\"id\":" + std::to_string(id) +
+         ",\"op\":\"evaluate\",\"benchmark\":\"wide-io\",\"state\":\"" + state +
+         "\",\"design\":{\"m3\":25}" + extra + "}";
+}
+
+// --slow-ms covers every dispatch: the single blocker and each member of the
+// coalesced group behind it log their own serve.slow_request event.
+TEST(ServiceCache, SlowCoalescedMembersEachLogAnEvent) {
+  api::Session session;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.enable_test_ops = true;
+  cfg.slow_request_ms = 0.001;  // every evaluation crosses it
+  BatchService service(session, cfg);
+  service.start();
+
+  const std::uint64_t slow_before = obs::counter("service.slow_requests").value();
+  const std::uint64_t groups_before = obs::counter("service.coalesce.groups").value();
+
+  Collector c;
+  service.submit_line(
+      "{\"id\":1,\"op\":\"validate\",\"benchmark\":\"off-chip\",\"test_sleep_ms\":400}",
+      c.sink());
+  for (int i = 0; i < 2000 && service.queued() > 0; ++i) std::this_thread::sleep_for(1ms);
+  ASSERT_EQ(service.queued(), 0u);
+
+  const util::LogLevel level_before = util::log_level();
+  util::set_log_level(util::LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  const std::vector<std::string> states = {"0-0-0-2", "0-0-2b-0", "0-0-0-1"};
+  for (int i = 0; i < 3; ++i) {
+    service.submit_line(wide_io_line(10 + i, states[static_cast<std::size_t>(i)],
+                                     ",\"request_id\":\"slow-" + std::to_string(10 + i) + "\""),
+                        c.sink());
+  }
+  const auto lines = c.wait_for(4);
+  service.drain();
+  const std::string err = testing::internal::GetCapturedStderr();
+  util::set_log_level(level_before);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_GE(obs::counter("service.coalesce.groups").value(), groups_before + 1);
+  EXPECT_EQ(obs::counter("service.slow_requests").value(), slow_before + 4);
+
+  std::vector<std::string> events;
+  std::istringstream in(err);
+  for (std::string line; std::getline(in, line);) {
+    if (contains(line, "serve.slow_request")) events.push_back(line);
+  }
+  EXPECT_EQ(events.size(), 4u) << err;
+  for (int i = 0; i < 3; ++i) {
+    const std::string rid = "slow-" + std::to_string(10 + i);
+    EXPECT_TRUE(std::any_of(events.begin(), events.end(),
+                            [&](const std::string& e) { return contains(e, rid); }))
+        << rid << " has no serve.slow_request event\n"
+        << err;
+  }
+}
+
+// A member whose deadline passes while it queues answers deadline_exceeded
+// from inside its coalesced group; the rest of the group still solves, byte
+// for byte what a standalone evaluation renders.
+TEST(ServiceCache, ExpiredMemberOfACoalescedGroupAnswersDeadlineExceeded) {
+  api::Session session;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.enable_test_ops = true;
+  BatchService service(session, cfg);
+  service.start();
+
+  const std::uint64_t members_before = obs::counter("service.coalesce.requests").value();
+
+  Collector c;
+  service.submit_line(
+      "{\"id\":1,\"op\":\"validate\",\"benchmark\":\"off-chip\",\"test_sleep_ms\":400}",
+      c.sink());
+  for (int i = 0; i < 2000 && service.queued() > 0; ++i) std::this_thread::sleep_for(1ms);
+  ASSERT_EQ(service.queued(), 0u);
+
+  const std::vector<std::string> states = {"0-0-0-2", "0-0-2b-0", "0-0-0-1"};
+  for (int i = 0; i < 3; ++i) {
+    // The middle member's deadline is far shorter than the blocker's hold.
+    service.submit_line(wide_io_line(40 + i, states[static_cast<std::size_t>(i)],
+                                     i == 1 ? ",\"deadline_ms\":50" : ""),
+                        c.sink());
+  }
+  const auto lines = c.wait_for(4);
+  service.drain();
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(obs::counter("service.coalesce.requests").value(), members_before + 3);
+  EXPECT_EQ(service.stats().deadline_expired, 1u);
+
+  const std::string expired = line_with_id(lines, 41);
+  EXPECT_TRUE(contains(expired, "\"kind\":\"deadline_exceeded\"")) << expired;
+
+  for (const int i : {0, 2}) {
+    api::EvaluateRequest req;
+    req.benchmark = core::BenchmarkKind::kWideIo;
+    req.op = api::Operation::kEvaluate;
+    req.state = states[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(api::set_option(&req.design, "m3", 25.0).is_ok());
+    const api::EvaluateResult fresh = session.evaluate(req);
+    ASSERT_TRUE(fresh.ok());
+
+    const std::string line = line_with_id(lines, 40 + i);
+    ASSERT_FALSE(line.empty()) << "no response for id " << 40 + i;
+    EXPECT_TRUE(contains(line, "\"ok\":true")) << line;
+    Request wire;
+    wire.id = 40 + i;
+    wire.eval = req;
+    wire.request_id = "x";  // output_field keys off the request_id terminator
+    const std::string rendered = ok_response(wire, fresh, 0.0, 0.0, "miss");
+    EXPECT_EQ(output_field(line), output_field(rendered)) << "member " << i;
+  }
 }
 
 }  // namespace

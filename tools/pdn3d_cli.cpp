@@ -136,12 +136,10 @@ constexpr int kExitInfeasible = 4;
       "  --watchdog MS    serve: cancel an evaluation running longer than MS and\n"
       "                   answer a typed `timeout` error (0 = off)\n"
       "  --slow-ms MS     serve: log a `serve.slow_request` event with the\n"
-      "                   request's span tree when an evaluation runs longer\n"
-      "                   than MS (0 = off)\n"
+      "                   request's span tree when an evaluation (coalesced\n"
+      "                   members included) runs longer than MS (0 = off)\n"
       "  --cache-entries N serve: result-cache capacity in entries, keyed by the\n"
       "                   canonical request fingerprint (default 256, 0 = off)\n"
-      "  --cache-bypass   serve: every request bypasses the result cache,\n"
-      "                   overriding per-request `cache` fields\n"
       "  --bench B        serve: benchmark the --tech override applies to\n"
       "  --report FILE    write a machine-readable JSON run report (any command;\n"
       "                   see docs/OBSERVABILITY.md for the schema)\n"
@@ -199,7 +197,7 @@ Args parse_args(int argc, char** argv) {
       "--cache-entries", "--em-wire-limit", "--em-tsv-limit", "--em-temp"};
   const std::vector<std::string> known_flags = {"--wb",      "--dedicated", "--no-align",
                                                "--verbose", "--quiet",     "--test-ops",
-                                               "--resume",  "--cache-bypass", "--em"};
+                                               "--resume",  "--em"};
   for (int i = first_opt; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool takes_value =
@@ -541,7 +539,6 @@ int cmd_serve(const Args& a, obs::RunReportOptions* report_opts) {
   cfg.watchdog_ms = get_double(a, "--watchdog", 0.0, 0.0, 1e9);
   cfg.slow_request_ms = get_double(a, "--slow-ms", 0.0, 0.0, 1e9);
   cfg.cache_entries = static_cast<std::size_t>(get_int(a, "--cache-entries", 256, 0, 100000000));
-  cfg.cache_bypass = a.has_flag("--cache-bypass");
 
   api::Session session;
   if (const auto tech_path = a.get("--tech")) {
