@@ -11,7 +11,6 @@
 #include "core/benchmarks.hpp"
 #include "exec/thread_pool.hpp"
 #include "irdrop/analysis.hpp"
-#include "irdrop/eval_context.hpp"
 #include "irdrop/lut.hpp"
 #include "irdrop/montecarlo.hpp"
 #include "linalg/sparse_chol.hpp"
@@ -210,17 +209,18 @@ void BM_PoolDispatchOverhead(benchmark::State& state) {
   const auto st = power::parse_memory_state("0-0-0-2", b.stack.dram_spec);
   const bool pooled = state.range(0) != 0;
   exec::ThreadPool pool(1);
-  irdrop::EvalContext root(analyzer);
   for (auto _ : state) {
     double sum = 0.0;
     if (pooled) {
       pool.parallel_chunks(8, [&](std::size_t, std::size_t begin, std::size_t end) {
-        irdrop::EvalContext ctx = root.fork();
-        for (std::size_t i = begin; i < end; ++i) sum += ctx.analyze(st).dram_max_mv;
+        irdrop::SolveScratch scratch;
+        for (std::size_t i = begin; i < end; ++i) {
+          sum += analyzer.analyze(st, &scratch).dram_max_mv;
+        }
       });
     } else {
-      irdrop::EvalContext ctx = root.fork();
-      for (std::size_t i = 0; i < 8; ++i) sum += ctx.analyze(st).dram_max_mv;
+      irdrop::SolveScratch scratch;
+      for (std::size_t i = 0; i < 8; ++i) sum += analyzer.analyze(st, &scratch).dram_max_mv;
     }
     benchmark::DoNotOptimize(sum);
   }

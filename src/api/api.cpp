@@ -317,12 +317,8 @@ void render_validate(const core::Platform& p, const EvaluateRequest& request, st
   if (report.ok()) {
     // Mesh is sound; check the default state's injection and run a verified
     // probe solve through the escalation ladder.
-    irdrop::PowerBinding power;
-    power.dram = bench.dram_power;
-    power.logic = bench.logic_power;
-    power.dram_scale = bench.power_scale;
     const irdrop::IrAnalyzer analyzer(built.model, bench.stack.dram_fp, bench.stack.logic_fp,
-                                      power);
+                                      p.power_binding());
     const auto state = p.parse_state(bench.default_state, bench.default_io_activity);
     const auto sinks = analyzer.injection(state);
     report.merge(pdn::validate_injection(built.model, sinks));

@@ -55,6 +55,10 @@ class Platform {
   [[nodiscard]] irdrop::EmReport measure_em(const pdn::PdnConfig& config,
                                             const irdrop::EmOptions& options = {}) const;
 
+  /// This benchmark's power configuration for an irdrop::IrAnalyzer built
+  /// outside the design cache.
+  [[nodiscard]] irdrop::PowerBinding power_binding() const;
+
   /// Build info (TSV placement diagnostics) for a config.
   [[nodiscard]] pdn::BuildInfo build_info(const pdn::PdnConfig& config) const;
 
@@ -110,7 +114,6 @@ class Platform {
 
   [[nodiscard]] std::string cache_key(const pdn::PdnConfig& config) const;
   [[nodiscard]] CachedDesign& design(const pdn::PdnConfig& config) const;
-  [[nodiscard]] irdrop::PowerBinding power_binding() const;
 
   Benchmark bench_;
   /// Guards cache_ only. CachedDesign entries are heap-allocated, so the

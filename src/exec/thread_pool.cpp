@@ -200,19 +200,14 @@ void ThreadPool::parallel_chunks(
     std::size_t n, const std::function<void(std::size_t, std::size_t, std::size_t)>& chunk) {
   if (n == 0) return;
   // Chunk boundaries depend only on n and the pool size, never on runtime
-  // scheduling, so per-chunk state (forked EvalContexts, accumulators merged
-  // in chunk order) is reproducible run-to-run at a given thread count.
+  // scheduling, so per-chunk state (solve scratch, accumulators merged in
+  // chunk order) is reproducible run-to-run at a given thread count.
   const std::size_t chunks = std::min(thread_count_, n);
   parallel_for(chunks, [&](std::size_t c) {
     const std::size_t begin = n * c / chunks;
     const std::size_t end = n * (c + 1) / chunks;
     chunk(c, begin, end);
   });
-}
-
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool;
-  return pool;
 }
 
 }  // namespace pdn3d::exec

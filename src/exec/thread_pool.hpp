@@ -34,14 +34,13 @@
 
 namespace pdn3d::exec {
 
-/// Process-wide default worker count used by ThreadPool(0) and shared().
+/// Process-wide default worker count used by ThreadPool(0).
 /// Resolution order: explicit override > PDN3D_THREADS env > hardware
 /// concurrency; always >= 1.
 [[nodiscard]] std::size_t default_thread_count();
 
 /// Override the process-wide default (0 clears the override back to
-/// env/hardware resolution). Takes effect for pools constructed afterwards;
-/// shared() is re-sized lazily only if it has not been created yet.
+/// env/hardware resolution). Takes effect for pools constructed afterwards.
 void set_default_thread_count(std::size_t threads);
 
 class ThreadPool {
@@ -64,9 +63,10 @@ class ThreadPool {
 
   /// Run chunk(c, begin, end) for every contiguous chunk of [0, n), one
   /// chunk per participating worker (c in [0, chunks)). This is the hook for
-  /// per-thread state: fork an EvalContext per chunk and reuse it across the
-  /// chunk's items. Chunk boundaries depend only on n and thread_count(); use
-  /// index-derived randomness to stay deterministic across thread counts.
+  /// per-thread state: give each chunk its own irdrop::SolveScratch and reuse
+  /// it across the chunk's items. Chunk boundaries depend only on n and
+  /// thread_count(); use index-derived randomness to stay deterministic across
+  /// thread counts.
   void parallel_chunks(std::size_t n,
                        const std::function<void(std::size_t, std::size_t, std::size_t)>& chunk);
 
@@ -78,9 +78,6 @@ class ThreadPool {
     parallel_for(n, [&](std::size_t i) { out[i] = f(i); });
     return out;
   }
-
-  /// Process-wide pool sized by default_thread_count() at first use.
-  static ThreadPool& shared();
 
  private:
   struct Region;

@@ -122,20 +122,15 @@ std::vector<IrAnalyzer::BlockIr> IrAnalyzer::block_report(const power::MemorySta
   return out;
 }
 
-IrResult IrAnalyzer::analyze(const power::MemoryState& state) const {
-  return analyze(state, nullptr, nullptr);
-}
-
-IrResult IrAnalyzer::analyze(const power::MemoryState& state, SolveScratch* scratch,
-                             std::vector<double>* sinks_buffer) const {
+IrResult IrAnalyzer::analyze(const power::MemoryState& state, SolveScratch* scratch) const {
   PDN3D_TRACE_SPAN("irdrop/analyze");
   static auto& m_states = obs::counter("analysis.states_analyzed");
   m_states.add(1);
 
-  std::vector<double> local_sinks;
-  std::vector<double>& sinks = sinks_buffer != nullptr ? *sinks_buffer : local_sinks;
-  injection_into(state, sinks);
-  SolveOutcome outcome = solver_.solve({.sinks = sinks, .want_ir = true}, scratch);
+  SolveScratch local;
+  SolveScratch& ws = scratch != nullptr ? *scratch : local;
+  injection_into(state, ws.sinks);
+  SolveOutcome outcome = solver_.solve({.sinks = ws.sinks, .want_ir = true}, &ws);
   if (!outcome.ok()) throw core::NumericalError(std::move(outcome.status));
   return extract_stats(state, outcome.x, outcome);
 }

@@ -55,14 +55,13 @@ class IrAnalyzer {
              const floorplan::Floorplan& logic_fp, PowerBinding power,
              SolverKind solver = SolverKind::kPcgIc);
 
-  /// Full IR analysis of one memory state.
-  [[nodiscard]] IrResult analyze(const power::MemoryState& state) const;
-
-  /// analyze() with caller-owned work buffers -- the EvalContext hot path.
-  /// @p scratch / @p sinks_buffer may be null (allocates locally). Thread-safe
-  /// when each concurrent caller passes its own buffers.
-  [[nodiscard]] IrResult analyze(const power::MemoryState& state, SolveScratch* scratch,
-                                 std::vector<double>* sinks_buffer) const;
+  /// Full IR analysis of one memory state. A sweep passes one @p scratch per
+  /// pool chunk and reuses its buffers across the chunk's states; null
+  /// allocates locally. Thread-safe when each concurrent caller passes its own
+  /// scratch (or none). Throws core::NumericalError when every solver rung
+  /// fails.
+  [[nodiscard]] IrResult analyze(const power::MemoryState& state,
+                                 SolveScratch* scratch = nullptr) const;
 
   /// Analyze many states through one multi-RHS solve (SolveRequest
   /// batch_count), amortizing the factorization across the group -- the

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "exec/thread_pool.hpp"
-#include "irdrop/eval_context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/checkpoint.hpp"
@@ -40,9 +39,8 @@ IrLut IrLut::build(const IrAnalyzer& analyzer, const floorplan::DramFloorplanSpe
   }
   std::vector<double> table(total, 0.0);
   exec::ThreadPool pool(static_cast<std::size_t>(threads));
-  EvalContext root(analyzer);
   pool.parallel_chunks(total, [&](std::size_t, std::size_t begin, std::size_t end) {
-    EvalContext ctx = root.fork();
+    SolveScratch scratch;
     std::vector<int> counts(static_cast<std::size_t>(dies), 0);
     for (std::size_t key = begin; key < end; ++key) {
       if (checkpoint != nullptr) {
@@ -68,7 +66,7 @@ IrLut IrLut::build(const IrAnalyzer& analyzer, const floorplan::DramFloorplanSpe
       const double act =
           active_dies > 0 ? std::min(1.0, io_demand / static_cast<double>(active_dies)) : 0.0;
       const auto state = power::make_state_from_counts(counts, spec, act);
-      table[key] = ctx.analyze(state).dram_max_mv;
+      table[key] = analyzer.analyze(state, &scratch).dram_max_mv;
       if (checkpoint != nullptr) checkpoint->record(key, {true, table[key], {}});
     }
   });

@@ -38,8 +38,7 @@ class IrLut {
   /// @param checkpoint optional crash-safe checkpoint (non-owning): entries
   /// found in it are loaded instead of recomputed, fresh entries are
   /// recorded, and a resumed build is bitwise identical to an uninterrupted
-  /// one (warm starts are disabled while checkpointing so every entry stays a
-  /// pure function of its key).
+  /// one (every entry is a pure function of its key).
   static IrLut build(const IrAnalyzer& analyzer, const floorplan::DramFloorplanSpec& spec,
                      int max_per_die = 2, double io_demand = 1.0, int threads = 0,
                      util::SweepCheckpoint* checkpoint = nullptr);

@@ -7,7 +7,6 @@
 
 #include "core/status.hpp"
 #include "exec/thread_pool.hpp"
-#include "irdrop/eval_context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/checkpoint.hpp"
@@ -64,7 +63,6 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
   const int dies = analyzer.model().dram_die_count();
   const int banks = spec.bank_cols * spec.bank_rows;
   const std::size_t n = static_cast<std::size_t>(config.samples);
-  const std::size_t escalations_before = analyzer.solver().telemetry().escalations;
 
   // Per-sample result slots: the pool guarantees slot i is written by the
   // worker that claimed sample i, and every statistic below is computed from
@@ -74,9 +72,8 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
   std::vector<std::string> failures(n);
 
   exec::ThreadPool pool(static_cast<std::size_t>(config.threads));
-  EvalContext root(analyzer);
   pool.parallel_chunks(n, [&](std::size_t, std::size_t begin, std::size_t end) {
-    EvalContext ctx = root.fork();
+    SolveScratch scratch;
     for (std::size_t s = begin; s < end; ++s) {
       if (config.checkpoint != nullptr) {
         if (const util::CheckpointEntry* entry = config.checkpoint->find(s)) {
@@ -92,7 +89,7 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
       util::Rng rng = util::Rng::split(config.seed, s);
       const power::MemoryState state = draw_state(rng, dies, banks, config);
       try {
-        values[s] = ctx.analyze(state).dram_max_mv;
+        values[s] = analyzer.analyze(state, &scratch).dram_max_mv;
         solved[s] = 1;
       } catch (const core::NumericalError& e) {
         // A cancellation must abort the sweep, not be skipped as a sample.
@@ -129,9 +126,6 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
   out.samples = config.samples - skipped;
   out.skipped_samples = skipped;
   out.last_failure = std::move(last_failure);
-  // The telemetry counters are atomic and the same solves run at any thread
-  // count, so this delta is exact even when the run was concurrent.
-  out.solver_escalations = analyzer.solver().telemetry().escalations - escalations_before;
   if (kept.empty()) return out;
   out.mean_mv = util::mean(kept);
   out.p50_mv = util::percentile(kept, 50.0);

@@ -50,9 +50,8 @@ struct MonteCarloResult {
 
   // Numerical-health telemetry: states the solver could not handle are
   // skipped (and counted) instead of aborting the whole distribution run.
-  int skipped_samples = 0;            ///< solves that exhausted the ladder
-  std::size_t solver_escalations = 0; ///< rung retries across the whole run
-  std::string last_failure;           ///< reason of the most recent skip
+  int skipped_samples = 0;   ///< solves that exhausted the ladder
+  std::string last_failure;  ///< reason of the most recent skip
 };
 
 /// Run the sampler. The analyzer's stack determines die/bank counts.

@@ -1,5 +1,6 @@
 #include "irdrop/solver.hpp"
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -31,9 +32,12 @@ constexpr std::array<RungInfo, 3> kRungs{{
     {SolverKind::kDense, "dense-cholesky"},
 }};
 
-/// Process-wide mirrors of the per-instance SolveTelemetry counters, named
-/// `solver.<noun_verb>.<rung>` per the metric naming convention and indexed
-/// by the SolverKind value.
+/// One past the largest SolverKind value: the size of per-rung arrays indexed
+/// by the value (the slots of retired values stay null).
+constexpr std::size_t kSolverKindEnd = 6;
+
+/// Process-wide per-rung counters, named `solver.<noun_verb>.<rung>` per the
+/// metric naming convention and indexed by the SolverKind value.
 using RungCounters = std::array<obs::Counter*, kSolverKindEnd>;
 
 RungCounters register_rung_counters(const std::string& prefix) {
@@ -228,7 +232,6 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
   static auto& m_escalations = obs::counter("ladder.escalations");
   static auto& m_iters_hist =
       obs::histogram("solver.iterations_per_solve", obs::exponential_buckets(1.0, 2.0, 16));
-  static auto& m_rung_used = obs::gauge("solver.rung_used");
 
   SolveOutcome outcome;
 
@@ -249,15 +252,12 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
     // Cooperative cancellation (service watchdog): stop instead of
     // escalating into the other rung.
     if (exec::cancellation_requested()) {
-      ++telemetry_.failures;
       m_failures.add(1);
       outcome.status = core::Status::cancelled(
           trail.tellp() > 0 ? "solve cancelled [" + trail.str() + "]" : "solve cancelled");
       return outcome;
     }
     const SolverKind kind = ladder[step];
-    const auto k = static_cast<std::size_t>(kind);
-    ++telemetry_.rung_attempts[k];
     rung_attempt_counter(kind).add(1);
     RungResult rung = run_rung(kind, rhs, ws);
 
@@ -282,10 +282,8 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
         outcome.kind_used = kind;
         outcome.iterations = rung.iterations;
         outcome.rel_residual = rel;
-        ++telemetry_.solves;
         m_solves.add(1);
         m_iters_hist.observe(static_cast<double>(rung.iterations));
-        m_rung_used.set(static_cast<double>(k));
         span.attribute("rung", to_string(kind));
         span.attribute("iterations", static_cast<std::uint64_t>(rung.iterations));
         if (outcome.escalations > 0) {
@@ -297,18 +295,15 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
       }
     }
 
-    ++telemetry_.rung_failures[k];
     rung_failure_counter(kind).add(1);
     if (trail.tellp() > 0) trail << "; ";
     trail << to_string(kind) << ": " << reject;
     if (step + 1 < rungs) {
       ++outcome.escalations;
-      ++telemetry_.escalations;
       m_escalations.add(1);
     }
   }
 
-  ++telemetry_.failures;
   m_failures.add(1);
   outcome.status = core::Status::numerical_failure(
       "all solver rungs failed [" + trail.str() + "]");
@@ -324,7 +319,6 @@ SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws
   static auto& m_solves = obs::counter("solver.solves");
   static auto& m_iters_hist =
       obs::histogram("solver.iterations_per_solve", obs::exponential_buckets(1.0, 2.0, 16));
-  static auto& m_rung_used = obs::gauge("solver.rung_used");
 
   SolveOutcome out;
   out.x.assign(n * count, 0.0);
@@ -354,17 +348,14 @@ SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws
         const double rel = relative_residual(g_, brhs, bx, ws.ax);
         if (!std::isfinite(rel) || rel > options_.verify_rel_tol) continue;
 
-        ++telemetry_.rung_attempts[static_cast<std::size_t>(SolverKind::kSparseDirect)];
         rung_attempt_counter(SolverKind::kSparseDirect).add(1);
         for (std::size_t i = 0; i < n; ++i) {
           out.x[r * n + i] = request.want_ir ? vdd_ - bx[i] : bx[i];
         }
         out.kind_used = SolverKind::kSparseDirect;
         out.rel_residual = std::max(out.rel_residual, rel);
-        ++telemetry_.solves;
         m_solves.add(1);
         m_iters_hist.observe(0.0);
-        m_rung_used.set(static_cast<double>(static_cast<std::size_t>(SolverKind::kSparseDirect)));
         done[r] = 1;
       }
     }
@@ -415,7 +406,6 @@ SolveOutcome IrSolver::solve(const SolveRequest& request, SolveScratch* scratch)
       outcome.status = core::Status::input_error(
           "non-finite sink current at node " + std::to_string(i % n) +
           (request.batch_count > 1 ? " (batch slice " + std::to_string(i / n) + ")" : ""));
-      ++telemetry_.failures;
       m_failures.add(1);
       return outcome;
     }

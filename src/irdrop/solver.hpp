@@ -28,8 +28,6 @@
 /// the fill-ratio guard declines simply fails the rung and the solve
 /// escalates to ic-pcg (see docs/SOLVER.md).
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -47,19 +45,15 @@
 namespace pdn3d::irdrop {
 
 /// Solver rungs. The values are pinned: they key the solver micro-bench
-/// series (bench/BENCH_solver.json), the parameterized test instances and
-/// the `solver.rung_used` gauge, so removing a rung retires its value instead
-/// of renumbering the rest. Values 0 (hierarchical macromodel), 3
-/// (Jacobi-PCG) and 4 (RCM banded direct) are retired.
+/// series (bench/BENCH_solver.json) and the parameterized test instances, so
+/// removing a rung retires its value instead of renumbering the rest. Values
+/// 0 (hierarchical macromodel), 3 (Jacobi-PCG) and 4 (RCM banded direct) are
+/// retired.
 enum class SolverKind {
   kSparseDirect = 1,  ///< AMD-ordered sparse Cholesky: factor once, two sweeps per RHS
   kPcgIc = 2,         ///< IC(0)-preconditioned CG (default, fast)
   kDense = 5,         ///< dense Cholesky -- exact reference ("signoff") path, start only
 };
-
-/// One past the largest SolverKind value: the size of per-rung arrays indexed
-/// by the value (slot 0, the retired value, stays zero).
-inline constexpr std::size_t kSolverKindEnd = 6;
 
 [[nodiscard]] const char* to_string(SolverKind kind);
 
@@ -82,21 +76,6 @@ struct IrSolverOptions {
   /// under the factor's AMD ordering; the default admits them with an order
   /// of magnitude of headroom (see SparseCholeskyOptions).
   double max_fill_ratio = 96.0;
-};
-
-/// Per-rung retry counters, accumulated across all solves of this solver
-/// instance. Surfaced through IrAnalyzer / Monte Carlo so sweeps can report
-/// how often the ladder saved a design point. Counters are atomic: solving
-/// is const and updates them from concurrent sweeps (Monte Carlo, future
-/// threaded co-optimization), which used to tear under the plain mutable
-/// size_t fields. Process-wide aggregates of the same events live in the
-/// metrics registry under `solver.*` (see docs/OBSERVABILITY.md).
-struct SolveTelemetry {
-  std::atomic<std::size_t> solves{0};       ///< successful solves
-  std::atomic<std::size_t> failures{0};     ///< solves that exhausted the ladder
-  std::atomic<std::size_t> escalations{0};  ///< rung failures retried on the other rung
-  std::array<std::atomic<std::size_t>, kSolverKindEnd> rung_attempts{};
-  std::array<std::atomic<std::size_t>, kSolverKindEnd> rung_failures{};
 };
 
 /// One solve, fully specified. This is the single entry shape (the historical
@@ -130,11 +109,14 @@ struct SolveOutcome {
   [[nodiscard]] bool ok() const { return status.is_ok(); }
 };
 
-/// Per-solve work buffers (assembled RHS, verification product, CG vectors).
-/// Solving allocates these fresh when none is supplied; a sweep keeps one
-/// SolveScratch per evaluation context (see EvalContext) and reuses it across
+/// Per-solve work buffers (sink currents, assembled RHS, verification
+/// product, CG vectors). Solving allocates these fresh when none is supplied;
+/// a sweep keeps one SolveScratch per pool chunk and reuses it across
 /// thousands of same-sized solves. Never share one across concurrent solves.
 struct SolveScratch {
+  /// IrAnalyzer::analyze's injection buffer. IrSolver::solve never writes
+  /// it, so a request's sinks may point into it.
+  std::vector<double> sinks;
   std::vector<double> rhs;  ///< supply_rhs - sinks
   std::vector<double> ax;   ///< G*x for residual verification
   linalg::CgScratch cg;
@@ -170,9 +152,6 @@ class IrSolver {
   /// than inside one worker's first solve.
   [[nodiscard]] bool sparse_factor_available() const;
 
-  /// Cumulative per-rung retry counters for this solver instance.
-  [[nodiscard]] const SolveTelemetry& telemetry() const { return telemetry_; }
-
  private:
   struct RungResult {
     bool produced = false;   ///< rung ran and returned an x to verify
@@ -202,7 +181,6 @@ class IrSolver {
   mutable std::once_flag sparse_once_;
   mutable std::unique_ptr<linalg::SparseCholesky> sparse_;
   mutable std::string sparse_error_;  ///< sticky decline reason (fill guard, not SPD)
-  mutable SolveTelemetry telemetry_;
 };
 
 }  // namespace pdn3d::irdrop

@@ -16,9 +16,8 @@
 /// (`solver.rung_attempts.ic-pcg`). Snapshots are sorted by name, so two
 /// snapshots of the same state serialize identically (diffable run reports).
 ///
-/// All mutators are thread-safe; Monte Carlo and future threaded sweeps can
-/// bump the same counter without tearing (the bug the old mutable
-/// SolveTelemetry struct had).
+/// All mutators are thread-safe: concurrent sweeps and service workers bump
+/// the same counter without tearing.
 
 #include <atomic>
 #include <cstdint>

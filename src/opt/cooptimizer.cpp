@@ -25,9 +25,6 @@ CoOptimizer::CoOptimizer(DesignSpace space, std::unique_ptr<Evaluator> evaluate,
 std::vector<CoOptimizer::PointResult> CoOptimizer::evaluate_batch(
     const std::vector<pdn::PdnConfig>& configs) {
   PDN3D_TRACE_SPAN("cooptimize/evaluate_batch");
-  static auto& m_evaluated = obs::counter("cooptimizer.points_evaluated");
-  static auto& m_skipped = obs::counter("cooptimizer.points_skipped");
-
   std::vector<PointResult> results(configs.size());
   // Checkpoint indices are the global running measurement count: the sweep
   // enumerates points deterministically, so index base+i names the same
@@ -39,32 +36,44 @@ std::vector<CoOptimizer::PointResult> CoOptimizer::evaluate_batch(
   exec::ThreadPool pool(static_cast<std::size_t>(threads_));
   pool.parallel_chunks(configs.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
     const std::unique_ptr<Evaluator> ev = evaluate_->fork();
-    for (std::size_t i = begin; i < end; ++i) {
-      PDN3D_TRACE_SPAN("cooptimize/solve_point");
-      PointResult& r = results[i];
-      if (checkpoint_ != nullptr) {
-        if (const util::CheckpointEntry* entry = checkpoint_->find(base + i)) {
-          r.ok = entry->ok;
-          r.ir_mv = entry->value;
-          r.reason = entry->message;
-          continue;
-        }
-      }
-      try {
-        r.ir_mv = ev->measure(configs[i]);
-        r.ok = true;
-      } catch (const core::NumericalError& e) {
-        if (e.status().code() == core::StatusCode::kCancelled) throw;
-        r.reason = e.status().to_string();
-      } catch (const core::ValidationError& e) {
-        r.reason = e.report().to_status().to_string();
-      }
-      if (checkpoint_ != nullptr) checkpoint_->record(base + i, {r.ok, r.ir_mv, r.reason});
-    }
+    for (std::size_t i = begin; i < end; ++i) results[i] = measure_point(*ev, configs[i], base + i);
   });
 
   // Bookkeeping after the region completes, in index order: skipped_ and the
   // counters come out identical at any thread count.
+  account(configs, results);
+  return results;
+}
+
+CoOptimizer::PointResult CoOptimizer::measure_point(Evaluator& ev, const pdn::PdnConfig& config,
+                                                    std::uint64_t index) const {
+  PDN3D_TRACE_SPAN("cooptimize/solve_point");
+  PointResult r;
+  if (checkpoint_ != nullptr) {
+    if (const util::CheckpointEntry* entry = checkpoint_->find(index)) {
+      r.ok = entry->ok;
+      r.ir_mv = entry->value;
+      r.reason = entry->message;
+      return r;
+    }
+  }
+  try {
+    r.ir_mv = ev.measure(config);
+    r.ok = true;
+  } catch (const core::NumericalError& e) {
+    if (e.status().code() == core::StatusCode::kCancelled) throw;
+    r.reason = e.status().to_string();
+  } catch (const core::ValidationError& e) {
+    r.reason = e.report().to_status().to_string();
+  }
+  if (checkpoint_ != nullptr) checkpoint_->record(index, {r.ok, r.ir_mv, r.reason});
+  return r;
+}
+
+void CoOptimizer::account(std::span<const pdn::PdnConfig> configs,
+                          std::span<const PointResult> results) {
+  static auto& m_evaluated = obs::counter("cooptimizer.points_evaluated");
+  static auto& m_skipped = obs::counter("cooptimizer.points_skipped");
   total_samples_ += configs.size();
   m_evaluated.add(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -74,42 +83,6 @@ std::vector<CoOptimizer::PointResult> CoOptimizer::evaluate_batch(
     util::log_warn("co-optimizer: skipping unsolvable point ", configs[i].summary(), " -- ",
                    results[i].reason);
   }
-  return results;
-}
-
-bool CoOptimizer::sample_point(const pdn::PdnConfig& config, double* ir_mv) {
-  PDN3D_TRACE_SPAN("cooptimize/solve_point");
-  static auto& m_evaluated = obs::counter("cooptimizer.points_evaluated");
-  static auto& m_skipped = obs::counter("cooptimizer.points_skipped");
-  const std::uint64_t index = static_cast<std::uint64_t>(total_samples_);
-  ++total_samples_;
-  m_evaluated.add(1);
-  if (checkpoint_ != nullptr) {
-    if (const util::CheckpointEntry* entry = checkpoint_->find(index)) {
-      if (entry->ok) {
-        *ir_mv = entry->value;
-        return true;
-      }
-      skipped_.push_back({config, entry->message});
-      m_skipped.add(1);
-      return false;
-    }
-  }
-  try {
-    *ir_mv = evaluate_->measure(config);
-    if (checkpoint_ != nullptr) checkpoint_->record(index, {true, *ir_mv, {}});
-    return true;
-  } catch (const core::NumericalError& e) {
-    if (e.status().code() == core::StatusCode::kCancelled) throw;
-    skipped_.push_back({config, e.status().to_string()});
-  } catch (const core::ValidationError& e) {
-    skipped_.push_back({config, e.report().to_status().to_string()});
-  }
-  if (checkpoint_ != nullptr) checkpoint_->record(index, {false, 0.0, skipped_.back().reason});
-  m_skipped.add(1);
-  util::log_warn("co-optimizer: skipping unsolvable point ", config.summary(), " -- ",
-                 skipped_.back().reason);
-  return false;
 }
 
 std::string CoOptimizer::check_constraint(const pdn::PdnConfig& config) {
@@ -267,7 +240,12 @@ Optimum CoOptimizer::optimize(double alpha) {
     if (best.objective == std::numeric_limits<double>::max()) {
       throw std::runtime_error("CoOptimizer: empty design space");
     }
-    if (sample_point(best.config, &best.measured_ir_mv)) {
+    // Re-measure the winner alone: off the pool and with no hint_sweep(), so
+    // an evaluator that accounts per sweep keeps this point out of the sweeps.
+    const PointResult measured = measure_point(*evaluate_, best.config, total_samples_);
+    account({&best.config, 1}, {&measured, 1});
+    if (measured.ok) {
+      best.measured_ir_mv = measured.ir_mv;
       const std::string rejection = check_constraint(best.config);
       if (rejection.empty()) {
         if (checkpoint_ != nullptr) checkpoint_->flush();

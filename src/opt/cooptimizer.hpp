@@ -11,8 +11,10 @@
 /// fitted models, re-measuring the winner with the R-Mesh (Table 9 reports
 /// both the model's and the R-Mesh's IR drop for the optimum).
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,8 +32,9 @@ namespace pdn3d::opt {
 /// engine. The co-optimizer parallelizes its sample sweep by fork()ing one
 /// evaluator per worker chunk: measure() may keep per-instance scratch
 /// without any locking, as long as fork()ed siblings are independent (shared
-/// data immutable or internally synchronized -- see irdrop::EvalContext for
-/// the canonical layering).
+/// data immutable or internally synchronized -- the canonical layering is the
+/// LUT and Monte Carlo sweeps' one irdrop::SolveScratch per chunk over a
+/// shared IrAnalyzer).
 class Evaluator {
  public:
   virtual ~Evaluator() = default;
@@ -162,9 +165,17 @@ class CoOptimizer {
   /// independent of the thread count.
   std::vector<PointResult> evaluate_batch(const std::vector<pdn::PdnConfig>& configs);
 
-  /// Evaluate one sample serially; records a SkippedPoint and returns false
-  /// on a structured solver failure.
-  bool sample_point(const pdn::PdnConfig& config, double* ir_mv);
+  /// One measurement on @p ev: replays the checkpoint entry at running index
+  /// @p index when there is one, else measures and records the result. A
+  /// solver or validation failure comes back as !ok; a cancellation throws.
+  /// Safe to call concurrently with distinct evaluators.
+  PointResult measure_point(Evaluator& ev, const pdn::PdnConfig& config,
+                            std::uint64_t index) const;
+
+  /// The in-order bookkeeping of measured points: advances the running
+  /// measurement count and records and warns about every failure as a
+  /// SkippedPoint.
+  void account(std::span<const pdn::PdnConfig> configs, std::span<const PointResult> results);
 
   /// Run the attached constraint on a re-measured winner. Empty = accepted;
   /// a thrown solver/validation error reads as a rejection reason.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/status.hpp"
 #include "linalg/coo.hpp"
 #include "util/units.hpp"
 
@@ -11,32 +12,28 @@ namespace pdn3d::transient {
 
 TransientSimulator::TransientSimulator(const pdn::StackModel& model, std::span<const double> caps,
                                        double dt_s)
-    : model_(model), dt_(dt_s) {
+    : model_(model), dc_solver_(model), dt_(dt_s) {
   const std::size_t n = model.node_count();
   if (caps.size() != n) throw std::invalid_argument("TransientSimulator: cap vector size");
   if (dt_s <= 0.0) throw std::invalid_argument("TransientSimulator: dt must be positive");
-  if (model.taps().empty()) throw std::invalid_argument("TransientSimulator: no supply taps");
 
   cap_over_dt_.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) cap_over_dt_[i] = caps[i] / dt_;
 
-  linalg::CooBuilder g_builder(n);
-  for (const auto& r : model.resistors()) g_builder.stamp_conductance(r.a, r.b, 1.0 / r.ohms);
+  linalg::CooBuilder builder(n);
+  for (const auto& r : model.resistors()) builder.stamp_conductance(r.a, r.b, 1.0 / r.ohms);
   supply_rhs_.assign(n, 0.0);
   for (const auto& t : model.taps()) {
     const double g = 1.0 / t.ohms;
-    g_builder.stamp_to_ground(t.node, g);
+    builder.stamp_to_ground(t.node, g);
     supply_rhs_[t.node] += g * model.vdd();
   }
-  g_only_ = g_builder.compress();
-
   for (std::size_t i = 0; i < n; ++i) {
-    if (cap_over_dt_[i] > 0.0) g_builder.stamp_to_ground(i, cap_over_dt_[i]);
+    if (cap_over_dt_[i] > 0.0) builder.stamp_to_ground(i, cap_over_dt_[i]);
   }
-  system_ = g_builder.compress();
+  system_ = builder.compress();
 
   ic_system_ = std::make_unique<linalg::IncompleteCholesky>(system_);
-  ic_g_ = std::make_unique<linalg::IncompleteCholesky>(g_only_);
 }
 
 std::vector<double> TransientSimulator::solve(const std::vector<double>& rhs,
@@ -94,40 +91,10 @@ TransientResult TransientSimulator::step_response(std::span<const double> sinks,
 
   TransientResult out;
 
-  // DC reference (t -> inf) via the G-only system.
-  {
-    std::vector<double> rhs(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = supply_rhs_[i] - sinks[i];
-    // Plain IC-PCG on G.
-    std::vector<double> x(n, model_.vdd());
-    std::vector<double> r(n, 0.0);
-    g_only_.multiply(x, r);
-    for (std::size_t i = 0; i < n; ++i) r[i] = rhs[i] - r[i];
-    std::vector<double> z(n, 0.0);
-    std::vector<double> p(n, 0.0);
-    std::vector<double> ap(n, 0.0);
-    const double target = 1e-9 * linalg::norm2(rhs);
-    if (linalg::norm2(r) > target) {
-      ic_g_->apply(r, z);
-      p = z;
-      double rz = linalg::dot(r, z);
-      for (std::size_t it = 0; it < 20000; ++it) {
-        g_only_.multiply(p, ap);
-        const double pap = linalg::dot(p, ap);
-        if (pap <= 0.0) break;
-        const double alpha = rz / pap;
-        linalg::axpy(alpha, p, x);
-        linalg::axpy(-alpha, ap, r);
-        if (linalg::norm2(r) <= target) break;
-        ic_g_->apply(r, z);
-        const double rz_new = linalg::dot(r, z);
-        const double beta = rz_new / rz;
-        rz = rz_new;
-        for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-      }
-    }
-    out.dc_ir_mv = worst_dram_ir(x);
-  }
+  // DC reference (t -> inf): a verified solve of G alone, or a typed error.
+  irdrop::SolveOutcome dc = dc_solver_.solve({.sinks = sinks});
+  if (!dc.ok()) throw core::NumericalError(std::move(dc.status));
+  out.dc_ir_mv = worst_dram_ir(dc.x);
 
   // Time march from the fully charged state.
   std::vector<double> v(n, model_.vdd());

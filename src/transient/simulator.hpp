@@ -6,7 +6,10 @@
 /// Backward-Euler integration of C dv/dt = -G v + b with the same nodal
 /// system the DC engine uses plus per-node decap. The system matrix
 /// (G + C/dt) is SPD, factorized once (IC(0)) and reused across time steps,
-/// so a full step response costs a few hundred PCG solves at most.
+/// so a full step response costs a few hundred PCG solves at most. The DC
+/// reference (t -> inf) is the DC engine itself: an irdrop::IrSolver that
+/// validates the mesh at construction and returns a verified answer or a
+/// typed error.
 ///
 /// This extends the paper's DC analysis toward its AC remarks (bond wires
 /// reaching off-chip decaps, local decap from sub-bank partitioning).
@@ -15,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "irdrop/solver.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/ichol.hpp"
 #include "pdn/stack_model.hpp"
@@ -34,10 +38,13 @@ class TransientSimulator {
  public:
   /// @param caps per-node capacitance in farads (node_count entries).
   /// @param dt_s integration step (s). Accuracy ~ O(dt); 50 ps default-ish.
+  /// @throws core::ValidationError (a std::invalid_argument) when the mesh
+  /// fails pre-solve validation.
   TransientSimulator(const pdn::StackModel& model, std::span<const double> caps, double dt_s);
 
   /// Step response: all nodes start at VDD (idle), then @p sinks switch on at
-  /// t = 0 and stay. Simulates for @p duration_s.
+  /// t = 0 and stay. Simulates for @p duration_s. Throws core::NumericalError
+  /// when the DC reference solve fails.
   [[nodiscard]] TransientResult step_response(std::span<const double> sinks,
                                               double duration_s) const;
 
@@ -49,13 +56,12 @@ class TransientSimulator {
   [[nodiscard]] double worst_dram_ir(std::span<const double> v) const;
 
   const pdn::StackModel& model_;
+  irdrop::IrSolver dc_solver_;       ///< G alone, for the DC reference
   double dt_;
   std::vector<double> cap_over_dt_;  ///< C/dt per node
   std::vector<double> supply_rhs_;   ///< sum of g*VDD per node (DC part)
   linalg::Csr system_;               ///< G + C/dt
-  linalg::Csr g_only_;               ///< G (for the DC reference)
   std::unique_ptr<linalg::IncompleteCholesky> ic_system_;
-  std::unique_ptr<linalg::IncompleteCholesky> ic_g_;
 };
 
 }  // namespace pdn3d::transient

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "exec/thread_pool.hpp"
 #include "floorplan/logic_floorplan.hpp"
 #include "pdn/stack_builder.hpp"
 #include "tech/presets.hpp"
@@ -173,6 +178,61 @@ TEST(IrAnalyzer, AnalyzeBatchHandlesEdgeSizes) {
   // A bad state anywhere in the batch fails the whole call (all-or-nothing).
   const std::vector<power::MemoryState> mixed = {f.state("0-0-0-2"), f.state("0-0-2")};
   EXPECT_THROW((void)a.analyze_batch(mixed), std::invalid_argument);
+}
+
+TEST(IrAnalyzer, ScratchReuseIsBitwiseStable) {
+  // Repeated analyses through one scratch reuse its buffers; the answers must
+  // stay bitwise identical to analyses with fresh buffers.
+  const Fixture f;
+  const auto a = f.analyzer();
+  SolveScratch scratch;
+  for (const char* s : {"0-0-0-2", "2-0-0-0", "1-1-0-0", "0-0-0-2"}) {
+    EXPECT_EQ(a.analyze(f.state(s), &scratch).dram_max_mv, a.analyze(f.state(s)).dram_max_mv)
+        << s;
+  }
+}
+
+TEST(ConcurrentAnalyzer, PerChunkScratchAgreesWithSerial) {
+  // One scratch per pool chunk over one shared analyzer: results must be
+  // bitwise identical to the serial pass (the sweep-engine contract).
+  const Fixture f;
+  const auto a = f.analyzer();
+  const std::vector<std::string> names = {"0-0-0-2", "2-0-0-0", "1-1-0-0",
+                                          "0-2-0-0", "0-0-2-0", "0-0-0-1"};
+  std::vector<power::MemoryState> states;
+  std::vector<double> expected;
+  for (const auto& s : names) {
+    states.push_back(f.state(s));
+    expected.push_back(a.analyze(states.back()).dram_max_mv);
+  }
+
+  exec::ThreadPool pool(4);
+  std::vector<double> got(states.size(), 0.0);
+  pool.parallel_chunks(states.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+    SolveScratch scratch;
+    for (std::size_t i = begin; i < end; ++i) got[i] = a.analyze(states[i], &scratch).dram_max_mv;
+  });
+  for (std::size_t i = 0; i < states.size(); ++i) EXPECT_EQ(got[i], expected[i]) << names[i];
+}
+
+TEST(ConcurrentAnalyzer, SharedAnalyzerIsRaceFreeUnderTsan) {
+  // Hammer one analyzer from many threads, each with its own scratch. The
+  // assertions are light; the value of this test is running under
+  // PDN3D_SANITIZE=thread (scripts/run_sanitized_tests.sh).
+  const Fixture f;
+  const auto a = f.analyzer();
+  const auto st = f.state("0-0-0-2");
+  const double expected = a.analyze(st).dram_max_mv;
+  std::vector<std::thread> threads;
+  std::vector<double> results(4, 0.0);
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    threads.emplace_back([&, t] {
+      SolveScratch scratch;
+      for (int rep = 0; rep < 3; ++rep) results[t] = a.analyze(st, &scratch).dram_max_mv;
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const double r : results) EXPECT_EQ(r, expected);
 }
 
 TEST(IrAnalyzer, MoreMetalLowersDrop) {

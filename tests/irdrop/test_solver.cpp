@@ -35,6 +35,19 @@ std::vector<double> solve_drops(const IrSolver& solver, std::span<const double> 
   return std::move(outcome.x);
 }
 
+/// Registry counters (docs/OBSERVABILITY.md) read as deltas from
+/// construction, so the expectations hold whatever the other tests of this
+/// binary solved first.
+class CounterDeltas {
+ public:
+  [[nodiscard]] std::uint64_t operator()(const std::string& name) {
+    return obs::counter(name).value() - start_.counters[name];
+  }
+
+ private:
+  obs::MetricsSnapshot start_ = obs::MetricsRegistry::instance().snapshot();
+};
+
 /// 8x3 mesh with one corner tap: IC(0) is inexact here, so a starved CG
 /// (max_iterations = 1) genuinely fails and exercises the escalation ladder.
 pdn::StackModel starvable_mesh() {
@@ -240,27 +253,27 @@ TEST(IrSolver, EscalationCanBeDisabled) {
   opts.cg_max_iterations = 1;
   opts.escalate = false;
   IrSolver solver(m, SolverKind::kPcgIc, opts);
+  CounterDeltas delta;
   const auto outcome =
       solver.solve(SolveRequest{.sinks = std::vector<double>(m.node_count(), 0.01)});
   EXPECT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status.code(), core::StatusCode::kNumericalFailure);
   // Only the configured rung was tried.
-  const auto& t = solver.telemetry();
-  EXPECT_EQ(t.rung_attempts[static_cast<std::size_t>(SolverKind::kPcgIc)], 1u);
-  EXPECT_EQ(t.rung_attempts[static_cast<std::size_t>(SolverKind::kSparseDirect)], 0u);
-  EXPECT_EQ(t.failures, 1u);
+  EXPECT_EQ(delta("solver.rung_attempts.ic-pcg"), 1u);
+  EXPECT_EQ(delta("solver.rung_attempts.sparse-direct"), 0u);
+  EXPECT_EQ(delta("solver.failures"), 1u);
 }
 
 TEST(IrSolver, TelemetryAccumulatesAcrossSolves) {
   const auto m = two_node_divider();
   IrSolver solver(m);
+  CounterDeltas delta;
   (void)solver.solve(SolveRequest{.sinks = std::vector<double>{0.0, 1.0}});
   (void)solver.solve(SolveRequest{.sinks = std::vector<double>{0.5, 0.0}});
-  const auto& t = solver.telemetry();
-  EXPECT_EQ(t.solves, 2u);
-  EXPECT_EQ(t.failures, 0u);
-  EXPECT_EQ(t.escalations, 0u);
-  EXPECT_EQ(t.rung_attempts[static_cast<std::size_t>(SolverKind::kPcgIc)], 2u);
+  EXPECT_EQ(delta("solver.solves"), 2u);
+  EXPECT_EQ(delta("solver.failures"), 0u);
+  EXPECT_EQ(delta("ladder.escalations"), 0u);
+  EXPECT_EQ(delta("solver.rung_attempts.ic-pcg"), 2u);
 }
 
 TEST(IrSolver, ExplicitDenseStartIgnoresEscalationLimit) {
@@ -480,6 +493,7 @@ TEST(IrSolver, DeclinedSparseFactorFallsDownLadder) {
   EXPECT_FALSE(solver.sparse_factor_available());
 
   const std::vector<double> sinks(m.node_count(), 0.01);
+  CounterDeltas delta;
   const auto outcome = solver.solve(SolveRequest{.sinks = sinks});
   ASSERT_TRUE(outcome.ok()) << outcome.status.to_string();
   EXPECT_EQ(outcome.escalations, 1u);
@@ -487,7 +501,7 @@ TEST(IrSolver, DeclinedSparseFactorFallsDownLadder) {
   EXPECT_EQ(precond_builds(), builds_before + 1);
   ASSERT_TRUE(solver.solve(SolveRequest{.sinks = sinks}).ok());
   EXPECT_EQ(precond_builds(), builds_before + 1);  // built once, then reused
-  EXPECT_EQ(solver.telemetry().rung_attempts[static_cast<std::size_t>(SolverKind::kDense)], 0u);
+  EXPECT_EQ(delta("solver.rung_attempts.dense-cholesky"), 0u);
 
   const auto reference = solve_voltages(IrSolver(m), sinks);
   for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -504,6 +518,7 @@ TEST(IrSolver, BothRungsFailingIsATypedFailureNamingBoth) {
   opts.max_fill_ratio = 1e-9;
   for (const SolverKind start : {SolverKind::kPcgIc, SolverKind::kSparseDirect}) {
     IrSolver solver(m, start, opts);
+    CounterDeltas delta;
     const auto outcome =
         solver.solve(SolveRequest{.sinks = std::vector<double>(m.node_count(), 0.01)});
     ASSERT_FALSE(outcome.ok()) << to_string(start);
@@ -514,9 +529,8 @@ TEST(IrSolver, BothRungsFailingIsATypedFailureNamingBoth) {
     EXPECT_NE(message.find("ic-pcg: max-iterations"), std::string::npos) << message;
     EXPECT_NE(message.find("sparse-direct: sparse factorization declined"), std::string::npos)
         << message;
-    const auto& t = solver.telemetry();
-    EXPECT_EQ(t.rung_attempts[static_cast<std::size_t>(SolverKind::kDense)], 0u);
-    EXPECT_EQ(t.failures, 1u);
+    EXPECT_EQ(delta("solver.rung_attempts.dense-cholesky"), 0u);
+    EXPECT_EQ(delta("solver.failures"), 1u);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/benchmarks.hpp"
+#include "core/status.hpp"
 #include "irdrop/analysis.hpp"
 #include "pdn/stack_builder.hpp"
 #include "transient/decap.hpp"
@@ -113,6 +114,30 @@ TEST(TransientSimulator, InputValidation) {
   EXPECT_THROW(sim.step_response(bad_sinks, 1e-7), std::invalid_argument);
   const std::vector<double> sinks(built.model.node_count(), 0.0);
   EXPECT_THROW(sim.step_response(sinks, 0.0), std::invalid_argument);
+}
+
+TEST(TransientSimulator, FloatingIslandIsATypedValidationError) {
+  // A loaded island with no path to the supply has no DC answer: the mesh is
+  // refused at construction instead of yielding a DC droop without an error.
+  pdn::StackModel m(1.0);
+  pdn::LayerGrid g;
+  g.nx = 4;
+  g.ny = 1;
+  g.dx = g.dy = 1.0;
+  m.add_grid(g);
+  m.set_dram_die_count(1);
+  m.add_tap(0, 1.0);
+  m.add_resistor(0, 1, 1.0);
+  m.add_resistor(2, 3, 1.0);  // island with no path to the tap
+  const std::vector<double> caps(m.node_count(), 1e-12);
+  try {
+    const TransientSimulator sim(m, caps, 1e-11);
+    const std::vector<double> island_load = {0.0, 0.0, 1e-3, 0.0};
+    FAIL() << "floating island reached the DC reference: dc_ir_mv = "
+           << sim.step_response(island_load, 1e-10).dc_ir_mv;
+  } catch (const core::ValidationError& e) {
+    EXPECT_TRUE(e.report().has_check("floating-node")) << e.report().to_string();
+  }
 }
 
 }  // namespace

@@ -336,12 +336,8 @@ int cmd_report(core::Platform& p, const Args& a) {
                                bench.stack.num_dram_dies)) - 1;  // 1-based
 
   const auto built = pdn::build_stack(bench.stack, cfg);
-  irdrop::PowerBinding power;
-  power.dram = bench.dram_power;
-  power.logic = bench.logic_power;
-  power.dram_scale = bench.power_scale;
   const irdrop::IrAnalyzer analyzer(built.model, bench.stack.dram_fp, bench.stack.logic_fp,
-                                    power);
+                                    p.power_binding());
   const auto report = analyzer.block_report(state, die);
 
   std::cout << "design : " << cfg.summary() << "\n";
@@ -359,12 +355,8 @@ int cmd_droop(core::Platform& p, const Args& a) {
   const auto cfg = design_options(a).apply(p.benchmark().baseline);
   const auto& bench = p.benchmark();
   const auto built = pdn::build_stack(bench.stack, cfg);
-  irdrop::PowerBinding power;
-  power.dram = bench.dram_power;
-  power.logic = bench.logic_power;
-  power.dram_scale = bench.power_scale;
   const irdrop::IrAnalyzer analyzer(built.model, bench.stack.dram_fp, bench.stack.logic_fp,
-                                    power);
+                                    p.power_binding());
   const std::string state_text = a.get("--state").value_or(bench.default_state);
   const auto state = p.parse_state(state_text, get_double(a, "--activity", -1.0, -1.0, 1.0));
   const auto sinks = analyzer.injection(state);
@@ -435,12 +427,8 @@ int cmd_export(core::Platform& p, const Args& a) {
 
   const auto& bench = p.benchmark();
   const auto built = pdn::build_stack(bench.stack, cfg);
-  irdrop::PowerBinding power;
-  power.dram = bench.dram_power;
-  power.logic = bench.logic_power;
-  power.dram_scale = bench.power_scale;
   const irdrop::IrAnalyzer analyzer(built.model, bench.stack.dram_fp, bench.stack.logic_fp,
-                                    power);
+                                    p.power_binding());
   const auto sinks = analyzer.injection(state);
   const auto ir = analyzer.ir_map(state);
 
