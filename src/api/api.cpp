@@ -259,8 +259,11 @@ void render_cooptimize(const core::Platform& p, const EvaluateRequest& request,
   const double alpha = request.alpha;
   auto opt = p.make_cooptimizer();
   // total=0: the measurement count is open-ended (adaptive densify rounds and
-  // re-measure retries), but the enumeration order is deterministic.
-  const auto ckpt = open_checkpoint(request, "", 0);
+  // re-measure retries), but the enumeration order is deterministic. The
+  // layout tag names that order (every grid, then the densify points, then
+  // the winners), so a file written under another index layout is refused
+  // as a key mismatch instead of being replayed into the wrong indices.
+  const auto ckpt = open_checkpoint(request, "|layout=grids-densify-winners", 0);
   if (ckpt != nullptr) opt.set_checkpoint(ckpt.get());
   if (request.design.em_enabled()) {
     // Hard EM constraint: a cost/IR optimum that violates a current-density

@@ -10,6 +10,7 @@
 
 #include "faults/faults.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace pdn3d::exec {
 
@@ -51,6 +52,9 @@ void set_default_thread_count(std::size_t threads) {
 struct ThreadPool::Region {
   std::size_t n = 0;
   const std::function<void(std::size_t)>* body = nullptr;
+  /// The submitting thread's open span path: workers root the region's spans
+  /// there, so task spans nest under the span that opened the region.
+  obs::SpanContext span_context;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> completed{0};
   std::atomic<std::size_t> participants{0};
@@ -99,6 +103,7 @@ ThreadPool::ThreadPool(std::size_t threads)
           seen = impl_->generation;
           region = impl_->current;
         }
+        const obs::ScopedSpanRoot span_root(region->span_context);
         tls_in_region = true;
         run_region(*region);
         tls_in_region = false;
@@ -171,6 +176,7 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   auto region = std::make_shared<Region>();
   region->n = n;
   region->body = &body;
+  region->span_context = obs::current_span_context();
   m_queue_depth.set(static_cast<double>(n));
   {
     const std::lock_guard<std::mutex> lock(impl_->mutex);

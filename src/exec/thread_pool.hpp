@@ -19,6 +19,9 @@
 ///    inline on the calling thread, no locks, no allocation beyond the
 ///    result vector -- the single-thread overhead budget is <= 5% vs a plain
 ///    loop.
+///  - **Span nesting.** A region records the submitting thread's open trace
+///    span path; workers root the spans of its tasks there for the length of
+///    the region, so the trace tree is the same whichever thread ran a task.
 ///  - **Determinism is the caller's contract.** The pool guarantees order of
 ///    results, not order of execution; callers must derive any randomness
 ///    from the task index (see util::Rng::split), never from thread identity.

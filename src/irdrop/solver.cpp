@@ -105,17 +105,22 @@ IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOption
   }
 
   const std::size_t n = model.node_count();
-  linalg::CooBuilder builder(n);
-  for (const auto& r : model.resistors()) {
-    builder.stamp_conductance(r.a, r.b, 1.0 / r.ohms);
-  }
   supply_rhs_.assign(n, 0.0);
-  for (const auto& t : model.taps()) {
-    const double g = 1.0 / t.ohms;
-    builder.stamp_to_ground(t.node, g);
-    supply_rhs_[t.node] += g * vdd_;
+  {
+    // Exactly sized (four triplets per resistor, one per tap), and released
+    // before the IC(0) build below so the two never peak together.
+    linalg::CooBuilder builder(n);
+    builder.reserve(4 * model.resistors().size() + model.taps().size());
+    for (const auto& r : model.resistors()) {
+      builder.stamp_conductance(r.a, r.b, 1.0 / r.ohms);
+    }
+    for (const auto& t : model.taps()) {
+      const double g = 1.0 / t.ohms;
+      builder.stamp_to_ground(t.node, g);
+      supply_rhs_[t.node] += g * vdd_;
+    }
+    g_ = builder.compress();
   }
-  g_ = builder.compress();
 
   // An ic-pcg start builds IC(0) now, as part of setting up the design. The
   // sparse factor is built on first use (see sparse()) so that a declined

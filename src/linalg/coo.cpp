@@ -1,12 +1,38 @@
 #include "linalg/coo.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace pdn3d::linalg {
 
+namespace {
+
+/// Stable insertion sort of one row's (column, value) entries by column.
+/// Mesh rows hold a handful of triplets (the stacks' longest about 100), so
+/// this is the cheap part of the pass.
+void sort_row_by_column(std::size_t* cols, double* vals, std::size_t count) {
+  for (std::size_t k = 1; k < count; ++k) {
+    const std::size_t c = cols[k];
+    const double v = vals[k];
+    std::size_t j = k;
+    for (; j > 0 && cols[j - 1] > c; --j) {
+      cols[j] = cols[j - 1];
+      vals[j] = vals[j - 1];
+    }
+    cols[j] = c;
+    vals[j] = v;
+  }
+}
+
+}  // namespace
+
 CooBuilder::CooBuilder(std::size_t n) : n_(n) {}
+
+void CooBuilder::reserve(std::size_t triplets) {
+  rows_.reserve(triplets);
+  cols_.reserve(triplets);
+  vals_.reserve(triplets);
+}
 
 void CooBuilder::add(std::size_t row, std::size_t col, double value) {
   if (row >= n_ || col >= n_) throw std::out_of_range("CooBuilder::add: index out of range");
@@ -32,35 +58,49 @@ void CooBuilder::stamp_to_ground(std::size_t a, double g) {
 
 Csr CooBuilder::compress() const {
   const std::size_t nnz_in = rows_.size();
-  std::vector<std::size_t> order(nnz_in);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
-    if (rows_[i] != rows_[j]) return rows_[i] < rows_[j];
-    return cols_[i] < cols_[j];
-  });
 
+  // Counting sort by row: bucket r spans [row_ptr[r], row_ptr[r + 1]) and
+  // holds row r's triplets in insertion order.
   std::vector<std::size_t> row_ptr(n_ + 1, 0);
-  std::vector<std::size_t> col_idx;
-  std::vector<double> values;
-  col_idx.reserve(nnz_in);
-  values.reserve(nnz_in);
-
-  std::size_t i = 0;
-  while (i < nnz_in) {
-    const std::size_t r = rows_[order[i]];
-    const std::size_t c = cols_[order[i]];
-    double sum = 0.0;
-    while (i < nnz_in && rows_[order[i]] == r && cols_[order[i]] == c) {
-      sum += vals_[order[i]];
-      ++i;
-    }
-    if (sum != 0.0) {
-      col_idx.push_back(c);
-      values.push_back(sum);
-      ++row_ptr[r + 1];
+  for (const std::size_t r : rows_) ++row_ptr[r + 1];
+  for (std::size_t r = 0; r < n_; ++r) row_ptr[r + 1] += row_ptr[r];
+  std::vector<std::size_t> col_idx(nnz_in);
+  std::vector<double> values(nnz_in);
+  {
+    std::vector<std::size_t> next(row_ptr.begin(), row_ptr.end() - 1);
+    for (std::size_t k = 0; k < nnz_in; ++k) {
+      const std::size_t slot = next[rows_[k]]++;
+      col_idx[slot] = cols_[k];
+      values[slot] = vals_[k];
     }
   }
-  for (std::size_t r = 0; r < n_; ++r) row_ptr[r + 1] += row_ptr[r];
+
+  // Order each bucket by column, then merge its duplicates in place: the
+  // merged entries are written behind the read position, never ahead of it.
+  std::size_t out = 0;
+  std::size_t begin = 0;
+  for (std::size_t r = 0; r < n_; ++r) {
+    const std::size_t end = row_ptr[r + 1];
+    sort_row_by_column(col_idx.data() + begin, values.data() + begin, end - begin);
+    for (std::size_t i = begin; i < end;) {
+      const std::size_t c = col_idx[i];
+      double sum = 0.0;
+      for (; i < end && col_idx[i] == c; ++i) sum += values[i];
+      if (sum != 0.0) {
+        col_idx[out] = c;
+        values[out] = sum;
+        ++out;
+      }
+    }
+    row_ptr[r + 1] = out;
+    begin = end;
+  }
+  // The matrix outlives the builder (a cached design keeps it for good), so
+  // give back the duplicates' share of the buckets.
+  col_idx.resize(out);
+  col_idx.shrink_to_fit();
+  values.resize(out);
+  values.shrink_to_fit();
 
   return Csr(n_, std::move(row_ptr), std::move(col_idx), std::move(values));
 }

@@ -19,6 +19,10 @@ class CooBuilder {
   /// @param n matrix dimension (square matrices only -- nodal analysis).
   explicit CooBuilder(std::size_t n);
 
+  /// Pre-size the triplet storage for @p triplets entries (a capacity hint;
+  /// callers that know their stamp count avoid the vectors' regrowth).
+  void reserve(std::size_t triplets);
+
   /// Accumulate @p value at (row, col). Duplicates sum on compression.
   void add(std::size_t row, std::size_t col, double value);
 
@@ -32,8 +36,14 @@ class CooBuilder {
   [[nodiscard]] std::size_t dimension() const { return n_; }
   [[nodiscard]] std::size_t triplet_count() const { return rows_.size(); }
 
-  /// Sort, merge duplicates, and build a CSR matrix. The builder remains
-  /// valid and may keep accumulating (compress again for an updated matrix).
+  /// Build a CSR matrix without a comparison sort over the triplets: a
+  /// stable counting sort by row, then a stable insertion sort by column
+  /// within each row (linear in the triplet count for a mesh's short rows).
+  /// The duplicates of one (row, col) sum left to right in insertion order,
+  /// starting from 0.0, so the values are a pure function of the stamp
+  /// sequence; an entry whose sum is exactly 0.0 is dropped. The builder
+  /// remains valid and may keep accumulating (compress again for an updated
+  /// matrix).
   [[nodiscard]] Csr compress() const;
 
  private:

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <sstream>
+#include <utility>
 
 #include "util/string_util.hpp"
 
@@ -37,11 +38,15 @@ struct Frame {
   std::string path;
   std::string name;
   std::uint64_t start_us = 0;
+  int depth = 0;               ///< nesting depth, counting an inherited root's
   double child_seconds = 0.0;  ///< accumulated inclusive time of direct children
   std::vector<std::pair<std::string, std::string>> attributes;
 };
 
 thread_local std::vector<Frame> t_stack;
+
+/// Where spans opened on an empty stack nest (set by ScopedSpanRoot).
+thread_local SpanContext t_root;
 
 /// Per-thread capture state for begin_capture()/end_capture().
 struct CaptureState {
@@ -54,6 +59,17 @@ struct CaptureState {
 thread_local CaptureState t_capture;
 
 }  // namespace
+
+SpanContext current_span_context() {
+  if (t_stack.empty()) return t_root;
+  return {t_stack.back().path, t_stack.back().depth + 1};
+}
+
+ScopedSpanRoot::ScopedSpanRoot(SpanContext context) : saved_(std::move(t_root)) {
+  t_root = std::move(context);
+}
+
+ScopedSpanRoot::~ScopedSpanRoot() { t_root = std::move(saved_); }
 
 void begin_capture(std::size_t capacity) {
   t_capture.active = true;
@@ -197,14 +213,16 @@ TraceSpan::TraceSpan(std::string_view name) {
   TraceStore& store = TraceStore::instance();
   if (!store.enabled()) return;
   Frame frame;
-  if (t_stack.empty()) {
+  const std::string& parent = t_stack.empty() ? t_root.path : t_stack.back().path;
+  if (parent.empty()) {
     frame.path = std::string(name);
   } else {
-    frame.path.reserve(t_stack.back().path.size() + 1 + name.size());
-    frame.path += t_stack.back().path;
+    frame.path.reserve(parent.size() + 1 + name.size());
+    frame.path += parent;
     frame.path += '/';
     frame.path += name;
   }
+  frame.depth = t_stack.empty() ? t_root.depth : t_stack.back().depth + 1;
   frame.name = std::string(name);
   frame.start_us = now_us();
   frame_index_ = t_stack.size();
@@ -236,7 +254,7 @@ TraceSpan::~TraceSpan() {
   record.start_us = frame.start_us;
   record.duration_us = end_us >= frame.start_us ? end_us - frame.start_us : 0;
   record.thread_index = this_thread_index();
-  record.depth = static_cast<int>(frame_index_);
+  record.depth = frame.depth;
   record.attributes = std::move(frame.attributes);
 
   const double total_s = static_cast<double>(record.duration_us) * 1e-6;

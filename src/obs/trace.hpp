@@ -10,6 +10,9 @@
 /// Chrome `chrome://tracing` / Perfetto export. A span's *path* is its
 /// parent's path + "/" + its own name, so nesting shows up as
 /// "cooptimize/solve_point/solver/solve" without any global registration.
+/// The stack is per thread; exec::ThreadPool carries the submitting thread's
+/// open path to its workers (ScopedSpanRoot), so a pool task's spans nest
+/// under the span that opened the region rather than starting new roots.
 ///
 /// Usage in instrumented code:
 ///
@@ -119,6 +122,37 @@ class TraceSpan {
  private:
   bool active_ = false;
   std::size_t frame_index_ = 0;  ///< position in the thread-local open stack
+};
+
+/// Where a span opened now on this thread would nest: the innermost open
+/// span's path and the depth the new span would get. Empty path and depth 0
+/// at the root.
+struct SpanContext {
+  std::string path;
+  int depth = 0;
+};
+
+/// This thread's current SpanContext (the innermost open span, else the
+/// inherited root set by a ScopedSpanRoot, else the root).
+[[nodiscard]] SpanContext current_span_context();
+
+/// Scope guard that roots this thread's spans under @p context while no span
+/// of its own is open: a span opened with an empty stack gets the path
+/// context.path + "/" + name and depth context.depth. exec::ThreadPool sets
+/// one on each worker for the length of a region, so the spans of a pool task
+/// nest under the span that submitted the region. Their time is not folded
+/// into that span's child time (they run concurrently with it, on another
+/// thread), so its self time stays its own thread's uncovered wall time.
+class ScopedSpanRoot {
+ public:
+  explicit ScopedSpanRoot(SpanContext context);
+  ~ScopedSpanRoot();
+
+  ScopedSpanRoot(const ScopedSpanRoot&) = delete;
+  ScopedSpanRoot& operator=(const ScopedSpanRoot&) = delete;
+
+ private:
+  SpanContext saved_;
 };
 
 /// Thread-local span capture for per-request export (the service's

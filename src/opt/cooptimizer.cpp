@@ -1,5 +1,6 @@
 #include "opt/cooptimizer.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
@@ -15,6 +16,13 @@
 #include "util/log.hpp"
 
 namespace pdn3d::opt {
+
+namespace {
+
+/// Design points per evaluate_batch chunk (one fork() each).
+constexpr std::size_t kPointsPerChunk = 4;
+
+}  // namespace
 
 CoOptimizer::CoOptimizer(DesignSpace space, std::unique_ptr<Evaluator> evaluate, int threads)
     : space_(std::move(space)), evaluate_(std::move(evaluate)), threads_(threads) {
@@ -33,8 +41,14 @@ std::vector<CoOptimizer::PointResult> CoOptimizer::evaluate_batch(
   // Announce the batch before any fork, off the deterministic first config,
   // so whatever an evaluator records per sweep is independent of scheduling.
   if (!configs.empty()) evaluate_->hint_sweep(configs.front(), configs.size());
+  // Small fixed-size chunks, claimed on demand, keep every worker busy to the
+  // end of a batch whose points differ severalfold in cost. The boundaries
+  // depend only on the batch size, never on the thread count.
+  const std::size_t chunks = (configs.size() + kPointsPerChunk - 1) / kPointsPerChunk;
   exec::ThreadPool pool(static_cast<std::size_t>(threads_));
-  pool.parallel_chunks(configs.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+  pool.parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t begin = c * kPointsPerChunk;
+    const std::size_t end = std::min(configs.size(), begin + kPointsPerChunk);
     const std::unique_ptr<Evaluator> ev = evaluate_->fork();
     for (std::size_t i = begin; i < end; ++i) results[i] = measure_point(*ev, configs[i], base + i);
   });
@@ -107,57 +121,71 @@ const std::vector<FittedChoice>& CoOptimizer::fit_models() {
   const auto m3s = default_m3_samples(space_);
   const auto tcs = default_tc_samples(space_);
 
+  // One discrete choice's pending sample points and its solvable samples.
+  struct ChoiceSweep {
+    std::vector<pdn::PdnConfig> configs;
+    std::vector<fit::Sample> samples;
+  };
+  std::vector<ChoiceSweep> sweeps(choices.size());
+  const auto set_points = [&](std::size_t k, std::span<const double> m2_axis,
+                              std::span<const double> m3_axis) {
+    std::vector<pdn::PdnConfig>& configs = sweeps[k].configs;
+    configs.clear();
+    for (const double m2 : m2_axis) {
+      for (const double m3 : m3_axis) {
+        for (const int tc : tcs) configs.push_back(make_config(space_, choices[k], m2, m3, tc));
+      }
+    }
+  };
   // The sampling sweep is the expensive phase (one R-Mesh build + solve per
-  // point); each discrete choice's grid goes through evaluate_batch so the
-  // points run across the pool while samples/fits keep their serial order.
+  // point). The listed choices' points go through one evaluate_batch -- one
+  // pool region -- in choice order, so a point's checkpoint index is its
+  // position in that flat enumeration; samples and fits keep choice order.
+  const auto measure = [&](std::span<const std::size_t> which) {
+    std::vector<pdn::PdnConfig> batch;
+    for (const std::size_t k : which) {
+      batch.insert(batch.end(), sweeps[k].configs.begin(), sweeps[k].configs.end());
+    }
+    const std::vector<PointResult> results = evaluate_batch(batch);
+    std::size_t at = 0;
+    for (const std::size_t k : which) {
+      for (const pdn::PdnConfig& cfg : sweeps[k].configs) {
+        const PointResult& r = results[at++];
+        if (!r.ok) continue;
+        fit::Sample s;
+        s.vars = {cfg.m2_usage, cfg.m3_usage, static_cast<double>(cfg.tsv_count)};
+        s.ir_mv = r.ir_mv;
+        sweeps[k].samples.push_back(s);
+      }
+    }
+  };
+
+  std::vector<std::size_t> every(choices.size());
+  for (std::size_t k = 0; k < choices.size(); ++k) {
+    every[k] = k;
+    set_points(k, m2s, m3s);
+  }
+  measure(every);
+
+  // TC-fixed spaces can produce fewer samples than features (and skipped
+  // unsolvable points shrink the set further); densify the usage axes of the
+  // starved choices, all in one more batch behind the grids.
+  const std::array<double, 1> m2_dense = {(space_.m2_min + space_.m2_max) * 0.5};
+  const std::array<double, 2> m3_dense = {space_.m3_min + 0.25 * (space_.m3_max - space_.m3_min),
+                                          space_.m3_min + 0.75 * (space_.m3_max - space_.m3_min)};
+  std::vector<std::size_t> starved;
+  for (std::size_t k = 0; k < choices.size(); ++k) {
+    if (sweeps[k].samples.size() >= fit::ir_feature_count()) continue;
+    starved.push_back(k);
+    set_points(k, m2_dense, m3_dense);
+  }
+  if (!starved.empty()) measure(starved);
+
   fits_.clear();
   fits_.reserve(choices.size());
-  for (const auto& choice : choices) {
-    std::vector<pdn::PdnConfig> configs;
-    std::vector<std::array<double, 2>> usages;  ///< (m2, m3) per config
-    configs.reserve(m2s.size() * m3s.size() * tcs.size());
-    usages.reserve(configs.capacity());
-    for (const double m2 : m2s) {
-      for (const double m3 : m3s) {
-        for (const int tc : tcs) {
-          configs.push_back(make_config(space_, choice, m2, m3, tc));
-          usages.push_back({m2, m3});
-        }
-      }
-    }
-    std::vector<PointResult> results = evaluate_batch(configs);
-
-    std::vector<fit::Sample> samples;
-    samples.reserve(configs.size());
-    const auto collect = [&] {
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (!results[i].ok) continue;
-        fit::Sample s;
-        s.vars = {usages[i][0], usages[i][1], static_cast<double>(configs[i].tsv_count)};
-        s.ir_mv = results[i].ir_mv;
-        samples.push_back(s);
-      }
-    };
-    collect();
-    if (samples.size() < fit::ir_feature_count()) {
-      // TC-fixed spaces can produce fewer samples than features (and skipped
-      // unsolvable points shrink the set further); densify the usage axes.
-      const double m2_mid = (space_.m2_min + space_.m2_max) * 0.5;
-      const double m3_lo = space_.m3_min + 0.25 * (space_.m3_max - space_.m3_min);
-      const double m3_hi = space_.m3_min + 0.75 * (space_.m3_max - space_.m3_min);
-      configs.clear();
-      usages.clear();
-      for (const double m2 : {m2_mid}) {
-        for (const double m3 : {m3_lo, m3_hi}) {
-          for (const int tc : tcs) {
-            configs.push_back(make_config(space_, choice, m2, m3, tc));
-            usages.push_back({m2, m3});
-          }
-        }
-      }
-      results = evaluate_batch(configs);
-      collect();
-    }
+  for (std::size_t k = 0; k < choices.size(); ++k) {
+    const DiscreteChoice& choice = choices[k];
+    const std::vector<fit::Sample>& samples = sweeps[k].samples;
     if (samples.size() < fit::ir_feature_count()) {
       // Not enough solvable samples to constrain the regression: skip the
       // whole discrete choice rather than fit an underdetermined model.

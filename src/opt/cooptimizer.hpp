@@ -112,7 +112,9 @@ class CoOptimizer {
 
   /// Phase 1: run the R-Mesh on the sample grid of every discrete choice and
   /// fit the per-choice regression models. Returns the fits (also cached
-  /// internally). Idempotent.
+  /// internally). Idempotent. Every choice's grid is measured as one batch in
+  /// enumeration order; a choice left with too few solvable samples gets
+  /// extra usage points in one more batch behind the grids.
   const std::vector<FittedChoice>& fit_models();
 
   /// Phase 2: minimize IR-cost at @p alpha over the whole space using the
@@ -146,10 +148,12 @@ class CoOptimizer {
   void set_constraint(Constraint constraint) { constraint_ = std::move(constraint); }
 
   /// Attach a crash-safe checkpoint (non-owning; must outlive the optimizer).
-  /// Measurements are keyed by their global running index: the sweep order is
-  /// deterministic, so a resumed fit/optimize replays recorded measurements
-  /// and recomputes only the missing tail, bitwise identical to an
-  /// uninterrupted run. Attach before the first fit_models()/optimize() call.
+  /// Measurements are keyed by their global running index -- the grids in
+  /// enumeration order, then the densified choices' extra points, then the
+  /// re-measured winners. The sweep order is deterministic, so a resumed
+  /// fit/optimize replays recorded measurements and recomputes only the
+  /// missing tail, bitwise identical to an uninterrupted run. Attach before
+  /// the first fit_models()/optimize() call.
   void set_checkpoint(util::SweepCheckpoint* checkpoint) { checkpoint_ = checkpoint; }
 
  private:
@@ -159,10 +163,11 @@ class CoOptimizer {
     std::string reason;  ///< structured failure when !ok
   };
 
-  /// Measure every config across the pool (one fork()ed evaluator per
-  /// chunk). Results come back in input order; skipped-point bookkeeping
-  /// happens afterwards in index order, so the sweep's observable state is
-  /// independent of the thread count.
+  /// Measure every config in one pool region, in small fixed-size chunks
+  /// handed out on demand (one fork()ed evaluator per chunk). Results come
+  /// back in input order; skipped-point bookkeeping happens afterwards in
+  /// index order, so the sweep's observable state is independent of the
+  /// thread count.
   std::vector<PointResult> evaluate_batch(const std::vector<pdn::PdnConfig>& configs);
 
   /// One measurement on @p ev: replays the checkpoint entry at running index

@@ -24,10 +24,20 @@ std::size_t LayerGrid::nearest(double x, double y) const {
 }
 
 std::vector<std::size_t> LayerGrid::nodes_in(const floorplan::Rect& r) const {
+  // Rect::contains is separable: a column's x and a row's y are each tested
+  // once (same position() arithmetic, same closed-edge comparisons), and
+  // the nodes come out in the full scan's row-major (j, i) order.
+  std::vector<int> columns;
+  for (int i = 0; i < nx; ++i) {
+    const double x = position(i, 0).x;
+    if (x >= r.x0 && x <= r.x1) columns.push_back(i);
+  }
   std::vector<std::size_t> out;
-  for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      if (r.contains(position(i, j))) out.push_back(node(i, j));
+  if (!columns.empty()) {
+    for (int j = 0; j < ny; ++j) {
+      const double y = position(0, j).y;
+      if (!(y >= r.y0 && y <= r.y1)) continue;
+      for (const int i : columns) out.push_back(node(i, j));
     }
   }
   if (out.empty()) {

@@ -114,9 +114,10 @@ TEST(ConcurrentPlatformCache, ParallelCheckoutBuildsEachDesignOnce) {
 TEST(ParallelCoOptimizer, PlatformWinnerBitwiseEqualAcrossThreadCounts) {
   // The determinism contract on a real PlatformEvaluator sweep: the
   // co-optimizer's sampled fits and re-measured winner are bitwise
-  // identical at --threads 1 and --threads 8.
+  // identical at --threads 1 and --threads 8. Two discrete choices, so the
+  // one sampling region spans choices on the real R-Mesh.
   opt::DesignSpace space;
-  space.tsv_locations = {pdn::TsvLocation::kCenter};
+  space.tsv_locations = {pdn::TsvLocation::kCenter, pdn::TsvLocation::kEdge};
   space.dedicated_options = {false};
   space.bonding_options = {pdn::BondingStyle::kF2B};
   space.rdl_options = {pdn::RdlMode::kNone};
@@ -125,13 +126,23 @@ TEST(ParallelCoOptimizer, PlatformWinnerBitwiseEqualAcrossThreadCounts) {
   space.m3_samples = {0.15, 0.22, 0.30};
   space.tc_samples = {40, 80};
 
-  const auto run = [&space](int threads) {
+  const auto run = [&space](int threads, std::vector<opt::FittedChoice>* fits) {
     Platform platform(make_benchmark(BenchmarkKind::kStackedDdr3OffChip));
     opt::CoOptimizer co(space, std::make_unique<PlatformEvaluator>(platform), threads);
-    return co.optimize(0.5);
+    const opt::Optimum best = co.optimize(0.5);
+    *fits = co.fit_models();
+    return best;
   };
-  const opt::Optimum serial = run(1);
-  const opt::Optimum threaded = run(8);
+  std::vector<opt::FittedChoice> serial_fits;
+  std::vector<opt::FittedChoice> threaded_fits;
+  const opt::Optimum serial = run(1, &serial_fits);
+  const opt::Optimum threaded = run(8, &threaded_fits);
+
+  ASSERT_EQ(serial_fits.size(), 2u);
+  ASSERT_EQ(threaded_fits.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(serial_fits[k].model.coefficients(), threaded_fits[k].model.coefficients()) << k;
+  }
 
   EXPECT_EQ(serial.config.summary(), threaded.config.summary());
   EXPECT_EQ(serial.measured_ir_mv, threaded.measured_ir_mv);  // bitwise

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -12,6 +14,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace pdn3d::exec {
 namespace {
@@ -99,6 +103,52 @@ TEST(ThreadPool, NestedRegionsRunInline) {
     pool.parallel_for(8, [&](std::size_t) { inner.fetch_add(1); });
   });
   EXPECT_EQ(inner.load(), 64);
+}
+
+TEST(ThreadPool, WorkerSpansNestUnderTheSubmittingSpan) {
+  obs::TraceStore& store = obs::TraceStore::instance();
+  store.clear();
+  ThreadPool pool(4);
+  // Every task opens a span named @p name and is held until a second thread
+  // has run a task too, so the region is known to have used a worker.
+  const auto region = [&pool](const char* name) {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::set<std::thread::id> runners;
+    pool.parallel_for(16, [&](std::size_t) {
+      const obs::TraceSpan span(name);
+      std::unique_lock<std::mutex> lock(mutex);
+      runners.insert(std::this_thread::get_id());
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(5), [&] { return runners.size() >= 2; });
+    });
+    return runners.size();
+  };
+  {
+    const obs::TraceSpan outer("outer");
+    EXPECT_GE(region("task"), 2u);
+  }
+  // A worker drops the submitter's path when it leaves the region: a later
+  // region submitted with no span open roots its tasks at the root again.
+  EXPECT_GE(region("bare"), 2u);
+
+  std::size_t tasks = 0;
+  std::size_t bare = 0;
+  for (const obs::SpanRecord& e : store.events()) {
+    if (e.name == "task") {
+      ++tasks;
+      EXPECT_EQ(e.path, "outer/task");
+      EXPECT_EQ(e.depth, 1);
+    } else if (e.name == "bare") {
+      ++bare;
+      EXPECT_EQ(e.path, "bare");
+      EXPECT_EQ(e.depth, 0);
+    }
+  }
+  EXPECT_EQ(tasks, 16u);
+  EXPECT_EQ(bare, 16u);
+  EXPECT_EQ(store.stats().count("task"), 0u);
+  EXPECT_EQ(store.unbalanced_spans(), 0u);
 }
 
 TEST(ThreadPool, SingleThreadPoolSpawnsNoWorkers) {

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "linalg/coo.hpp"
 #include "linalg/csr.hpp"
+#include "util/rng.hpp"
 
 namespace pdn3d::linalg {
 namespace {
@@ -57,6 +65,40 @@ TEST(Coo, CompressIsRepeatable) {
   const Csr m2 = b.compress();
   EXPECT_DOUBLE_EQ(m1.at(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(m2.at(0, 0), 3.0);
+}
+
+TEST(Coo, DuplicatesSumInInsertionOrder) {
+  // Many duplicates per (row, col) with magnitudes spread over 16 decades:
+  // floating-point addition is not associative here, so only the documented
+  // order -- left to right in insertion order, from 0.0 -- reproduces every
+  // value bit for bit.
+  constexpr std::size_t kN = 6;
+  util::Rng rng(20260418);
+  CooBuilder b(kN);
+  std::map<std::pair<std::size_t, std::size_t>, double> expected;
+  for (int k = 0; k < 3000; ++k) {
+    const std::size_t row = rng.next_below(kN);
+    const std::size_t col = rng.next_below(kN);
+    const double magnitude = std::pow(10.0, -8.0 + 16.0 * rng.next_double());
+    const double value = (rng.next_below(2) == 0 ? -1.0 : 1.0) * magnitude;
+    b.add(row, col, value);
+    expected[{row, col}] += value;  // value-initialized to 0.0
+  }
+  const Csr m = b.compress();
+  std::size_t nonzero = 0;
+  for (const auto& [rc, sum] : expected) {
+    if (sum != 0.0) ++nonzero;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.at(rc.first, rc.second)),
+              std::bit_cast<std::uint64_t>(sum))
+        << "(" << rc.first << ", " << rc.second << ")";
+  }
+  EXPECT_EQ(m.nnz(), nonzero);
+  // Columns ascend within every row.
+  for (std::size_t r = 0; r < kN; ++r) {
+    for (std::size_t k = m.row_ptr()[r] + 1; k < m.row_ptr()[r + 1]; ++k) {
+      EXPECT_LT(m.col_idx()[k - 1], m.col_idx()[k]) << r;
+    }
+  }
 }
 
 TEST(Csr, MultiplyMatchesManual) {

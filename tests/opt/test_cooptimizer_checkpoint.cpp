@@ -63,12 +63,19 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
+/// Keep the header and the first @p keep entries (the file lists them in
+/// index order).
+void truncate_entries(const std::string& path, std::size_t keep) {
+  const auto lines = read_lines(path);
+  ASSERT_GT(lines.size(), keep + 1);
+  std::ofstream out(path, std::ios::trunc);
+  for (std::size_t i = 0; i <= keep; ++i) out << lines[i] << "\n";
+}
+
 void truncate_to_half(const std::string& path) {
   const auto lines = read_lines(path);
   ASSERT_GT(lines.size(), 3u);
-  const std::size_t keep = (lines.size() - 1) / 2;  // header + half the entries
-  std::ofstream out(path, std::ios::trunc);
-  for (std::size_t i = 0; i <= keep; ++i) out << lines[i] << "\n";
+  truncate_entries(path, (lines.size() - 1) / 2);
 }
 
 TEST(CoOptimizerCheckpoint, ResumedOptimizeIsBitwiseIdenticalAndSkipsReplayedWork) {
@@ -174,6 +181,108 @@ TEST(CoOptimizerCheckpoint, FailedMeasurementsResumeAsSkipsNotRetries) {
                 plain.skipped_points()[i].config.summary())
           << i;
     }
+  }
+  std::remove(path.c_str());
+}
+
+/// Everything a co-optimization run exposes, for bitwise comparison.
+struct SweepOutcome {
+  std::vector<FittedChoice> fits;
+  std::vector<SkippedPoint> skipped;
+  Optimum best;
+  std::size_t samples = 0;
+};
+
+void expect_same_outcome(const SweepOutcome& a, const SweepOutcome& b) {
+  ASSERT_EQ(a.fits.size(), b.fits.size());
+  for (std::size_t k = 0; k < a.fits.size(); ++k) {
+    const FittedChoice& x = a.fits[k];
+    const FittedChoice& y = b.fits[k];
+    EXPECT_EQ(x.choice.tsv_location, y.choice.tsv_location) << k;
+    EXPECT_EQ(x.choice.dedicated, y.choice.dedicated) << k;
+    EXPECT_EQ(x.choice.bonding, y.choice.bonding) << k;
+    EXPECT_EQ(x.choice.rdl, y.choice.rdl) << k;
+    EXPECT_EQ(x.choice.wire_bonding, y.choice.wire_bonding) << k;
+    EXPECT_EQ(x.sample_count, y.sample_count) << k;
+    EXPECT_EQ(x.model.coefficients(), y.model.coefficients()) << k;  // bitwise
+    EXPECT_EQ(x.model.rmse(), y.model.rmse()) << k;
+    EXPECT_EQ(x.model.r_squared(), y.model.r_squared()) << k;
+  }
+  ASSERT_EQ(a.skipped.size(), b.skipped.size());
+  for (std::size_t i = 0; i < a.skipped.size(); ++i) {
+    EXPECT_EQ(a.skipped[i].config.summary(), b.skipped[i].config.summary()) << i;
+    EXPECT_EQ(a.skipped[i].reason, b.skipped[i].reason) << i;
+    EXPECT_EQ(a.skipped[i].kind, b.skipped[i].kind) << i;
+  }
+  EXPECT_EQ(a.best.config.summary(), b.best.config.summary());
+  EXPECT_EQ(a.best.predicted_ir_mv, b.best.predicted_ir_mv);
+  EXPECT_EQ(a.best.measured_ir_mv, b.best.measured_ir_mv);
+  EXPECT_EQ(a.best.cost, b.best.cost);
+  EXPECT_EQ(a.best.objective, b.best.objective);
+  EXPECT_EQ(a.samples, b.samples);
+}
+
+TEST(ParallelCoOptimizer, DensifyingSweepIsThreadAndResumeInvariant) {
+  // A TC-fixed space samples 9 grid points per choice against 8 regression
+  // features, so two failed points starve a choice into the densify batch
+  // behind all the grids. Center-TSV choices lose their lowest-M3 row and
+  // densify, then fit; center F2F wire-bonded ones also lose their highest-M2
+  // column and a densify point, and are dropped.
+  DesignSpace space = small_space();
+  space.tc_fixed = true;
+  const auto evaluate = [](const pdn::PdnConfig& cfg) {
+    const bool center = cfg.tsv_location == pdn::TsvLocation::kCenter;
+    const bool starved = cfg.bonding == pdn::BondingStyle::kF2F && cfg.wire_bonding &&
+                         (cfg.m2_usage > 0.19 || (cfg.m3_usage > 0.17 && cfg.m3_usage < 0.18));
+    if (center && (cfg.m3_usage < 0.15 || starved)) {
+      throw core::NumericalError(core::Status::numerical_failure("synthetic fault"));
+    }
+    return fake_ir(cfg);
+  };
+  const auto run = [&](int threads, util::SweepCheckpoint* ckpt) {
+    CoOptimizer opt(space, std::make_unique<FunctionEvaluator>(evaluate), threads);
+    if (ckpt != nullptr) opt.set_checkpoint(ckpt);
+    SweepOutcome out;
+    out.best = opt.optimize(0.3);
+    out.fits = opt.fit_models();
+    out.skipped = opt.skipped_points();
+    out.samples = opt.total_samples();
+    return out;
+  };
+
+  const SweepOutcome truth = run(1, nullptr);
+  constexpr std::size_t kGridPoints = 16 * 9;
+  EXPECT_EQ(truth.fits.size(), 14u);                  // two choices dropped
+  EXPECT_GE(truth.samples, kGridPoints + 8 * 2 + 1);  // eight choices densified
+  {
+    SCOPED_TRACE("threads 8");
+    expect_same_outcome(truth, run(8, nullptr));
+  }
+
+  const std::string path = testing::TempDir() + "pdn3d_coopt_densify.ckpt";
+  std::remove(path.c_str());
+  const std::uint64_t key = util::checkpoint_key("coopt-densify-test");
+  {
+    auto ckpt = util::SweepCheckpoint::open(path, key, 0, false);
+    SCOPED_TRACE("checkpointed");
+    expect_same_outcome(truth, run(1, &ckpt));
+    ckpt.flush();
+  }
+  // Crash inside the densify batch (every grid recorded), resume on eight
+  // threads; then crash inside the grids, resume on one.
+  ASSERT_NO_FATAL_FAILURE(truncate_entries(path, kGridPoints + 5));
+  {
+    auto ckpt = util::SweepCheckpoint::open(path, key, 0, true);
+    EXPECT_EQ(ckpt.resumed(), kGridPoints + 5);
+    SCOPED_TRACE("resumed mid-densify, threads 8");
+    expect_same_outcome(truth, run(8, &ckpt));
+    ckpt.flush();
+  }
+  ASSERT_NO_FATAL_FAILURE(truncate_entries(path, kGridPoints / 2));
+  {
+    auto ckpt = util::SweepCheckpoint::open(path, key, 0, true);
+    SCOPED_TRACE("resumed mid-grid, threads 1");
+    expect_same_outcome(truth, run(1, &ckpt));
   }
   std::remove(path.c_str());
 }
