@@ -240,7 +240,11 @@ void render_montecarlo(const core::Platform& p, const EvaluateRequest& request,
   // design reuse both the mesh and the factorization.
   const auto& analyzer = p.analyzer(cfg);
   const auto r = irdrop::sample_ir_distribution(analyzer, p.benchmark().stack.dram_spec, mc);
-  const double worst = p.measure_ir_mv(cfg);
+  // The design worst case is the default state, solved on the same cached
+  // analyzer (its stack and factor are already built).
+  const double worst =
+      analyzer.analyze(p.parse_state(p.benchmark().default_state, p.benchmark().default_io_activity))
+          .dram_max_mv;
   os << "design : " << cfg.summary() << "\n";
   os << "samples: " << r.samples << "\n";
   util::Table t({"statistic", "IR drop (mV)"});

@@ -23,6 +23,7 @@ IrAnalyzer::IrAnalyzer(const pdn::StackModel& model, const floorplan::Floorplan&
     : model_(model), dram_fp_(dram_fp), logic_fp_(logic_fp), power_(power),
       solver_(model, solver) {
   // Rasterize every block of every die onto its device layer once.
+  PDN3D_TRACE_SPAN("irdrop/rasterize");
   dram_block_nodes_.resize(static_cast<std::size_t>(model_.dram_die_count()));
   for (int d = 0; d < model_.dram_die_count(); ++d) {
     const pdn::LayerGrid& g = model_.device_grid(d);

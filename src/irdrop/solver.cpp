@@ -93,6 +93,7 @@ const char* to_string(SolverKind kind) {
 IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOptions options)
     : kind_(kind), options_(options), vdd_(model.vdd()) {
   if (options_.validate) {
+    PDN3D_TRACE_SPAN("solver/validate");
     core::ValidationReport report = pdn::validate_stack_model(model);
     if (!report.ok()) throw core::ValidationError(std::move(report));
   } else {
@@ -104,9 +105,10 @@ IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOption
     }
   }
 
-  const std::size_t n = model.node_count();
-  supply_rhs_.assign(n, 0.0);
   {
+    PDN3D_TRACE_SPAN("solver/assemble");
+    const std::size_t n = model.node_count();
+    supply_rhs_.assign(n, 0.0);
     // Exactly sized (four triplets per resistor, one per tap), and released
     // before the IC(0) build below so the two never peak together.
     linalg::CooBuilder builder(n);
@@ -195,6 +197,11 @@ IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double>
         // Reuse the cached IC(0) factor; per-state re-solves are the hot path
         // of LUT construction and co-optimization sweeps.
         opts.cached_ic = &ic();
+        // Start at the unloaded rail v = VDD. G*(VDD*1) is the tap term of
+        // the rhs, so the first residual is the sink vector alone, 3-5
+        // decades below ||rhs||; the target stays relative to ||rhs||.
+        ws.rail.assign(n, vdd_);
+        opts.x0 = ws.rail;
         auto result = linalg::solve_cg(g_, rhs, opts, &ws.cg);
         out.iterations = result.iterations;
         if (!result.converged) {

@@ -119,6 +119,7 @@ struct SolveScratch {
   std::vector<double> sinks;
   std::vector<double> rhs;  ///< supply_rhs - sinks
   std::vector<double> ax;   ///< G*x for residual verification
+  std::vector<double> rail; ///< ic-pcg's starting guess, VDD at every node
   linalg::CgScratch cg;
   std::vector<double> batch_rhs;  ///< batched fast-path right-hand sides
   std::vector<double> batch_x;    ///< batched fast-path solutions

@@ -31,6 +31,11 @@ enum class Preconditioner { kNone = 0, kIncompleteCholesky = 2 };
 struct CgOptions {
   double rel_tolerance = 1e-10;  ///< stop when ||r|| <= rel_tolerance * ||b||
   std::size_t max_iterations = 20000;
+  /// Initial guess (non-owning, n entries; empty starts at 0). The target
+  /// stays relative to ||b||, so a guess near the solution only saves
+  /// iterations: IrSolver starts at the unloaded rail v = VDD, which leaves
+  /// just the sink currents as the first residual.
+  std::span<const double> x0;
   Preconditioner preconditioner = Preconditioner::kIncompleteCholesky;
   /// Reuse an already-built IC(0) factor (non-owning; must outlive the call).
   /// Only consulted when preconditioner == kIncompleteCholesky; when null a
@@ -38,7 +43,7 @@ struct CgOptions {
   const IncompleteCholesky* cached_ic = nullptr;
   /// Stagnation watchdog: fail if the best residual norm improves by less
   /// than stagnation_improvement over a window of stagnation_window
-  /// iterations. 0 disables the check.
+  /// iterations, measured from the starting residual. 0 disables the check.
   std::size_t stagnation_window = 500;
   double stagnation_improvement = 1e-3;  ///< required fractional improvement
 };
@@ -75,8 +80,9 @@ struct CgScratch {
   std::vector<double> ap;
 };
 
-/// Solve A x = b for SPD A. Throws std::invalid_argument only on caller bugs
-/// (size mismatch); data-dependent failures come back in CgResult. When
+/// Solve A x = b for SPD A, starting from options.x0. Throws
+/// std::invalid_argument only on caller bugs (size mismatch); data-dependent
+/// failures come back in CgResult. When
 /// @p scratch is non-null its buffers are (re)used for the solve's work
 /// vectors instead of allocating fresh ones.
 CgResult solve_cg(const Csr& a, std::span<const double> b, const CgOptions& options = {},

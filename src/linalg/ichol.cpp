@@ -2,108 +2,96 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace pdn3d::linalg {
 
 IncompleteCholesky::IncompleteCholesky(const Csr& a) : n_(a.dimension()) {
-  // Extract the lower triangle (including diagonal) in CSR form.
-  row_ptr_.assign(n_ + 1, 0);
+  // Copy the strictly-lower triangle of A into L's pattern; the diagonal goes
+  // into inv_diag_, which holds L[i][i] itself until the end of the build.
   const auto arp = a.row_ptr();
   const auto aci = a.col_idx();
   const auto av = a.values();
+  std::size_t lower_nnz = 0;
   for (std::size_t r = 0; r < n_; ++r) {
     for (std::size_t k = arp[r]; k < arp[r + 1]; ++k) {
-      if (aci[k] <= r) ++row_ptr_[r + 1];
+      if (aci[k] < r) ++lower_nnz;
     }
   }
-  for (std::size_t r = 0; r < n_; ++r) row_ptr_[r + 1] += row_ptr_[r];
-  col_idx_.resize(row_ptr_.back());
-  values_.resize(row_ptr_.back());
-  {
-    std::vector<std::size_t> fill = {};
-    fill.assign(n_, 0);
-    for (std::size_t r = 0; r < n_; ++r) {
-      for (std::size_t k = arp[r]; k < arp[r + 1]; ++k) {
-        if (aci[k] <= r) {
-          const std::size_t pos = row_ptr_[r] + fill[r]++;
-          col_idx_[pos] = aci[k];
-          values_[pos] = av[k];
-        }
-      }
-    }
+  if (std::max(n_, lower_nnz) > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("IncompleteCholesky: factor exceeds 32-bit indexing");
   }
-
-  diag_.assign(n_, 0.0);
-  diag_pos_.assign(n_, 0);
-
-  // IC(0): for each row r, update with previously factored rows sharing
-  // sparsity, then take the square root of the diagonal.
-  // Column-wise access helper: for each column c, the rows below that touch it.
-  // We do the standard up-looking variant using a dense work row for clarity;
-  // grid matrices have O(1) entries per row so this stays linear-ish.
-  std::vector<double> work(n_, 0.0);
-  std::vector<std::size_t> pattern;
+  row_ptr_.assign(n_ + 1, 0);
+  col_idx_.reserve(lower_nnz);
+  values_.reserve(lower_nnz);
+  inv_diag_.assign(n_, 0.0);
   for (std::size_t r = 0; r < n_; ++r) {
-    pattern.clear();
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      work[col_idx_[k]] = values_[k];
-      pattern.push_back(col_idx_[k]);
-    }
-    std::sort(pattern.begin(), pattern.end());
-
-    for (std::size_t c : pattern) {
-      if (c == r) break;
-      // work[c] = (a[r][c] - sum_{j<c} L[r][j] L[c][j]) / L[c][c]
-      double sum = work[c];
-      // Iterate over row c of L (columns j < c) and match against work.
-      for (std::size_t k = row_ptr_[c]; k + 1 < row_ptr_[c + 1]; ++k) {
-        const std::size_t j = col_idx_[k];
-        if (j < c) sum -= values_[k] * work[j];
+    for (std::size_t k = arp[r]; k < arp[r + 1]; ++k) {
+      if (aci[k] < r) {
+        col_idx_.push_back(static_cast<std::uint32_t>(aci[k]));
+        values_.push_back(av[k]);
+      } else if (aci[k] == r) {
+        inv_diag_[r] = av[k];
       }
-      work[c] = sum / diag_[c];
     }
+    row_ptr_[r + 1] = static_cast<std::uint32_t>(col_idx_.size());
+  }
 
-    double d = work[r];
-    for (std::size_t c : pattern) {
-      if (c == r) break;
-      d -= work[c] * work[c];
+  // IC(0), up-looking: row r of L from the already factored rows above it,
+  // through a dense work row that holds row r's entries (Csr keeps each
+  // row's columns ascending, so L[r][j] is final before L[r][c], j < c).
+  // Grid matrices have O(1) entries per row, so this stays linear-ish.
+  std::vector<double> work(n_, 0.0);
+  for (std::size_t r = 0; r < n_; ++r) {
+    const std::uint32_t begin = row_ptr_[r];
+    const std::uint32_t end = row_ptr_[r + 1];
+    for (std::uint32_t k = begin; k < end; ++k) work[col_idx_[k]] = values_[k];
+
+    double d = inv_diag_[r];
+    for (std::uint32_t k = begin; k < end; ++k) {
+      // L[r][c] = (a[r][c] - sum_{j<c} L[r][j] L[c][j]) / L[c][c]; work is 0
+      // off row r's pattern.
+      const std::uint32_t c = col_idx_[k];
+      double sum = work[c];
+      for (std::uint32_t kc = row_ptr_[c]; kc < row_ptr_[c + 1]; ++kc) {
+        sum -= values_[kc] * work[col_idx_[kc]];
+      }
+      work[c] = sum / inv_diag_[c];
     }
+    for (std::uint32_t k = begin; k < end; ++k) d -= work[col_idx_[k]] * work[col_idx_[k]];
     if (d <= 0.0) {
       // Shifted IC fallback: keep the factorization positive definite.
-      d = std::max(1e-12, std::abs(work[r]) * 1e-3);
+      d = std::max(1e-12, std::abs(inv_diag_[r]) * 1e-3);
     }
-    diag_[r] = std::sqrt(d);
+    inv_diag_[r] = std::sqrt(d);
 
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::size_t c = col_idx_[k];
-      values_[k] = (c == r) ? diag_[r] : work[c];
-      if (c == r) diag_pos_[r] = k;
-      work[c] = 0.0;
+    for (std::uint32_t k = begin; k < end; ++k) {
+      values_[k] = work[col_idx_[k]];
+      work[col_idx_[k]] = 0.0;
     }
   }
+  for (double& d : inv_diag_) d = 1.0 / d;
 }
 
 void IncompleteCholesky::apply(std::span<const double> r, std::span<double> z) const {
   if (r.size() != n_ || z.size() != n_) throw std::invalid_argument("IncompleteCholesky::apply: size");
+  const std::uint32_t* const rp = row_ptr_.data();
+  const std::uint32_t* const ci = col_idx_.data();
+  const double* const lv = values_.data();
+  const double* const inv = inv_diag_.data();
   // Forward solve L y = r (y stored into z).
   for (std::size_t i = 0; i < n_; ++i) {
     double sum = r[i];
-    for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      const std::size_t c = col_idx_[k];
-      if (c < i) sum -= values_[k] * z[c];
-    }
-    z[i] = sum / diag_[i];
+    for (std::uint32_t k = rp[i]; k < rp[i + 1]; ++k) sum -= lv[k] * z[ci[k]];
+    z[i] = sum * inv[i];
   }
   // Backward solve L^T z = y. Column i of L^T is row i of L, so process rows
   // in reverse, finalizing z[i] and scattering the update into earlier rows.
-  for (std::size_t ii = n_; ii-- > 0;) {
-    z[ii] /= diag_[ii];
-    const double zi = z[ii];
-    for (std::size_t k = row_ptr_[ii]; k < row_ptr_[ii + 1]; ++k) {
-      const std::size_t c = col_idx_[k];
-      if (c < ii) z[c] -= values_[k] * zi;
-    }
+  for (std::size_t i = n_; i-- > 0;) {
+    const double zi = z[i] * inv[i];
+    z[i] = zi;
+    for (std::uint32_t k = rp[i]; k < rp[i + 1]; ++k) z[ci[k]] -= lv[k] * zi;
   }
 }
 

@@ -22,6 +22,42 @@ namespace {
 /// Design points per evaluate_batch chunk (one fork() each).
 constexpr std::size_t kPointsPerChunk = 4;
 
+/// The first minimum of IR-cost at @p alpha (strict <, in enumeration order)
+/// over one fitted choice's fine grid of the continuous box, evaluated on
+/// its cheap model and skipping @p banned winners. The objective stays at
+/// max() when no grid point qualifies.
+Optimum best_on_grid(const DesignSpace& space, const FittedChoice& fc, double alpha,
+                     const std::set<std::string>& banned) {
+  constexpr int kM2Steps = 11;
+  constexpr int kM3Steps = 31;
+  Optimum best;
+  best.objective = std::numeric_limits<double>::max();
+  const int tc_lo = space.effective_tc_min();
+  const int tc_hi = space.effective_tc_max();
+  const int tc_step = std::max(1, (tc_hi - tc_lo) / 156);
+  for (int i = 0; i < kM2Steps; ++i) {
+    const double m2 = space.m2_min + (space.m2_max - space.m2_min) * i / double(kM2Steps - 1);
+    for (int j = 0; j < kM3Steps; ++j) {
+      const double m3 = space.m3_min + (space.m3_max - space.m3_min) * j / double(kM3Steps - 1);
+      for (int tc = tc_lo; tc <= tc_hi; tc += tc_step) {
+        const double ir = fc.model.predict({m2, m3, static_cast<double>(tc)});
+        if (ir <= 0.0) continue;  // extrapolation artifact; physical IR > 0
+        const auto cfg = make_config(space, fc.choice, m2, m3, tc);
+        if (!banned.empty() && banned.count(cfg.summary()) > 0) continue;
+        const double c = cost::total_cost(cfg);
+        const double obj = cost::ir_cost(ir, c, alpha);
+        if (obj < best.objective) {
+          best.objective = obj;
+          best.config = cfg;
+          best.predicted_ir_mv = ir;
+          best.cost = c;
+        }
+      }
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 CoOptimizer::CoOptimizer(DesignSpace space, std::unique_ptr<Evaluator> evaluate, int threads)
@@ -230,39 +266,17 @@ Optimum CoOptimizer::optimize(double alpha) {
   std::set<std::string> banned;
   constexpr int kMaxRemeasureRetries = 8;
 
+  exec::ThreadPool pool(static_cast<std::size_t>(threads_));
   for (int round = 0; round <= kMaxRemeasureRetries; ++round) {
+    // Each fitted choice's grid is scored in one pool region. Merging the
+    // per-choice first minima in choice order with the same strict < keeps
+    // the serial scan's winner at any thread count.
+    const std::vector<Optimum> per_choice = pool.parallel_map(
+        fits_.size(), [&](std::size_t k) { return best_on_grid(space_, fits_[k], alpha, banned); });
     Optimum best;
     best.objective = std::numeric_limits<double>::max();
-
-    // Fine grid over the continuous box, evaluated on the cheap fitted models.
-    constexpr int kM2Steps = 11;
-    constexpr int kM3Steps = 31;
-    for (const auto& fc : fits_) {
-      const int tc_lo = space_.effective_tc_min();
-      const int tc_hi = space_.effective_tc_max();
-      const int tc_step = std::max(1, (tc_hi - tc_lo) / 156);
-      for (int i = 0; i < kM2Steps; ++i) {
-        const double m2 =
-            space_.m2_min + (space_.m2_max - space_.m2_min) * i / double(kM2Steps - 1);
-        for (int j = 0; j < kM3Steps; ++j) {
-          const double m3 =
-              space_.m3_min + (space_.m3_max - space_.m3_min) * j / double(kM3Steps - 1);
-          for (int tc = tc_lo; tc <= tc_hi; tc += tc_step) {
-            const double ir = fc.model.predict({m2, m3, static_cast<double>(tc)});
-            if (ir <= 0.0) continue;  // extrapolation artifact; physical IR > 0
-            const auto cfg = make_config(space_, fc.choice, m2, m3, tc);
-            if (!banned.empty() && banned.count(cfg.summary()) > 0) continue;
-            const double c = cost::total_cost(cfg);
-            const double obj = cost::ir_cost(ir, c, alpha);
-            if (obj < best.objective) {
-              best.objective = obj;
-              best.config = cfg;
-              best.predicted_ir_mv = ir;
-              best.cost = c;
-            }
-          }
-        }
-      }
+    for (const Optimum& candidate : per_choice) {
+      if (candidate.objective < best.objective) best = candidate;
     }
 
     if (best.objective == std::numeric_limits<double>::max()) {

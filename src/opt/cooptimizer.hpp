@@ -105,9 +105,10 @@ struct Optimum {
 
 class CoOptimizer {
  public:
-  /// @param threads workers for the sampling sweep; 0 =
-  /// exec::default_thread_count(). Sampling results, skipped-point order,
-  /// fits, and the optimum are identical at any thread count.
+  /// @param threads workers for the sampling sweep and the model grid
+  /// search; 0 = exec::default_thread_count(). Sampling results,
+  /// skipped-point order, fits, and the optimum are identical at any thread
+  /// count.
   CoOptimizer(DesignSpace space, std::unique_ptr<Evaluator> evaluate, int threads = 0);
 
   /// Phase 1: run the R-Mesh on the sample grid of every discrete choice and
@@ -118,8 +119,8 @@ class CoOptimizer {
   const std::vector<FittedChoice>& fit_models();
 
   /// Phase 2: minimize IR-cost at @p alpha over the whole space using the
-  /// fitted models, then re-measure the winner. fit_models() is called
-  /// on demand.
+  /// fitted models (one choice per pool task, merged in choice order), then
+  /// re-measure the winner. fit_models() is called on demand.
   Optimum optimize(double alpha);
 
   /// Worst regression quality across choices (paper: RMSE < 0.135,

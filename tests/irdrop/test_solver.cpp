@@ -553,5 +553,50 @@ TEST(IrSolver, BaselineStacksSolveOnTheirFirstRung) {
   }
 }
 
+TEST(IrSolver, ZeroLoadSolvesAtTheRailInZeroIterations) {
+  // ic-pcg starts at the unloaded rail v = VDD, which is already the answer
+  // when nothing draws current: no iteration, and VDD bit for bit.
+  for (const auto& b : core::all_benchmarks()) {
+    const auto built = pdn::build_stack(b.stack, b.baseline);
+    const IrSolver solver(built.model, SolverKind::kPcgIc);
+    const std::vector<double> no_load(built.model.node_count(), 0.0);
+    const auto outcome = solver.solve(SolveRequest{.sinks = no_load});
+    ASSERT_TRUE(outcome.ok()) << b.name << ": " << outcome.status.to_string();
+    EXPECT_EQ(outcome.kind_used, SolverKind::kPcgIc) << b.name;
+    EXPECT_EQ(outcome.iterations, 0u) << b.name;
+    for (const double v : outcome.x) ASSERT_EQ(v, built.model.vdd()) << b.name;
+  }
+}
+
+TEST(IrSolver, RailStartTakesFewerIterationsThanAZeroStart) {
+  // The same system (b = supply - sinks, same IC(0), same 1e-10 target)
+  // solved by the ic-pcg rung from the rail and by a plain zero-start
+  // linalg::solve_cg: the rail start needs fewer iterations, and its answer
+  // passes the rung's 1e-7 residual verification.
+  for (const auto& b : core::all_benchmarks()) {
+    const auto built = pdn::build_stack(b.stack, b.baseline);
+    const PowerBinding power{.dram = b.dram_power,
+                             .logic = b.logic_power,
+                             .dram_scale = b.power_scale};
+    const IrAnalyzer analyzer(built.model, b.stack.dram_fp, b.stack.logic_fp, power);
+    const auto state =
+        power::parse_memory_state(b.default_state, b.stack.dram_spec, b.default_io_activity);
+    const std::vector<double> sinks = analyzer.injection(state);
+    const IrSolver& solver = analyzer.solver();
+    const auto outcome = solver.solve(SolveRequest{.sinks = sinks});
+    ASSERT_TRUE(outcome.ok()) << b.name << ": " << outcome.status.to_string();
+    EXPECT_EQ(outcome.kind_used, SolverKind::kPcgIc) << b.name;
+    EXPECT_EQ(outcome.escalations, 0u) << b.name;
+    EXPECT_LE(outcome.rel_residual, IrSolverOptions{}.verify_rel_tol) << b.name;
+
+    std::vector<double> rhs(sinks.size(), 0.0);
+    for (const auto& t : built.model.taps()) rhs[t.node] += 1.0 / t.ohms * built.model.vdd();
+    for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] -= sinks[i];
+    const linalg::CgResult zero_start = linalg::solve_cg(solver.conductance_matrix(), rhs);
+    ASSERT_TRUE(zero_start.converged) << b.name;
+    EXPECT_LT(outcome.iterations, zero_start.iterations) << b.name;
+  }
+}
+
 }  // namespace
 }  // namespace pdn3d::irdrop

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "linalg/coo.hpp"
@@ -196,6 +197,63 @@ TEST(Cg, CachedIcDimensionMismatchIsCallerBug) {
   opts.cached_ic = &ic;
   const std::vector<double> b(40, 1.0);
   EXPECT_THROW(solve_cg(a, b, opts), std::invalid_argument);
+}
+
+TEST(Cg, InitialGuessAtTheSolutionTakesNoIterations) {
+  const Csr a = make_chain(40, 2.0, 1.0);
+  std::vector<double> b(40, 0.0);
+  b[11] = 1.0;
+  const CgResult cold = solve_cg(a, b);
+  ASSERT_TRUE(cold.converged);
+  CgOptions opts;
+  opts.x0 = cold.x;
+  const CgResult warm = solve_cg(a, b, opts);
+  EXPECT_TRUE(warm.converged);
+  EXPECT_EQ(warm.iterations, 0u);
+  EXPECT_EQ(warm.x, cold.x);  // returned untouched
+}
+
+TEST(Cg, InitialGuessKeepsTheTargetRelativeToB) {
+  // A guess near the solution saves iterations, but the stopping rule stays
+  // ||r|| <= rel_tolerance * ||b||, so the answer is as accurate as a cold
+  // start's.
+  const Csr a = make_chain(60, 2.0, 1.0);
+  std::vector<double> b(60, 1.0);
+  b[30] = 5.0;
+  CgOptions opts;
+  opts.preconditioner = Preconditioner::kNone;
+  const CgResult cold = solve_cg(a, b, opts);
+  ASSERT_TRUE(cold.converged);
+  std::vector<double> guess = cold.x;
+  for (std::size_t i = 0; i < guess.size(); ++i) guess[i] += 1e-3 * std::sin(double(i));
+  opts.x0 = guess;
+  const CgResult warm = solve_cg(a, b, opts);
+  ASSERT_TRUE(warm.converged);
+  EXPECT_GT(warm.iterations, 0u);
+  EXPECT_LE(warm.residual_norm, 10.0 * opts.rel_tolerance * norm2(b));
+  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(warm.x[i], cold.x[i], 1e-8);
+}
+
+TEST(Cg, InitialGuessSizeMismatchIsCallerBug) {
+  const Csr a = make_chain(10, 1.0, 1.0);
+  const std::vector<double> b(10, 1.0);
+  const std::vector<double> guess(9, 0.0);
+  CgOptions opts;
+  opts.x0 = guess;
+  EXPECT_THROW(solve_cg(a, b, opts), std::invalid_argument);
+}
+
+TEST(Cg, NonFiniteInitialGuessIsDiagnosed) {
+  const Csr a = make_chain(10, 1.0, 1.0);
+  const std::vector<double> b(10, 1.0);
+  std::vector<double> guess(10, 0.0);
+  guess[4] = std::numeric_limits<double>::quiet_NaN();
+  CgOptions opts;
+  opts.x0 = guess;
+  const CgResult r = solve_cg(a, b, opts);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.failure, CgFailure::kDivergedNonFinite);
+  EXPECT_EQ(r.iterations, 0u);
 }
 
 TEST(Cg, ResidualReported) {

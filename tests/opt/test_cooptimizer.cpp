@@ -248,6 +248,41 @@ TEST(ParallelCoOptimizer, ThreadCountDoesNotChangeTheOptimum) {
   }
 }
 
+TEST(ParallelCoOptimizer, OptimizeIsThreadInvariant) {
+  // The grid search scores the fitted choices in one pool region and merges
+  // their first minima in choice order: the winner, the banned-winner retry
+  // and every recorded skip match the serial scan bit for bit. A constraint
+  // rejecting the unconstrained winner forces one banned round.
+  const auto winner = CoOptimizer(small_space(), std::make_unique<FunctionEvaluator>(fake_ir), 1)
+                          .optimize(0.3)
+                          .config.summary();
+  const auto run = [&](int threads) {
+    auto opt = std::make_unique<CoOptimizer>(small_space(),
+                                             std::make_unique<FunctionEvaluator>(fake_ir), threads);
+    opt->set_constraint([&](const pdn::PdnConfig& cfg) -> std::string {
+      return cfg.summary() == winner ? "planted rejection" : "";
+    });
+    const Optimum best = opt->optimize(0.3);
+    return std::make_pair(std::move(opt), best);
+  };
+  const auto [serial, best1] = run(1);
+  ASSERT_NE(best1.config.summary(), winner);
+  ASSERT_EQ(serial->skipped_points().size(), 1u);  // the banned winner
+  const auto [threaded, best8] = run(8);
+  EXPECT_EQ(best8.config.summary(), best1.config.summary());
+  EXPECT_EQ(best8.predicted_ir_mv, best1.predicted_ir_mv);
+  EXPECT_EQ(best8.measured_ir_mv, best1.measured_ir_mv);
+  EXPECT_EQ(best8.cost, best1.cost);
+  EXPECT_EQ(best8.objective, best1.objective);
+  EXPECT_EQ(threaded->total_samples(), serial->total_samples());
+  ASSERT_EQ(threaded->skipped_points().size(), serial->skipped_points().size());
+  for (std::size_t i = 0; i < serial->skipped_points().size(); ++i) {
+    EXPECT_EQ(threaded->skipped_points()[i].config.summary(),
+              serial->skipped_points()[i].config.summary());
+    EXPECT_EQ(threaded->skipped_points()[i].reason, serial->skipped_points()[i].reason);
+  }
+}
+
 TEST(ParallelCoOptimizer, SkippedPointsKeepSerialOrder) {
   // Failures land in skipped_points() in sample-index order regardless of
   // which worker hit them.

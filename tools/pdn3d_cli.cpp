@@ -657,6 +657,12 @@ int main(int argc, char** argv) {
     exec::set_default_thread_count(static_cast<std::size_t>(n));
   }
 
+  // Raw span events are read only by a run report's trace_events. Without
+  // --report they would fill the trace buffer (up to 65536 events of a few
+  // hundred bytes) and never be read; `profile` prints the per-path
+  // aggregates, which are kept either way.
+  if (!args.get("--report")) obs::TraceStore::instance().set_event_capacity(0);
+
   int rc = kExitOk;
   obs::RunReportOptions report_opts;  // .session stays null for one-shot runs
 
