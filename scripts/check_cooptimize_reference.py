@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Pin the co-optimizer's headline output to its end-to-end reference digest.
+"""Pin the co-optimizer's headline output to its end-to-end reference digests.
 
-Runs `pdn3d cooptimize off-chip --alpha 0.3` at --threads 1 and at
---threads 8 and compares the SHA-256 of each stdout with the entry of the
-same command in e2ebench/references.json, which this script only reads. A
-change of the co-optimizer's printed bytes (a moved optimum, a reworded
-line, a thread-count dependence) then fails tier-1 without running the
-end-to-end benchmark.
+Runs `pdn3d cooptimize off-chip --alpha 0.3` and `pdn3d cooptimize hmc
+--alpha 0.1` (the two benchmarks of the end-to-end cooptimize workload) at
+--threads 1 and at --threads 8 and compares the SHA-256 of each stdout with
+the entry of the same command in e2ebench/references.json, which this script
+only reads. A change of the co-optimizer's printed bytes (a moved optimum, a
+reworded line, a thread-count dependence) then fails tier-1 without running
+the end-to-end benchmark.
 
 Usage: check_cooptimize_reference.py PDN3D_BINARY REFERENCES_JSON
-Exit 0 when both digests match, 1 otherwise.
+Exit 0 when every digest matches, 1 otherwise.
 
 Stdlib only, so the build can run it as a ctest without extra deps.
 """
@@ -20,7 +21,10 @@ import os
 import subprocess
 import sys
 
-COMMAND = ["cooptimize", "off-chip", "--alpha", "0.3"]
+COMMANDS = (
+    ["cooptimize", "off-chip", "--alpha", "0.3"],
+    ["cooptimize", "hmc", "--alpha", "0.1"],
+)
 THREADS = ("1", "8")
 
 
@@ -31,18 +35,20 @@ def main(argv):
         return 2
     binary, references = argv[1], argv[2]
     with open(references, encoding="utf-8") as fh:
-        expected = json.load(fh)[" ".join(COMMAND)]
+        recorded = json.load(fh)
     # The references were recorded without any PDN3D_* switch in effect.
     env = {k: v for k, v in os.environ.items() if not k.startswith("PDN3D_")}
     failed = False
-    for threads in THREADS:
-        proc = subprocess.run([binary, *COMMAND, "--threads", threads], env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
-        digest = hashlib.sha256(proc.stdout).hexdigest()
-        ok = proc.returncode == 0 and digest == expected
-        failed |= not ok
-        print(f"{'ok  ' if ok else 'FAIL'} --threads {threads}: exit {proc.returncode}, "
-              f"sha256 {digest[:12]} (reference {expected[:12]})")
+    for command in COMMANDS:
+        expected = recorded[" ".join(command)]
+        for threads in THREADS:
+            proc = subprocess.run([binary, *command, "--threads", threads], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
+            digest = hashlib.sha256(proc.stdout).hexdigest()
+            ok = proc.returncode == 0 and digest == expected
+            failed |= not ok
+            print(f"{'ok  ' if ok else 'FAIL'} {' '.join(command)} --threads {threads}: "
+                  f"exit {proc.returncode}, sha256 {digest[:12]} (reference {expected[:12]})")
     return 1 if failed else 0
 
 

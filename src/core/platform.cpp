@@ -1,6 +1,10 @@
 #include "core/platform.hpp"
 
+#include <array>
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -74,14 +78,97 @@ irdrop::IrResult Platform::analyze(const pdn::PdnConfig& config, std::string_vie
   return analyze(config, parse_state(state, io_activity));
 }
 
+namespace {
+
+/// The members of one measure_ir_group() call. A member's stack is built
+/// when a lane takes it and dropped once its solver is set up; the solver
+/// lives until the member's solve is done. The members share one LoadMap
+/// (blocks on device-layer nodes) and so one sink vector, replaced only for
+/// a member whose device grids differ.
+class GroupMembers final : public irdrop::LaneFeed {
+ public:
+  GroupMembers(const Benchmark& bench, irdrop::PowerBinding binding,
+               std::span<const pdn::PdnConfig> configs, std::span<opt::Measurement> out,
+               irdrop::LaneScratch& scratch)
+      : bench_(bench), power_(std::move(binding)), configs_(configs), out_(out), scratch_(scratch),
+        state_(power::parse_memory_state(bench.default_state, bench.stack.dram_spec,
+                                         bench.default_io_activity)) {}
+
+  const irdrop::IrSolver* next(std::size_t lane, std::span<const double>& sinks) override {
+    Slot& slot = slots_[lane];
+    while (next_ < configs_.size()) {
+      slot.member = next_++;
+      // One-shot, as measure_ir_mv always was: build, analyze, discard
+      // (sweeps would otherwise exhaust memory through the cache).
+      try {
+        const pdn::BuiltStack built = pdn::build_stack(bench_.stack, configs_[slot.member]);
+        slot.solver.emplace(built.model, irdrop::SolverKind::kPcgIc, irdrop::IrSolverOptions{},
+                            &scratch_.structure);
+        if (!load_ || !load_->fits(built.model)) {
+          load_ = std::make_shared<const irdrop::LoadMap>(
+              built.model, bench_.stack.dram_fp, bench_.stack.logic_fp, power_);
+          load_->injection_into(state_, scratch_.solve.sinks);
+        }
+      } catch (const ValidationError&) {
+        out_[slot.member] = {0.0, std::current_exception()};
+        slot.solver.reset();
+        continue;
+      }
+      slot.load = load_;
+      sinks = scratch_.solve.sinks;
+      return &*slot.solver;
+    }
+    return nullptr;
+  }
+
+  void done(std::size_t lane, irdrop::SolveOutcome& outcome) override {
+    Slot& slot = slots_[lane];
+    try {
+      out_[slot.member] = {slot.load->result(state_, outcome).dram_max_mv, nullptr};
+    } catch (const NumericalError& e) {
+      if (e.status().code() == StatusCode::kCancelled) throw;
+      out_[slot.member] = {0.0, std::current_exception()};
+    }
+    slot.solver.reset();
+    slot.load.reset();
+  }
+
+ private:
+  struct Slot {
+    std::size_t member = 0;
+    std::optional<irdrop::IrSolver> solver;
+    std::shared_ptr<const irdrop::LoadMap> load;
+  };
+
+  const Benchmark& bench_;
+  irdrop::PowerBinding power_;
+  std::span<const pdn::PdnConfig> configs_;
+  std::span<opt::Measurement> out_;
+  irdrop::LaneScratch& scratch_;
+  power::MemoryState state_;
+  std::shared_ptr<const irdrop::LoadMap> load_;
+  std::size_t next_ = 0;
+  std::array<Slot, linalg::kCgLanes> slots_;
+};
+
+}  // namespace
+
+void Platform::measure_ir_group(std::span<const pdn::PdnConfig> configs,
+                                std::span<opt::Measurement> out,
+                                irdrop::LaneScratch& scratch) const {
+  if (out.size() != configs.size()) {
+    throw std::invalid_argument("Platform::measure_ir_group: result count mismatch");
+  }
+  GroupMembers members(bench_, power_binding(), configs, out, scratch);
+  irdrop::IrSolver::solve_lanes(members, configs.size(), /*want_ir=*/true, scratch);
+}
+
 double Platform::measure_ir_mv(const pdn::PdnConfig& config) const {
-  // One-shot: build, analyze, discard (sweeps would otherwise exhaust memory
-  // through the cache).
-  const auto built = pdn::build_stack(bench_.stack, config);
-  const irdrop::IrAnalyzer analyzer(built.model, bench_.stack.dram_fp, bench_.stack.logic_fp,
-                                    power_binding());
-  const auto state = parse_state(bench_.default_state, bench_.default_io_activity);
-  return analyzer.analyze(state).dram_max_mv;
+  irdrop::LaneScratch scratch;
+  opt::Measurement m;
+  measure_ir_group({&config, 1}, {&m, 1}, scratch);
+  if (m.error) std::rethrow_exception(m.error);
+  return m.ir_mv;
 }
 
 irdrop::EmReport Platform::em_check(const pdn::PdnConfig& config,

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -39,8 +40,20 @@ class Platform {
 
   /// Max DRAM IR drop (mV) of the benchmark's default memory state -- the
   /// quantity the paper's tables quote and the co-optimizer minimizes.
-  /// Uncached (one-shot) so design-space sweeps do not accumulate memory.
+  /// Uncached (one-shot) so design-space sweeps do not accumulate memory:
+  /// measure_ir_group() with one member.
   [[nodiscard]] double measure_ir_mv(const pdn::PdnConfig& config) const;
+
+  /// measure_ir_mv() of every config of a usage group (configs equal except
+  /// for M2/M3 usage): each member's stack is built, validated and assembled
+  /// on the group's shared mesh structure, and the members' IC-PCG solves
+  /// run three at a time in lockstep (irdrop::IrSolver::solve_lanes). out[i]
+  /// is measure_ir_mv(configs[i]) bit for bit, or holds the
+  /// core::NumericalError / core::ValidationError it throws; a cancellation
+  /// propagates. Only the members in flight are alive at once. @p scratch
+  /// is one sweep chunk's, reused across the group.
+  void measure_ir_group(std::span<const pdn::PdnConfig> configs,
+                        std::span<opt::Measurement> out, irdrop::LaneScratch& scratch) const;
 
   /// Electromigration analysis of @p state on the design point @p config:
   /// solves for node voltages on the cached analyzer, then runs the
@@ -124,8 +137,9 @@ class Platform {
 };
 
 /// opt::Evaluator over a Platform's one-shot R-Mesh measurement. fork()ed
-/// siblings share the (const) platform; measure_ir_mv builds and discards
-/// everything per call, so siblings never contend on mutable state.
+/// siblings share the (const) platform; each holds its own lane scratch and
+/// the measurements build and discard everything else per call, so siblings
+/// never contend on mutable state.
 class PlatformEvaluator final : public opt::Evaluator {
  public:
   /// @param platform must outlive the evaluator and all of its forks.
@@ -133,12 +147,17 @@ class PlatformEvaluator final : public opt::Evaluator {
   [[nodiscard]] double measure(const pdn::PdnConfig& config) override {
     return platform_->measure_ir_mv(config);
   }
+  void measure_group(std::span<const pdn::PdnConfig> configs,
+                     std::span<opt::Measurement> out) override {
+    platform_->measure_ir_group(configs, out, scratch_);
+  }
   [[nodiscard]] std::unique_ptr<opt::Evaluator> fork() const override {
     return std::make_unique<PlatformEvaluator>(*platform_);
   }
 
  private:
   const Platform* platform_;
+  irdrop::LaneScratch scratch_;
 };
 
 }  // namespace pdn3d::core

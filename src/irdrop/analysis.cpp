@@ -16,31 +16,142 @@ floorplan::Rect to_global(const floorplan::Rect& r, const pdn::LayerGrid& g) {
   return {r.x0 + g.x0, r.y0 + g.y0, r.x1 + g.x0, r.y1 + g.y0};
 }
 
+/// The grid fields rasterization and statistics read.
+bool same_geometry(const pdn::LayerGrid& a, const pdn::LayerGrid& b) {
+  return a.base == b.base && a.nx == b.nx && a.ny == b.ny && a.x0 == b.x0 && a.y0 == b.y0 &&
+         a.dx == b.dx && a.dy == b.dy;
+}
+
 }  // namespace
 
-IrAnalyzer::IrAnalyzer(const pdn::StackModel& model, const floorplan::Floorplan& dram_fp,
-                       const floorplan::Floorplan& logic_fp, PowerBinding power, SolverKind solver)
-    : model_(model), dram_fp_(dram_fp), logic_fp_(logic_fp), power_(power),
-      solver_(model, solver) {
+LoadMap::LoadMap(const pdn::StackModel& model, const floorplan::Floorplan& dram_fp,
+                 const floorplan::Floorplan& logic_fp, PowerBinding power)
+    : dram_fp_(dram_fp), logic_fp_(logic_fp), power_(power), node_count_(model.node_count()),
+      vdd_(model.vdd()) {
   // Rasterize every block of every die onto its device layer once.
   PDN3D_TRACE_SPAN("irdrop/rasterize");
-  dram_block_nodes_.resize(static_cast<std::size_t>(model_.dram_die_count()));
-  for (int d = 0; d < model_.dram_die_count(); ++d) {
-    const pdn::LayerGrid& g = model_.device_grid(d);
+  dram_block_nodes_.resize(static_cast<std::size_t>(model.dram_die_count()));
+  for (int d = 0; d < model.dram_die_count(); ++d) {
+    const pdn::LayerGrid& g = model.device_grid(d);
+    dram_grids_.push_back(g);
     auto& per_block = dram_block_nodes_[static_cast<std::size_t>(d)];
     per_block.reserve(dram_fp_.blocks().size());
     for (const auto& b : dram_fp_.blocks()) {
       per_block.push_back(g.nodes_in(to_global(b.rect, g)));
     }
   }
-  if (model_.has_logic()) {
-    const pdn::LayerGrid& g = model_.device_grid(pdn::kLogicDie);
+  if (model.has_logic()) {
+    const pdn::LayerGrid& g = model.device_grid(pdn::kLogicDie);
+    logic_grid_ = g;
     logic_block_nodes_.reserve(logic_fp_.blocks().size());
     for (const auto& b : logic_fp_.blocks()) {
       logic_block_nodes_.push_back(g.nodes_in(to_global(b.rect, g)));
     }
   }
 }
+
+bool LoadMap::fits(const pdn::StackModel& model) const {
+  if (model.node_count() != node_count_ || model.vdd() != vdd_ ||
+      model.dram_die_count() != static_cast<int>(dram_grids_.size()) ||
+      model.has_logic() != logic_grid_.has_value()) {
+    return false;
+  }
+  for (int d = 0; d < model.dram_die_count(); ++d) {
+    if (!same_geometry(model.device_grid(d), dram_grids_[static_cast<std::size_t>(d)])) {
+      return false;
+    }
+  }
+  return !logic_grid_ || same_geometry(model.device_grid(pdn::kLogicDie), *logic_grid_);
+}
+
+void LoadMap::injection_into(const power::MemoryState& state, std::vector<double>& sinks) const {
+  if (state.die_count() != static_cast<int>(dram_grids_.size())) {
+    throw std::invalid_argument("IrAnalyzer: memory state die count mismatch");
+  }
+  sinks.assign(node_count_, 0.0);
+  const double vdd = vdd_;
+
+  const auto add_block_power = [&](const std::vector<std::size_t>& nodes, double watts) {
+    if (nodes.empty() || watts <= 0.0) return;
+    const double amps_per_node = watts / vdd / static_cast<double>(nodes.size());
+    for (std::size_t n : nodes) sinks[n] += amps_per_node;
+  };
+
+  for (std::size_t d = 0; d < dram_grids_.size(); ++d) {
+    const auto blocks = power::dram_die_power(dram_fp_, state.dies[d], state.io_activity,
+                                              power_.dram, power_.dram_scale);
+    const auto& per_block = dram_block_nodes_[d];
+    for (const auto& bp : blocks) {
+      // Find the block's index within the floorplan (blocks are stored in
+      // insertion order and BlockPower points into the same vector).
+      const std::size_t idx = static_cast<std::size_t>(bp.block - dram_fp_.blocks().data());
+      add_block_power(per_block[idx], bp.power_w);
+    }
+  }
+
+  if (logic_grid_ && power_.logic_active) {
+    const auto blocks = power::logic_die_power(logic_fp_, power_.logic);
+    for (const auto& bp : blocks) {
+      const std::size_t idx = static_cast<std::size_t>(bp.block - logic_fp_.blocks().data());
+      add_block_power(logic_block_nodes_[idx], bp.power_w);
+    }
+  }
+}
+
+IrResult LoadMap::stats(const power::MemoryState& state, std::span<const double> ir,
+                        const SolveOutcome& outcome) const {
+  IrResult out;
+  // Telemetry comes from the outcome of *this* request. (For a batch, the
+  // outcome's scalars are the batch aggregate; see analyze_batch.)
+  out.solver_kind = outcome.kind_used;
+  out.solver_iterations = outcome.iterations;
+  out.solver_escalations = outcome.escalations;
+  out.dram_dies.resize(dram_grids_.size());
+  for (std::size_t d = 0; d < dram_grids_.size(); ++d) {
+    const pdn::LayerGrid& g = dram_grids_[d];
+    double max_v = 0.0;
+    double sum = 0.0;
+    for (std::size_t k = 0; k < g.size(); ++k) {
+      const double v = ir[g.base + k];
+      max_v = std::max(max_v, v);
+      sum += v;
+    }
+    auto& stats = out.dram_dies[d];
+    stats.max_mv = util::to_mV(max_v);
+    stats.avg_mv = util::to_mV(sum / static_cast<double>(g.size()));
+    out.dram_max_mv = std::max(out.dram_max_mv, stats.max_mv);
+  }
+
+  if (logic_grid_) {
+    const pdn::LayerGrid& g = *logic_grid_;
+    double max_v = 0.0;
+    for (std::size_t k = 0; k < g.size(); ++k) max_v = std::max(max_v, ir[g.base + k]);
+    out.logic_max_mv = util::to_mV(max_v);
+  }
+
+  for (std::size_t d = 0; d < dram_grids_.size(); ++d) {
+    const auto& die = state.dies[d];
+    const double die_mw = (die.active()
+                               ? power_.dram.active_die_mw(state.io_activity, die.count())
+                               : power_.dram.idle_mw) *
+                          power_.dram_scale;
+    out.total_power_mw += die_mw;
+    if (die.active()) out.active_die_power_mw = std::max(out.active_die_power_mw, die_mw);
+  }
+  return out;
+}
+
+IrResult LoadMap::result(const power::MemoryState& state, SolveOutcome& outcome) const {
+  static auto& m_states = obs::counter("analysis.states_analyzed");
+  m_states.add(1);
+  if (!outcome.ok()) throw core::NumericalError(std::move(outcome.status));
+  return stats(state, outcome.x, outcome);
+}
+
+IrAnalyzer::IrAnalyzer(const pdn::StackModel& model, const floorplan::Floorplan& dram_fp,
+                       const floorplan::Floorplan& logic_fp, PowerBinding power, SolverKind solver)
+    : model_(model), dram_fp_(dram_fp), solver_(model, solver),
+      load_(model, dram_fp, logic_fp, power) {}
 
 std::vector<double> IrAnalyzer::injection(const power::MemoryState& state) const {
   std::vector<double> sinks;
@@ -50,37 +161,7 @@ std::vector<double> IrAnalyzer::injection(const power::MemoryState& state) const
 
 void IrAnalyzer::injection_into(const power::MemoryState& state,
                                 std::vector<double>& sinks) const {
-  if (state.die_count() != model_.dram_die_count()) {
-    throw std::invalid_argument("IrAnalyzer: memory state die count mismatch");
-  }
-  sinks.assign(model_.node_count(), 0.0);
-  const double vdd = model_.vdd();
-
-  const auto add_block_power = [&](const std::vector<std::size_t>& nodes, double watts) {
-    if (nodes.empty() || watts <= 0.0) return;
-    const double amps_per_node = watts / vdd / static_cast<double>(nodes.size());
-    for (std::size_t n : nodes) sinks[n] += amps_per_node;
-  };
-
-  for (int d = 0; d < model_.dram_die_count(); ++d) {
-    const auto blocks = power::dram_die_power(dram_fp_, state.dies[static_cast<std::size_t>(d)],
-                                              state.io_activity, power_.dram, power_.dram_scale);
-    const auto& per_block = dram_block_nodes_[static_cast<std::size_t>(d)];
-    for (const auto& bp : blocks) {
-      // Find the block's index within the floorplan (blocks are stored in
-      // insertion order and BlockPower points into the same vector).
-      const std::size_t idx = static_cast<std::size_t>(bp.block - dram_fp_.blocks().data());
-      add_block_power(per_block[idx], bp.power_w);
-    }
-  }
-
-  if (model_.has_logic() && power_.logic_active) {
-    const auto blocks = power::logic_die_power(logic_fp_, power_.logic);
-    for (const auto& bp : blocks) {
-      const std::size_t idx = static_cast<std::size_t>(bp.block - logic_fp_.blocks().data());
-      add_block_power(logic_block_nodes_[idx], bp.power_w);
-    }
-  }
+  load_.injection_into(state, sinks);
 }
 
 std::vector<double> IrAnalyzer::ir_map(const power::MemoryState& state) const {
@@ -103,7 +184,7 @@ std::vector<IrAnalyzer::BlockIr> IrAnalyzer::block_report(const power::MemorySta
     throw std::out_of_range("IrAnalyzer::block_report: die out of range");
   }
   const std::vector<double> ir = ir_map(state);
-  const auto& per_block = dram_block_nodes_[static_cast<std::size_t>(die)];
+  const auto& per_block = load_.dram_block_nodes(die);
 
   std::vector<BlockIr> out;
   out.reserve(per_block.size());
@@ -125,15 +206,11 @@ std::vector<IrAnalyzer::BlockIr> IrAnalyzer::block_report(const power::MemorySta
 
 IrResult IrAnalyzer::analyze(const power::MemoryState& state, SolveScratch* scratch) const {
   PDN3D_TRACE_SPAN("irdrop/analyze");
-  static auto& m_states = obs::counter("analysis.states_analyzed");
-  m_states.add(1);
-
   SolveScratch local;
   SolveScratch& ws = scratch != nullptr ? *scratch : local;
   injection_into(state, ws.sinks);
   SolveOutcome outcome = solver_.solve({.sinks = ws.sinks, .want_ir = true}, &ws);
-  if (!outcome.ok()) throw core::NumericalError(std::move(outcome.status));
-  return extract_stats(state, outcome.x, outcome);
+  return load_.result(state, outcome);
 }
 
 std::vector<IrResult> IrAnalyzer::analyze_batch(
@@ -162,52 +239,7 @@ std::vector<IrResult> IrAnalyzer::analyze_batch(
   out.reserve(states.size());
   for (std::size_t i = 0; i < states.size(); ++i) {
     out.push_back(
-        extract_stats(states[i], std::span<const double>(outcome.x).subspan(i * n, n), outcome));
-  }
-  return out;
-}
-
-IrResult IrAnalyzer::extract_stats(const power::MemoryState& state, std::span<const double> ir,
-                                   const SolveOutcome& outcome) const {
-  IrResult out;
-  // Telemetry comes from the outcome of *this* request -- the deprecated
-  // last_* accessors would report some concurrent solve's rung under a
-  // threaded sweep. (For a batch, the outcome's scalars are the batch
-  // aggregate; see analyze_batch.)
-  out.solver_kind = outcome.kind_used;
-  out.solver_iterations = outcome.iterations;
-  out.solver_escalations = outcome.escalations;
-  out.dram_dies.resize(static_cast<std::size_t>(model_.dram_die_count()));
-  for (int d = 0; d < model_.dram_die_count(); ++d) {
-    const pdn::LayerGrid& g = model_.device_grid(d);
-    double max_v = 0.0;
-    double sum = 0.0;
-    for (std::size_t k = 0; k < g.size(); ++k) {
-      const double v = ir[g.base + k];
-      max_v = std::max(max_v, v);
-      sum += v;
-    }
-    auto& stats = out.dram_dies[static_cast<std::size_t>(d)];
-    stats.max_mv = util::to_mV(max_v);
-    stats.avg_mv = util::to_mV(sum / static_cast<double>(g.size()));
-    out.dram_max_mv = std::max(out.dram_max_mv, stats.max_mv);
-  }
-
-  if (model_.has_logic()) {
-    const pdn::LayerGrid& g = model_.device_grid(pdn::kLogicDie);
-    double max_v = 0.0;
-    for (std::size_t k = 0; k < g.size(); ++k) max_v = std::max(max_v, ir[g.base + k]);
-    out.logic_max_mv = util::to_mV(max_v);
-  }
-
-  for (int d = 0; d < model_.dram_die_count(); ++d) {
-    const auto& die = state.dies[static_cast<std::size_t>(d)];
-    const double die_mw = (die.active()
-                               ? power_.dram.active_die_mw(state.io_activity, die.count())
-                               : power_.dram.idle_mw) *
-                          power_.dram_scale;
-    out.total_power_mw += die_mw;
-    if (die.active()) out.active_die_power_mw = std::max(out.active_die_power_mw, die_mw);
+        load_.stats(states[i], std::span<const double>(outcome.x).subspan(i * n, n), outcome));
   }
   return out;
 }

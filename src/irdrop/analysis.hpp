@@ -46,6 +46,55 @@ struct PowerBinding {
   bool logic_active = true; ///< inject logic power (ignored off-chip)
 };
 
+/// The load side of an IR analysis, fixed by a stack's device-layer grids:
+/// every floorplan block rasterized onto its die's device-layer nodes, a
+/// memory state's per-node sink currents, and the per-die statistics of a
+/// solved IR map. It copies what it reads from the model, so it may outlive
+/// the model; the design points of a sweep's usage group share one (fits()).
+class LoadMap {
+ public:
+  /// @param dram_fp, logic_fp kept by reference; must outlive the map.
+  LoadMap(const pdn::StackModel& model, const floorplan::Floorplan& dram_fp,
+          const floorplan::Floorplan& logic_fp, PowerBinding power);
+
+  /// True when @p model has this map's node count, supply voltage, dies and
+  /// device-layer grid geometry, so that a map built from @p model would
+  /// inject and measure exactly like this one.
+  [[nodiscard]] bool fits(const pdn::StackModel& model) const;
+
+  /// The per-node sink currents of @p state into @p sinks (resized, zeroed).
+  void injection_into(const power::MemoryState& state, std::vector<double>& sinks) const;
+
+  /// The statistics of one solved IR map (@p ir, one entry per node);
+  /// @p outcome supplies the solver telemetry.
+  [[nodiscard]] IrResult stats(const power::MemoryState& state, std::span<const double> ir,
+                               const SolveOutcome& outcome) const;
+
+  /// The end of an analysis of @p state: counts the state and turns its
+  /// solve's outcome (IR drops) into the IrResult, or throws
+  /// core::NumericalError when the solve failed. IrAnalyzer::analyze ends
+  /// here, and so does a sweep's lane solve (IrSolver::solve_lanes).
+  [[nodiscard]] IrResult result(const power::MemoryState& state, SolveOutcome& outcome) const;
+
+  /// Device-layer nodes of every block of DRAM die @p die, in floorplan order.
+  [[nodiscard]] const std::vector<std::vector<std::size_t>>& dram_block_nodes(int die) const {
+    return dram_block_nodes_[static_cast<std::size_t>(die)];
+  }
+
+ private:
+  const floorplan::Floorplan& dram_fp_;
+  const floorplan::Floorplan& logic_fp_;
+  PowerBinding power_;
+  std::size_t node_count_ = 0;
+  double vdd_ = 0.0;
+  std::vector<pdn::LayerGrid> dram_grids_;  ///< device grid of each DRAM die
+  std::optional<pdn::LayerGrid> logic_grid_;
+
+  /// Block index -> device-layer node ids, per DRAM die.
+  std::vector<std::vector<std::vector<std::size_t>>> dram_block_nodes_;
+  std::vector<std::vector<std::size_t>> logic_block_nodes_;
+};
+
 class IrAnalyzer {
  public:
   /// @param model built stack (kept by reference; must outlive the analyzer).
@@ -102,22 +151,10 @@ class IrAnalyzer {
   [[nodiscard]] const pdn::StackModel& model() const { return model_; }
 
  private:
-  /// Shared per-state stats extraction: @p ir is one node_count()-long IR
-  /// slice; @p outcome supplies the solver telemetry. Used by analyze() and
-  /// analyze_batch() so their IrResults cannot diverge.
-  [[nodiscard]] IrResult extract_stats(const power::MemoryState& state,
-                                       std::span<const double> ir,
-                                       const SolveOutcome& outcome) const;
-
   const pdn::StackModel& model_;
   const floorplan::Floorplan& dram_fp_;
-  const floorplan::Floorplan& logic_fp_;
-  PowerBinding power_;
-  IrSolver solver_;
-
-  /// Block index -> device-layer node ids, per DRAM die.
-  std::vector<std::vector<std::vector<std::size_t>>> dram_block_nodes_;
-  std::vector<std::vector<std::size_t>> logic_block_nodes_;
+  IrSolver solver_;  ///< before load_: the mesh is validated before it is rasterized
+  LoadMap load_;
 };
 
 }  // namespace pdn3d::irdrop

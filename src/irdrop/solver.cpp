@@ -81,6 +81,23 @@ double relative_residual(const linalg::Csr& g, std::span<const double> rhs,
   return bnorm > 0.0 ? res / bnorm : res;
 }
 
+/// Pre-solve injection health: a NaN load current poisons every inner
+/// product, so name the offending node instead of letting CG spin. @p sinks
+/// holds @p batch_count vectors of @p n entries; a failure counts in
+/// solver.failures.
+core::Status check_sinks(std::span<const double> sinks, std::size_t n, std::size_t batch_count) {
+  static auto& m_failures = obs::counter("solver.failures");
+  for (std::size_t i = 0; i < sinks.size(); ++i) {
+    if (!std::isfinite(sinks[i])) {
+      m_failures.add(1);
+      return core::Status::input_error(
+          "non-finite sink current at node " + std::to_string(i % n) +
+          (batch_count > 1 ? " (batch slice " + std::to_string(i / n) + ")" : ""));
+    }
+  }
+  return core::Status::ok();
+}
+
 }  // namespace
 
 const char* to_string(SolverKind kind) {
@@ -90,7 +107,55 @@ const char* to_string(SolverKind kind) {
   return "?";
 }
 
-IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOptions options)
+bool MeshStructure::matches(const pdn::StackModel& model) const {
+  if (!layout_.pattern || model.node_count() != nodes_) return false;
+  const auto resistors = model.resistors();
+  const auto taps = model.taps();
+  if (resistors.size() * 2 != ends_.size() || taps.size() != taps_.size()) return false;
+  for (std::size_t i = 0; i < resistors.size(); ++i) {
+    if (resistors[i].a != ends_[2 * i] || resistors[i].b != ends_[2 * i + 1]) return false;
+  }
+  for (std::size_t i = 0; i < taps.size(); ++i) {
+    if (taps[i].node != taps_[i]) return false;
+  }
+  return true;
+}
+
+void MeshStructure::build(const pdn::StackModel& model) {
+  if (model.node_count() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("MeshStructure: node ids exceed 32 bits");
+  }
+  // The stamp sequence of IrSolver's assembly: G[a][a], G[b][b], G[a][b],
+  // G[b][a] per resistor, then one diagonal entry per tap. Built aside, so a
+  // throw leaves the previous structure whole.
+  std::vector<std::uint32_t> ends;
+  std::vector<std::uint32_t> taps;
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> cols;
+  const std::size_t triplets = 4 * model.resistors().size() + model.taps().size();
+  rows.reserve(triplets);
+  cols.reserve(triplets);
+  ends.reserve(2 * model.resistors().size());
+  for (const auto& r : model.resistors()) {
+    ends.push_back(static_cast<std::uint32_t>(r.a));
+    ends.push_back(static_cast<std::uint32_t>(r.b));
+    rows.insert(rows.end(), {r.a, r.b, r.a, r.b});
+    cols.insert(cols.end(), {r.a, r.b, r.b, r.a});
+  }
+  taps.reserve(model.taps().size());
+  for (const auto& t : model.taps()) {
+    taps.push_back(static_cast<std::uint32_t>(t.node));
+    rows.push_back(t.node);
+    cols.push_back(t.node);
+  }
+  layout_ = linalg::coo_layout(model.node_count(), rows, cols);
+  nodes_ = model.node_count();
+  ends_ = std::move(ends);
+  taps_ = std::move(taps);
+}
+
+IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOptions options,
+                   MeshStructure* structure)
     : kind_(kind), options_(options), vdd_(model.vdd()) {
   if (options_.validate) {
     PDN3D_TRACE_SPAN("solver/validate");
@@ -106,22 +171,42 @@ IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOption
   }
 
   {
-    PDN3D_TRACE_SPAN("solver/assemble");
-    const std::size_t n = model.node_count();
-    supply_rhs_.assign(n, 0.0);
-    // Exactly sized (four triplets per resistor, one per tap), and released
-    // before the IC(0) build below so the two never peak together.
-    linalg::CooBuilder builder(n);
-    builder.reserve(4 * model.resistors().size() + model.taps().size());
-    for (const auto& r : model.resistors()) {
-      builder.stamp_conductance(r.a, r.b, 1.0 / r.ohms);
+    static auto& m_structure_builds = obs::counter("solver.structure_builds");
+    static auto& m_structure_reuses = obs::counter("solver.structure_reuses");
+    MeshStructure local;
+    MeshStructure& st = structure != nullptr ? *structure : local;
+    if (st.matches(model)) {
+      m_structure_reuses.add(1);
+    } else {
+      PDN3D_TRACE_SPAN("solver/structure");
+      st.build(model);
+      m_structure_builds.add(1);
     }
+
+    // Each value joins its slot in stamp order, from 0.0: the sums of
+    // CooBuilder::compress (Coo.DuplicatesSumInInsertionOrder), with its
+    // stamping guards.
+    PDN3D_TRACE_SPAN("solver/assemble");
+    const linalg::CooLayout& layout = st.layout();
+    const std::uint32_t* slot = layout.slots.data();
+    std::vector<double> values(layout.pattern->col_idx.size(), 0.0);
+    for (const auto& r : model.resistors()) {
+      const double g = 1.0 / r.ohms;
+      if (g <= 0.0) throw std::invalid_argument("stamp_conductance: non-positive conductance");
+      if (r.a == r.b) throw std::invalid_argument("stamp_conductance: self-loop");
+      values[*slot++] += g;
+      values[*slot++] += g;
+      values[*slot++] += -g;
+      values[*slot++] += -g;
+    }
+    supply_rhs_.assign(model.node_count(), 0.0);
     for (const auto& t : model.taps()) {
       const double g = 1.0 / t.ohms;
-      builder.stamp_to_ground(t.node, g);
+      if (g <= 0.0) throw std::invalid_argument("stamp_to_ground: non-positive conductance");
+      values[*slot++] += g;
       supply_rhs_[t.node] += g * vdd_;
     }
-    g_ = builder.compress();
+    g_ = linalg::assemble(layout, std::move(values));
   }
 
   // An ic-pcg start builds IC(0) now, as part of setting up the design. The
@@ -172,6 +257,26 @@ const linalg::SparseCholesky* IrSolver::sparse(std::string* error) const {
 
 bool IrSolver::sparse_factor_available() const { return sparse(nullptr) != nullptr; }
 
+linalg::CgOptions IrSolver::cg_options() const {
+  linalg::CgOptions opts;
+  opts.rel_tolerance = options_.cg_rel_tolerance;
+  opts.max_iterations = options_.cg_max_iterations;
+  return opts;
+}
+
+IrSolver::RungResult IrSolver::pcg_rung(linalg::CgResult& result) {
+  RungResult out;
+  out.iterations = result.iterations;
+  if (!result.converged) {
+    out.detail = std::string(linalg::to_string(result.failure)) +
+                 (result.detail.empty() ? "" : ": " + result.detail);
+    return out;
+  }
+  out.x = std::move(result.x);
+  out.produced = true;
+  return out;
+}
+
 IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double> rhs,
                                         SolveScratch& ws) const {
   RungResult out;
@@ -191,9 +296,7 @@ IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double>
         return out;
       }
       case SolverKind::kPcgIc: {
-        linalg::CgOptions opts;
-        opts.rel_tolerance = options_.cg_rel_tolerance;
-        opts.max_iterations = options_.cg_max_iterations;
+        linalg::CgOptions opts = cg_options();
         // Reuse the cached IC(0) factor; per-state re-solves are the hot path
         // of LUT construction and co-optimization sweeps.
         opts.cached_ic = &ic();
@@ -203,15 +306,7 @@ IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double>
         ws.rail.assign(n, vdd_);
         opts.x0 = ws.rail;
         auto result = linalg::solve_cg(g_, rhs, opts, &ws.cg);
-        out.iterations = result.iterations;
-        if (!result.converged) {
-          out.detail = std::string(linalg::to_string(result.failure)) +
-                       (result.detail.empty() ? "" : ": " + result.detail);
-          return out;
-        }
-        out.x = std::move(result.x);
-        out.produced = true;
-        return out;
+        return pcg_rung(result);
       }
       case SolverKind::kDense: {
         linalg::DenseMatrix a(n, n);
@@ -234,10 +329,20 @@ IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double>
   return out;
 }
 
+void IrSolver::rhs_into(std::span<const double> sinks, std::vector<double>& rhs) const {
+  const std::size_t n = g_.dimension();
+  rhs.assign(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) rhs[i] = supply_rhs_[i] - sinks[i];
+}
+
 SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
                                  SolveScratch& ws) const {
-  const std::size_t n = g_.dimension();
+  rhs_into(sinks, ws.rhs);
+  return ladder(ws.rhs, want_ir, ws, nullptr);
+}
 
+SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveScratch& ws,
+                              RungResult* first) const {
   PDN3D_TRACE_SPAN_NAMED(span, "solver/solve");
   static auto& m_solves = obs::counter("solver.solves");
   static auto& m_failures = obs::counter("solver.failures");
@@ -246,10 +351,6 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
       obs::histogram("solver.iterations_per_solve", obs::exponential_buckets(1.0, 2.0, 16));
 
   SolveOutcome outcome;
-
-  std::vector<double>& rhs = ws.rhs;
-  rhs.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) rhs[i] = supply_rhs_[i] - sinks[i];
 
   // The two production rungs back each other up: a failed ic-pcg start
   // escalates to the sparse factor, and a failed or declined factor to
@@ -262,8 +363,9 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
   std::ostringstream trail;  // per-rung failure reasons for the final status
   for (std::size_t step = 0; step < rungs; ++step) {
     // Cooperative cancellation (service watchdog): stop instead of
-    // escalating into the other rung.
-    if (exec::cancellation_requested()) {
+    // escalating into the other rung. A start rung run in a lane polled it
+    // already.
+    if ((step > 0 || first == nullptr) && exec::cancellation_requested()) {
       m_failures.add(1);
       outcome.status = core::Status::cancelled(
           trail.tellp() > 0 ? "solve cancelled [" + trail.str() + "]" : "solve cancelled");
@@ -271,7 +373,7 @@ SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
     }
     const SolverKind kind = ladder[step];
     rung_attempt_counter(kind).add(1);
-    RungResult rung = run_rung(kind, rhs, ws);
+    RungResult rung = step == 0 && first != nullptr ? std::move(*first) : run_rung(kind, rhs, ws);
 
     std::string reject;
     if (!rung.produced) {
@@ -408,23 +510,97 @@ SolveOutcome IrSolver::solve(const SolveRequest& request, SolveScratch* scratch)
   SolveScratch local;
   SolveScratch& ws = scratch != nullptr ? *scratch : local;
 
-  // Pre-solve injection health: a NaN load current poisons every inner
-  // product, so catch it here with the offending node instead of letting CG
-  // spin.
-  static auto& m_failures = obs::counter("solver.failures");
-  for (std::size_t i = 0; i < request.sinks.size(); ++i) {
-    if (!std::isfinite(request.sinks[i])) {
-      SolveOutcome outcome;
-      outcome.status = core::Status::input_error(
-          "non-finite sink current at node " + std::to_string(i % n) +
-          (request.batch_count > 1 ? " (batch slice " + std::to_string(i / n) + ")" : ""));
-      m_failures.add(1);
-      return outcome;
-    }
-  }
+  SolveOutcome rejected;
+  rejected.status = check_sinks(request.sinks, n, request.batch_count);
+  if (!rejected.ok()) return rejected;
 
   if (request.batch_count == 1) return solve_one(request.sinks, request.want_ir, ws);
   return solve_batch(request, ws);
+}
+
+/// solve()'s side of a lane solve: turns each member into a CG system (its
+/// rhs, the rail start, its IC(0)) and each finished lane into solve()'s
+/// outcome through the same ladder.
+class IrSolver::LaneAdapter final : public linalg::CgLaneFeed {
+ public:
+  LaneAdapter(LaneFeed& feed, bool want_ir, LaneScratch& scratch)
+      : feed_(feed), want_ir_(want_ir), scratch_(scratch) {}
+
+  bool next(std::size_t lane, linalg::CgSystem& system) override {
+    for (;;) {
+      std::span<const double> sinks;
+      const IrSolver* solver = feed_.next(lane, sinks);
+      if (solver == nullptr) return false;
+      if (!joins(*solver)) {
+        // Its topology did not fit the group's structure (or an entry summed
+        // to 0.0), or it starts elsewhere: solved alone, a wrong grouping
+        // costs time, never a bit.
+        SolveOutcome alone =
+            solver->solve({.sinks = sinks, .want_ir = want_ir_}, &scratch_.solve);
+        feed_.done(lane, alone);
+        continue;
+      }
+      const std::size_t n = solver->node_count();
+      if (sinks.size() != n) {
+        throw std::invalid_argument("IrSolver::solve: sink vector size mismatch");
+      }
+      PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
+      SolveOutcome rejected;
+      rejected.status = check_sinks(sinks, n, 1);
+      if (!rejected.ok()) {
+        feed_.done(lane, rejected);
+        continue;
+      }
+
+      std::vector<double>& rhs = scratch_.rhs[lane];
+      solver->rhs_into(sinks, rhs);
+      // The rail start of run_rung; the lane reads it only while loading.
+      std::vector<double>& rail = scratch_.solve.rail;
+      rail.assign(n, solver->vdd_);
+      members_[lane] = solver;
+      system = {.a = &solver->g_, .b = rhs, .x0 = rail, .ic = &solver->ic()};
+      return true;
+    }
+  }
+
+  void finish(std::size_t lane, linalg::CgResult& result) override {
+    RungResult first = pcg_rung(result);
+    SolveOutcome outcome =
+        members_[lane]->ladder(scratch_.rhs[lane], want_ir_, scratch_.solve, &first);
+    members_[lane] = nullptr;
+    feed_.done(lane, outcome);
+  }
+
+  /// The members' CG options. The lane solve reads them only after the
+  /// first member is loaded, which is when they are set.
+  [[nodiscard]] const linalg::CgOptions& options() const { return options_; }
+
+ private:
+  /// True when @p solver can share the lanes: the first member's pattern of
+  /// G and CG options, and an ic-pcg start.
+  bool joins(const IrSolver& solver) {
+    const linalg::CgOptions opts = solver.cg_options();
+    if (pattern_ == nullptr) {
+      pattern_ = solver.g_.pattern().get();
+      options_ = opts;
+    }
+    return solver.kind_ == SolverKind::kPcgIc && solver.g_.pattern().get() == pattern_ &&
+           opts.rel_tolerance == options_.rel_tolerance &&
+           opts.max_iterations == options_.max_iterations;
+  }
+
+  LaneFeed& feed_;
+  bool want_ir_;
+  LaneScratch& scratch_;
+  const linalg::CsrPattern* pattern_ = nullptr;  ///< the lanes' pattern of G
+  linalg::CgOptions options_;
+  std::array<const IrSolver*, linalg::kCgLanes> members_{};
+};
+
+void IrSolver::solve_lanes(LaneFeed& feed, std::size_t members, bool want_ir,
+                           LaneScratch& scratch) {
+  LaneAdapter adapter(feed, want_ir, scratch);
+  linalg::solve_cg_lanes(adapter, members, adapter.options(), scratch.cg);
 }
 
 }  // namespace pdn3d::irdrop

@@ -28,7 +28,9 @@
 /// the fill-ratio guard declines simply fails the rung and the solve
 /// escalates to ic-pcg (see docs/SOLVER.md).
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -37,6 +39,7 @@
 
 #include "core/status.hpp"
 #include "linalg/cg.hpp"
+#include "linalg/coo.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/ichol.hpp"
 #include "linalg/sparse_chol.hpp"
@@ -126,12 +129,66 @@ struct SolveScratch {
   std::vector<double> direct;     ///< triangular-sweep workspace
 };
 
+/// Where a mesh topology's conductances land in G: the pattern and the slot
+/// of every stamped triplet (linalg::CooLayout), with the exact resistor
+/// endpoints and tap nodes it was built from. Design points that differ
+/// only in element values (a sweep's M2/M3 usage group) share one, and each
+/// fills its own values into the slots.
+class MeshStructure {
+ public:
+  /// True when @p model stamps exactly this topology: the same node count,
+  /// resistor endpoints and tap nodes, in order.
+  [[nodiscard]] bool matches(const pdn::StackModel& model) const;
+  /// Rebuild for @p model's topology. @throws std::length_error past
+  /// 32-bit node ids (IC(0) indexes with 32 bits too).
+  void build(const pdn::StackModel& model);
+  [[nodiscard]] const linalg::CooLayout& layout() const { return layout_; }
+
+ private:
+  std::size_t nodes_ = 0;
+  std::vector<std::uint32_t> ends_;  ///< a, b of every resistor
+  std::vector<std::uint32_t> taps_;
+  linalg::CooLayout layout_;
+};
+
+class IrSolver;
+
+/// The members of a lane solve (IrSolver::solve_lanes), set up on demand so
+/// that only the members in flight are alive.
+class LaneFeed {
+ public:
+  virtual ~LaneFeed() = default;
+  /// The next member for @p lane: its solver, with @p sinks pointed at its
+  /// sink currents (both valid until done() for the lane), or null when no
+  /// member is left.
+  virtual const IrSolver* next(std::size_t lane, std::span<const double>& sinks) = 0;
+  /// The member in @p lane is solved: @p outcome is what solve() returns for
+  /// it alone, bit for bit.
+  virtual void done(std::size_t lane, SolveOutcome& outcome) = 0;
+};
+
+/// A sweep chunk's state for lane solves and for the solvers they run: the
+/// structure of the last topology assembled, the lane CG buffers, each
+/// lane's right-hand side and one SolveScratch for the members' set-ups and
+/// ladders, which run one at a time (its sinks buffer is free for the feed).
+/// Never share one between threads.
+struct LaneScratch {
+  MeshStructure structure;
+  linalg::CgScratch cg;
+  SolveScratch solve;
+  std::array<std::vector<double>, linalg::kCgLanes> rhs;
+};
+
 class IrSolver {
  public:
+  /// @param structure a sweep chunk's structure of the last topology it
+  /// assembled: reused when @p model stamps the same topology, rebuilt in
+  /// place otherwise; null builds a private one. Either way G is its values
+  /// summed into the slots in stamp order, bit for bit CooBuilder::compress.
   /// @throws core::ValidationError (a std::invalid_argument) when the mesh
   /// fails pre-solve validation.
   explicit IrSolver(const pdn::StackModel& model, SolverKind kind = SolverKind::kPcgIc,
-                    IrSolverOptions options = {});
+                    IrSolverOptions options = {}, MeshStructure* structure = nullptr);
 
   /// The unified entry point. request.sinks must have model.node_count()
   /// entries (std::invalid_argument otherwise -- a caller bug); every
@@ -140,6 +197,16 @@ class IrSolver {
   /// passes its own @p scratch (or none).
   [[nodiscard]] SolveOutcome solve(const SolveRequest& request,
                                    SolveScratch* scratch = nullptr) const;
+
+  /// Solve up to @p members single-RHS members through
+  /// linalg::solve_cg_lanes: three IC-PCG solves in lockstep, a finished lane
+  /// taking the feed's next member. Each member keeps solve()'s entry checks,
+  /// residual verification and escalation ladder, so its outcome is bitwise
+  /// what solve() of it alone returns. A member whose G pattern, start rung
+  /// or CG options differ from the first member's is solved alone, by
+  /// solve().
+  static void solve_lanes(LaneFeed& feed, std::size_t members, bool want_ir,
+                          LaneScratch& scratch);
 
   [[nodiscard]] std::size_t node_count() const { return g_.dimension(); }
   [[nodiscard]] double vdd() const { return vdd_; }
@@ -165,8 +232,19 @@ class IrSolver {
                                     SolveScratch& ws) const;
   [[nodiscard]] const linalg::IncompleteCholesky& ic() const;
   [[nodiscard]] const linalg::SparseCholesky* sparse(std::string* error) const;
+  /// rhs = supply_rhs - sinks.
+  void rhs_into(std::span<const double> sinks, std::vector<double>& rhs) const;
   [[nodiscard]] SolveOutcome solve_one(std::span<const double> sinks, bool want_ir,
                                        SolveScratch& ws) const;
+  /// The ladder over @p rhs. @p first, when given, is the start rung's
+  /// result, already run in a lane.
+  [[nodiscard]] SolveOutcome ladder(std::span<const double> rhs, bool want_ir, SolveScratch& ws,
+                                    RungResult* first) const;
+  [[nodiscard]] linalg::CgOptions cg_options() const;
+  /// A solve_cg result as the ic-pcg rung's result.
+  [[nodiscard]] static RungResult pcg_rung(linalg::CgResult& result);
+
+  class LaneAdapter;
   [[nodiscard]] SolveOutcome solve_batch(const SolveRequest& request, SolveScratch& ws) const;
 
   SolverKind kind_;

@@ -1,5 +1,7 @@
 #include "linalg/coo.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -7,24 +9,97 @@ namespace pdn3d::linalg {
 
 namespace {
 
-/// Stable insertion sort of one row's (column, value) entries by column.
-/// Mesh rows hold a handful of triplets (the stacks' longest about 100), so
-/// this is the cheap part of the pass.
-void sort_row_by_column(std::size_t* cols, double* vals, std::size_t count) {
+/// Stable insertion sort of one row's triplet indices by column. Mesh rows
+/// hold a handful of triplets (the stacks' longest about 100), so this is
+/// the cheap part of the pass.
+void sort_row_by_column(std::uint32_t* order, std::size_t count,
+                        std::span<const std::size_t> cols) {
   for (std::size_t k = 1; k < count; ++k) {
-    const std::size_t c = cols[k];
-    const double v = vals[k];
+    const std::uint32_t t = order[k];
+    const std::size_t c = cols[t];
     std::size_t j = k;
-    for (; j > 0 && cols[j - 1] > c; --j) {
-      cols[j] = cols[j - 1];
-      vals[j] = vals[j - 1];
-    }
-    cols[j] = c;
-    vals[j] = v;
+    for (; j > 0 && cols[order[j - 1]] > c; --j) order[j] = order[j - 1];
+    order[j] = t;
   }
 }
 
 }  // namespace
+
+CooLayout coo_layout(std::size_t n, std::span<const std::size_t> rows,
+                     std::span<const std::size_t> cols) {
+  if (rows.size() != cols.size()) throw std::invalid_argument("coo_layout: row/col count mismatch");
+  const std::size_t count = rows.size();
+  if (count > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("coo_layout: triplets exceed 32-bit slots");
+  }
+
+  auto pattern = std::make_shared<CsrPattern>();
+  pattern->n = n;
+  std::vector<std::size_t>& row_ptr = pattern->row_ptr;
+  row_ptr.assign(n + 1, 0);
+  for (std::size_t k = 0; k < count; ++k) {
+    if (rows[k] >= n || cols[k] >= n) throw std::out_of_range("coo_layout: index out of range");
+    ++row_ptr[rows[k] + 1];
+  }
+  for (std::size_t r = 0; r < n; ++r) row_ptr[r + 1] += row_ptr[r];
+
+  // Counting sort by row: bucket r spans [row_ptr[r], row_ptr[r + 1]) and
+  // holds row r's triplet indices in stamp order.
+  std::vector<std::uint32_t> order(count);
+  {
+    std::vector<std::size_t> next(row_ptr.begin(), row_ptr.end() - 1);
+    for (std::size_t k = 0; k < count; ++k) order[next[rows[k]]++] = static_cast<std::uint32_t>(k);
+  }
+
+  // Order each bucket by column, then give each run of one column an entry.
+  CooLayout layout;
+  layout.slots.resize(count);
+  std::vector<std::size_t>& col_idx = pattern->col_idx;
+  col_idx.resize(count);
+  std::size_t out = 0;
+  std::size_t begin = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t end = row_ptr[r + 1];
+    sort_row_by_column(order.data() + begin, end - begin, cols);
+    for (std::size_t i = begin; i < end;) {
+      const std::size_t c = cols[order[i]];
+      for (; i < end && cols[order[i]] == c; ++i) {
+        layout.slots[order[i]] = static_cast<std::uint32_t>(out);
+      }
+      col_idx[out++] = c;
+    }
+    row_ptr[r + 1] = out;
+    begin = end;
+  }
+  // The pattern outlives the layout's build (a cached design keeps it for
+  // good), so give back the duplicates' share.
+  col_idx.resize(out);
+  col_idx.shrink_to_fit();
+  layout.pattern = std::move(pattern);
+  return layout;
+}
+
+Csr assemble(const CooLayout& layout, std::vector<double> values) {
+  const CsrPattern& p = *layout.pattern;
+  if (values.size() != p.col_idx.size()) throw std::invalid_argument("assemble: value count");
+  if (std::find(values.begin(), values.end(), 0.0) == values.end()) {
+    return Csr(layout.pattern, std::move(values));
+  }
+  // An entry summed to exactly 0.0: drop it, on a pattern of this matrix's
+  // own.
+  std::vector<std::size_t> row_ptr(p.n + 1, 0);
+  std::vector<std::size_t> col_idx;
+  std::vector<double> kept;
+  for (std::size_t r = 0; r < p.n; ++r) {
+    for (std::size_t k = p.row_ptr[r]; k < p.row_ptr[r + 1]; ++k) {
+      if (values[k] == 0.0) continue;
+      col_idx.push_back(p.col_idx[k]);
+      kept.push_back(values[k]);
+    }
+    row_ptr[r + 1] = col_idx.size();
+  }
+  return Csr(p.n, std::move(row_ptr), std::move(col_idx), std::move(kept));
+}
 
 CooBuilder::CooBuilder(std::size_t n) : n_(n) {}
 
@@ -57,52 +132,10 @@ void CooBuilder::stamp_to_ground(std::size_t a, double g) {
 }
 
 Csr CooBuilder::compress() const {
-  const std::size_t nnz_in = rows_.size();
-
-  // Counting sort by row: bucket r spans [row_ptr[r], row_ptr[r + 1]) and
-  // holds row r's triplets in insertion order.
-  std::vector<std::size_t> row_ptr(n_ + 1, 0);
-  for (const std::size_t r : rows_) ++row_ptr[r + 1];
-  for (std::size_t r = 0; r < n_; ++r) row_ptr[r + 1] += row_ptr[r];
-  std::vector<std::size_t> col_idx(nnz_in);
-  std::vector<double> values(nnz_in);
-  {
-    std::vector<std::size_t> next(row_ptr.begin(), row_ptr.end() - 1);
-    for (std::size_t k = 0; k < nnz_in; ++k) {
-      const std::size_t slot = next[rows_[k]]++;
-      col_idx[slot] = cols_[k];
-      values[slot] = vals_[k];
-    }
-  }
-
-  // Order each bucket by column, then merge its duplicates in place: the
-  // merged entries are written behind the read position, never ahead of it.
-  std::size_t out = 0;
-  std::size_t begin = 0;
-  for (std::size_t r = 0; r < n_; ++r) {
-    const std::size_t end = row_ptr[r + 1];
-    sort_row_by_column(col_idx.data() + begin, values.data() + begin, end - begin);
-    for (std::size_t i = begin; i < end;) {
-      const std::size_t c = col_idx[i];
-      double sum = 0.0;
-      for (; i < end && col_idx[i] == c; ++i) sum += values[i];
-      if (sum != 0.0) {
-        col_idx[out] = c;
-        values[out] = sum;
-        ++out;
-      }
-    }
-    row_ptr[r + 1] = out;
-    begin = end;
-  }
-  // The matrix outlives the builder (a cached design keeps it for good), so
-  // give back the duplicates' share of the buckets.
-  col_idx.resize(out);
-  col_idx.shrink_to_fit();
-  values.resize(out);
-  values.shrink_to_fit();
-
-  return Csr(n_, std::move(row_ptr), std::move(col_idx), std::move(values));
+  const CooLayout layout = coo_layout(n_, rows_, cols_);
+  std::vector<double> values(layout.pattern->col_idx.size(), 0.0);
+  for (std::size_t k = 0; k < vals_.size(); ++k) values[layout.slots[k]] += vals_[k];
+  return assemble(layout, std::move(values));
 }
 
 }  // namespace pdn3d::linalg

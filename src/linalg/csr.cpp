@@ -8,7 +8,16 @@ namespace pdn3d::linalg {
 
 Csr::Csr(std::size_t n, std::vector<std::size_t> row_ptr, std::vector<std::size_t> col_idx,
          std::vector<double> values)
-    : n_(n), row_ptr_(std::move(row_ptr)), col_idx_(std::move(col_idx)), values_(std::move(values)) {
+    : Csr(std::make_shared<const CsrPattern>(
+              CsrPattern{n, std::move(row_ptr), std::move(col_idx)}),
+          std::move(values)) {}
+
+Csr::Csr(std::shared_ptr<const CsrPattern> pattern, std::vector<double> values)
+    : pattern_(std::move(pattern)), values_(std::move(values)) {
+  if (!pattern_) throw std::invalid_argument("Csr: null pattern");
+  n_ = pattern_->n;
+  row_ptr_ = pattern_->row_ptr;
+  col_idx_ = pattern_->col_idx;
   if (row_ptr_.size() != n_ + 1) throw std::invalid_argument("Csr: row_ptr size mismatch");
   if (col_idx_.size() != values_.size()) throw std::invalid_argument("Csr: col/value size mismatch");
   if (row_ptr_.back() != values_.size()) throw std::invalid_argument("Csr: row_ptr/nnz mismatch");

@@ -76,23 +76,7 @@ IncompleteCholesky::IncompleteCholesky(const Csr& a) : n_(a.dimension()) {
 
 void IncompleteCholesky::apply(std::span<const double> r, std::span<double> z) const {
   if (r.size() != n_ || z.size() != n_) throw std::invalid_argument("IncompleteCholesky::apply: size");
-  const std::uint32_t* const rp = row_ptr_.data();
-  const std::uint32_t* const ci = col_idx_.data();
-  const double* const lv = values_.data();
-  const double* const inv = inv_diag_.data();
-  // Forward solve L y = r (y stored into z).
-  for (std::size_t i = 0; i < n_; ++i) {
-    double sum = r[i];
-    for (std::uint32_t k = rp[i]; k < rp[i + 1]; ++k) sum -= lv[k] * z[ci[k]];
-    z[i] = sum * inv[i];
-  }
-  // Backward solve L^T z = y. Column i of L^T is row i of L, so process rows
-  // in reverse, finalizing z[i] and scattering the update into earlier rows.
-  for (std::size_t i = n_; i-- > 0;) {
-    const double zi = z[i] * inv[i];
-    z[i] = zi;
-    for (std::uint32_t k = rp[i]; k < rp[i + 1]; ++k) z[ci[k]] -= lv[k] * zi;
-  }
+  apply_lanes<1>({this}, r.data(), z.data());
 }
 
 }  // namespace pdn3d::linalg

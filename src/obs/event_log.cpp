@@ -88,7 +88,7 @@ std::string event_timestamp() {
   const std::time_t t = std::chrono::system_clock::to_time_t(secs);
   std::tm tm{};
   gmtime_r(&t, &tm);
-  char buf[40];
+  char buf[96];  // room for seven ints of any value: never truncated
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", tm.tm_year + 1900,
                 tm.tm_mon + 1, tm.tm_mday, tm.tm_hour, tm.tm_min, tm.tm_sec,
                 static_cast<int>(millis));

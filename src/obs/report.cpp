@@ -33,7 +33,7 @@ std::string utc_timestamp() {
 #else
   gmtime_r(&now, &tm);
 #endif
-  char buf[32];
+  char buf[80];  // room for six ints of any value: never truncated
   std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ", tm.tm_year + 1900,
                 tm.tm_mon + 1, tm.tm_mday, tm.tm_hour, tm.tm_min, tm.tm_sec);
   return buf;

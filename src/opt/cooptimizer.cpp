@@ -19,8 +19,31 @@ namespace pdn3d::opt {
 
 namespace {
 
-/// Design points per evaluate_batch chunk (one fork() each).
-constexpr std::size_t kPointsPerChunk = 4;
+/// The sweep's chunks: indices of configs equal except for m2_usage and
+/// m3_usage, groups in order of first appearance and members in index
+/// order. Such points share their mesh structure, so an evaluator can build
+/// it once per group (Evaluator::measure_group). The boundaries depend only
+/// on the configs, never on the thread count.
+std::vector<std::vector<std::size_t>> usage_groups(std::span<const pdn::PdnConfig> configs) {
+  const auto key = [](pdn::PdnConfig c) {
+    c.m2_usage = 0.0;
+    c.m3_usage = 0.0;
+    return c;
+  };
+  std::vector<pdn::PdnConfig> keys;
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const pdn::PdnConfig k = key(configs[i]);
+    const auto it = std::find(keys.begin(), keys.end(), k);
+    if (it == keys.end()) {
+      keys.push_back(k);
+      groups.push_back({i});
+    } else {
+      groups[static_cast<std::size_t>(it - keys.begin())].push_back(i);
+    }
+  }
+  return groups;
+}
 
 /// The first minimum of IR-cost at @p alpha (strict <, in enumeration order)
 /// over one fitted choice's fine grid of the continuous box, evaluated on
@@ -60,6 +83,20 @@ Optimum best_on_grid(const DesignSpace& space, const FittedChoice& fc, double al
 
 }  // namespace
 
+void Evaluator::measure_group(std::span<const pdn::PdnConfig> configs,
+                              std::span<Measurement> out) {
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    try {
+      out[i] = {measure(configs[i]), nullptr};
+    } catch (const core::NumericalError& e) {
+      if (e.status().code() == core::StatusCode::kCancelled) throw;
+      out[i] = {0.0, std::current_exception()};
+    } catch (const core::ValidationError&) {
+      out[i] = {0.0, std::current_exception()};
+    }
+  }
+}
+
 CoOptimizer::CoOptimizer(DesignSpace space, std::unique_ptr<Evaluator> evaluate, int threads)
     : space_(std::move(space)), evaluate_(std::move(evaluate)), threads_(threads) {
   if (!evaluate_) throw std::invalid_argument("CoOptimizer: evaluator required");
@@ -77,16 +114,14 @@ std::vector<CoOptimizer::PointResult> CoOptimizer::evaluate_batch(
   // Announce the batch before any fork, off the deterministic first config,
   // so whatever an evaluator records per sweep is independent of scheduling.
   if (!configs.empty()) evaluate_->hint_sweep(configs.front(), configs.size());
-  // Small fixed-size chunks, claimed on demand, keep every worker busy to the
-  // end of a batch whose points differ severalfold in cost. The boundaries
-  // depend only on the batch size, never on the thread count.
-  const std::size_t chunks = (configs.size() + kPointsPerChunk - 1) / kPointsPerChunk;
+  // One usage group per chunk, claimed on demand: the default sweep's groups
+  // are 3 x 3 points (2 when densifying), small enough to keep every worker
+  // busy to the end of a batch whose points differ severalfold in cost.
+  const std::vector<std::vector<std::size_t>> groups = usage_groups(configs);
   exec::ThreadPool pool(static_cast<std::size_t>(threads_));
-  pool.parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * kPointsPerChunk;
-    const std::size_t end = std::min(configs.size(), begin + kPointsPerChunk);
+  pool.parallel_for(groups.size(), [&](std::size_t g) {
     const std::unique_ptr<Evaluator> ev = evaluate_->fork();
-    for (std::size_t i = begin; i < end; ++i) results[i] = measure_point(*ev, configs[i], base + i);
+    measure_group(*ev, configs, groups[g], base, results);
   });
 
   // Bookkeeping after the region completes, in index order: skipped_ and the
@@ -95,29 +130,45 @@ std::vector<CoOptimizer::PointResult> CoOptimizer::evaluate_batch(
   return results;
 }
 
-CoOptimizer::PointResult CoOptimizer::measure_point(Evaluator& ev, const pdn::PdnConfig& config,
-                                                    std::uint64_t index) const {
-  PDN3D_TRACE_SPAN("cooptimize/solve_point");
-  PointResult r;
-  if (checkpoint_ != nullptr) {
-    if (const util::CheckpointEntry* entry = checkpoint_->find(index)) {
-      r.ok = entry->ok;
-      r.ir_mv = entry->value;
-      r.reason = entry->message;
-      return r;
+void CoOptimizer::measure_group(Evaluator& ev, std::span<const pdn::PdnConfig> configs,
+                                std::span<const std::size_t> members, std::uint64_t base,
+                                std::span<PointResult> results) const {
+  PDN3D_TRACE_SPAN("cooptimize/solve_group");
+  static auto& m_groups = obs::counter("cooptimizer.groups_evaluated");
+  m_groups.add(1);
+  // A point already in the checkpoint is replayed and leaves its group; the
+  // group's points are independent, so the rest measure to the same bits.
+  std::vector<std::size_t> todo;
+  std::vector<pdn::PdnConfig> pending;
+  for (const std::size_t i : members) {
+    const util::CheckpointEntry* entry =
+        checkpoint_ != nullptr ? checkpoint_->find(base + i) : nullptr;
+    if (entry != nullptr) {
+      results[i] = {entry->ok, entry->value, entry->message};
+      continue;
     }
+    todo.push_back(i);
+    pending.push_back(configs[i]);
   }
+  if (todo.empty()) return;
+  std::vector<Measurement> measured(todo.size());
+  ev.measure_group(pending, measured);
+  for (std::size_t j = 0; j < todo.size(); ++j) {
+    const PointResult r = to_point(measured[j]);
+    results[todo[j]] = r;
+    if (checkpoint_ != nullptr) checkpoint_->record(base + todo[j], {r.ok, r.ir_mv, r.reason});
+  }
+}
+
+CoOptimizer::PointResult CoOptimizer::to_point(const Measurement& m) {
+  if (!m.error) return {true, m.ir_mv, {}};
   try {
-    r.ir_mv = ev.measure(config);
-    r.ok = true;
+    std::rethrow_exception(m.error);
   } catch (const core::NumericalError& e) {
-    if (e.status().code() == core::StatusCode::kCancelled) throw;
-    r.reason = e.status().to_string();
+    return {false, 0.0, e.status().to_string()};
   } catch (const core::ValidationError& e) {
-    r.reason = e.report().to_status().to_string();
+    return {false, 0.0, e.report().to_status().to_string()};
   }
-  if (checkpoint_ != nullptr) checkpoint_->record(index, {r.ok, r.ir_mv, r.reason});
-  return r;
 }
 
 void CoOptimizer::account(std::span<const pdn::PdnConfig> configs,
@@ -284,7 +335,9 @@ Optimum CoOptimizer::optimize(double alpha) {
     }
     // Re-measure the winner alone: off the pool and with no hint_sweep(), so
     // an evaluator that accounts per sweep keeps this point out of the sweeps.
-    const PointResult measured = measure_point(*evaluate_, best.config, total_samples_);
+    PointResult measured;
+    const std::size_t only = 0;
+    measure_group(*evaluate_, {&best.config, 1}, {&only, 1}, total_samples_, {&measured, 1});
     account({&best.config, 1}, {&measured, 1});
     if (measured.ok) {
       best.measured_ir_mv = measured.ir_mv;

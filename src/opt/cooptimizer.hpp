@@ -12,6 +12,7 @@
 /// both the model's and the R-Mesh's IR drop for the optimum).
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <span>
@@ -27,6 +28,13 @@ class SweepCheckpoint;
 }
 
 namespace pdn3d::opt {
+
+/// One point of Evaluator::measure_group(): the IR drop, or the error
+/// measure() throws for the point.
+struct Measurement {
+  double ir_mv = 0.0;
+  std::exception_ptr error;  ///< a core::NumericalError or core::ValidationError
+};
 
 /// Measures the true IR drop of design configurations with the R-Mesh
 /// engine. The co-optimizer parallelizes its sample sweep by fork()ing one
@@ -44,6 +52,14 @@ class Evaluator {
   /// the optimizer records the point (see skipped_points()) and continues
   /// instead of aborting the sweep.
   [[nodiscard]] virtual double measure(const pdn::PdnConfig& config) = 0;
+
+  /// measure() over a usage group -- configs equal except for m2_usage and
+  /// m3_usage, the sweep's unit of work. out[i] must be measure(configs[i])
+  /// bit for bit, or hold the core::NumericalError / core::ValidationError it
+  /// throws; a cancellation or any other error propagates. The default calls
+  /// measure() per point; an evaluator that shares work across the group
+  /// (core::PlatformEvaluator) overrides it.
+  virtual void measure_group(std::span<const pdn::PdnConfig> configs, std::span<Measurement> out);
 
   /// Sweep announcement, called once (on the root evaluator, before any
   /// fork) per batch of sibling design points: @p representative is the
@@ -164,19 +180,25 @@ class CoOptimizer {
     std::string reason;  ///< structured failure when !ok
   };
 
-  /// Measure every config in one pool region, in small fixed-size chunks
-  /// handed out on demand (one fork()ed evaluator per chunk). Results come
-  /// back in input order; skipped-point bookkeeping happens afterwards in
-  /// index order, so the sweep's observable state is independent of the
-  /// thread count.
+  /// A measurement as the sweep records it, with the structured reason of a
+  /// solver or validation failure.
+  static PointResult to_point(const Measurement& m);
+
+  /// Measure every config in one pool region, one usage group (see
+  /// usage_groups()) per chunk, handed out on demand with one fork()ed
+  /// evaluator each. Results come back in input order; skipped-point
+  /// bookkeeping happens afterwards in index order, so the sweep's
+  /// observable state is independent of the thread count.
   std::vector<PointResult> evaluate_batch(const std::vector<pdn::PdnConfig>& configs);
 
-  /// One measurement on @p ev: replays the checkpoint entry at running index
-  /// @p index when there is one, else measures and records the result. A
-  /// solver or validation failure comes back as !ok; a cancellation throws.
-  /// Safe to call concurrently with distinct evaluators.
-  PointResult measure_point(Evaluator& ev, const pdn::PdnConfig& config,
-                            std::uint64_t index) const;
+  /// Measure configs[i] for every i in @p members (one usage group) on
+  /// @p ev into results[i]: replays the checkpoint entry at running index
+  /// base + i when there is one, measures the rest as one group and records
+  /// them. A solver or validation failure comes back as !ok; a cancellation
+  /// throws. Safe to call concurrently with distinct evaluators.
+  void measure_group(Evaluator& ev, std::span<const pdn::PdnConfig> configs,
+                     std::span<const std::size_t> members, std::uint64_t base,
+                     std::span<PointResult> results) const;
 
   /// The in-order bookkeeping of measured points: advances the running
   /// measurement count and records and warns about every failure as a

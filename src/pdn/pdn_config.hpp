@@ -56,6 +56,8 @@ struct PdnConfig {
 
   /// Human-readable one-liner for logs and tables.
   [[nodiscard]] std::string summary() const;
+
+  bool operator==(const PdnConfig&) const = default;
 };
 
 }  // namespace pdn3d::pdn

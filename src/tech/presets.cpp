@@ -31,11 +31,11 @@ InterconnectTech default_interconnect() {
 }
 
 Technology ddr3_technology() {
-  return Technology{dram_20nm(1.5), logic_28nm(1.5), default_interconnect()};
+  return Technology{dram_20nm(1.5), logic_28nm(1.5), default_interconnect(), EmTech{}};
 }
 
 Technology low_voltage_technology() {
-  return Technology{dram_20nm(1.2), logic_28nm(1.2), default_interconnect()};
+  return Technology{dram_20nm(1.2), logic_28nm(1.2), default_interconnect(), EmTech{}};
 }
 
 }  // namespace pdn3d::tech

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/status.hpp"
+#include "linalg/cg.hpp"
 #include "linalg/coo.hpp"
 #include "util/units.hpp"
 
@@ -36,40 +38,22 @@ TransientSimulator::TransientSimulator(const pdn::StackModel& model, std::span<c
   ic_system_ = std::make_unique<linalg::IncompleteCholesky>(system_);
 }
 
-std::vector<double> TransientSimulator::solve(const std::vector<double>& rhs,
-                                              std::vector<double> x) const {
-  // IC-PCG with a warm start (the previous time step's solution).
-  const std::size_t n = system_.dimension();
-  std::vector<double> r(n, 0.0);
-  system_.multiply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = rhs[i] - r[i];
-  std::vector<double> z(n, 0.0);
-  std::vector<double> p(n, 0.0);
-  std::vector<double> ap(n, 0.0);
-
-  const double bnorm = linalg::norm2(rhs);
-  if (bnorm == 0.0) return std::vector<double>(n, 0.0);
-  const double target = 1e-9 * bnorm;
-  if (linalg::norm2(r) <= target) return x;
-
-  ic_system_->apply(r, z);
-  p = z;
-  double rz = linalg::dot(r, z);
-  for (std::size_t it = 0; it < 5000; ++it) {
-    system_.multiply(p, ap);
-    const double pap = linalg::dot(p, ap);
-    if (pap <= 0.0) break;
-    const double alpha = rz / pap;
-    linalg::axpy(alpha, p, x);
-    linalg::axpy(-alpha, ap, r);
-    if (linalg::norm2(r) <= target) return x;
-    ic_system_->apply(r, z);
-    const double rz_new = linalg::dot(r, z);
-    const double beta = rz_new / rz;
-    rz = rz_new;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+std::vector<double> TransientSimulator::solve(std::size_t step, const std::vector<double>& rhs,
+                                              const std::vector<double>& guess,
+                                              linalg::CgScratch& scratch) const {
+  // IC-PCG warm-started at the previous time step's solution.
+  linalg::CgOptions opts;
+  opts.rel_tolerance = 1e-9;
+  opts.max_iterations = 5000;
+  opts.x0 = guess;
+  opts.cached_ic = ic_system_.get();
+  linalg::CgResult result = linalg::solve_cg(system_, rhs, opts, &scratch);
+  if (!result.converged) {
+    throw core::NumericalError(core::Status::numerical_failure(
+        "transient step " + std::to_string(step) + ": ic-pcg " +
+        linalg::to_string(result.failure) + (result.detail.empty() ? "" : ": " + result.detail)));
   }
-  throw std::runtime_error("TransientSimulator: PCG did not converge");
+  return std::move(result.x);
 }
 
 double TransientSimulator::worst_dram_ir(std::span<const double> v) const {
@@ -106,11 +90,12 @@ TransientResult TransientSimulator::step_response(std::span<const double> sinks,
   out.worst_ir_mv.push_back(0.0);
 
   bool settled = false;
+  linalg::CgScratch scratch;
   for (std::size_t k = 1; k <= steps; ++k) {
     for (std::size_t i = 0; i < n; ++i) {
       rhs[i] = supply_rhs_[i] - sinks[i] + cap_over_dt_[i] * v[i];
     }
-    v = solve(rhs, std::move(v));
+    v = solve(k, rhs, v, scratch);
     const double t_ns = static_cast<double>(k) * dt_ * 1e9;
     const double ir = worst_dram_ir(v);
     out.time_ns.push_back(t_ns);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "irdrop/solver.hpp"
+#include "linalg/cg.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/ichol.hpp"
 #include "pdn/stack_model.hpp"
@@ -44,15 +45,18 @@ class TransientSimulator {
 
   /// Step response: all nodes start at VDD (idle), then @p sinks switch on at
   /// t = 0 and stay. Simulates for @p duration_s. Throws core::NumericalError
-  /// when the DC reference solve fails.
+  /// when the DC reference solve or a time step's CG solve fails.
   [[nodiscard]] TransientResult step_response(std::span<const double> sinks,
                                               double duration_s) const;
 
   [[nodiscard]] double dt_seconds() const { return dt_; }
 
  private:
-  [[nodiscard]] std::vector<double> solve(const std::vector<double>& rhs,
-                                          std::vector<double> guess) const;
+  /// One backward-Euler step: linalg::solve_cg on G + C/dt from @p guess
+  /// (the previous step), or core::NumericalError naming the CG failure.
+  [[nodiscard]] std::vector<double> solve(std::size_t step, const std::vector<double>& rhs,
+                                          const std::vector<double>& guess,
+                                          linalg::CgScratch& scratch) const;
   [[nodiscard]] double worst_dram_ir(std::span<const double> v) const;
 
   const pdn::StackModel& model_;

@@ -55,7 +55,7 @@ TEST(IrModel, NotEnoughSamplesThrows) {
 
 TEST(IrModel, PredictBeforeFitThrows) {
   IrModel m;
-  EXPECT_THROW(m.predict(DesignVars{}), std::logic_error);
+  EXPECT_THROW((void)m.predict(DesignVars{}), std::logic_error);
 }
 
 TEST(IrModel, HandlesFixedTcWithoutBlowingUp) {

@@ -50,8 +50,8 @@ TEST(DramFloorplan, UtilizationReasonable) {
 
 TEST(DramFloorplan, MissingBankThrows) {
   const Floorplan fp = make_dram_floorplan(ddr3_spec());
-  EXPECT_THROW(fp.bank(8), std::out_of_range);
-  EXPECT_THROW(fp.bank(-1), std::out_of_range);
+  EXPECT_THROW((void)fp.bank(8), std::out_of_range);
+  EXPECT_THROW((void)fp.bank(-1), std::out_of_range);
 }
 
 TEST(DramFloorplan, InterleavePairSpansColumn) {

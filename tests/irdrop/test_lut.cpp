@@ -75,9 +75,9 @@ TEST(IrLut, DemandFactorScalesEntries) {
 TEST(IrLut, RangeChecking) {
   const LutFixture f;
   const auto lut = IrLut::build(*f.analyzer, f.spec.dram_spec, 2);
-  EXPECT_THROW(lut.max_ir_mv({0, 0, 0}), std::invalid_argument);
-  EXPECT_THROW(lut.max_ir_mv({0, 0, 0, 3}), std::out_of_range);
-  EXPECT_THROW(lut.max_ir_mv({0, 0, 0, -1}), std::out_of_range);
+  EXPECT_THROW((void)lut.max_ir_mv({0, 0, 0}), std::invalid_argument);
+  EXPECT_THROW((void)lut.max_ir_mv({0, 0, 0, 3}), std::out_of_range);
+  EXPECT_THROW((void)lut.max_ir_mv({0, 0, 0, -1}), std::out_of_range);
 }
 
 TEST(IrLut, SaveLoadRoundTrip) {

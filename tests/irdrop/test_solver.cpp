@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -596,6 +600,133 @@ TEST(IrSolver, RailStartTakesFewerIterationsThanAZeroStart) {
     ASSERT_TRUE(zero_start.converged) << b.name;
     EXPECT_LT(outcome.iterations, zero_start.iterations) << b.name;
   }
+}
+
+/// starvable_mesh()'s topology with every resistance scaled by @p scale and
+/// the tap resistance by @p tap_scale: the same stamp sequence with new
+/// values, like the points of a sweep's usage group.
+pdn::StackModel scaled_mesh(double scale, double tap_scale) {
+  const pdn::StackModel base = starvable_mesh();
+  pdn::StackModel m(base.vdd());
+  for (const pdn::LayerGrid& g : base.grids()) m.add_grid(g);
+  m.set_dram_die_count(base.dram_die_count());
+  for (const pdn::Resistor& r : base.resistors()) m.add_resistor(r.a, r.b, r.ohms * scale, r.kind);
+  for (const pdn::SupplyTap& t : base.taps()) m.add_tap(t.node, t.ohms * tap_scale);
+  return m;
+}
+
+TEST(MeshStructure, SharedStructureAssemblesTheCompressedMatrixBitForBit) {
+  CounterDeltas delta;
+  MeshStructure shared;
+  for (const double scale : {1.0, 0.37, 2.9}) {
+    const pdn::StackModel m = scaled_mesh(scale, 1.0 / scale);
+    const IrSolver fresh(m);
+    const IrSolver reused(m, SolverKind::kPcgIc, {}, &shared);
+    const linalg::Csr& a = fresh.conductance_matrix();
+    const linalg::Csr& b = reused.conductance_matrix();
+    ASSERT_EQ(a.nnz(), b.nnz());
+    EXPECT_TRUE(std::equal(a.row_ptr().begin(), a.row_ptr().end(), b.row_ptr().begin()));
+    EXPECT_TRUE(std::equal(a.col_idx().begin(), a.col_idx().end(), b.col_idx().begin()));
+    EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(), a.nnz() * sizeof(double)), 0);
+  }
+  // Three fresh solvers built private structures; the shared one was built
+  // once and reused twice.
+  EXPECT_EQ(delta("solver.structure_builds"), 4u);
+  EXPECT_EQ(delta("solver.structure_reuses"), 2u);
+
+  // Another topology never reuses it: the structure is rebuilt in place.
+  pdn::StackModel other = scaled_mesh(1.0, 1.0);
+  other.add_tap(5, 0.3);
+  EXPECT_FALSE(shared.matches(other));
+  const IrSolver rebuilt(other, SolverKind::kPcgIc, {}, &shared);
+  EXPECT_TRUE(shared.matches(other));
+  EXPECT_EQ(delta("solver.structure_builds"), 5u);
+}
+
+/// Hands out (solver, sinks) pairs in order; keeps each outcome.
+class MemberFeed final : public LaneFeed {
+ public:
+  MemberFeed(const std::vector<std::unique_ptr<IrSolver>>& solvers,
+             const std::vector<std::vector<double>>& sinks)
+      : solvers_(solvers), sinks_(sinks), outcomes_(solvers.size()) {}
+  const IrSolver* next(std::size_t lane, std::span<const double>& sinks) override {
+    if (next_ == solvers_.size()) return nullptr;
+    in_lane_[lane] = next_;
+    sinks = sinks_[next_];
+    return solvers_[next_++].get();
+  }
+  void done(std::size_t lane, SolveOutcome& outcome) override {
+    outcomes_[in_lane_[lane]] = std::move(outcome);
+  }
+  [[nodiscard]] const std::vector<SolveOutcome>& outcomes() const { return outcomes_; }
+
+ private:
+  const std::vector<std::unique_ptr<IrSolver>>& solvers_;
+  const std::vector<std::vector<double>>& sinks_;
+  std::vector<SolveOutcome> outcomes_;
+  std::size_t next_ = 0;
+  std::array<std::size_t, linalg::kCgLanes> in_lane_{};
+};
+
+/// Solves five same-topology members alone and as lanes and expects the same
+/// bits; returns the escalations of the solo solves.
+std::uint64_t expect_lanes_equal_solve(const IrSolverOptions& options, bool want_ir) {
+  LaneScratch scratch;
+  std::vector<pdn::StackModel> models;
+  for (const double scale : {1.0, 0.5, 1.7, 3.1, 0.8}) models.push_back(scaled_mesh(scale, scale));
+  std::vector<std::unique_ptr<IrSolver>> solvers;
+  std::vector<std::vector<double>> sinks;
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    solvers.push_back(std::make_unique<IrSolver>(models[k], SolverKind::kPcgIc, options,
+                                                 &scratch.structure));
+    sinks.emplace_back(models[k].node_count(), 0.004 * static_cast<double>(k + 1));
+  }
+  sinks[1].assign(sinks[1].size(), 0.0);  // unloaded: the rail solves it
+  sinks[3][2] = std::numeric_limits<double>::quiet_NaN();
+
+  std::vector<SolveOutcome> alone;
+  CounterDeltas solo_delta;
+  for (std::size_t k = 0; k < solvers.size(); ++k) {
+    alone.push_back(solvers[k]->solve({.sinks = sinks[k], .want_ir = want_ir}));
+  }
+  const std::uint64_t solo_escalations = solo_delta("ladder.escalations");
+  const std::uint64_t solo_failures = solo_delta("solver.failures");
+
+  CounterDeltas lane_delta;
+  MemberFeed feed(solvers, sinks);
+  IrSolver::solve_lanes(feed, solvers.size(), want_ir, scratch);
+  EXPECT_EQ(lane_delta("ladder.escalations"), solo_escalations);
+  EXPECT_EQ(lane_delta("solver.failures"), solo_failures);
+  EXPECT_EQ(lane_delta("cg.lane_solves"), 1u);
+
+  for (std::size_t k = 0; k < solvers.size(); ++k) {
+    SCOPED_TRACE("member " + std::to_string(k));
+    const SolveOutcome& lane = feed.outcomes()[k];
+    EXPECT_EQ(lane.status.to_string(), alone[k].status.to_string());
+    EXPECT_EQ(lane.kind_used, alone[k].kind_used);
+    EXPECT_EQ(lane.iterations, alone[k].iterations);
+    EXPECT_EQ(lane.escalations, alone[k].escalations);
+    EXPECT_EQ(std::memcmp(&lane.rel_residual, &alone[k].rel_residual, sizeof(double)), 0);
+    EXPECT_EQ(lane.x.size(), alone[k].x.size());
+    if (lane.x.empty() || lane.x.size() != alone[k].x.size()) continue;
+    EXPECT_EQ(std::memcmp(lane.x.data(), alone[k].x.data(), lane.x.size() * sizeof(double)), 0);
+  }
+  EXPECT_EQ(alone[3].status.code(), core::StatusCode::kInputError);
+  EXPECT_EQ(alone[1].iterations, 0u);
+  return solo_escalations;
+}
+
+TEST(IrSolverLanes, EveryMemberIsBitwiseItsSolve) {
+  EXPECT_EQ(expect_lanes_equal_solve({}, true), 0u);
+}
+
+TEST(IrSolverLanes, StarvedMembersEscalateLikeTheirSolve) {
+  IrSolverOptions starved;
+  starved.cg_max_iterations = 1;
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::kError);
+  EXPECT_EQ(expect_lanes_equal_solve(starved, false), 3u);  // every loaded member but the rail one
+  util::set_log_level(level);
 }
 
 }  // namespace

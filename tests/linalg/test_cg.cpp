@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <set>
 
 #include "linalg/coo.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/ichol.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace pdn3d::linalg {
@@ -262,6 +266,182 @@ TEST(Cg, ResidualReported) {
   const auto r = solve_cg(a, b);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(r.residual_norm, 1e-8 * norm2(b));
+}
+
+/// One system of a lane test: a 2D resistor grid whose stamp sequence (and
+/// so pattern) is fixed and whose conductances are scaled per system.
+struct LaneCase {
+  Csr a;
+  std::vector<double> b;
+  std::vector<double> x0;
+  std::unique_ptr<IncompleteCholesky> ic;
+};
+
+LaneCase grid_case(std::uint64_t seed, double spread) {
+  constexpr std::size_t kSide = 14;
+  constexpr std::size_t n = kSide * kSide;
+  util::Rng rng(seed);
+  CooBuilder builder(n);
+  for (std::size_t y = 0; y < kSide; ++y) {
+    for (std::size_t x = 0; x < kSide; ++x) {
+      const std::size_t i = y * kSide + x;
+      if (x + 1 < kSide) builder.stamp_conductance(i, i + 1, 1.0 + spread * rng.next_double());
+      if (y + 1 < kSide) builder.stamp_conductance(i, i + kSide, 1.0 + spread * rng.next_double());
+    }
+  }
+  builder.stamp_to_ground(0, 2.0);
+  builder.stamp_to_ground(n - 1, 0.5 + spread);
+  LaneCase c;
+  c.a = builder.compress();
+  c.x0.assign(n, 1.0);  // a rail start, as IrSolver uses
+  std::vector<double> ax(n);
+  c.a.multiply(c.x0, ax);
+  c.b = ax;
+  for (std::size_t i = 0; i < n; ++i) c.b[i] -= 1e-3 * (1.0 + rng.next_double());
+  c.ic = std::make_unique<IncompleteCholesky>(c.a);
+  return c;
+}
+
+/// Hands out the cases in order and keeps each result under its case index.
+class CaseFeed final : public CgLaneFeed {
+ public:
+  explicit CaseFeed(std::vector<LaneCase>& cases) : cases_(cases), results_(cases.size()) {}
+  bool next(std::size_t lane, CgSystem& system) override {
+    if (next_ == cases_.size()) return false;
+    const LaneCase& c = cases_[next_];
+    in_lane_[lane] = next_++;
+    system = {.a = &c.a, .b = c.b, .x0 = c.x0, .ic = c.ic.get()};
+    return true;
+  }
+  void finish(std::size_t lane, CgResult& result) override {
+    results_[in_lane_[lane]] = result;
+    lanes_used_[lane] = true;
+  }
+  [[nodiscard]] const std::vector<CgResult>& results() const { return results_; }
+  [[nodiscard]] bool used(std::size_t lane) const { return lanes_used_[lane]; }
+
+ private:
+  std::vector<LaneCase>& cases_;
+  std::vector<CgResult> results_;
+  std::size_t next_ = 0;
+  std::array<std::size_t, kCgLanes> in_lane_{};
+  std::array<bool, kCgLanes> lanes_used_{};
+};
+
+/// Runs the cases solo and as lanes, expects the same bits, and returns the
+/// solo results.
+std::vector<CgResult> expect_same_as_solo(std::vector<LaneCase>& cases, const CgOptions& options) {
+  std::vector<CgResult> solo;
+  const std::uint64_t solves0 = obs::counter("cg.solves").value();
+  const std::uint64_t iterations0 = obs::counter("cg.iterations").value();
+  for (const LaneCase& c : cases) {
+    CgOptions one = options;
+    one.x0 = c.x0;
+    one.cached_ic = c.ic.get();
+    solo.push_back(solve_cg(c.a, c.b, one));
+  }
+  const std::uint64_t solo_solves = obs::counter("cg.solves").value() - solves0;
+  const std::uint64_t solo_iterations = obs::counter("cg.iterations").value() - iterations0;
+
+  CaseFeed feed(cases);
+  CgScratch scratch;
+  const std::uint64_t solves1 = obs::counter("cg.solves").value();
+  const std::uint64_t iterations1 = obs::counter("cg.iterations").value();
+  solve_cg_lanes(feed, cases.size(), options, scratch);
+  EXPECT_EQ(obs::counter("cg.solves").value() - solves1, solo_solves);
+  EXPECT_EQ(obs::counter("cg.iterations").value() - iterations1, solo_iterations);
+
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const CgResult& lane = feed.results()[k];
+    SCOPED_TRACE("case " + std::to_string(k));
+    EXPECT_EQ(lane.iterations, solo[k].iterations);
+    EXPECT_EQ(lane.converged, solo[k].converged);
+    EXPECT_EQ(lane.failure, solo[k].failure);
+    EXPECT_EQ(lane.detail, solo[k].detail);
+    EXPECT_EQ(std::memcmp(&lane.residual_norm, &solo[k].residual_norm, sizeof(double)), 0);
+    EXPECT_EQ(lane.x.size(), solo[k].x.size());
+    if (lane.x.empty() || lane.x.size() != solo[k].x.size()) continue;
+    EXPECT_EQ(std::memcmp(lane.x.data(), solo[k].x.data(), lane.x.size() * sizeof(double)), 0);
+  }
+  return solo;
+}
+
+TEST(CgLanes, EveryLaneIsBitwiseTheSoloSolve) {
+  // Seven systems over three lanes: they converge at different iterations,
+  // so the lanes refill at different passes; one is unloaded (its rail
+  // start solves it in 0 iterations), one has a NaN conductance (its IC(0)
+  // and curvature go non-finite mid-solve) and one a NaN right-hand side.
+  std::vector<LaneCase> cases;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) cases.push_back(grid_case(seed, 8.0 * seed));
+  cases.push_back(grid_case(5, 2.0));
+  cases.back().a.multiply(cases.back().x0, cases.back().b);  // unloaded: b = A x0
+  cases.push_back(grid_case(6, 3.0));
+  {
+    LaneCase& c = cases.back();
+    std::vector<double> values(c.a.values().begin(), c.a.values().end());
+    values[7] = std::numeric_limits<double>::quiet_NaN();
+    c.a = Csr(c.a.pattern(), std::move(values));
+    c.ic = std::make_unique<IncompleteCholesky>(c.a);
+    c.x0.clear();  // a zero start keeps the NaN out of the starting residual
+
+  }
+  cases.push_back(grid_case(7, 4.0));
+  cases.back().b[3] = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<CgResult> solo = expect_same_as_solo(cases, CgOptions{});
+
+  // The cases cover what the comment says.
+  std::set<std::size_t> iterations;
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_TRUE(solo[k].converged);
+    iterations.insert(solo[k].iterations);
+  }
+  EXPECT_GE(iterations.size(), 3u);
+  EXPECT_TRUE(solo[4].converged);
+  EXPECT_EQ(solo[4].iterations, 0u);
+  EXPECT_EQ(solo[5].failure, CgFailure::kDivergedNonFinite);
+  EXPECT_NE(solo[5].detail.find("curvature"), std::string::npos) << solo[5].detail;
+  EXPECT_EQ(solo[6].failure, CgFailure::kDivergedNonFinite);
+  EXPECT_NE(solo[6].detail.find("right-hand side"), std::string::npos) << solo[6].detail;
+}
+
+TEST(CgLanes, StarvedLanesFailLikeTheSoloSolve) {
+  std::vector<LaneCase> cases;
+  for (std::uint64_t seed = 11; seed <= 15; ++seed) cases.push_back(grid_case(seed, 5.0));
+  CgOptions starved;
+  starved.max_iterations = 3;
+  for (const CgResult& r : expect_same_as_solo(cases, starved)) {
+    EXPECT_EQ(r.failure, CgFailure::kMaxIterations);
+  }
+}
+
+TEST(CgLanes, TwoSystemsUseTwoLanesAndARefillUsesThemAll) {
+  std::vector<LaneCase> two;
+  two.push_back(grid_case(21, 1.0));
+  two.push_back(grid_case(22, 30.0));
+  expect_same_as_solo(two, CgOptions{});
+
+  std::vector<LaneCase> five;
+  for (std::uint64_t seed = 31; seed <= 35; ++seed) five.push_back(grid_case(seed, 3.0 * seed));
+  CaseFeed feed(five);
+  CgScratch scratch;
+  solve_cg_lanes(feed, five.size(), CgOptions{}, scratch);
+  for (std::size_t lane = 0; lane < kCgLanes; ++lane) EXPECT_TRUE(feed.used(lane)) << lane;
+  for (const CgResult& r : feed.results()) EXPECT_TRUE(r.converged);
+}
+
+TEST(CgLanes, SystemsOfAnotherPatternAreACallerBug) {
+  std::vector<LaneCase> cases;
+  cases.push_back(grid_case(41, 1.0));
+  cases.push_back(grid_case(42, 1.0));
+  LaneCase other;
+  other.a = make_chain(cases[0].b.size(), 1.0, 1.0);
+  other.b = cases[0].b;
+  other.x0 = cases[0].x0;
+  other.ic = std::make_unique<IncompleteCholesky>(other.a);
+  cases.push_back(std::move(other));
+  CaseFeed feed(cases);
+  CgScratch scratch;
+  EXPECT_THROW(solve_cg_lanes(feed, cases.size(), CgOptions{}, scratch), std::invalid_argument);
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ TEST(Csr, AtMissingEntryIsZero) {
   b.add(0, 0, 1.0);
   const Csr m = b.compress();
   EXPECT_DOUBLE_EQ(m.at(1, 0), 0.0);
-  EXPECT_THROW(m.at(2, 0), std::out_of_range);
+  EXPECT_THROW((void)m.at(2, 0), std::out_of_range);
 }
 
 TEST(Csr, IsSymmetricDetectsAsymmetry) {

@@ -32,9 +32,9 @@ TEST(LayerGrid, NodeIdsRowMajorFromBase) {
 
 TEST(LayerGrid, NodeRangeChecked) {
   const LayerGrid g = make_test_grid();
-  EXPECT_THROW(g.node(4, 0), std::out_of_range);
-  EXPECT_THROW(g.node(0, 3), std::out_of_range);
-  EXPECT_THROW(g.node(-1, 0), std::out_of_range);
+  EXPECT_THROW((void)g.node(4, 0), std::out_of_range);
+  EXPECT_THROW((void)g.node(0, 3), std::out_of_range);
+  EXPECT_THROW((void)g.node(-1, 0), std::out_of_range);
 }
 
 TEST(LayerGrid, PositionsAreCellCentered) {

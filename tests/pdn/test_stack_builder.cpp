@@ -169,7 +169,7 @@ TEST(StackModel, ElementValidation) {
   EXPECT_THROW(m.add_resistor(0, 1, 0.0), std::invalid_argument);
   EXPECT_THROW(m.add_resistor(0, 5, 1.0), std::out_of_range);
   EXPECT_THROW(m.add_tap(9, 1.0), std::out_of_range);
-  EXPECT_THROW(m.grid(3, 0), std::out_of_range);
+  EXPECT_THROW((void)m.grid(3, 0), std::out_of_range);
   m.add_resistor(0, 1, 2.0);
   m.add_tap(0, 0.1);
   EXPECT_EQ(m.resistors().size(), 1u);

@@ -16,10 +16,10 @@ TEST(MetalLayer, SegmentResistanceScalesInverselyWithUsage) {
 
 TEST(MetalLayer, RejectsInvalidUsage) {
   MetalLayer m{"M2", 0.33, RouteDirection::kHorizontal, 0.1};
-  EXPECT_THROW(m.segment_resistance(0.0), std::invalid_argument);
-  EXPECT_THROW(m.segment_resistance(-0.1), std::invalid_argument);
-  EXPECT_THROW(m.segment_resistance(1.5), std::invalid_argument);
-  EXPECT_NO_THROW(m.segment_resistance(1.0));
+  EXPECT_THROW((void)m.segment_resistance(0.0), std::invalid_argument);
+  EXPECT_THROW((void)m.segment_resistance(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)m.segment_resistance(1.5), std::invalid_argument);
+  EXPECT_NO_THROW((void)m.segment_resistance(1.0));
 }
 
 TEST(Presets, DramStackShape) {

@@ -6,6 +6,7 @@
 
 #include "core/benchmarks.hpp"
 #include "core/status.hpp"
+#include "faults/faults.hpp"
 #include "irdrop/analysis.hpp"
 #include "pdn/stack_builder.hpp"
 #include "transient/decap.hpp"
@@ -137,6 +138,36 @@ TEST(TransientSimulator, FloatingIslandIsATypedValidationError) {
            << sim.step_response(island_load, 1e-10).dc_ir_mv;
   } catch (const core::ValidationError& e) {
     EXPECT_TRUE(e.report().has_check("floating-node")) << e.report().to_string();
+  }
+}
+
+TEST(TransientSimulator, PoisonedStepSolveIsATypedErrorAtOnce) {
+  // Every CG solve starts from a NaN residual: the DC reference recovers on
+  // the sparse factor, and the first time step fails on the spot with a
+  // typed error naming the CG failure, instead of iterating to a cap.
+  pdn::StackModel m(1.0);
+  pdn::LayerGrid g;
+  g.nx = 1;
+  g.ny = 1;
+  g.dx = g.dy = 1.0;
+  m.add_grid(g);
+  m.set_dram_die_count(1);
+  m.add_tap(0, 2.0);
+  const std::vector<double> caps = {1e-9};
+  const TransientSimulator sim(m, caps, 1e-11);
+
+  faults::Registry::instance().reset();
+  ASSERT_EQ(faults::Registry::instance().configure("linalg.cg.nan=1.0"), "");
+  try {
+    (void)sim.step_response(std::vector<double>{0.1}, 2e-9);
+    faults::Registry::instance().reset();
+    FAIL() << "a poisoned step solve returned a waveform";
+  } catch (const core::NumericalError& e) {
+    faults::Registry::instance().reset();
+    EXPECT_EQ(e.status().code(), core::StatusCode::kNumericalFailure);
+    EXPECT_NE(e.status().message().find("transient step 1: ic-pcg diverged-non-finite"),
+              std::string::npos)
+        << e.status().to_string();
   }
 }
 
