@@ -1,5 +1,6 @@
 #include "api/api.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -362,39 +363,53 @@ void render_validate(const core::Platform& p, const EvaluateRequest& request, st
   os << "\n";
 }
 
-}  // namespace
+// One row per Operation, in enum order (operation_spec() indexes by enum
+// value; the error messages list names in row order). cooptimize sweeps from
+// the benchmark's baseline, so of the design knobs it reads only the EM ones
+// (its hard constraint). Only evaluate batches: the sweep ops own their
+// parallelism. em-check costs one solve plus the branch-current pass.
+constexpr OperationSpec kOperations[] = {
+    // op                     name          cli command   design em     state  samples alpha  ckpt   batch  cost render
+    {Operation::kEvaluate,   "evaluate",   "analyze",    true,  true,  true,  false, false, false, true,  1,  render_evaluate},
+    {Operation::kMonteCarlo, "montecarlo", "montecarlo", true,  false, false, true,  false, true,  false, 1,  render_montecarlo},
+    {Operation::kLut,        "lut",        "lut",        true,  false, false, false, false, true,  false, 16, render_lut},
+    {Operation::kCoOptimize, "cooptimize", "cooptimize", false, true,  false, false, true,  true,  false, 64, render_cooptimize},
+    {Operation::kValidate,   "validate",   "validate",   true,  false, false, false, false, false, false, 1,  render_validate},
+    {Operation::kEmCheck,    "em-check",   "em-check",   true,  true,  true,  false, false, false, false, 2,  render_em_check},
+};
 
-const char* to_string(Operation op) {
-  switch (op) {
-    case Operation::kEvaluate: return "evaluate";
-    case Operation::kMonteCarlo: return "montecarlo";
-    case Operation::kLut: return "lut";
-    case Operation::kCoOptimize: return "cooptimize";
-    case Operation::kValidate: return "validate";
-    case Operation::kEmCheck: return "em-check";
-  }
-  return "?";
+const OperationSpec& operation_spec(Operation op) {
+  return kOperations[static_cast<std::size_t>(op)];
 }
 
-core::Status parse_operation(std::string_view text, Operation* out) {
-  if (text == "evaluate" || text == "analyze") {
-    *out = Operation::kEvaluate;
-  } else if (text == "montecarlo") {
-    *out = Operation::kMonteCarlo;
-  } else if (text == "lut") {
-    *out = Operation::kLut;
-  } else if (text == "cooptimize") {
-    *out = Operation::kCoOptimize;
-  } else if (text == "validate") {
-    *out = Operation::kValidate;
-  } else if (text == "em-check") {
-    *out = Operation::kEmCheck;
-  } else {
-    return core::Status::invalid_argument(
-        "unknown operation '" + std::string(text) +
-        "' (want evaluate | montecarlo | lut | cooptimize | validate | em-check)");
+/// "a | b | c": the names of the rows @p keep selects, in enum order.
+template <typename Keep>
+std::string operation_names(Keep keep) {
+  std::string out;
+  for (const OperationSpec& s : kOperations) {
+    if (!keep(s)) continue;
+    if (!out.empty()) out += " | ";
+    out += s.name;
   }
-  return core::Status::ok();
+  return out;
+}
+
+}  // namespace
+
+std::span<const OperationSpec> operation_specs() { return kOperations; }
+
+const char* to_string(Operation op) { return operation_spec(op).name; }
+
+core::Status parse_operation(std::string_view text, Operation* out) {
+  for (const OperationSpec& s : kOperations) {
+    if (text == s.name || text == s.cli_command) {
+      *out = s.op;
+      return core::Status::ok();
+    }
+  }
+  return core::Status::invalid_argument(
+      "unknown operation '" + std::string(text) + "' (want " +
+      operation_names([](const OperationSpec&) { return true; }) + ")");
 }
 
 core::Status parse_benchmark(std::string_view text, core::BenchmarkKind* out) {
@@ -430,36 +445,25 @@ std::string RequestFingerprint::hex() const {
 }
 
 EvaluateRequest EvaluateRequest::canonicalize() const {
+  // Fields the operation never reads are left at their defaults so they
+  // cannot split identical outputs into distinct identities.
+  const OperationSpec& spec = operation_spec(op);
   EvaluateRequest c;
   c.benchmark = benchmark;
   c.op = op;
-  // Parameters an operation never reads are left at their defaults so they
-  // cannot split identical outputs into distinct identities. cooptimize
-  // explores the benchmark's design space from its baseline and ignores the
-  // request's design overrides entirely, so they are dropped there too.
-  if (op != Operation::kCoOptimize) c.design = design;
-  if (op == Operation::kEvaluate || op == Operation::kEmCheck) {
+  if (spec.reads_design) c.design = design;
+  const DesignOptions none;
+  const DesignOptions& em = spec.reads_em ? design : none;
+  c.design.em_wire_limit = em.em_wire_limit;
+  c.design.em_tsv_limit = em.em_tsv_limit;
+  c.design.em_temp_c = em.em_temp_c;
+  c.design.em_enforce = em.em_enforce;
+  if (spec.reads_state) {
     c.state = state;
     c.activity = activity;
   }
-  if (op == Operation::kMonteCarlo) c.samples = samples;
-  if (op == Operation::kCoOptimize) {
-    c.alpha = alpha;
-    // cooptimize ignores the design overrides -- except the EM fields, which
-    // parameterize its hard constraint and therefore its output.
-    c.design.em_wire_limit = design.em_wire_limit;
-    c.design.em_tsv_limit = design.em_tsv_limit;
-    c.design.em_temp_c = design.em_temp_c;
-    c.design.em_enforce = design.em_enforce;
-  }
-  if (op == Operation::kMonteCarlo || op == Operation::kLut || op == Operation::kValidate) {
-    // These operations never run the EM pass; reset its knobs so they cannot
-    // split identical outputs into distinct identities.
-    c.design.em_wire_limit.reset();
-    c.design.em_tsv_limit.reset();
-    c.design.em_temp_c.reset();
-    c.design.em_enforce = false;
-  }
+  if (spec.reads_samples) c.samples = samples;
+  if (spec.reads_alpha) c.alpha = alpha;
   // checkpoint_path / resume stay cleared: resume is bitwise identical to an
   // uninterrupted run, so checkpoint plumbing is not output-determining.
   return c;
@@ -493,25 +497,36 @@ RequestFingerprint EvaluateRequest::fingerprint() const {
 }
 
 core::Status EvaluateRequest::validate() const {
+  const OperationSpec& spec = operation_spec(op);
   const core::Status act = check_activity(activity);
   if (!act.is_ok()) return act;
-  if (op == Operation::kMonteCarlo) {
+  if (spec.reads_samples) {
     const core::Status s = check_samples(samples);
     if (!s.is_ok()) return s;
   }
-  if (op == Operation::kCoOptimize) {
+  if (spec.reads_alpha) {
     const core::Status a = check_alpha(alpha);
     if (!a.is_ok()) return a;
   }
   if (resume && checkpoint_path.empty()) {
     return core::Status::invalid_argument("resume requires a checkpoint file");
   }
-  if (!checkpoint_path.empty() && op != Operation::kMonteCarlo && op != Operation::kLut &&
-      op != Operation::kCoOptimize) {
+  if (!checkpoint_path.empty() && !spec.checkpoints) {
     return core::Status::invalid_argument(
-        "checkpointing applies only to montecarlo | lut | cooptimize");
+        "checkpointing applies only to " +
+        operation_names([](const OperationSpec& s) { return s.checkpoints; }));
   }
   return core::Status::ok();
+}
+
+bool EvaluateRequest::batchable() const {
+  return operation_spec(op).batches && !design.em_enabled() && checkpoint_path.empty();
+}
+
+std::uint64_t EvaluateRequest::admission_cost() const {
+  const OperationSpec& spec = operation_spec(op);
+  if (!spec.reads_samples) return spec.cost;
+  return spec.cost * static_cast<std::uint64_t>(std::max<long long>(1, samples / 16));
 }
 
 void Session::install(core::BenchmarkKind kind, core::Benchmark benchmark) {
@@ -545,15 +560,7 @@ EvaluateResult Session::evaluate(const EvaluateRequest& request) const {
 
   std::ostringstream os;
   try {
-    const core::Platform& p = platform(request.benchmark);
-    switch (request.op) {
-      case Operation::kEvaluate: render_evaluate(p, request, os, &result); break;
-      case Operation::kMonteCarlo: render_montecarlo(p, request, os, &result); break;
-      case Operation::kLut: render_lut(p, request, os, &result); break;
-      case Operation::kCoOptimize: render_cooptimize(p, request, os, &result); break;
-      case Operation::kValidate: render_validate(p, request, os, &result); break;
-      case Operation::kEmCheck: render_em_check(p, request, os, &result); break;
-    }
+    operation_spec(request.op).render(platform(request.benchmark), request, os, &result);
   } catch (const core::ValidationError& e) {
     os << "error: mesh validation failed:\n" << e.report().to_string() << "\n";
     result.status = core::Status::numerical_failure("mesh validation failed");
@@ -579,13 +586,12 @@ std::vector<EvaluateResult> Session::evaluate_group(
   };
 
   // The shared-factor fast path only fires for a homogeneous group of valid
-  // plain-evaluate requests on one design; anything else is N independent
+  // batchable requests on one design; anything else is N independent
   // evaluate() calls with their usual per-request error reporting.
   bool batchable = requests.size() > 1;
   const std::string design_key = requests[0].design.canonical_text();
   for (const EvaluateRequest& r : requests) {
-    if (r.op != Operation::kEvaluate || r.design.em_enabled() || !r.checkpoint_path.empty() ||
-        r.benchmark != requests[0].benchmark || !r.validate().is_ok() ||
+    if (!r.batchable() || r.benchmark != requests[0].benchmark || !r.validate().is_ok() ||
         r.design.canonical_text() != design_key) {
       batchable = false;
       break;

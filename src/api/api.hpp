@@ -26,6 +26,7 @@
 /// evaluate() is const and thread-safe; concurrent callers share the caches.
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -43,7 +44,8 @@ namespace pdn3d::api {
 
 /// The operations a request can name. These are exactly the CLI subcommands
 /// whose output is a pure function of the request (streaming/simulation
-/// commands keep their own CLI paths).
+/// commands keep their own CLI paths). Every per-operation fact lives in its
+/// OperationSpec row (operation_specs()).
 enum class Operation {
   kEvaluate,    ///< IR-drop analysis of one memory state (CLI: analyze)
   kMonteCarlo,  ///< IR distribution over random states (CLI: montecarlo)
@@ -53,7 +55,9 @@ enum class Operation {
   kEmCheck,     ///< branch-current / electromigration check (CLI: em-check)
 };
 
+/// The operation's protocol/fingerprint name (its OperationSpec::name).
 [[nodiscard]] const char* to_string(Operation op);
+/// Accepts an operation's name or its CLI command ("analyze" -> evaluate).
 [[nodiscard]] core::Status parse_operation(std::string_view text, Operation* out);
 
 /// Benchmark lookup by CLI token: off-chip | on-chip | wide-io | hmc.
@@ -84,12 +88,13 @@ struct EvaluateRequest {
   Operation op = Operation::kEvaluate;
   DesignOptions design;
 
-  std::string state;       ///< memory state, empty = benchmark default (evaluate)
-  double activity = -1.0;  ///< I/O activity [0,1], -1 = auto (evaluate)
-  long long samples = 200; ///< Monte Carlo sample count (montecarlo)
-  double alpha = 0.3;      ///< objective exponent [0,1] (cooptimize)
+  // Which operations read each parameter: the OperationSpec::reads_* columns.
+  std::string state;       ///< memory state, empty = benchmark default
+  double activity = -1.0;  ///< I/O activity [0,1], -1 = auto
+  long long samples = 200; ///< Monte Carlo sample count
+  double alpha = 0.3;      ///< objective exponent [0,1]
 
-  /// Crash-safe sweep checkpoint file (montecarlo/lut/cooptimize; CLI
+  /// Crash-safe sweep checkpoint file (ops whose row `checkpoints`; CLI
   /// `--checkpoint FILE`). Empty = no checkpointing. The file is keyed by a
   /// fingerprint of the request; it persists after a successful run (a
   /// re-run with `resume` replays it instantly). See docs/ROBUSTNESS.md.
@@ -104,11 +109,10 @@ struct EvaluateRequest {
   /// are set). Front ends call this before dispatching.
   [[nodiscard]] core::Status validate() const;
 
-  /// A normalized copy with identical output: parameters the operation never
-  /// reads are reset to their defaults (`state`/`activity` are meaningful
-  /// only for evaluate, `samples` for montecarlo, `alpha` for cooptimize) and
-  /// the checkpoint plumbing is cleared (resume is bitwise identical to a
-  /// fresh run, so it cannot affect identity). Canonicalization is purely
+  /// A normalized copy with identical output: fields the operation's
+  /// OperationSpec row does not read are reset to their defaults and the
+  /// checkpoint plumbing is cleared (resume is bitwise identical to a fresh
+  /// run, so it cannot affect identity). Canonicalization is purely
   /// syntactic: an empty `state` is NOT resolved to the benchmark's default
   /// state text, so "" and the spelled-out default fingerprint differently
   /// even though they evaluate identically.
@@ -116,6 +120,15 @@ struct EvaluateRequest {
 
   /// The stable fingerprint of canonicalize() -- see RequestFingerprint.
   [[nodiscard]] RequestFingerprint fingerprint() const;
+
+  /// Whether same-design requests like this one may share one multi-RHS
+  /// solve (Session::evaluate_group, the service's coalescing): the row
+  /// batches, EM is off, and there is no checkpoint.
+  [[nodiscard]] bool batchable() const;
+
+  /// Relative weight for the service's cost-based admission: the row's
+  /// cost, per 16 samples (at least once) for an op that reads `samples`.
+  [[nodiscard]] std::uint64_t admission_cost() const;
 };
 
 /// Structured outcome plus the rendered text the front end prints verbatim.
@@ -128,6 +141,30 @@ struct EvaluateResult {
 
   [[nodiscard]] bool ok() const { return status.is_ok(); }
 };
+
+/// Everything the facade, the service and the CLI know about one operation,
+/// declared once. The `reads_*` columns name the request fields that set
+/// its output; canonicalize() keeps exactly those, and validate() range-
+/// checks `samples`/`alpha` only where they are read.
+struct OperationSpec {
+  Operation op;
+  const char* name;         ///< protocol and fingerprint token
+  const char* cli_command;  ///< the `pdn3d` subcommand
+  bool reads_design;        ///< the non-EM design knobs
+  bool reads_em;            ///< the EM knobs (em-wire-limit, ..., em)
+  bool reads_state;         ///< `state` and `activity`
+  bool reads_samples;
+  bool reads_alpha;
+  bool checkpoints;         ///< accepts `checkpoint_path` / `resume`
+  bool batches;             ///< same-design requests may share one solve
+  std::uint64_t cost;       ///< admission weight (see admission_cost())
+  /// Runs the operation and renders its output; failures set result->status.
+  void (*render)(const core::Platform&, const EvaluateRequest&, std::ostream&,
+                 EvaluateResult*);
+};
+
+/// One row per Operation, in enum order.
+[[nodiscard]] std::span<const OperationSpec> operation_specs();
 
 /// A long-lived evaluation context: lazily builds one core::Platform per
 /// benchmark and serves evaluate() calls against them. Thread-safe for
@@ -154,11 +191,11 @@ class Session {
 
   /// Run a group of requests, solving them through one multi-RHS batch when
   /// they share a factor (same benchmark + same canonical design text, all
-  /// plain evaluate ops without checkpointing). Results come back in input
-  /// order and are byte-identical to per-request evaluate() calls -- any
-  /// request (or batch failure) that cannot take the shared-factor path
-  /// falls back to evaluate() per member, so callers never observe a
-  /// different outcome than N individual calls would have produced.
+  /// batchable()). Results come back in input order and are byte-identical
+  /// to per-request evaluate() calls -- any request (or batch failure) that
+  /// cannot take the shared-factor path falls back to evaluate() per member,
+  /// so callers never observe a different outcome than N individual calls
+  /// would have produced.
   [[nodiscard]] std::vector<EvaluateResult> evaluate_group(
       std::span<const EvaluateRequest> requests) const;
 

@@ -21,10 +21,6 @@
 /// Decisions are pure functions of (seed, site, call index), so a run with a
 /// fixed spec replays the exact same fault schedule. Every trigger bumps a
 /// `faults.<site>` counter in the obs metrics namespace.
-///
-/// Defining PDN3D_DISABLE_FAULTS (CMake option of the same name) compiles the
-/// site macros down to constants; the registry itself stays linkable so
-/// spec-handling code keeps building.
 
 #include <cstdint>
 #include <map>
@@ -124,12 +120,6 @@ void maybe_throw_alloc(std::string_view site);
 
 }  // namespace pdn3d::faults
 
-#ifdef PDN3D_DISABLE_FAULTS
-#define PDN3D_FAULT_POINT(site) (false)
-#define PDN3D_FAULT_STALL(site, default_ms) ((void)0)
-#define PDN3D_FAULT_ALLOC(site) ((void)0)
-#else
 #define PDN3D_FAULT_POINT(site) (::pdn3d::faults::should_fire(site))
 #define PDN3D_FAULT_STALL(site, default_ms) (::pdn3d::faults::maybe_stall(site, default_ms))
 #define PDN3D_FAULT_ALLOC(site) (::pdn3d::faults::maybe_throw_alloc(site))
-#endif

@@ -22,8 +22,7 @@
 ///
 /// Overhead per span is two steady_clock reads plus one short mutex-guarded
 /// aggregate update -- negligible against the millisecond-scale solves it
-/// wraps, and removable entirely with -DPDN3D_DISABLE_TRACING=ON (the macros
-/// compile to nothing; see the bench acceptance gate in ISSUE/docs).
+/// wraps (docs/OBSERVABILITY.md, "Overhead").
 
 #include <cstdint>
 #include <map>
@@ -174,25 +173,12 @@ struct CaptureResult {
 /// Stop capturing on this thread and return everything captured.
 [[nodiscard]] CaptureResult end_capture();
 
-/// No-op stand-in when tracing is compiled out.
-struct NullSpan {
-  explicit NullSpan(std::string_view = {}) {}
-  void attribute(std::string_view, std::string_view) {}
-  void attribute(std::string_view, double) {}
-  void attribute(std::string_view, std::uint64_t) {}
-};
-
 }  // namespace pdn3d::obs
 
 #define PDN3D_OBS_CONCAT_IMPL(a, b) a##b
 #define PDN3D_OBS_CONCAT(a, b) PDN3D_OBS_CONCAT_IMPL(a, b)
 
-#ifndef PDN3D_DISABLE_TRACING
 #define PDN3D_TRACE_SPAN_NAMED(var, name) ::pdn3d::obs::TraceSpan var{name}
-#else
-#define PDN3D_TRACE_SPAN_NAMED(var, name) \
-  [[maybe_unused]] ::pdn3d::obs::NullSpan var {}
-#endif
 
 /// Anonymous scope-guard span covering the rest of the enclosing scope.
 #define PDN3D_TRACE_SPAN(name) \

@@ -48,13 +48,12 @@ std::string cancel_ok_response(std::int64_t id, std::int64_t target,
 /// nearly flat in batch size, but response delivery waits for the batch).
 constexpr std::size_t kMaxCoalesce = 16;
 
-/// Whether a queued request may join a factor-sharing group: plain evaluate
-/// only (sweep ops own their parallelism), no checkpoint side channel, and no
-/// fault-injection sleep (tests use test_sleep_ms to pin workers; batching
-/// those would change what the test holds busy).
+/// Whether a queued request may join a factor-sharing group: a batchable
+/// evaluation (EvaluateRequest::batchable) without a fault-injection sleep
+/// (tests use test_sleep_ms to pin workers; batching those would change what
+/// the test holds busy).
 bool coalescible(const Request& req) {
-  return req.kind == Request::Kind::kEvaluate && req.eval.op == api::Operation::kEvaluate &&
-         !req.eval.design.em_enabled() && req.eval.checkpoint_path.empty() &&
+  return req.kind == Request::Kind::kEvaluate && req.eval.batchable() &&
          req.test_sleep_ms <= 0.0;
 }
 
@@ -85,28 +84,6 @@ CachePlan plan_cache(const ServiceConfig& config, const Request& req) {
   plan.token = "miss";  // becomes "hit" only when a lookup succeeds
   plan.consult = req.cache == Request::CacheMode::kUse;  // refresh skips lookup
   return plan;
-}
-
-/// Relative weight of a request for cost-based admission control. Units are
-/// arbitrary; what matters is the ratio (a co-optimization sweep is ~dozens
-/// of solves, one analyze is one).
-std::uint64_t estimate_cost(const Request& req) {
-  if (req.kind != Request::Kind::kEvaluate) return 1;
-  switch (req.eval.op) {
-    case api::Operation::kEvaluate:
-    case api::Operation::kValidate:
-      return 1;
-    case api::Operation::kEmCheck:
-      return 2;  // one solve + the branch-current recovery pass
-    case api::Operation::kLut:
-      return 16;
-    case api::Operation::kMonteCarlo:
-      return std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(std::max<long long>(1, req.eval.samples)) / 16);
-    case api::Operation::kCoOptimize:
-      return 64;
-  }
-  return 1;
 }
 
 /// The 11 aggregate counters, as keys of @p obj (the stats op's `totals`
@@ -461,7 +438,10 @@ void BatchService::submit_line(std::string_view line, ResponseSink sink) {
     return;
   }
 
-  const std::uint64_t cost = estimate_cost(req);
+  // Cost units are arbitrary; what matters is the ratio (a co-optimization
+  // sweep is dozens of solves, one analyze is one).
+  const std::uint64_t cost =
+      req.kind == Request::Kind::kEvaluate ? req.eval.admission_cost() : 1;
   if (config_.max_outstanding_cost > 0) {
     // Approximate check-then-add: concurrent submitters can overshoot by at
     // most one request each, and an idle service always admits (cur == 0).

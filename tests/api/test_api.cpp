@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "service/protocol.hpp"
 
@@ -14,16 +16,24 @@ namespace pdn3d::api {
 namespace {
 
 TEST(OperationTokens, RoundTripAndAnalyzeAlias) {
-  for (const Operation op : {Operation::kEvaluate, Operation::kMonteCarlo, Operation::kLut,
-                             Operation::kCoOptimize, Operation::kValidate}) {
-    Operation parsed{};
-    ASSERT_TRUE(parse_operation(to_string(op), &parsed).is_ok()) << to_string(op);
-    EXPECT_EQ(parsed, op);
+  std::size_t index = 0;
+  for (const OperationSpec& spec : operation_specs()) {
+    EXPECT_EQ(static_cast<std::size_t>(spec.op), index++) << "rows must be in enum order";
+    EXPECT_STREQ(to_string(spec.op), spec.name);
+    for (const char* token : {spec.name, spec.cli_command}) {
+      Operation parsed{};
+      ASSERT_TRUE(parse_operation(token, &parsed).is_ok()) << token;
+      EXPECT_EQ(parsed, spec.op) << token;
+    }
   }
+  EXPECT_EQ(index, 6u);
   Operation parsed{};
   ASSERT_TRUE(parse_operation("analyze", &parsed).is_ok());
   EXPECT_EQ(parsed, Operation::kEvaluate);
-  EXPECT_FALSE(parse_operation("simulate", &parsed).is_ok());
+  // Served bad_request responses carry this text verbatim.
+  EXPECT_EQ(parse_operation("simulate", &parsed).message(),
+            "unknown operation 'simulate' (want evaluate | montecarlo | lut | cooptimize | "
+            "validate | em-check)");
 }
 
 TEST(BenchmarkTokens, RoundTrip) {
@@ -54,6 +64,39 @@ TEST(EvaluateRequest, ValidateRejectsBadParameters) {
   EXPECT_FALSE(req.validate().is_ok());
 
   EXPECT_TRUE(EvaluateRequest{}.validate().is_ok());
+}
+
+// The EM exclusion from batching and coalescing lives in batchable() alone.
+TEST(EvaluateRequest, OnlyPlainEvaluateIsBatchable) {
+  for (const OperationSpec& spec : operation_specs()) {
+    EvaluateRequest req;
+    req.op = spec.op;
+    EXPECT_EQ(req.batchable(), spec.op == Operation::kEvaluate) << spec.name;
+    EvaluateRequest em = req;
+    ASSERT_TRUE(em.design.set_flag("em").is_ok());
+    EXPECT_FALSE(em.batchable()) << spec.name;
+    EvaluateRequest ckpt = req;
+    ckpt.checkpoint_path = "sweep.ckpt";
+    EXPECT_FALSE(ckpt.batchable()) << spec.name;
+  }
+}
+
+TEST(EvaluateRequest, AdmissionCostFollowsTheRow) {
+  EvaluateRequest req;
+  const auto cost = [&req](Operation op) {
+    req.op = op;
+    return req.admission_cost();
+  };
+  EXPECT_EQ(cost(Operation::kEvaluate), 1u);
+  EXPECT_EQ(cost(Operation::kValidate), 1u);
+  EXPECT_EQ(cost(Operation::kEmCheck), 2u);
+  EXPECT_EQ(cost(Operation::kLut), 16u);
+  EXPECT_EQ(cost(Operation::kCoOptimize), 64u);
+  for (const auto& [samples, expected] :
+       {std::pair<long long, std::uint64_t>{1, 1}, {15, 1}, {16, 1}, {200, 12}, {10000, 625}}) {
+    req.samples = samples;
+    EXPECT_EQ(cost(Operation::kMonteCarlo), expected) << samples;
+  }
 }
 
 TEST(SessionTest, EvaluateNeverThrowsOnInvalidParameters) {
@@ -102,34 +145,40 @@ TEST(SessionTest, ValidateOperationReportsHealthy) {
 // Golden round trip: the same evaluation specified the CLI way (typed
 // DesignOptions built from flag text) and the served way (an NDJSON request
 // through the wire-protocol decoder) must render byte-identical output --
-// the tentpole's core contract (docs/API.md).
+// the facade's core contract (docs/API.md). One request per operation.
 TEST(CliServedParity, WireDecodedRequestRendersIdenticalBytes) {
   const Session session;
+  for (const OperationSpec& spec : operation_specs()) {
+    // "CLI" side: what `pdn3d <cli_command> wide-io --state 0-0-0-2
+    //              --samples 8 --alpha 0.5 --bd f2f --m2 15 --tl d` builds.
+    EvaluateRequest cli;
+    cli.benchmark = core::BenchmarkKind::kWideIo;
+    cli.op = spec.op;
+    cli.state = "0-0-0-2";
+    cli.samples = 8;
+    cli.alpha = 0.5;
+    ASSERT_TRUE(cli.design.set("bd", "f2f").is_ok());
+    ASSERT_TRUE(cli.design.set("m2", "15").is_ok());
+    ASSERT_TRUE(cli.design.set("tl", "d").is_ok());
 
-  // "CLI" side: what `pdn3d analyze off-chip --state 0-0-0-2 --bd f2f
-  //              --m2 15 --tl d` builds.
-  EvaluateRequest cli;
-  cli.benchmark = core::BenchmarkKind::kStackedDdr3OffChip;
-  cli.op = Operation::kEvaluate;
-  cli.state = "0-0-0-2";
-  ASSERT_TRUE(cli.design.set("bd", "f2f").is_ok());
-  ASSERT_TRUE(cli.design.set("m2", "15").is_ok());
-  ASSERT_TRUE(cli.design.set("tl", "d").is_ok());
+    // "served" side: the same request as one NDJSON line.
+    service::Request wire;
+    ASSERT_TRUE(service::parse_request(
+                    R"({"id":1,"op":")" + std::string(spec.name) +
+                        R"(","benchmark":"wide-io","state":"0-0-0-2","samples":8,)"
+                        R"("alpha":0.5,"design":{"bd":"f2f","m2":15,"tl":"d"}})",
+                    &wire)
+                    .is_ok())
+        << spec.name;
 
-  // "served" side: the same request as one NDJSON line.
-  service::Request wire;
-  ASSERT_TRUE(service::parse_request(
-                  R"({"id":1,"op":"evaluate","benchmark":"off-chip","state":"0-0-0-2",)"
-                  R"("design":{"bd":"f2f","m2":15,"tl":"d"}})",
-                  &wire)
-                  .is_ok());
-
-  const EvaluateResult from_cli = session.evaluate(cli);
-  const EvaluateResult from_wire = session.evaluate(wire.eval);
-  ASSERT_TRUE(from_cli.ok()) << from_cli.output;
-  EXPECT_EQ(from_cli.output, from_wire.output);
-  EXPECT_EQ(from_cli.exit_code, from_wire.exit_code);
-  EXPECT_DOUBLE_EQ(from_cli.headline_mv, from_wire.headline_mv);
+    const EvaluateResult from_cli = session.evaluate(cli);
+    const EvaluateResult from_wire = session.evaluate(wire.eval);
+    ASSERT_TRUE(from_cli.ok()) << spec.name << "\n" << from_cli.output;
+    EXPECT_EQ(from_cli.output, from_wire.output) << spec.name;
+    EXPECT_EQ(from_cli.exit_code, from_wire.exit_code) << spec.name;
+    EXPECT_EQ(from_cli.fingerprint, from_wire.fingerprint) << spec.name;
+    EXPECT_DOUBLE_EQ(from_cli.headline_mv, from_wire.headline_mv) << spec.name;
+  }
 }
 
 }  // namespace

@@ -135,20 +135,24 @@ TEST(CheckpointResume, FingerprintMismatchIsAnInputErrorNotSilentMixing) {
 }
 
 TEST(CheckpointResume, ValidateRejectsMeaninglessCheckpointRequests) {
-  EvaluateRequest req;
-  req.benchmark = core::BenchmarkKind::kWideIo;
-  req.op = Operation::kMonteCarlo;
-  req.resume = true;  // --resume without --checkpoint
-  EXPECT_FALSE(req.validate().is_ok());
+  for (const OperationSpec& spec : operation_specs()) {
+    EvaluateRequest req;
+    req.benchmark = core::BenchmarkKind::kWideIo;
+    req.op = spec.op;
+    req.resume = true;  // --resume without --checkpoint
+    EXPECT_FALSE(req.validate().is_ok()) << spec.name;
 
-  req.resume = false;
-  req.checkpoint_path = "/tmp/nope.ckpt";
-  req.op = Operation::kEvaluate;  // not a sweep: nothing to checkpoint
-  EXPECT_FALSE(req.validate().is_ok());
-  req.op = Operation::kValidate;
-  EXPECT_FALSE(req.validate().is_ok());
-  req.op = Operation::kMonteCarlo;
-  EXPECT_TRUE(req.validate().is_ok());
+    req.resume = false;
+    req.checkpoint_path = "nope.ckpt";
+    const core::Status st = req.validate();
+    EXPECT_EQ(st.is_ok(), spec.checkpoints) << spec.name;
+    if (!spec.checkpoints) {
+      // Not a sweep: nothing to checkpoint. Served bad_request responses
+      // carry this text verbatim.
+      EXPECT_EQ(st.message(), "checkpointing applies only to montecarlo | lut | cooptimize")
+          << spec.name;
+    }
+  }
 }
 
 }  // namespace

@@ -74,30 +74,33 @@ TEST(Fingerprint, LegacySetAndSharedTableAgree) {
   EXPECT_EQ(via_set.canonical_text(), via_table.canonical_text());
 }
 
+// For every operation, a field its OperationSpec row does not read leaves
+// the fingerprint unchanged, and a field it reads changes it.
 TEST(Fingerprint, OpIrrelevantParametersDoNotAffectIdentity) {
-  // analyze ignores samples/alpha...
-  EvaluateRequest a = base_request();
-  EvaluateRequest b = base_request();
-  b.samples = 9999;
-  b.alpha = 0.7;
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
-
-  // ...montecarlo reads samples but ignores state/activity/alpha...
-  a.op = b.op = Operation::kMonteCarlo;
-  EXPECT_EQ(a.samples, 200);
-  EXPECT_NE(a.fingerprint(), b.fingerprint());  // samples now matter
-  b.samples = a.samples;
-  b.state = "different";
-  b.alpha = 0.9;
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
-
-  // ...and cooptimize reads only alpha (the design overlay is ignored).
-  a.op = b.op = Operation::kCoOptimize;
-  b.alpha = a.alpha;
-  ASSERT_TRUE(set_option(&b.design, "m2", 80.0).is_ok());
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
-  b.alpha = 0.55;
-  EXPECT_NE(a.fingerprint(), b.fingerprint());
+  struct Field {
+    const char* name;
+    bool OperationSpec::*read;
+    void (*change)(EvaluateRequest*);
+  };
+  const Field fields[] = {
+      {"m2", &OperationSpec::reads_design, [](EvaluateRequest* r) { r->design.m2_pct = 80.0; }},
+      {"em-tsv-limit", &OperationSpec::reads_em,
+       [](EvaluateRequest* r) { r->design.em_tsv_limit = 0.2; }},
+      {"state", &OperationSpec::reads_state, [](EvaluateRequest* r) { r->state = "0-0-2b-0"; }},
+      {"activity", &OperationSpec::reads_state, [](EvaluateRequest* r) { r->activity = 0.5; }},
+      {"samples", &OperationSpec::reads_samples, [](EvaluateRequest* r) { r->samples = 9999; }},
+      {"alpha", &OperationSpec::reads_alpha, [](EvaluateRequest* r) { r->alpha = 0.55; }},
+  };
+  for (const OperationSpec& spec : operation_specs()) {
+    EvaluateRequest a = base_request();
+    a.op = spec.op;
+    for (const Field& field : fields) {
+      EvaluateRequest b = a;
+      field.change(&b);
+      EXPECT_EQ(a.fingerprint() != b.fingerprint(), spec.*field.read)
+          << spec.name << " / " << field.name;
+    }
+  }
 }
 
 // The EM extension is versioned: any EM field set selects the v2 prefix, so

@@ -460,15 +460,12 @@ int cmd_export(core::Platform& p, const Args& a) {
 // The pure-evaluation commands go through the facade: one EvaluateRequest in,
 // the rendered output printed verbatim. `pdn3d serve` runs the exact same
 // path, which is what makes served responses byte-identical to the CLI.
-bool facade_operation(const std::string& command, api::Operation* out) {
-  if (command == "analyze") *out = api::Operation::kEvaluate;
-  else if (command == "lut") *out = api::Operation::kLut;
-  else if (command == "montecarlo") *out = api::Operation::kMonteCarlo;
-  else if (command == "cooptimize") *out = api::Operation::kCoOptimize;
-  else if (command == "validate") *out = api::Operation::kValidate;
-  else if (command == "em-check") *out = api::Operation::kEmCheck;
-  else return false;
-  return true;
+// Only the CLI command column matches: `pdn3d evaluate` is not a command.
+const api::OperationSpec* facade_operation(const std::string& command) {
+  for (const api::OperationSpec& spec : api::operation_specs()) {
+    if (command == spec.cli_command) return &spec;
+  }
+  return nullptr;
 }
 
 int run_facade(const Args& a, api::Operation op, core::BenchmarkKind kind,
@@ -692,9 +689,8 @@ int main(int argc, char** argv) {
     }
 
     if (rc == kExitOk) {
-      api::Operation op{};
-      if (facade_operation(args.command, &op)) {
-        rc = run_facade(args, op, kind, std::move(benchmark), &report_opts);
+      if (const api::OperationSpec* spec = facade_operation(args.command)) {
+        rc = run_facade(args, spec->op, kind, std::move(benchmark), &report_opts);
       } else {
         core::Platform platform(std::move(benchmark));
         try {
