@@ -18,9 +18,10 @@ namespace {
 
 std::atomic<std::size_t> g_thread_override{0};
 
-/// A task body must never observe which worker runs it, but a *nested*
-/// parallel_for on the same pool would deadlock the region protocol; nested
-/// regions run inline on the calling thread instead.
+/// True while this thread runs a region's tasks. A task body must never
+/// observe which worker runs it, but a *nested* parallel_for on the same pool
+/// would deadlock the region protocol, so nested regions (of any pool) run
+/// inline on the calling thread instead.
 thread_local bool tls_in_region = false;
 
 std::size_t env_thread_count() {
@@ -85,7 +86,9 @@ struct ThreadPool::Impl {
 ThreadPool::ThreadPool(std::size_t threads)
     : thread_count_(threads > 0 ? threads : default_thread_count()) {
   obs::gauge("exec.pool_threads").set(static_cast<double>(thread_count_));
-  if (thread_count_ <= 1) return;  // inline pool: no threads, no locks
+  // Inline pool: no threads, no locks. Inside a region every parallel_for
+  // runs inline, so workers spawned there would only wait.
+  if (thread_count_ <= 1 || tls_in_region) return;
 
   impl_ = new Impl;
   impl_->workers.reserve(thread_count_ - 1);

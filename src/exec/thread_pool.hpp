@@ -49,7 +49,10 @@ void set_default_thread_count(std::size_t threads);
 class ThreadPool {
  public:
   /// @param threads worker count; 0 resolves default_thread_count(). A pool
-  /// of 1 spawns no threads at all -- every region runs inline.
+  /// of 1 spawns no threads at all -- every region runs inline. Neither does
+  /// a pool built on a thread that is running a region's task: its regions
+  /// would run inline anyway (a nested region does), so it keeps
+  /// thread_count() and with it the chunk boundaries of parallel_chunks.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

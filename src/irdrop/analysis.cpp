@@ -1,6 +1,7 @@
 #include "irdrop/analysis.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -65,10 +66,16 @@ bool LoadMap::fits(const pdn::StackModel& model) const {
 }
 
 void LoadMap::injection_into(const power::MemoryState& state, std::vector<double>& sinks) const {
+  sinks.resize(node_count_);
+  injection_into(state, std::span<double>(sinks));
+}
+
+void LoadMap::injection_into(const power::MemoryState& state, std::span<double> sinks) const {
   if (state.die_count() != static_cast<int>(dram_grids_.size())) {
     throw std::invalid_argument("IrAnalyzer: memory state die count mismatch");
   }
-  sinks.assign(node_count_, 0.0);
+  if (sinks.size() != node_count_) throw std::invalid_argument("IrAnalyzer: sink vector size");
+  std::fill(sinks.begin(), sinks.end(), 0.0);
   const double vdd = vdd_;
 
   const auto add_block_power = [&](const std::vector<std::size_t>& nodes, double watts) {
@@ -101,8 +108,6 @@ void LoadMap::injection_into(const power::MemoryState& state, std::vector<double
 IrResult LoadMap::stats(const power::MemoryState& state, std::span<const double> ir,
                         const SolveOutcome& outcome) const {
   IrResult out;
-  // Telemetry comes from the outcome of *this* request. (For a batch, the
-  // outcome's scalars are the batch aggregate; see analyze_batch.)
   out.solver_kind = outcome.kind_used;
   out.solver_iterations = outcome.iterations;
   out.solver_escalations = outcome.escalations;
@@ -213,33 +218,30 @@ IrResult IrAnalyzer::analyze(const power::MemoryState& state, SolveScratch* scra
   return load_.result(state, outcome);
 }
 
+void IrAnalyzer::solve_block(std::span<const power::MemoryState> states, SolveScratch& scratch,
+                             std::span<SolveOutcome> outcomes) const {
+  if (outcomes.size() != states.size()) {
+    throw std::invalid_argument("IrAnalyzer::solve_block: one outcome per state");
+  }
+  PDN3D_TRACE_SPAN("irdrop/analyze_batch");
+  const std::size_t n = model_.node_count();
+  scratch.block.resize(n * states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    load_.injection_into(states[i], std::span(scratch.block).subspan(i * n, n));
+  }
+  solver_.solve_block(scratch.block, true, scratch, outcomes);
+}
+
 std::vector<IrResult> IrAnalyzer::analyze_batch(
     std::span<const power::MemoryState> states) const {
-  PDN3D_TRACE_SPAN("irdrop/analyze_batch");
-  static auto& m_states = obs::counter("analysis.states_analyzed");
-  m_states.add(states.size());
-  if (states.empty()) return {};
-
-  // Pack the per-state injections back to back (RHS-major) for one
-  // batch_count solve; the solver guarantees each solution slice is bitwise
-  // identical to a stand-alone solve of that sink vector.
-  const std::size_t n = model_.node_count();
-  std::vector<double> sinks(n * states.size());
-  std::vector<double> one;
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    injection_into(states[i], one);
-    std::copy(one.begin(), one.end(), sinks.begin() + static_cast<std::ptrdiff_t>(i * n));
-  }
-
-  SolveOutcome outcome =
-      solver_.solve({.sinks = sinks, .want_ir = true, .batch_count = states.size()});
-  if (!outcome.ok()) throw core::NumericalError(std::move(outcome.status));
-
   std::vector<IrResult> out;
   out.reserve(states.size());
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    out.push_back(
-        load_.stats(states[i], std::span<const double>(outcome.x).subspan(i * n, n), outcome));
+  SolveScratch scratch;
+  std::array<SolveOutcome, linalg::kSolveBlock> outcomes;
+  for (std::size_t first = 0; first < states.size(); first += linalg::kSolveBlock) {
+    const auto block = states.subspan(first, std::min(linalg::kSolveBlock, states.size() - first));
+    solve_block(block, scratch, std::span(outcomes).first(block.size()));
+    for (std::size_t i = 0; i < block.size(); ++i) out.push_back(result(block[i], outcomes[i]));
   }
   return out;
 }

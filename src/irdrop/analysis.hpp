@@ -64,6 +64,8 @@ class LoadMap {
 
   /// The per-node sink currents of @p state into @p sinks (resized, zeroed).
   void injection_into(const power::MemoryState& state, std::vector<double>& sinks) const;
+  /// The same into @p sinks, one entry per node (zeroed here).
+  void injection_into(const power::MemoryState& state, std::span<double> sinks) const;
 
   /// The statistics of one solved IR map (@p ir, one entry per node);
   /// @p outcome supplies the solver telemetry.
@@ -73,7 +75,8 @@ class LoadMap {
   /// The end of an analysis of @p state: counts the state and turns its
   /// solve's outcome (IR drops) into the IrResult, or throws
   /// core::NumericalError when the solve failed. IrAnalyzer::analyze ends
-  /// here, and so does a sweep's lane solve (IrSolver::solve_lanes).
+  /// here, and so do a block's states (IrAnalyzer::result) and a sweep's lane
+  /// solve (IrSolver::solve_lanes).
   [[nodiscard]] IrResult result(const power::MemoryState& state, SolveOutcome& outcome) const;
 
   /// Device-layer nodes of every block of DRAM die @p die, in floorplan order.
@@ -112,16 +115,25 @@ class IrAnalyzer {
   [[nodiscard]] IrResult analyze(const power::MemoryState& state,
                                  SolveScratch* scratch = nullptr) const;
 
-  /// Analyze many states through one multi-RHS solve (SolveRequest
-  /// batch_count), amortizing the factorization across the group -- the
-  /// service's request-coalescing hot path. Results come back in input order
-  /// and every IrResult's voltages/statistics are bitwise identical to a
-  /// stand-alone analyze() of that state (the solver's per-slice contract;
-  /// the stats extraction is literally the same code). Per-result solver
-  /// telemetry carries the batch aggregate (iterations/escalations sum,
-  /// kind_used is the last slice's rung) -- rendered output never prints it
-  /// for evaluate, so the byte-parity contract is unaffected. All-or-nothing:
-  /// any slice exhausting the ladder throws core::NumericalError.
+  /// The solves of analyze() for up to linalg::kSolveBlock states, in one
+  /// pass over the solver's cached factor (IrSolver::solve_block): the unit
+  /// of the LUT and Monte Carlo sweeps. @p outcomes (one per state) receive
+  /// what analyze(states[i], &scratch) solves, bit for bit; result() turns
+  /// each into the IrResult analyze() returns, or throws what it throws. The
+  /// block is one irdrop/analyze_batch span.
+  void solve_block(std::span<const power::MemoryState> states, SolveScratch& scratch,
+                   std::span<SolveOutcome> outcomes) const;
+
+  /// The end of analyze() for a state solved by solve_block().
+  [[nodiscard]] IrResult result(const power::MemoryState& state, SolveOutcome& outcome) const {
+    return load_.result(state, outcome);
+  }
+
+  /// Analyze many states, linalg::kSolveBlock per solve_block() -- the
+  /// service's request-coalescing path. Results come back in input order,
+  /// each bitwise identical to a stand-alone analyze() of that state, solver
+  /// telemetry included. All-or-nothing: a state whose solve fails throws
+  /// its core::NumericalError.
   [[nodiscard]] std::vector<IrResult> analyze_batch(
       std::span<const power::MemoryState> states) const;
 

@@ -1,6 +1,7 @@
 #include "irdrop/lut.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <stdexcept>
 
@@ -37,12 +38,16 @@ IrLut IrLut::build(const IrAnalyzer& analyzer, const floorplan::DramFloorplanSpe
   if (analyzer.solver().kind() == SolverKind::kSparseDirect) {
     (void)analyzer.solver().sparse_factor_available();
   }
+  // States go to the solver kSolveBlock at a time, one pass over the cached
+  // factor per block; a checkpointed entry replays and leaves its block.
   std::vector<double> table(total, 0.0);
-  exec::ThreadPool pool(static_cast<std::size_t>(threads));
-  pool.parallel_chunks(total, [&](std::size_t, std::size_t begin, std::size_t end) {
-    SolveScratch scratch;
+  const auto run_block = [&](std::size_t b, SolveScratch& scratch) {
+    std::array<power::MemoryState, linalg::kSolveBlock> states;
+    std::array<std::size_t, linalg::kSolveBlock> keys{};
+    std::size_t count = 0;
     std::vector<int> counts(static_cast<std::size_t>(dies), 0);
-    for (std::size_t key = begin; key < end; ++key) {
+    for (std::size_t key = b * linalg::kSolveBlock;
+         key < std::min(total, (b + 1) * linalg::kSolveBlock); ++key) {
       if (checkpoint != nullptr) {
         if (const util::CheckpointEntry* entry = checkpoint->find(key)) {
           if (entry->ok) {
@@ -65,10 +70,24 @@ IrLut IrLut::build(const IrAnalyzer& analyzer, const floorplan::DramFloorplanSpe
       }
       const double act =
           active_dies > 0 ? std::min(1.0, io_demand / static_cast<double>(active_dies)) : 0.0;
-      const auto state = power::make_state_from_counts(counts, spec, act);
-      table[key] = analyzer.analyze(state, &scratch).dram_max_mv;
-      if (checkpoint != nullptr) checkpoint->record(key, {true, table[key], {}});
+      states[count] = power::make_state_from_counts(counts, spec, act);
+      keys[count++] = key;
     }
+    if (count == 0) return;
+    std::array<SolveOutcome, linalg::kSolveBlock> outcomes;
+    analyzer.solve_block(std::span(states).first(count), scratch,
+                         std::span(outcomes).first(count));
+    for (std::size_t i = 0; i < count; ++i) {
+      table[keys[i]] = analyzer.result(states[i], outcomes[i]).dram_max_mv;
+      if (checkpoint != nullptr) checkpoint->record(keys[i], {true, table[keys[i]], {}});
+    }
+  };
+  // Pool chunks are runs of whole blocks, one SolveScratch each.
+  exec::ThreadPool pool(static_cast<std::size_t>(threads));
+  const std::size_t blocks = (total + linalg::kSolveBlock - 1) / linalg::kSolveBlock;
+  pool.parallel_chunks(blocks, [&](std::size_t, std::size_t first, std::size_t last) {
+    SolveScratch scratch;
+    for (std::size_t b = first; b < last; ++b) run_block(b, scratch);
   });
   if (checkpoint != nullptr) checkpoint->flush();
   return IrLut(dies, max_per_die, std::move(table));

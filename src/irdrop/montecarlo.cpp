@@ -1,6 +1,7 @@
 #include "irdrop/montecarlo.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -15,14 +16,12 @@
 
 namespace pdn3d::irdrop {
 
-namespace {
-
-/// Draw one non-all-idle memory state from this sample's private stream. An
-/// all-idle draw carries no information for the margin study, so we redraw
-/// within the same stream (the stream advanced, so this terminates) -- the
-/// parallel analogue of the old serial `--s; continue` resample.
-power::MemoryState draw_state(util::Rng& rng, int dies, int banks,
-                              const MonteCarloConfig& config) {
+power::MemoryState draw_sample(const MonteCarloConfig& config, std::size_t sample, int dies,
+                               int banks) {
+  util::Rng rng = util::Rng::split(config.seed, sample);
+  // An all-idle draw carries no information for the margin study, so we
+  // redraw within the same stream (the stream advanced, so this terminates)
+  // -- the parallel analogue of the old serial `--s; continue` resample.
   for (;;) {
     power::MemoryState state;
     state.dies.assign(static_cast<std::size_t>(dies), {});
@@ -46,8 +45,6 @@ power::MemoryState draw_state(util::Rng& rng, int dies, int banks,
   }
 }
 
-}  // namespace
-
 MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
                                         const floorplan::DramFloorplanSpec& spec,
                                         const MonteCarloConfig& config) {
@@ -65,16 +62,20 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
   const std::size_t n = static_cast<std::size_t>(config.samples);
 
   // Per-sample result slots: the pool guarantees slot i is written by the
-  // worker that claimed sample i, and every statistic below is computed from
-  // the slots in index order -- thread count never changes the answer.
+  // worker that ran sample i's block, and every statistic below is computed
+  // from the slots in index order -- thread count never changes the answer.
   std::vector<double> values(n, 0.0);
   std::vector<unsigned char> solved(n, 0);
   std::vector<std::string> failures(n);
 
-  exec::ThreadPool pool(static_cast<std::size_t>(config.threads));
-  pool.parallel_chunks(n, [&](std::size_t, std::size_t begin, std::size_t end) {
-    SolveScratch scratch;
-    for (std::size_t s = begin; s < end; ++s) {
+  // Samples go to the solver kSolveBlock at a time, one pass over the cached
+  // factor per block; a checkpointed sample replays and leaves its block.
+  const auto run_block = [&](std::size_t b, SolveScratch& scratch) {
+    std::array<power::MemoryState, linalg::kSolveBlock> states;
+    std::array<std::size_t, linalg::kSolveBlock> index{};
+    std::size_t count = 0;
+    for (std::size_t s = b * linalg::kSolveBlock; s < std::min(n, (b + 1) * linalg::kSolveBlock);
+         ++s) {
       if (config.checkpoint != nullptr) {
         if (const util::CheckpointEntry* entry = config.checkpoint->find(s)) {
           if (entry->ok) {
@@ -86,10 +87,17 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
           continue;
         }
       }
-      util::Rng rng = util::Rng::split(config.seed, s);
-      const power::MemoryState state = draw_state(rng, dies, banks, config);
+      states[count] = draw_sample(config, s, dies, banks);
+      index[count++] = s;
+    }
+    if (count == 0) return;
+    std::array<SolveOutcome, linalg::kSolveBlock> outcomes;
+    analyzer.solve_block(std::span(states).first(count), scratch,
+                         std::span(outcomes).first(count));
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t s = index[i];
       try {
-        values[s] = analyzer.analyze(state, &scratch).dram_max_mv;
+        values[s] = analyzer.result(states[i], outcomes[i]).dram_max_mv;
         solved[s] = 1;
       } catch (const core::NumericalError& e) {
         // A cancellation must abort the sweep, not be skipped as a sample.
@@ -102,6 +110,13 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
         config.checkpoint->record(s, {solved[s] != 0, values[s], failures[s]});
       }
     }
+  };
+  // Pool chunks are runs of whole blocks, one SolveScratch each.
+  exec::ThreadPool pool(static_cast<std::size_t>(config.threads));
+  const std::size_t blocks = (n + linalg::kSolveBlock - 1) / linalg::kSolveBlock;
+  pool.parallel_chunks(blocks, [&](std::size_t, std::size_t first, std::size_t last) {
+    SolveScratch scratch;
+    for (std::size_t b = first; b < last; ++b) run_block(b, scratch);
   });
   if (config.checkpoint != nullptr) config.checkpoint->flush();
 

@@ -9,6 +9,7 @@
 /// random active-die subsets, random bank locations per die -- and reports
 /// IR-drop percentiles.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -55,8 +56,16 @@ struct MonteCarloResult {
 };
 
 /// Run the sampler. The analyzer's stack determines die/bank counts.
+/// Samples are solved linalg::kSolveBlock per pool task
+/// (IrAnalyzer::solve_block); each comes out as analyze() of its state alone.
 MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
                                         const floorplan::DramFloorplanSpec& spec,
                                         const MonteCarloConfig& config = {});
+
+/// The memory state of sample @p sample, drawn from its own stream
+/// (util::Rng::split(config.seed, sample)) on a stack of @p dies DRAM dies
+/// with @p banks banks each; never all idle.
+power::MemoryState draw_sample(const MonteCarloConfig& config, std::size_t sample, int dies,
+                               int banks);
 
 }  // namespace pdn3d::irdrop

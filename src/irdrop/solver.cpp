@@ -1,5 +1,6 @@
 #include "irdrop/solver.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
@@ -82,17 +83,14 @@ double relative_residual(const linalg::Csr& g, std::span<const double> rhs,
 }
 
 /// Pre-solve injection health: a NaN load current poisons every inner
-/// product, so name the offending node instead of letting CG spin. @p sinks
-/// holds @p batch_count vectors of @p n entries; a failure counts in
-/// solver.failures.
-core::Status check_sinks(std::span<const double> sinks, std::size_t n, std::size_t batch_count) {
+/// product, so name the offending node instead of letting CG spin. A failure
+/// counts in solver.failures.
+core::Status check_sinks(std::span<const double> sinks) {
   static auto& m_failures = obs::counter("solver.failures");
   for (std::size_t i = 0; i < sinks.size(); ++i) {
     if (!std::isfinite(sinks[i])) {
       m_failures.add(1);
-      return core::Status::input_error(
-          "non-finite sink current at node " + std::to_string(i % n) +
-          (batch_count > 1 ? " (batch slice " + std::to_string(i / n) + ")" : ""));
+      return core::Status::input_error("non-finite sink current at node " + std::to_string(i));
     }
   }
   return core::Status::ok();
@@ -335,12 +333,6 @@ void IrSolver::rhs_into(std::span<const double> sinks, std::vector<double>& rhs)
   for (std::size_t i = 0; i < n; ++i) rhs[i] = supply_rhs_[i] - sinks[i];
 }
 
-SolveOutcome IrSolver::solve_one(std::span<const double> sinks, bool want_ir,
-                                 SolveScratch& ws) const {
-  rhs_into(sinks, ws.rhs);
-  return ladder(ws.rhs, want_ir, ws, nullptr);
-}
-
 SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveScratch& ws,
                               RungResult* first) const {
   PDN3D_TRACE_SPAN_NAMED(span, "solver/solve");
@@ -424,9 +416,14 @@ SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveSc
   return outcome;
 }
 
-SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws) const {
+void IrSolver::solve_block(std::span<double> block, bool want_ir, SolveScratch& ws,
+                           std::span<SolveOutcome> out) const {
   const std::size_t n = g_.dimension();
-  const std::size_t count = request.batch_count;
+  const std::size_t count = out.size();
+  if (count == 0 || count > linalg::kSolveBlock || block.size() != n * count) {
+    throw std::invalid_argument("IrSolver::solve_block: block size mismatch");
+  }
+  PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
 
   PDN3D_TRACE_SPAN_NAMED(span, "solver/solve_batch");
   span.attribute("batch", static_cast<std::uint64_t>(count));
@@ -434,64 +431,72 @@ SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws
   static auto& m_iters_hist =
       obs::histogram("solver.iterations_per_solve", obs::exponential_buckets(1.0, 2.0, 16));
 
-  SolveOutcome out;
-  out.x.assign(n * count, 0.0);
-  std::vector<char> done(count, 0);
+  for (std::size_t r = 0; r < count; ++r) {
+    const std::span<double> slice = block.subspan(r * n, n);
+    out[r] = SolveOutcome{};
+    out[r].status = check_sinks(slice);
+    for (std::size_t i = 0; i < n; ++i) slice[i] = supply_rhs_[i] - slice[i];
+  }
 
-  // Fast path: one batched pair of triangular sweeps covers every right-hand
-  // side, then each slice is residual-verified exactly as a scalar solve
-  // would be. Slices the verification rejects (and everything, when the
-  // factor was declined) fall through to the scalar solve below, which
-  // escalates as usual.
-  if (kind_ == SolverKind::kSparseDirect) {
-    const linalg::SparseCholesky* fac = sparse(nullptr);
-    if (fac != nullptr) {
-      std::vector<double>& rhs = ws.batch_rhs;
-      rhs.assign(n * count, 0.0);
-      for (std::size_t r = 0; r < count; ++r) {
-        for (std::size_t i = 0; i < n; ++i) {
-          rhs[r * n + i] = supply_rhs_[i] - request.sinks[r * n + i];
-        }
-      }
-      ws.batch_x.assign(n * count, 0.0);
-      fac->solve_batch(rhs, ws.batch_x, count, ws.direct);
-
-      for (std::size_t r = 0; r < count; ++r) {
-        const std::span<const double> brhs(rhs.data() + r * n, n);
-        const std::span<const double> bx(ws.batch_x.data() + r * n, n);
-        const double rel = relative_residual(g_, brhs, bx, ws.ax);
-        if (!std::isfinite(rel) || rel > options_.verify_rel_tol) continue;
-
-        rung_attempt_counter(SolverKind::kSparseDirect).add(1);
-        for (std::size_t i = 0; i < n; ++i) {
-          out.x[r * n + i] = request.want_ir ? vdd_ - bx[i] : bx[i];
-        }
-        out.kind_used = SolverKind::kSparseDirect;
-        out.rel_residual = std::max(out.rel_residual, rel);
-        m_solves.add(1);
-        m_iters_hist.observe(0.0);
-        done[r] = 1;
-      }
-    }
+  // The start rung of every slice in one pass over the cached factor. A
+  // pending cancellation leaves it to the ladders, which report it.
+  const linalg::SparseCholesky* fac =
+      kind_ == SolverKind::kSparseDirect && !exec::cancellation_requested() ? sparse(nullptr)
+                                                                             : nullptr;
+  if (fac != nullptr) {
+    ws.block_x.resize(n * count);
+    fac->solve_batch(block, ws.block_x, count, ws.direct);
   }
 
   for (std::size_t r = 0; r < count; ++r) {
-    if (done[r]) continue;
-    const std::span<const double> sinks(request.sinks.data() + r * n, n);
-    SolveOutcome one = solve_one(sinks, request.want_ir, ws);
-    if (!one.ok()) {
-      // All-or-nothing: a partially-solved batch must not look like success.
-      out.x.clear();
-      out.status = core::Status(one.status.code(),
-                                "batch slice " + std::to_string(r) + ": " + one.status.message());
-      out.escalations += one.escalations;
-      return out;
+    if (!out[r].ok()) continue;
+    const std::span<const double> rhs = block.subspan(r * n, n);
+    if (fac != nullptr) {
+      // ladder()'s acceptance of a verified first rung, with its counters.
+      const std::span<const double> x(ws.block_x.data() + r * n, n);
+      const double rel = relative_residual(g_, rhs, x, ws.ax);
+      if (std::isfinite(rel) && rel <= options_.verify_rel_tol) {
+        rung_attempt_counter(SolverKind::kSparseDirect).add(1);
+        m_solves.add(1);
+        m_iters_hist.observe(0.0);
+        out[r].x.resize(n);
+        for (std::size_t i = 0; i < n; ++i) out[r].x[i] = want_ir ? vdd_ - x[i] : x[i];
+        out[r].kind_used = SolverKind::kSparseDirect;
+        out[r].rel_residual = rel;
+        continue;
+      }
     }
-    std::copy(one.x.begin(), one.x.end(), out.x.begin() + static_cast<std::ptrdiff_t>(r * n));
-    out.kind_used = one.kind_used;
-    out.iterations += one.iterations;
-    out.rel_residual = std::max(out.rel_residual, one.rel_residual);
-    out.escalations += one.escalations;
+    out[r] = ladder(rhs, want_ir, ws, nullptr);
+  }
+}
+
+SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws) const {
+  const std::size_t n = g_.dimension();
+  const std::size_t count = request.batch_count;
+  SolveOutcome out;
+  out.x.resize(n * count);
+  std::array<SolveOutcome, linalg::kSolveBlock> slices;
+  for (std::size_t first = 0; first < count; first += linalg::kSolveBlock) {
+    const std::size_t width = std::min(linalg::kSolveBlock, count - first);
+    const auto sinks = request.sinks.subspan(first * n, width * n);
+    ws.block.assign(sinks.begin(), sinks.end());
+    solve_block(ws.block, request.want_ir, ws, std::span(slices).first(width));
+    for (std::size_t r = 0; r < width; ++r) {
+      const SolveOutcome& one = slices[r];
+      out.escalations += one.escalations;
+      if (!one.ok()) {
+        // All-or-nothing: a partially-solved batch must not look like success.
+        out.x.clear();
+        out.status = core::Status(one.status.code(), "batch slice " + std::to_string(first + r) +
+                                                         ": " + one.status.message());
+        return out;
+      }
+      std::copy(one.x.begin(), one.x.end(),
+                out.x.begin() + static_cast<std::ptrdiff_t>((first + r) * n));
+      out.kind_used = one.kind_used;
+      out.iterations += one.iterations;
+      out.rel_residual = std::max(out.rel_residual, one.rel_residual);
+    }
   }
   return out;
 }
@@ -505,17 +510,16 @@ SolveOutcome IrSolver::solve(const SolveRequest& request, SolveScratch* scratch)
     throw std::invalid_argument("IrSolver::solve: sink vector size mismatch");
   }
 
-  PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
-
   SolveScratch local;
   SolveScratch& ws = scratch != nullptr ? *scratch : local;
+  if (request.batch_count > 1) return solve_batch(request, ws);
 
+  PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
   SolveOutcome rejected;
-  rejected.status = check_sinks(request.sinks, n, request.batch_count);
+  rejected.status = check_sinks(request.sinks);
   if (!rejected.ok()) return rejected;
-
-  if (request.batch_count == 1) return solve_one(request.sinks, request.want_ir, ws);
-  return solve_batch(request, ws);
+  rhs_into(request.sinks, ws.rhs);
+  return ladder(ws.rhs, request.want_ir, ws, nullptr);
 }
 
 /// solve()'s side of a lane solve: turns each member into a CG system (its
@@ -546,7 +550,7 @@ class IrSolver::LaneAdapter final : public linalg::CgLaneFeed {
       }
       PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
       SolveOutcome rejected;
-      rejected.status = check_sinks(sinks, n, 1);
+      rejected.status = check_sinks(sinks);
       if (!rejected.ok()) {
         feed_.done(lane, rejected);
         continue;

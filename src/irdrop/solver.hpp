@@ -88,10 +88,12 @@ struct SolveRequest {
   std::span<const double> sinks;  ///< per-node sink currents (amps, >= 0 draws)
   bool want_ir = false;           ///< return VDD - v (IR drop) instead of v
   /// Multi-RHS batch: @ref sinks holds batch_count sink vectors back to back
-  /// (each node_count() long, RHS-major). SolveOutcome::x comes back in the
-  /// same index order, each solution bitwise identical to a stand-alone solve
-  /// of that slice. A batch succeeds only as a whole: if any right-hand side
-  /// exhausts the ladder the outcome is the failure and x stays empty.
+  /// (each node_count() long, RHS-major), solved linalg::kSolveBlock at a
+  /// time (IrSolver::solve_block). SolveOutcome::x comes back in the same
+  /// index order, each solution bitwise identical to a stand-alone solve of
+  /// that slice. A batch succeeds only as a whole: if any right-hand side
+  /// fails, the outcome is the first such failure, with its slice named, and
+  /// x stays empty.
   std::size_t batch_count = 1;
 };
 
@@ -113,9 +115,10 @@ struct SolveOutcome {
 };
 
 /// Per-solve work buffers (sink currents, assembled RHS, verification
-/// product, CG vectors). Solving allocates these fresh when none is supplied;
-/// a sweep keeps one SolveScratch per pool chunk and reuses it across
-/// thousands of same-sized solves. Never share one across concurrent solves.
+/// product, CG vectors, a block's right-hand sides and solutions). Solving
+/// allocates these fresh when none is supplied; a sweep keeps one
+/// SolveScratch per pool chunk and reuses it across thousands of same-sized
+/// solves. Never share one across concurrent solves.
 struct SolveScratch {
   /// IrAnalyzer::analyze's injection buffer. IrSolver::solve never writes
   /// it, so a request's sinks may point into it.
@@ -124,9 +127,12 @@ struct SolveScratch {
   std::vector<double> ax;   ///< G*x for residual verification
   std::vector<double> rail; ///< ic-pcg's starting guess, VDD at every node
   linalg::CgScratch cg;
-  std::vector<double> batch_rhs;  ///< batched fast-path right-hand sides
-  std::vector<double> batch_x;    ///< batched fast-path solutions
-  std::vector<double> direct;     ///< triangular-sweep workspace
+  /// A block's sink currents, slice r at [r * n, (r + 1) * n): filled by
+  /// the caller of IrSolver::solve_block, which turns them into right-hand
+  /// sides in place.
+  std::vector<double> block;
+  std::vector<double> block_x;  ///< a block's solutions, laid out like block
+  std::vector<double> direct;   ///< triangular-sweep workspace
 };
 
 /// Where a mesh topology's conductances land in G: the pattern and the slot
@@ -198,6 +204,20 @@ class IrSolver {
   [[nodiscard]] SolveOutcome solve(const SolveRequest& request,
                                    SolveScratch* scratch = nullptr) const;
 
+  /// solve() of up to linalg::kSolveBlock single-RHS requests at once, the
+  /// unit of the LUT and Monte Carlo sweeps and of coalesced evaluations.
+  /// @p block holds out.size() sink vectors back to back (RHS-major) and is
+  /// left holding their right-hand sides. out[r] is bitwise what solve() of
+  /// slice r alone returns, entry check, verification and counters included:
+  /// a sparse-direct start sweeps the cached factor once for the whole
+  /// block, and a slice that fails verification, like every slice of another
+  /// start or a declined factor, runs solve()'s ladder by itself. The block
+  /// is one solver/solve_batch span. Thread-safe like solve(); throws
+  /// std::invalid_argument when out is empty or longer than kSolveBlock, or
+  /// when block is not out.size() node vectors long.
+  void solve_block(std::span<double> block, bool want_ir, SolveScratch& scratch,
+                   std::span<SolveOutcome> out) const;
+
   /// Solve up to @p members single-RHS members through
   /// linalg::solve_cg_lanes: three IC-PCG solves in lockstep, a finished lane
   /// taking the feed's next member. Each member keeps solve()'s entry checks,
@@ -234,8 +254,6 @@ class IrSolver {
   [[nodiscard]] const linalg::SparseCholesky* sparse(std::string* error) const;
   /// rhs = supply_rhs - sinks.
   void rhs_into(std::span<const double> sinks, std::vector<double>& rhs) const;
-  [[nodiscard]] SolveOutcome solve_one(std::span<const double> sinks, bool want_ir,
-                                       SolveScratch& ws) const;
   /// The ladder over @p rhs. @p first, when given, is the start rung's
   /// result, already run in a lane.
   [[nodiscard]] SolveOutcome ladder(std::span<const double> rhs, bool want_ir, SolveScratch& ws,

@@ -1,5 +1,6 @@
 #include "linalg/sparse_chol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -127,9 +128,14 @@ SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
   }
   fill_ratio_ = nnz_lower > 0 ? static_cast<double>(factor_nnz) / static_cast<double>(nnz_lower)
                               : 1.0;
+  if (std::max(n_, factor_nnz) > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("SparseCholesky: factor exceeds 32-bit indexing");
+  }
 
   col_ptr_.assign(n_ + 1, 0);
-  for (std::size_t j = 0; j < n_; ++j) col_ptr_[j + 1] = col_ptr_[j] + col_count[j];
+  for (std::size_t j = 0; j < n_; ++j) {
+    col_ptr_[j + 1] = col_ptr_[j] + static_cast<std::uint32_t>(col_count[j]);
+  }
   row_idx_.assign(factor_nnz, 0);
   values_.assign(factor_nnz, 0.0);
 
@@ -164,7 +170,7 @@ SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
         x[row_idx_[p]] -= values_[p] * lki;
       }
       d -= lki * lki;
-      row_idx_[next_free[i]] = k;
+      row_idx_[next_free[i]] = static_cast<std::uint32_t>(k);
       values_[next_free[i]] = lki;
       ++next_free[i];
     }
@@ -173,7 +179,7 @@ SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
                                std::to_string(d) + " at elimination step " + std::to_string(k) +
                                ")");
     }
-    row_idx_[next_free[k]] = k;
+    row_idx_[next_free[k]] = static_cast<std::uint32_t>(k);
     values_[next_free[k]] = std::sqrt(d);
     ++next_free[k];
   }
@@ -184,27 +190,7 @@ void SparseCholesky::solve(std::span<const double> b, std::span<double> x,
   if (b.size() != n_ || x.size() != n_) {
     throw std::invalid_argument("SparseCholesky::solve: size mismatch");
   }
-  work.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k) work[k] = b[perm_[k]];
-
-  // Forward sweep L y = Pb (column-oriented; diagonal first per column).
-  for (std::size_t j = 0; j < n_; ++j) {
-    const double yj = work[j] / values_[col_ptr_[j]];
-    work[j] = yj;
-    for (std::size_t p = col_ptr_[j] + 1; p < col_ptr_[j + 1]; ++p) {
-      work[row_idx_[p]] -= values_[p] * yj;
-    }
-  }
-  // Backward sweep L^T z = y.
-  for (std::size_t j = n_; j-- > 0;) {
-    double sum = work[j];
-    for (std::size_t p = col_ptr_[j] + 1; p < col_ptr_[j + 1]; ++p) {
-      sum -= values_[p] * work[row_idx_[p]];
-    }
-    work[j] = sum / values_[col_ptr_[j]];
-  }
-
-  for (std::size_t k = 0; k < n_; ++k) x[perm_[k]] = work[k];
+  solve_batch(b, x, 1, work);
 }
 
 std::vector<double> SparseCholesky::solve(std::span<const double> b) const {
@@ -214,43 +200,68 @@ std::vector<double> SparseCholesky::solve(std::span<const double> b) const {
   return x;
 }
 
+template <std::size_t Width>
+void SparseCholesky::sweep(double* y) const {
+  // solve()'s two sweeps with every scalar widened to Width right-hand
+  // sides. Each right-hand side sees solve()'s operations in solve()'s order,
+  // so its slice comes out bit for bit.
+  const double* values = values_.data();
+  const std::uint32_t* col_ptr = col_ptr_.data();
+  const std::uint32_t* row_idx = row_idx_.data();
+  for (std::size_t j = 0; j < n_; ++j) {
+    double* yj = y + j * Width;
+    const double d = values[col_ptr[j]];
+    double t[Width];
+    for (std::size_t r = 0; r < Width; ++r) {
+      t[r] = yj[r] / d;
+      yj[r] = t[r];
+    }
+    for (std::uint32_t p = col_ptr[j] + 1; p < col_ptr[j + 1]; ++p) {
+      const double v = values[p];
+      double* yi = y + std::size_t{row_idx[p]} * Width;
+      for (std::size_t r = 0; r < Width; ++r) yi[r] -= v * t[r];
+    }
+  }
+  for (std::size_t j = n_; j-- > 0;) {
+    double* yj = y + j * Width;
+    double sum[Width];
+    for (std::size_t r = 0; r < Width; ++r) sum[r] = yj[r];
+    for (std::uint32_t p = col_ptr[j] + 1; p < col_ptr[j + 1]; ++p) {
+      const double v = values[p];
+      const double* yi = y + std::size_t{row_idx[p]} * Width;
+      for (std::size_t r = 0; r < Width; ++r) sum[r] -= v * yi[r];
+    }
+    const double d = values[col_ptr[j]];
+    for (std::size_t r = 0; r < Width; ++r) yj[r] = sum[r] / d;
+  }
+}
+
 void SparseCholesky::solve_batch(std::span<const double> b, std::span<double> x,
                                  std::size_t count, std::vector<double>& work) const {
   if (b.size() != n_ * count || x.size() != n_ * count) {
     throw std::invalid_argument("SparseCholesky::solve_batch: size mismatch");
   }
-  if (count == 0) return;
-  work.resize(n_ * count);
-  for (std::size_t r = 0; r < count; ++r) {
-    for (std::size_t k = 0; k < n_; ++k) work[r * n_ + k] = b[r * n_ + perm_[k]];
-  }
-
-  // The factor is traversed once per column for all right-hand sides; per
-  // right-hand side the arithmetic order matches solve() exactly, so each
-  // slice of the batch is bitwise identical to an individual solve.
-  for (std::size_t j = 0; j < n_; ++j) {
-    const double d = values_[col_ptr_[j]];
-    for (std::size_t r = 0; r < count; ++r) work[r * n_ + j] /= d;
-    for (std::size_t p = col_ptr_[j] + 1; p < col_ptr_[j + 1]; ++p) {
-      const double v = values_[p];
-      const std::size_t i = row_idx_[p];
-      for (std::size_t r = 0; r < count; ++r) work[r * n_ + i] -= v * work[r * n_ + j];
+  work.resize(n_ * std::min(count, kSolveBlock));
+  for (std::size_t first = 0; first < count; first += kSolveBlock) {
+    const std::size_t width = std::min(kSolveBlock, count - first);
+    const double* bb = b.data() + first * n_;
+    double* xb = x.data() + first * n_;
+    for (std::size_t k = 0; k < n_; ++k) {
+      for (std::size_t r = 0; r < width; ++r) work[k * width + r] = bb[r * n_ + perm_[k]];
     }
-  }
-  std::vector<double> acc(count, 0.0);
-  for (std::size_t j = n_; j-- > 0;) {
-    for (std::size_t r = 0; r < count; ++r) acc[r] = work[r * n_ + j];
-    for (std::size_t p = col_ptr_[j] + 1; p < col_ptr_[j + 1]; ++p) {
-      const double v = values_[p];
-      const std::size_t i = row_idx_[p];
-      for (std::size_t r = 0; r < count; ++r) acc[r] -= v * work[r * n_ + i];
+    switch (width) {
+      case 1: sweep<1>(work.data()); break;
+      case 2: sweep<2>(work.data()); break;
+      case 3: sweep<3>(work.data()); break;
+      case 4: sweep<4>(work.data()); break;
+      case 5: sweep<5>(work.data()); break;
+      case 6: sweep<6>(work.data()); break;
+      case 7: sweep<7>(work.data()); break;
+      default: sweep<kSolveBlock>(work.data()); break;
     }
-    const double d = values_[col_ptr_[j]];
-    for (std::size_t r = 0; r < count; ++r) work[r * n_ + j] = acc[r] / d;
-  }
-
-  for (std::size_t r = 0; r < count; ++r) {
-    for (std::size_t k = 0; k < n_; ++k) x[r * n_ + perm_[k]] = work[r * n_ + k];
+    for (std::size_t k = 0; k < n_; ++k) {
+      for (std::size_t r = 0; r < width; ++r) xb[r * n_ + perm_[k]] = work[k * width + r];
+    }
   }
 }
 

@@ -23,20 +23,32 @@
 /// row of L in topological order; a symbolic pass counts fill (aborting early
 /// when it exceeds the configured fill-ratio guard) and the numeric pass
 /// computes one row per step with a sparse triangular solve. L is stored
-/// column-compressed with the diagonal first in each column, which makes both
-/// triangular sweeps straight loops over contiguous column slices.
+/// column-compressed with the diagonal first in each column and 32-bit column
+/// pointers and row indices, which makes both triangular sweeps straight
+/// loops over contiguous column slices.
+///
+/// Many right-hand sides go through solve_batch, kSolveBlock per pass over
+/// the factor: a block is stored node-major (entry k of right-hand side r at
+/// k * width + r), so each entry of L read serves the whole block.
 ///
 /// Thread-safety contract: construction does all mutation; every solve entry
 /// is const and touches only caller-provided (or per-call) buffers, so one
 /// factor may serve any number of concurrent solvers without locking.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "linalg/csr.hpp"
 
 namespace pdn3d::linalg {
+
+/// Right-hand sides per pass over the factor in SparseCholesky::solve_batch.
+/// Eight take the cost per right-hand side to about 0.4 of a solve() on the
+/// paper benchmarks and four to about 0.5, while 16 or 32 add nothing (32
+/// loses on wide-io; docs/SOLVER.md). It is not an option.
+inline constexpr std::size_t kSolveBlock = 8;
 
 struct SparseCholeskyOptions {
   /// Refuse factorizations whose fill ratio nnz(L) / nnz(lower(A)) would
@@ -53,7 +65,8 @@ class SparseCholesky {
  public:
   /// Factor SPD matrix @p a under its approximate-minimum-degree ordering.
   /// Throws std::runtime_error when a pivot is non-positive (not SPD) or the
-  /// fill-ratio guard trips.
+  /// fill-ratio guard trips, and std::length_error when L would outgrow its
+  /// 32-bit indices.
   explicit SparseCholesky(const Csr& a, const SparseCholeskyOptions& options = {});
 
   /// Factor under an explicit permutation @p perm (new index k corresponds
@@ -70,10 +83,12 @@ class SparseCholesky {
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
   /// Batched solve: @p b and @p x hold @p count right-hand sides back to
-  /// back, each dimension() long (RHS-major). The factor is traversed once
-  /// per column for all right-hand sides together, which is what makes a
-  /// many-RHS sweep cheaper than @p count individual solves. Each solution is
-  /// bitwise identical to the one solve() produces for the same slice.
+  /// back, each dimension() long (RHS-major), and may alias each other. The
+  /// factor is swept once per block of kSolveBlock right-hand sides (a last,
+  /// partial block of k sweeps at width k, so it never costs more than k
+  /// solve() calls). Each solution is bitwise identical to the one solve()
+  /// produces for the same slice: every right-hand side keeps solve()'s
+  /// arithmetic order. @p work is resized here.
   void solve_batch(std::span<const double> b, std::span<double> x, std::size_t count,
                    std::vector<double>& work) const;
 
@@ -84,13 +99,18 @@ class SparseCholesky {
   [[nodiscard]] double fill_ratio() const { return fill_ratio_; }
 
  private:
+  /// Both triangular sweeps over @p y, @p Width right-hand sides stored
+  /// node-major (entry k of right-hand side r at k * Width + r).
+  template <std::size_t Width>
+  void sweep(double* y) const;
+
   std::size_t n_ = 0;
   double fill_ratio_ = 0.0;
   std::vector<std::size_t> perm_;  ///< new -> old
   std::vector<std::size_t> pos_;   ///< old -> new
   // L column-compressed, diagonal first in each column, rows increasing.
-  std::vector<std::size_t> col_ptr_;
-  std::vector<std::size_t> row_idx_;
+  std::vector<std::uint32_t> col_ptr_;
+  std::vector<std::uint32_t> row_idx_;
   std::vector<double> values_;
 };
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -68,7 +69,9 @@ TEST(ThreadPool, ChunksPartitionTheRangeExactly) {
       for (std::size_t k = 0; k < seen.size(); ++k) {
         EXPECT_EQ(seen[k][0], k);                          // chunk ids are dense
         EXPECT_LT(seen[k][1], seen[k][2]);                 // chunks are non-empty
-        if (k > 0) EXPECT_EQ(seen[k][1], seen[k - 1][2]);  // contiguous
+        if (k > 0) {
+          EXPECT_EQ(seen[k][1], seen[k - 1][2]);  // contiguous
+        }
       }
     }
   }
@@ -160,6 +163,43 @@ TEST(ThreadPool, SingleThreadPoolSpawnsNoWorkers) {
     ids.insert(std::hash<std::thread::id>{}(std::this_thread::get_id()));
   });
   EXPECT_EQ(ids, std::set<std::size_t>{caller});
+}
+
+/// Threads of this process, from /proc/self/status (0 where it is absent).
+std::size_t process_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST(ThreadPool, PoolBuiltInsideARegionSpawnsNoThreads) {
+  // Inside a region every parallel_for runs inline, so a pool built there
+  // starts no workers. It keeps its thread count, and with it the chunk
+  // boundaries parallel_chunks hands out.
+  if (process_threads() == 0) GTEST_SKIP() << "no /proc/self/status";
+  const auto chunks_of = [](ThreadPool& pool) {
+    std::mutex mu;
+    std::set<std::array<std::size_t, 3>> seen;
+    pool.parallel_chunks(8, [&](std::size_t c, std::size_t begin, std::size_t end) {
+      const std::lock_guard<std::mutex> lock(mu);
+      seen.insert({c, begin, end});
+    });
+    return seen;
+  };
+  ThreadPool top(3);
+  const auto top_chunks = chunks_of(top);
+  ThreadPool outer(3);
+  outer.parallel_for(2, [&](std::size_t i) {
+    if (i != 0) return;
+    const std::size_t before = process_threads();
+    ThreadPool inner(3);
+    EXPECT_EQ(process_threads(), before);
+    EXPECT_EQ(inner.thread_count(), 3u);
+    EXPECT_EQ(chunks_of(inner), top_chunks);
+  });
 }
 
 TEST(ThreadPool, DefaultCountHonorsOverride) {

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "floorplan/logic_floorplan.hpp"
 #include "pdn/stack_builder.hpp"
 #include "tech/presets.hpp"
+#include "util/checkpoint.hpp"
 
 namespace pdn3d::irdrop {
 namespace {
@@ -126,6 +132,60 @@ TEST(ParallelLut, BuildIsBitwiseIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+/// Every entry of a 4-die, 2-per-die table, in key order.
+std::vector<double> entries(const IrLut& lut) {
+  std::vector<double> out;
+  for (int key = 0; key < 81; ++key) {
+    out.push_back(lut.max_ir_mv({key % 3, key / 3 % 3, key / 9 % 3, key / 27 % 3}));
+  }
+  return out;
+}
+
+/// Keep the checkpoint's header and its first @p keep entries (index order).
+void truncate_entries(const std::string& path, std::size_t keep) {
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), keep + 1);
+  std::ofstream out(path, std::ios::trunc);
+  for (std::size_t i = 0; i <= keep; ++i) out << lines[i] << "\n";
+}
+
+TEST(ParallelLut, ResumeMidBlockIsBitwiseTheStraightRun) {
+  // On the cached factor the build solves blocks of states. A checkpoint
+  // cut inside a block replays its entries, and the block's other states
+  // solve to the same bits at one and at eight threads.
+  const LutFixture f;
+  const IrAnalyzer analyzer(f.built.model, f.spec.dram_fp, f.spec.logic_fp, f.power,
+                            SolverKind::kSparseDirect);
+  const auto truth = entries(IrLut::build(analyzer, f.spec.dram_spec, 2, 1.0, 1));
+  const std::string path = testing::TempDir() + "pdn3d_lut_blocks.ckpt";
+  std::remove(path.c_str());
+  const std::uint64_t key = util::checkpoint_key("lut-blocks-test");
+  const auto run = [&](int threads, bool resume, std::uint64_t resumed) {
+    auto ckpt = util::SweepCheckpoint::open(path, key, 81, resume);
+    EXPECT_EQ(ckpt.resumed(), resumed);
+    EXPECT_EQ(entries(IrLut::build(analyzer, f.spec.dram_spec, 2, 1.0, threads, &ckpt)), truth);
+  };
+  {
+    SCOPED_TRACE("checkpointed, threads 8");
+    run(8, false, 0);
+  }
+  ASSERT_NO_FATAL_FAILURE(truncate_entries(path, 13));
+  {
+    SCOPED_TRACE("resumed mid-block, threads 8");
+    run(8, true, 13);
+  }
+  ASSERT_NO_FATAL_FAILURE(truncate_entries(path, 30));
+  {
+    SCOPED_TRACE("resumed mid-block, threads 1");
+    run(1, true, 30);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ParallelLut, RejectsNegativeThreads) {

@@ -20,6 +20,7 @@
 #include "pdn/stack_builder.hpp"
 #include "power/memory_state.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace pdn3d::irdrop {
 namespace {
@@ -476,6 +477,64 @@ TEST(IrSolver, BatchFailsAsAWhole) {
   EXPECT_EQ(outcome.status.code(), core::StatusCode::kInputError);
   EXPECT_NE(outcome.status.message().find("slice 2"), std::string::npos)
       << outcome.status.message();
+}
+
+TEST(SparseCholesky, BenchmarkBatchSlicesMatchSolveAtEveryCount) {
+  // Full blocks, partial blocks and a block-and-a-bit, on a paper stack's G:
+  // every slice of solve_batch is solve() of that slice alone, bit for bit.
+  const core::Benchmark bench = core::make_benchmark(core::BenchmarkKind::kHmc);
+  const auto built = pdn::build_stack(bench.stack, bench.baseline);
+  const IrSolver solver(built.model, SolverKind::kSparseDirect);
+  const linalg::SparseCholesky chol(solver.conductance_matrix());
+  const std::size_t n = chol.dimension();
+  util::Rng rng(23);
+  std::vector<double> work;
+  for (const std::size_t count : {1, 2, 7, 8, 9, 16, 17}) {
+    std::vector<double> b(n * count);
+    for (double& v : b) v = rng.next_double() * 2.0 - 1.0;
+    std::vector<double> x(n * count, 0.0);
+    chol.solve_batch(b, x, count, work);
+    for (std::size_t r = 0; r < count; ++r) {
+      const auto one = chol.solve(std::span<const double>(b).subspan(r * n, n));
+      EXPECT_EQ(0, std::memcmp(one.data(), x.data() + r * n, n * sizeof(double)))
+          << "count " << count << " slice " << r;
+    }
+  }
+}
+
+TEST(IrSolver, BlockSliceWithNaNSinksFailsAloneAsSolveDoes) {
+  // A NaN-sink slice in the middle of a block gets solve()'s status; the
+  // slices around it keep the bits of their own lone solves.
+  const auto m = starvable_mesh();
+  const IrSolver solver(m, SolverKind::kSparseDirect);
+  const std::size_t n = m.node_count();
+  constexpr std::size_t kCount = 5;
+  std::vector<double> sinks(n * kCount);
+  for (std::size_t i = 0; i < sinks.size(); ++i) sinks[i] = 0.001 * static_cast<double>(i % 7);
+  sinks[2 * n + 3] = std::numeric_limits<double>::quiet_NaN();
+
+  CounterDeltas delta;
+  std::vector<double> block = sinks;
+  SolveScratch scratch;
+  std::array<SolveOutcome, kCount> out;
+  solver.solve_block(block, true, scratch, out);
+  EXPECT_EQ(delta("solver.failures"), 1u);
+  EXPECT_EQ(delta("solver.rung_attempts.sparse-direct"), kCount - 1);
+
+  for (std::size_t r = 0; r < kCount; ++r) {
+    const auto alone = solver.solve(
+        SolveRequest{.sinks = std::span<const double>(sinks).subspan(r * n, n), .want_ir = true});
+    EXPECT_EQ(out[r].status.to_string(), alone.status.to_string()) << "slice " << r;
+    ASSERT_EQ(out[r].x.size(), alone.x.size()) << "slice " << r;
+    if (!alone.x.empty()) {
+      EXPECT_EQ(0, std::memcmp(out[r].x.data(), alone.x.data(), n * sizeof(double)))
+          << "slice " << r;
+    }
+    EXPECT_EQ(out[r].kind_used, alone.kind_used) << "slice " << r;
+    EXPECT_EQ(out[r].rel_residual, alone.rel_residual) << "slice " << r;
+  }
+  EXPECT_FALSE(out[2].ok());
+  EXPECT_TRUE(out[2].x.empty());
 }
 
 TEST(IrSolver, DeclinedSparseFactorFallsDownLadder) {
