@@ -470,50 +470,13 @@ void IrSolver::solve_block(std::span<double> block, bool want_ir, SolveScratch& 
   }
 }
 
-SolveOutcome IrSolver::solve_batch(const SolveRequest& request, SolveScratch& ws) const {
-  const std::size_t n = g_.dimension();
-  const std::size_t count = request.batch_count;
-  SolveOutcome out;
-  out.x.resize(n * count);
-  std::array<SolveOutcome, linalg::kSolveBlock> slices;
-  for (std::size_t first = 0; first < count; first += linalg::kSolveBlock) {
-    const std::size_t width = std::min(linalg::kSolveBlock, count - first);
-    const auto sinks = request.sinks.subspan(first * n, width * n);
-    ws.block.assign(sinks.begin(), sinks.end());
-    solve_block(ws.block, request.want_ir, ws, std::span(slices).first(width));
-    for (std::size_t r = 0; r < width; ++r) {
-      const SolveOutcome& one = slices[r];
-      out.escalations += one.escalations;
-      if (!one.ok()) {
-        // All-or-nothing: a partially-solved batch must not look like success.
-        out.x.clear();
-        out.status = core::Status(one.status.code(), "batch slice " + std::to_string(first + r) +
-                                                         ": " + one.status.message());
-        return out;
-      }
-      std::copy(one.x.begin(), one.x.end(),
-                out.x.begin() + static_cast<std::ptrdiff_t>((first + r) * n));
-      out.kind_used = one.kind_used;
-      out.iterations += one.iterations;
-      out.rel_residual = std::max(out.rel_residual, one.rel_residual);
-    }
-  }
-  return out;
-}
-
 SolveOutcome IrSolver::solve(const SolveRequest& request, SolveScratch* scratch) const {
-  const std::size_t n = g_.dimension();
-  if (request.batch_count == 0) {
-    throw std::invalid_argument("IrSolver::solve: batch_count must be >= 1");
-  }
-  if (request.sinks.size() != n * request.batch_count) {
+  if (request.sinks.size() != g_.dimension()) {
     throw std::invalid_argument("IrSolver::solve: sink vector size mismatch");
   }
 
   SolveScratch local;
   SolveScratch& ws = scratch != nullptr ? *scratch : local;
-  if (request.batch_count > 1) return solve_batch(request, ws);
-
   PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
   SolveOutcome rejected;
   rejected.status = check_sinks(request.sinks);

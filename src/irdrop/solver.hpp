@@ -87,22 +87,13 @@ struct IrSolverOptions {
 struct SolveRequest {
   std::span<const double> sinks;  ///< per-node sink currents (amps, >= 0 draws)
   bool want_ir = false;           ///< return VDD - v (IR drop) instead of v
-  /// Multi-RHS batch: @ref sinks holds batch_count sink vectors back to back
-  /// (each node_count() long, RHS-major), solved linalg::kSolveBlock at a
-  /// time (IrSolver::solve_block). SolveOutcome::x comes back in the same
-  /// index order, each solution bitwise identical to a stand-alone solve of
-  /// that slice. A batch succeeds only as a whole: if any right-hand side
-  /// fails, the outcome is the first such failure, with its slice named, and
-  /// x stays empty.
-  std::size_t batch_count = 1;
 };
 
 /// Structured result of one solve attempt. `x` is written only after residual
 /// verification succeeds on some rung -- callers can never observe a
 /// partially-written or unverified solution, whether or not the solve
-/// escalated first. For batched requests the scalar telemetry aggregates
-/// across the batch (iterations and escalations sum, rel_residual is the
-/// worst slice, kind_used is the last slice's rung).
+/// escalated first. A block (IrSolver::solve_block) gets one outcome per
+/// slice.
 struct SolveOutcome {
   core::Status status;     ///< ok, or kInputError / kNumericalFailure
   std::vector<double> x;   ///< node voltages (or IR drops); empty when !status.is_ok()
@@ -263,7 +254,6 @@ class IrSolver {
   [[nodiscard]] static RungResult pcg_rung(linalg::CgResult& result);
 
   class LaneAdapter;
-  [[nodiscard]] SolveOutcome solve_batch(const SolveRequest& request, SolveScratch& ws) const;
 
   SolverKind kind_;
   IrSolverOptions options_;

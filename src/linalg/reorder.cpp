@@ -1,212 +1,208 @@
 #include "linalg/reorder.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 namespace pdn3d::linalg {
 
 namespace {
 
-constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+/// Node, pool offset and degree type: 32 bits halve the memory the pivot
+/// loop walks.
+using Index = std::uint32_t;
+constexpr Index kNone = std::numeric_limits<Index>::max();
 
-enum class Role {
+enum class Role : std::uint8_t {
   kVariable,  ///< live principal (super)variable
   kMerged,    ///< folded into a supervariable or mass-eliminated with a pivot
   kElement,   ///< eliminated pivot whose boundary is still referenced
   kAbsorbed,  ///< element whose boundary a later element took over
 };
 
-/// Min-heap of the live variables keyed by (approximate degree, index).
-/// Keys are updated in place, so the heap never holds more than the live
-/// variables and never has to skip stale entries; each slot carries its key
-/// so a comparison touches only the heap array.
-class PivotHeap {
+/// The live variables' least (approximate degree, index) key, as a
+/// tournament tree over the node indices: slot n + v holds node v's key
+/// packed into 64 bits with the degree in the high half (all ones once the
+/// node is out), and each slot i below n the lesser of slots 2i and 2i + 1,
+/// so slot 1 holds the least key and a comparison is one integer compare. A
+/// key change walks up from its leaf and stops where a slot is unchanged.
+class PivotQueue {
  public:
-  explicit PivotHeap(const std::vector<std::size_t>& degree) : pos_(degree.size(), kNone) {
-    heap_.reserve(degree.size());
-    for (std::size_t v = 0; v < degree.size(); ++v) {
-      heap_.emplace_back(degree[v], v);
-      pos_[v] = v;
-      sift_up(v);
-    }
+  explicit PivotQueue(const std::vector<Index>& degree)
+      : leaves_(static_cast<Index>(degree.size())), tree_(2 * degree.size(), kOut) {
+    for (Index v = 0; v < leaves_; ++v) tree_[leaves_ + v] = key(degree[v], v);
+    for (Index i = leaves_; i-- > 1;) tree_[i] = std::min(tree_[2 * i], tree_[2 * i + 1]);
   }
 
-  [[nodiscard]] std::size_t pop() {
-    const std::size_t v = heap_.front().second;
+  [[nodiscard]] Index pop() {
+    const auto v = static_cast<Index>(tree_[1]);
     erase(v);
     return v;
   }
 
-  void erase(std::size_t v) {
-    const std::size_t at = pos_[v];
-    const Key last = heap_.back();
-    heap_.pop_back();
-    pos_[v] = kNone;
-    if (at == heap_.size()) return;
-    place(at, last);
-    sift_up(at);
-    sift_down(pos_[last.second]);
-  }
+  void erase(Index v) { update(v, kOut); }
 
-  void set_degree(std::size_t v, std::size_t degree) {
-    const std::size_t at = pos_[v];
-    const std::size_t old = heap_[at].first;
-    heap_[at].first = degree;
-    if (degree < old) {
-      sift_up(at);
-    } else if (degree > old) {
-      sift_down(at);
-    }
-  }
+  void set_degree(Index v, Index degree) { update(v, key(degree, v)); }
 
  private:
-  using Key = std::pair<std::size_t, std::size_t>;  ///< (degree, node)
+  static constexpr std::uint64_t kOut = std::numeric_limits<std::uint64_t>::max();
 
-  void place(std::size_t at, const Key& key) {
-    heap_[at] = key;
-    pos_[key.second] = at;
-  }
+  static std::uint64_t key(Index degree, Index v) { return (std::uint64_t{degree} << 32) | v; }
 
-  void sift_up(std::size_t at) {
-    const Key key = heap_[at];
-    while (at > 0 && key < heap_[(at - 1) / 2]) {
-      place(at, heap_[(at - 1) / 2]);
-      at = (at - 1) / 2;
+  void update(Index v, std::uint64_t key) {
+    std::size_t i = std::size_t{leaves_} + v;
+    tree_[i] = key;
+    for (i /= 2; i > 0; i /= 2) {
+      const std::uint64_t least = std::min(tree_[2 * i], tree_[2 * i + 1]);
+      if (tree_[i] == least) break;
+      tree_[i] = least;
     }
-    place(at, key);
   }
 
-  void sift_down(std::size_t at) {
-    const Key key = heap_[at];
-    for (std::size_t child = 2 * at + 1; child < heap_.size(); child = 2 * at + 1) {
-      if (child + 1 < heap_.size() && heap_[child + 1] < heap_[child]) ++child;
-      if (!(heap_[child] < key)) break;
-      place(at, heap_[child]);
-      at = child;
-    }
-    place(at, key);
-  }
-
-  std::vector<Key> heap_;
-  std::vector<std::size_t> pos_;  ///< node -> heap slot (kNone once out)
+  Index leaves_;
+  std::vector<std::uint64_t> tree_;
 };
 
 }  // namespace
 
 std::vector<std::size_t> amd_ordering(const Csr& a) {
-  const std::size_t n = a.dimension();
+  if (a.dimension() >= kNone / 2) {
+    throw std::length_error("amd_ordering: matrix exceeds 32-bit indexing");
+  }
+  const auto n = static_cast<Index>(a.dimension());
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
 
   // Quotient graph. A live variable i has a slice of the elements it
   // touches (elem_*) and a slice of its original neighbours that no element
   // covers yet (var_*); once i is eliminated, its var_* slice holds the new
-  // element's boundary Le instead. Every slice lives in one append-only
-  // pool. Entries whose role changed are dropped the next time their slice
-  // is scanned.
-  std::vector<std::size_t> pool;
-  std::vector<std::size_t> var_begin(n + 1, 0);
-  std::vector<std::size_t> var_len(n, 0);
-  std::vector<std::size_t> elem_begin(n, 0);
-  std::vector<std::size_t> elem_len(n, 0);
-  std::vector<std::size_t> mark(n, 0);  ///< set membership: mark[i] == stamp
+  // element's boundary Le instead. Every slice lives in one pool. Entries
+  // whose role changed are dropped the next time their slice is scanned; an
+  // element slice is rewritten in place when that leaves room for the new
+  // element, and at the end of the pool otherwise.
+  // A node's four slice bounds sit together, as the pivot loop reads them.
+  struct Slices {
+    Index var_begin = 0;
+    Index var_len = 0;
+    Index elem_begin = 0;
+    Index elem_len = 0;
+  };
+  std::vector<Index> pool;
+  std::vector<Slices> slice(n);
+  std::vector<Index> mark(n, 0);  ///< set membership: mark[i] == stamp
 
   // Initial variable slices: the pattern of A + A^T without its diagonal,
   // duplicates dropped.
-  for (std::size_t i = 0; i < n; ++i) {
+  for (Index i = 0; i < n; ++i) {
     for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
       if (ci[k] == i) continue;
-      ++var_begin[i + 1];
-      ++var_begin[ci[k] + 1];
+      ++slice[i].var_len;
+      ++slice[ci[k]].var_len;
     }
   }
-  for (std::size_t i = 0; i < n; ++i) var_begin[i + 1] += var_begin[i];
-  pool.resize(var_begin[n]);
-  pool.reserve(3 * var_begin[n] + n);
-  for (std::size_t i = 0; i < n; ++i) {
+  std::size_t entries = 0;
+  for (Slices& sl : slice) {
+    sl.var_begin = static_cast<Index>(entries);
+    entries += sl.var_len;
+    sl.var_len = 0;
+    if (entries >= kNone / 8) throw std::length_error("amd_ordering: matrix exceeds 32-bit indexing");
+  }
+  pool.reserve(3 * entries + 2 * std::size_t{n});
+  pool.resize(entries);
+  for (Index i = 0; i < n; ++i) {
     for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-      const std::size_t j = ci[k];
+      const auto j = static_cast<Index>(ci[k]);
       if (j == i) continue;
-      pool[var_begin[i] + var_len[i]++] = j;
-      pool[var_begin[j] + var_len[j]++] = i;
+      pool[slice[i].var_begin + slice[i].var_len++] = j;
+      pool[slice[j].var_begin + slice[j].var_len++] = i;
     }
   }
-  std::vector<std::size_t> degree(n);  ///< variable: approximate external degree
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t kept = 0;
-    for (std::size_t k = var_begin[i]; k < var_begin[i] + var_len[i]; ++k) {
+  std::vector<Index> degree(n);  ///< variable: approximate external degree
+  for (Index i = 0; i < n; ++i) {
+    Index kept = 0;
+    for (Index k = slice[i].var_begin; k < slice[i].var_begin + slice[i].var_len; ++k) {
       if (mark[pool[k]] == i + 1) continue;
       mark[pool[k]] = i + 1;
-      pool[var_begin[i] + kept++] = pool[k];
+      pool[slice[i].var_begin + kept++] = pool[k];
     }
-    var_len[i] = kept;
+    slice[i].var_len = kept;
     degree[i] = kept;
   }
-  std::size_t stamp = n;
+  std::vector<Index> outside(n, 0);  ///< element: weighted |Le \ Lp|
+  std::vector<Index> outside_stamp(n, 0);
+  Index stamp = n;
+  // A new stamp; marks are cleared before the counter could wrap.
+  const auto next_stamp = [&] {
+    if (stamp == kNone - 1) {
+      std::fill(mark.begin(), mark.end(), 0);
+      std::fill(outside_stamp.begin(), outside_stamp.end(), 0);
+      stamp = 0;
+    }
+    return ++stamp;
+  };
 
   std::vector<Role> role(n, Role::kVariable);
-  std::vector<std::size_t> nv(n, 1);      ///< principal variable: nodes it stands for
-  std::vector<std::size_t> weight(n, 0);  ///< element: sum of nv over its boundary
-  std::vector<std::size_t> ext(n, 0);     ///< variable: external degree outside Lp
-  PivotHeap heap(degree);
+  std::vector<Index> nv(n, 1);      ///< principal variable: nodes it stands for
+  std::vector<Index> weight(n, 0);  ///< element: sum of nv over its boundary
+  std::vector<Index> ext(n, 0);     ///< variable: external degree outside Lp
+  PivotQueue queue(degree);
   // Nodes a principal variable stands for, chained from the variable
   // itself; they are emitted together when it is eliminated.
-  std::vector<std::size_t> member_next(n, kNone);
-  std::vector<std::size_t> member_tail(n);
-  for (std::size_t i = 0; i < n; ++i) member_tail[i] = i;
-  const auto fold_into = [&](std::size_t into, std::size_t from) {
-    heap.erase(from);
+  std::vector<Index> member_next(n, kNone);
+  std::vector<Index> member_tail(n);
+  std::iota(member_tail.begin(), member_tail.end(), Index{0});
+  const auto fold_into = [&](Index into, Index from) {
+    queue.erase(from);
     role[from] = Role::kMerged;
     nv[into] += nv[from];
     member_next[member_tail[into]] = from;
     member_tail[into] = member_tail[from];
   };
 
-  std::vector<std::size_t> outside(n, 0);  ///< element: weighted |Le \ Lp|
-  std::vector<std::size_t> outside_stamp(n, 0);
-  std::vector<std::size_t> lp;
-  std::vector<std::pair<std::size_t, std::size_t>> hashed;  ///< (list hash, variable)
+  std::vector<Index> lp;
+  std::vector<std::pair<std::uint64_t, Index>> hashed;  ///< (list hash, variable)
   std::vector<std::size_t> order;
   order.reserve(n);
-  std::size_t nleft = n;  ///< nodes not yet eliminated
+  Index nleft = n;  ///< nodes not yet eliminated
 
   while (nleft > 0) {
-    const std::size_t p = heap.pop();
+    const Index p = queue.pop();
 
     // New element p. Its boundary Lp is the union of p's variable
     // neighbours and the boundaries of the elements p touches, which p
     // absorbs.
-    ++stamp;
-    mark[p] = stamp;
+    const Index pivot_stamp = next_stamp();
+    mark[p] = pivot_stamp;
     lp.clear();
-    const auto collect = [&](std::size_t begin, std::size_t len) {
-      for (std::size_t k = begin; k < begin + len; ++k) {
-        const std::size_t i = pool[k];
-        if (role[i] == Role::kVariable && mark[i] != stamp) {
-          mark[i] = stamp;
+    const auto collect = [&](Index begin, Index len) {
+      for (Index k = begin, end = begin + len; k < end; ++k) {
+        const Index i = pool[k];
+        if (role[i] == Role::kVariable && mark[i] != pivot_stamp) {
+          mark[i] = pivot_stamp;
           lp.push_back(i);
         }
       }
     };
-    for (std::size_t k = elem_begin[p]; k < elem_begin[p] + elem_len[p]; ++k) {
-      const std::size_t e = pool[k];
+    for (Index k = slice[p].elem_begin, end = k + slice[p].elem_len; k < end; ++k) {
+      const Index e = pool[k];
       if (role[e] != Role::kElement) continue;
-      collect(var_begin[e], var_len[e]);
+      collect(slice[e].var_begin, slice[e].var_len);
       role[e] = Role::kAbsorbed;
     }
-    collect(var_begin[p], var_len[p]);
+    collect(slice[p].var_begin, slice[p].var_len);
     role[p] = Role::kElement;
     nleft -= nv[p];
 
     // Weighted |Le \ Lp| of every other element that meets Lp.
-    for (const std::size_t i : lp) {
-      for (std::size_t k = elem_begin[i]; k < elem_begin[i] + elem_len[i]; ++k) {
-        const std::size_t e = pool[k];
+    for (const Index i : lp) {
+      for (Index k = slice[i].elem_begin, end = k + slice[i].elem_len; k < end; ++k) {
+        const Index e = pool[k];
         if (role[e] != Role::kElement) continue;
-        if (outside_stamp[e] != stamp) {
-          outside_stamp[e] = stamp;
+        if (outside_stamp[e] != pivot_stamp) {
+          outside_stamp[e] = pivot_stamp;
           outside[e] = weight[e];
         }
         outside[e] -= nv[i];
@@ -214,19 +210,20 @@ std::vector<std::size_t> amd_ordering(const Csr& a) {
     }
 
     // Prune each boundary variable's slices, sum its external degree
-    // outside Lp, and add element p to it (the element slice is rewritten
-    // at the end of the pool). An element whose boundary lies wholly inside
-    // Lp is absorbed (aggressive absorption); a variable left touching
-    // nothing but p is eliminated together with p (mass elimination).
+    // outside Lp, and add element p to it. An element whose boundary lies
+    // wholly inside Lp is absorbed (aggressive absorption); a variable left
+    // touching nothing but p is eliminated together with p (mass
+    // elimination).
     hashed.clear();
-    for (const std::size_t i : lp) {
-      std::size_t d = 0;
-      std::size_t hash = 0;
-      const std::size_t old_begin = elem_begin[i];
-      const std::size_t old_end = old_begin + elem_len[i];
-      elem_begin[i] = pool.size();
-      for (std::size_t k = old_begin; k < old_end; ++k) {
-        const std::size_t e = pool[k];
+    for (const Index i : lp) {
+      Index d = 0;
+      std::uint64_t hash = 0;
+      Slices& sl = slice[i];
+      const Index old_begin = sl.elem_begin;
+      const Index old_len = sl.elem_len;
+      Index kept = 0;
+      for (Index k = old_begin; k < old_begin + old_len; ++k) {
+        const Index e = pool[k];
         if (role[e] != Role::kElement) continue;
         if (outside[e] == 0) {
           role[e] = Role::kAbsorbed;
@@ -234,25 +231,36 @@ std::vector<std::size_t> amd_ordering(const Csr& a) {
         }
         d += outside[e];
         hash += e;
-        pool.push_back(e);
+        pool[old_begin + kept++] = e;
       }
-      elem_len[i] = pool.size() - elem_begin[i];
-      std::size_t kept = 0;
-      for (std::size_t k = var_begin[i]; k < var_begin[i] + var_len[i]; ++k) {
-        const std::size_t j = pool[k];
-        if (role[j] != Role::kVariable || mark[j] == stamp) continue;
+      sl.elem_len = kept;
+      const Index var_begin = sl.var_begin;
+      const Index var_end = var_begin + sl.var_len;
+      Index vkept = 0;
+      for (Index k = var_begin; k < var_end; ++k) {
+        const Index j = pool[k];
+        if (role[j] != Role::kVariable || mark[j] == pivot_stamp) continue;
         d += nv[j];
         hash += j;
-        pool[var_begin[i] + kept++] = j;
+        pool[var_begin + vkept++] = j;
       }
-      var_len[i] = kept;
-      if (elem_len[i] == 0 && kept == 0) {
+      sl.var_len = vkept;
+      if (kept == 0 && vkept == 0) {
         nleft -= nv[i];
         fold_into(p, i);
         continue;
       }
-      pool.push_back(p);
-      ++elem_len[i];
+      if (kept < old_len) {
+        pool[old_begin + kept] = p;
+      } else {
+        sl.elem_begin = static_cast<Index>(pool.size());
+        for (Index k = old_begin; k < old_begin + kept; ++k) {
+          const Index e = pool[k];
+          pool.push_back(e);
+        }
+        pool.push_back(p);
+      }
+      ++sl.elem_len;
       ext[i] = d;
       hashed.emplace_back(hash, i);
     }
@@ -265,26 +273,27 @@ std::vector<std::size_t> amd_ordering(const Csr& a) {
       std::size_t last = first + 1;
       while (last < hashed.size() && hashed[last].first == hashed[first].first) ++last;
       for (std::size_t x = first; x + 1 < last; ++x) {
-        const std::size_t i = hashed[x].second;
+        const Index i = hashed[x].second;
         if (role[i] != Role::kVariable) continue;
-        ++stamp;
-        for (std::size_t k = elem_begin[i]; k < elem_begin[i] + elem_len[i]; ++k) {
-          mark[pool[k]] = stamp;
+        const Index set_stamp = next_stamp();
+        for (Index k = slice[i].elem_begin, end = k + slice[i].elem_len; k < end; ++k) {
+          mark[pool[k]] = set_stamp;
         }
-        for (std::size_t k = var_begin[i]; k < var_begin[i] + var_len[i]; ++k) {
-          mark[pool[k]] = stamp;
+        for (Index k = slice[i].var_begin, end = k + slice[i].var_len; k < end; ++k) {
+          mark[pool[k]] = set_stamp;
         }
-        const auto all_marked = [&](std::size_t begin, std::size_t len) {
-          for (std::size_t k = begin; k < begin + len; ++k) {
-            if (mark[pool[k]] != stamp) return false;
+        const auto all_marked = [&](Index begin, Index len) {
+          for (Index k = begin; k < begin + len; ++k) {
+            if (mark[pool[k]] != set_stamp) return false;
           }
           return true;
         };
         for (std::size_t y = x + 1; y < last; ++y) {
-          const std::size_t j = hashed[y].second;
-          if (role[j] == Role::kVariable && elem_len[j] == elem_len[i] &&
-              var_len[j] == var_len[i] && all_marked(elem_begin[j], elem_len[j]) &&
-              all_marked(var_begin[j], var_len[j])) {
+          const Index j = hashed[y].second;
+          const Slices& a = slice[i];
+          const Slices& b = slice[j];
+          if (role[j] == Role::kVariable && b.elem_len == a.elem_len && b.var_len == a.var_len &&
+              all_marked(b.elem_begin, b.elem_len) && all_marked(b.var_begin, b.var_len)) {
             fold_into(i, j);
           }
         }
@@ -294,25 +303,28 @@ std::vector<std::size_t> amd_ordering(const Csr& a) {
 
     // Final boundary and approximate degrees: the least of the remaining
     // node count, the old degree plus Lp, and the external degree plus Lp.
-    std::size_t kept = 0;
-    std::size_t boundary_weight = 0;
-    for (const std::size_t i : lp) {
+    Index kept = 0;
+    Index boundary_weight = 0;
+    for (const Index i : lp) {
       if (role[i] != Role::kVariable) continue;
       boundary_weight += nv[i];
       lp[kept++] = i;
     }
     lp.resize(kept);
-    for (const std::size_t i : lp) {
-      const std::size_t others = boundary_weight - nv[i];
+    for (const Index i : lp) {
+      const Index others = boundary_weight - nv[i];
       degree[i] = std::min({nleft - nv[i], degree[i] + others, ext[i] + others});
-      heap.set_degree(i, degree[i]);
+      queue.set_degree(i, degree[i]);
     }
     weight[p] = boundary_weight;
-    var_begin[p] = pool.size();
-    var_len[p] = lp.size();
+    slice[p].var_begin = static_cast<Index>(pool.size());
+    slice[p].var_len = static_cast<Index>(lp.size());
     pool.insert(pool.end(), lp.begin(), lp.end());
+    if (pool.size() >= kNone / 2) {
+      throw std::length_error("amd_ordering: quotient graph exceeds 32-bit indexing");
+    }
 
-    for (std::size_t m = p; m != kNone; m = member_next[m]) order.push_back(m);
+    for (Index m = p; m != kNone; m = member_next[m]) order.push_back(m);
   }
   return order;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -15,11 +16,238 @@ namespace pdn3d::linalg {
 
 namespace {
 
-constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+using Index = std::uint32_t;
+constexpr Index kNone = std::numeric_limits<Index>::max();
 
 std::vector<std::size_t> fill_reducing_ordering(const Csr& a) {
   PDN3D_TRACE_SPAN("solver/factor_order");
   return amd_ordering(a);
+}
+
+/// Row k of the permuted matrix is CSR row perm[k] of @p a, its columns
+/// mapped through @p pos (old -> new). Entries left of the diagonal are row
+/// k of the lower triangle; entries right of it are, by symmetry, column k.
+struct Permuted {
+  const Csr& a;
+  const std::vector<std::size_t>& perm;
+  const std::vector<Index>& pos;
+
+  template <typename F>
+  void for_each(Index k, F&& f) const {
+    const auto rp = a.row_ptr();
+    const auto ci = a.col_idx();
+    const std::size_t row = perm[k];
+    for (std::size_t p = rp[row]; p < rp[row + 1]; ++p) f(pos[ci[p]], p);
+  }
+};
+
+/// Elimination tree by Liu's algorithm with ancestor path compression.
+/// Also counts the lower triangle's nonzeros, diagonal included.
+std::vector<Index> elimination_tree(const Permuted& m, Index n, std::size_t& nnz_lower) {
+  std::vector<Index> parent(n, kNone);
+  std::vector<Index> ancestor(n, kNone);
+  nnz_lower = 0;
+  for (Index k = 0; k < n; ++k) {
+    m.for_each(k, [&](Index i, std::size_t) {
+      if (i > k) return;
+      ++nnz_lower;
+      while (i < k) {  // kNone > k ends the walk at a root
+        const Index next = ancestor[i];
+        ancestor[i] = k;
+        if (next == kNone) parent[i] = k;
+        i = next;
+      }
+    });
+  }
+  return parent;
+}
+
+/// Depth-first postorder of the forest, children in increasing index order
+/// (the order the column counts visit). A parent's index exceeds its
+/// children's, so subtree sizes sum upward in one pass, and each subtree's
+/// segment is then cut from the back of its parent's, largest child last.
+std::vector<Index> postorder(const std::vector<Index>& parent) {
+  const auto n = static_cast<Index>(parent.size());
+  std::vector<Index> size(n, 1);
+  for (Index j = 0; j < n; ++j) {
+    if (parent[j] != kNone) size[parent[j]] += size[j];
+  }
+  std::vector<Index> post(n);
+  Index roots_end = n;
+  for (Index j = n; j-- > 0;) {
+    Index& end = parent[j] == kNone ? roots_end : size[parent[j]];  // parent's free segment end
+    const Index at = end - 1;
+    post[at] = j;
+    end -= size[j];
+    size[j] = at;  // from here on: the end of j's children's free segment
+  }
+  return post;
+}
+
+/// Column counts of L (diagonal included), in O(nnz(A)) by Gilbert, Ng &
+/// Peyton's skeleton-leaf method (as in CSparse's cs_counts), visiting the
+/// columns in the postorder @p post of the elimination tree. The per-column
+/// deltas may wrap below zero while they are summed; unsigned arithmetic
+/// makes every final count exact.
+std::vector<Index> column_counts(const Permuted& m, const std::vector<Index>& parent,
+                                 const std::vector<Index>& post) {
+  const auto n = static_cast<Index>(parent.size());
+  std::vector<Index> count(n);
+  std::vector<Index> first(n, kNone);  // postorder position of the first descendant
+  std::vector<Index> ancestor(n);
+  // Row i's row subtree so far: one past the largest first[] of a leaf seen
+  // (0 for none), and the previous leaf.
+  struct RowState {
+    Index seen_first = 0;
+    Index prev_leaf = kNone;
+  };
+  std::vector<RowState> row(n);
+  for (Index k = 0; k < n; ++k) {
+    Index j = post[k];
+    count[j] = first[j] == kNone ? 1 : 0;
+    for (; j != kNone && first[j] == kNone; j = parent[j]) first[j] = k;
+    ancestor[k] = k;
+  }
+  for (Index k = 0; k < n; ++k) {
+    const Index j = post[k];
+    if (parent[j] != kNone) --count[parent[j]];
+    const Index first_j = first[j];
+    Index leaves = 0;
+    m.for_each(j, [&](Index i, std::size_t) {
+      if (i <= j) return;
+      RowState& r = row[i];
+      if (first_j < r.seen_first) return;  // j is no leaf of row i's subtree
+      r.seen_first = first_j + 1;
+      const Index jprev = r.prev_leaf;
+      r.prev_leaf = j;
+      ++leaves;
+      if (jprev == kNone) return;
+      Index q = jprev;  // least common ancestor of jprev and j
+      while (q != ancestor[q]) q = ancestor[q];
+      for (Index s = jprev; s != q;) {
+        const Index up = ancestor[s];
+        ancestor[s] = q;
+        s = up;
+      }
+      --count[q];
+    });
+    count[j] += leaves;
+    if (parent[j] != kNone) ancestor[j] = parent[j];
+  }
+  for (Index j = 0; j < n; ++j) {
+    if (parent[j] != kNone) count[parent[j]] += count[j];
+  }
+  return count;
+}
+
+/// Two doubles in one SSE2 register, through the vector extension of GCC
+/// and Clang: the products below run two rows at a time. Every lane still
+/// sums its products in column order, so the bits are the scalar loop's.
+typedef double Pair __attribute__((vector_size(16)));
+
+Pair load_pair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// block(rel[t], rel[j]) -= sum over c < k of x[c][t] * x[c][j], for rows j
+/// in [j_begin, j_end) and t in [j, reach): a dense product of the columns
+/// @p x with their own rows, scattered into a block of @p rows rows through
+/// the relative row map @p rel. Rows j go in pairs and rows t in fours; a
+/// pair's first row also lands above the second column's diagonal, in block
+/// storage nothing reads.
+void subtract_products(const double* const* x, Index k, Index j_begin, Index j_end, Index reach,
+                       const Index* rel, double* block, std::size_t rows) {
+  Index j = j_begin;
+  for (; j + 1 < j_end; j += 2) {
+    double* y0 = block + std::size_t{rel[j]} * rows;
+    double* y1 = block + std::size_t{rel[j + 1]} * rows;
+    Index t = j;
+    for (; t + 4 <= reach; t += 4) {
+      Pair a01 = {0.0, 0.0}, a23 = {0.0, 0.0}, b01 = {0.0, 0.0}, b23 = {0.0, 0.0};
+      for (Index c = 0; c < k; ++c) {
+        const double* col = x[c];
+        const Pair e0 = {col[j], col[j]};
+        const Pair e1 = {col[j + 1], col[j + 1]};
+        const Pair x01 = load_pair(col + t);
+        const Pair x23 = load_pair(col + t + 2);
+        a01 += x01 * e0;
+        a23 += x23 * e0;
+        b01 += x01 * e1;
+        b23 += x23 * e1;
+      }
+      y0[rel[t]] -= a01[0];
+      y0[rel[t + 1]] -= a01[1];
+      y0[rel[t + 2]] -= a23[0];
+      y0[rel[t + 3]] -= a23[1];
+      y1[rel[t]] -= b01[0];
+      y1[rel[t + 1]] -= b01[1];
+      y1[rel[t + 2]] -= b23[0];
+      y1[rel[t + 3]] -= b23[1];
+    }
+    for (; t < reach; ++t) {
+      double a = 0.0, b = 0.0;
+      for (Index c = 0; c < k; ++c) {
+        const double* col = x[c];
+        a += col[t] * col[j];
+        b += col[t] * col[j + 1];
+      }
+      y0[rel[t]] -= a;
+      y1[rel[t]] -= b;
+    }
+  }
+  if (j < j_end) {
+    double* y0 = block + std::size_t{rel[j]} * rows;
+    for (Index t = j; t < reach; ++t) {
+      double a = 0.0;
+      for (Index c = 0; c < k; ++c) a += x[c][t] * x[c][j];
+      y0[rel[t]] -= a;
+    }
+  }
+}
+
+/// Dense Cholesky of one supernode's block in place: @p cols columns of
+/// @p rows rows, column-major, whose top cols x cols lower triangle is the
+/// diagonal block. Columns go in pairs: both take the products of the
+/// columns before them, then the first is pivoted and updates the second.
+/// @p identity holds 0..rows-1 and @p columns receives the column starts;
+/// @p first is the elimination step of column 0.
+void factor_block(double* block, Index cols, Index rows, const Index* identity,
+                  const double** columns, Index first) {
+  const auto pivot = [&](Index c) {
+    const Index k = first + c;
+    // Factorization can dominate a solve's wall time; poll the cooperative
+    // cancellation flag every few hundred columns. The throw surfaces as a
+    // rung failure, and the ladder's own poll converts it to kCancelled.
+    if ((k & 0x1ffU) == 0 && exec::cancellation_requested()) {
+      throw std::runtime_error("SparseCholesky: factorization cancelled at elimination step " +
+                               std::to_string(k));
+    }
+    double* col = block + std::size_t{c} * rows;
+    const double d = col[c];
+    if (!(d > 0.0) || !std::isfinite(d)) {
+      throw std::runtime_error("SparseCholesky: matrix not positive definite (pivot " +
+                               std::to_string(d) + " at elimination step " + std::to_string(k) +
+                               ")");
+    }
+    const double diag = std::sqrt(d);
+    const double scale = 1.0 / diag;
+    col[c] = diag;
+    for (Index i = c + 1; i < rows; ++i) col[i] *= scale;
+  };
+  for (Index c = 0; c < cols; ++c) columns[c] = block + std::size_t{c} * rows;
+  for (Index c = 0; c < cols; c += 2) {
+    const Index pair_end = std::min(c + 2, cols);
+    if (c > 0) subtract_products(columns, c, c, pair_end, rows, identity, block, rows);
+    pivot(c);
+    if (pair_end == c + 1) break;
+    double* y0 = block + std::size_t{c} * rows;
+    double* y1 = y0 + rows;
+    const double l = y0[c + 1];
+    for (Index i = c + 1; i < rows; ++i) y1[i] -= y0[i] * l;
+    pivot(c + 1);
+  }
 }
 
 }  // namespace
@@ -32,156 +260,203 @@ SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
     : n_(a.dimension()), perm_(std::move(perm)) {
   PDN3D_FAULT_STALL("linalg.chol.stall", 50.0);
   if (perm_.size() != n_) throw std::invalid_argument("SparseCholesky: permutation size");
-  pos_.assign(n_, kNone);
-  for (std::size_t k = 0; k < n_; ++k) {
-    if (perm_[k] >= n_ || pos_[perm_[k]] != kNone) {
+  if (n_ >= kNone) throw std::length_error("SparseCholesky: factor exceeds 32-bit indexing");
+  const auto n = static_cast<Index>(n_);
+  std::vector<Index> pos(n, kNone);  // old -> new
+  for (Index k = 0; k < n; ++k) {
+    if (perm_[k] >= n_ || pos[perm_[k]] != kNone) {
       throw std::invalid_argument("SparseCholesky: not a permutation");
     }
-    pos_[perm_[k]] = k;
+    pos[perm_[k]] = k;
   }
+  const Permuted m{a, perm_, pos};
 
-  // Lower triangle of the permuted matrix, stored by row: for new row k the
-  // sources are CSR row perm_[k] of A, mapped through pos_ and kept when the
-  // mapped column is <= k. Both the elimination tree and the numeric scatter
-  // consume exactly this structure.
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto av = a.values();
-  std::vector<std::size_t> low_ptr(n_ + 1, 0);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const std::size_t old_row = perm_[k];
-    for (std::size_t p = rp[old_row]; p < rp[old_row + 1]; ++p) {
-      if (pos_[ci[p]] <= k) ++low_ptr[k + 1];
-    }
-  }
-  for (std::size_t k = 0; k < n_; ++k) low_ptr[k + 1] += low_ptr[k];
-  const std::size_t nnz_lower = low_ptr[n_];
-  std::vector<std::size_t> low_col(nnz_lower);
-  std::vector<double> low_val(nnz_lower);
+  // Symbolic phase: elimination tree, column counts (and the fill guard on
+  // their sum), supernodes and L's pattern.
+  std::vector<Index> super;  // first column of each supernode, then n
+  std::vector<Index> super_of(n);
   {
-    std::vector<std::size_t> next(low_ptr.begin(), low_ptr.end() - 1);
-    for (std::size_t k = 0; k < n_; ++k) {
-      const std::size_t old_row = perm_[k];
-      for (std::size_t p = rp[old_row]; p < rp[old_row + 1]; ++p) {
-        const std::size_t j = pos_[ci[p]];
-        if (j > k) continue;
-        low_col[next[k]] = j;
-        low_val[next[k]] = av[p];
-        ++next[k];
-      }
-    }
-  }
-
-  // Elimination tree with ancestor path compression (Liu's algorithm).
-  std::vector<std::size_t> parent(n_, kNone);
-  std::vector<std::size_t> ancestor(n_, kNone);
-  for (std::size_t k = 0; k < n_; ++k) {
-    for (std::size_t p = low_ptr[k]; p < low_ptr[k + 1]; ++p) {
-      std::size_t i = low_col[p];
-      while (i != kNone && i < k) {
-        const std::size_t next_i = ancestor[i];
-        ancestor[i] = k;
-        if (next_i == kNone) parent[i] = k;
-        i = next_i;
-      }
-    }
-  }
-
-  // ereach: nonzero pattern of row k of L, in topological order, as
-  // stack[top..n-1]. @p mark must be unique per invocation (w is never
-  // reset); the symbolic pass uses marks 0..n-1 and the numeric pass n..2n-1.
-  std::vector<std::size_t> w(n_, kNone);
-  std::vector<std::size_t> stack(n_, 0);
-  std::vector<std::size_t> path(n_, 0);
-  const auto ereach = [&](std::size_t k, std::size_t mark) -> std::size_t {
-    std::size_t top = n_;
-    w[k] = mark;
-    for (std::size_t p = low_ptr[k]; p < low_ptr[k + 1]; ++p) {
-      std::size_t i = low_col[p];
-      if (i >= k) continue;
-      std::size_t len = 0;
-      while (w[i] != mark) {
-        path[len++] = i;
-        w[i] = mark;
-        i = parent[i];
-      }
-      while (len > 0) stack[--top] = path[--len];
-    }
-    return top;
-  };
-
-  // Symbolic pass: per-column nonzero counts of L, with the fill guard
-  // applied on the running total so a hopeless mesh aborts in O(visited).
-  std::vector<std::size_t> col_count(n_, 1);  // diagonals
-  std::size_t factor_nnz = n_;
-  const double fill_limit = options.max_fill_ratio * static_cast<double>(nnz_lower);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const std::size_t top = ereach(k, k);
-    for (std::size_t t = top; t < n_; ++t) ++col_count[stack[t]];
-    factor_nnz += n_ - top;
-    if (static_cast<double>(factor_nnz) > fill_limit) {
+    PDN3D_TRACE_SPAN("solver/factor_symbolic");
+    std::size_t nnz_lower = 0;
+    const std::vector<Index> parent = elimination_tree(m, n, nnz_lower);
+    const std::vector<Index> count = column_counts(m, parent, postorder(parent));
+    std::size_t factor_nnz = 0;
+    for (const Index c : count) factor_nnz += c;
+    if (static_cast<double>(factor_nnz) > options.max_fill_ratio * static_cast<double>(nnz_lower)) {
       throw std::runtime_error(
           "SparseCholesky: fill ratio exceeds guard (nnz(L) >= " + std::to_string(factor_nnz) +
           " against " + std::to_string(nnz_lower) + " lower-triangle nonzeros, limit ratio " +
           std::to_string(options.max_fill_ratio) + ")");
     }
-  }
-  fill_ratio_ = nnz_lower > 0 ? static_cast<double>(factor_nnz) / static_cast<double>(nnz_lower)
-                              : 1.0;
-  if (std::max(n_, factor_nnz) > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error("SparseCholesky: factor exceeds 32-bit indexing");
-  }
-
-  col_ptr_.assign(n_ + 1, 0);
-  for (std::size_t j = 0; j < n_; ++j) {
-    col_ptr_[j + 1] = col_ptr_[j] + static_cast<std::uint32_t>(col_count[j]);
-  }
-  row_idx_.assign(factor_nnz, 0);
-  values_.assign(factor_nnz, 0.0);
-
-  // Numeric up-looking pass: row k of L is the sparse triangular solve
-  // L(0:k-1,0:k-1) y = a(0:k-1,k) over the ereach pattern; results are
-  // appended to their columns, so the diagonal lands first in every column
-  // and rows are increasing within a column.
-  std::vector<std::size_t> next_free(col_ptr_.begin(), col_ptr_.end() - 1);
-  std::vector<double> x(n_, 0.0);
-  for (std::size_t k = 0; k < n_; ++k) {
-    // Factorization can dominate a solve's wall time; poll the cooperative
-    // cancellation flag every few hundred columns. The throw surfaces as a
-    // rung failure, and the ladder's own poll converts it to kCancelled.
-    if ((k & 0x1ffU) == 0 && exec::cancellation_requested()) {
-      throw std::runtime_error("SparseCholesky: factorization cancelled at elimination step " +
-                               std::to_string(k));
+    fill_ratio_ = nnz_lower > 0 ? static_cast<double>(factor_nnz) / static_cast<double>(nnz_lower)
+                                : 1.0;
+    if (factor_nnz > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("SparseCholesky: factor exceeds 32-bit indexing");
     }
-    const std::size_t top = ereach(k, n_ + k);
-    double d = 0.0;
-    for (std::size_t p = low_ptr[k]; p < low_ptr[k + 1]; ++p) {
-      if (low_col[p] == k) {
-        d = low_val[p];
-      } else {
-        x[low_col[p]] = low_val[p];
+
+    // Fundamental supernodes: column j continues j-1's supernode when j is
+    // j-1's parent, j-1 is j's only child, and j's pattern is j-1's minus j-1.
+    std::vector<Index> children(n, 0);
+    for (Index j = 0; j < n; ++j) {
+      if (parent[j] != kNone) ++children[parent[j]];
+    }
+    for (Index j = 0; j < n; ++j) {
+      if (j == 0 || parent[j - 1] != j || count[j - 1] != count[j] + 1 || children[j] > 1) {
+        super.push_back(j);
+      }
+      super_of[j] = static_cast<Index>(super.size() - 1);
+    }
+    super.push_back(n);
+    const auto ns = static_cast<Index>(super.size() - 1);
+
+    // L's pattern. A supernode's columns share the rows below its last
+    // column; row k joins them for every supernode on the tree path from an
+    // entry of row k up to k's own supernode, in increasing k, so each list
+    // comes out sorted. Those rows go into the last column, and the other
+    // columns copy them behind their dense diagonal part.
+    col_ptr_.assign(n_ + 1, 0);
+    for (Index j = 0; j < n; ++j) col_ptr_[j + 1] = col_ptr_[j] + count[j];
+    row_idx_.resize(factor_nnz);
+    // What the walk reads and writes per supernode, side by side: the row
+    // it last took, where its next row goes, where its rows end and its
+    // parent.
+    struct WalkState {
+      Index mark;
+      Index fill;
+      Index end;
+      Index parent;
+    };
+    std::vector<WalkState> walk(ns);
+    for (Index s = 0; s < ns; ++s) {
+      const Index last = super[s + 1] - 1;
+      row_idx_[col_ptr_[last]] = last;
+      walk[s] = {kNone, col_ptr_[last] + 1, col_ptr_[last + 1],
+                 parent[last] == kNone ? kNone : super_of[parent[last]]};
+    }
+    for (Index k = 0; k < n; ++k) {
+      walk[super_of[k]].mark = k;
+      m.for_each(k, [&](Index j, std::size_t) {
+        if (j >= k) return;
+        for (Index s = super_of[j]; walk[s].mark != k; s = walk[s].parent) {
+          WalkState& w = walk[s];
+          if (w.fill == w.end) {
+            throw std::invalid_argument("SparseCholesky: matrix pattern is not symmetric");
+          }
+          w.mark = k;
+          row_idx_[w.fill++] = k;
+        }
+      });
+    }
+    for (Index s = 0; s < ns; ++s) {
+      const Index last = super[s + 1] - 1;
+      if (walk[s].fill != walk[s].end) {
+        throw std::invalid_argument("SparseCholesky: matrix pattern is not symmetric");
+      }
+      const Index* below = row_idx_.data() + col_ptr_[last] + 1;
+      const Index below_count = col_ptr_[last + 1] - col_ptr_[last] - 1;
+      for (Index j = super[s]; j < last; ++j) {
+        Index* out = row_idx_.data() + col_ptr_[j];
+        for (Index i = j; i <= last; ++i) *out++ = i;
+        std::copy(below, below + below_count, out);
       }
     }
-    for (std::size_t t = top; t < n_; ++t) {
-      const std::size_t i = stack[t];
-      const double lki = x[i] / values_[col_ptr_[i]];
-      x[i] = 0.0;
-      for (std::size_t p = col_ptr_[i] + 1; p < next_free[i]; ++p) {
-        x[row_idx_[p]] -= values_[p] * lki;
+  }
+
+  // Numeric phase, left-looking over supernodes (CHOLMOD's supernodal
+  // method). A supernode is factored as one dense column-major block in a
+  // scratch buffer, whose rows are its own columns followed by the rows
+  // below its last column: exactly the rows of its first column in L, and
+  // from each later column on, exactly that column's. The block gathers its
+  // columns of A, subtracts the update of every descendant that reaches it
+  // (a dense product of the descendant's columns in L, scattered through a
+  // relative row map), is factored in place and copied into L.
+  const auto ns = static_cast<Index>(super.size() - 1);
+  Index max_rows = 0;
+  Index max_cols = 0;
+  std::size_t max_block = 0;
+  const auto rows_below = [&](Index s) {
+    const Index last = super[s + 1] - 1;
+    return col_ptr_[last + 1] - col_ptr_[last] - 1;
+  };
+  for (Index s = 0; s < ns; ++s) {
+    const Index cols = super[s + 1] - super[s];
+    const Index rows = cols + rows_below(s);
+    max_rows = std::max(max_rows, rows);
+    max_cols = std::max(max_cols, cols);
+    max_block = std::max(max_block, std::size_t{rows} * cols);
+  }
+  // L's values are written in order, column by column, so they are
+  // appended rather than zero-filled first.
+  values_.reserve(row_idx_.size());
+  std::vector<double> block(max_block);
+  std::vector<Index> map(n);           // row -> its position in the current block
+  std::vector<Index> head(ns, kNone);  // descendants due to update a supernode next
+  std::vector<Index> link(ns, kNone);
+  std::vector<Index> next_row(ns, 0);  // a descendant's first row not yet applied
+  std::vector<Index> rel(max_rows);
+  std::vector<const double*> columns(max_cols);
+  std::vector<Index> identity(max_rows);
+  for (Index i = 0; i < max_rows; ++i) identity[i] = i;
+  const auto av = a.values();
+  const auto enqueue = [&](Index d) {
+    const Index* below = row_idx_.data() + col_ptr_[super[d + 1] - 1] + 1;
+    if (next_row[d] == rows_below(d)) return;
+    const Index target = super_of[below[next_row[d]]];
+    link[d] = head[target];
+    head[target] = d;
+  };
+
+  for (Index s = 0; s < ns; ++s) {
+    const Index k1 = super[s];
+    const Index k2 = super[s + 1];
+    const Index cols = k2 - k1;
+    const Index* below = row_idx_.data() + col_ptr_[k2 - 1] + 1;
+    const Index rows = cols + rows_below(s);
+    std::fill(block.begin(), block.begin() + std::size_t{rows} * cols, 0.0);
+    for (Index i = k1; i < k2; ++i) map[i] = i - k1;
+    for (Index t = cols; t < rows; ++t) map[below[t - cols]] = t;
+
+    for (Index j = k1; j < k2; ++j) {
+      double* col = block.data() + std::size_t{j - k1} * rows;
+      m.for_each(j, [&](Index i, std::size_t p) {
+        if (i < j) return;
+        // A row outside the block can only come from an asymmetric pattern.
+        if (i >= k2 && (map[i] < cols || map[i] >= rows || below[map[i] - cols] != i)) {
+          throw std::invalid_argument("SparseCholesky: matrix pattern is not symmetric");
+        }
+        col[map[i]] = av[p];
+      });
+    }
+
+    for (Index d = head[s]; d != kNone;) {
+      const Index next_d = link[d];
+      const Index d_below = rows_below(d);
+      const Index* d_row = row_idx_.data() + col_ptr_[super[d + 1] - 1] + 1;
+      const Index p1 = next_row[d];
+      Index p2 = p1;
+      while (p2 < d_below && d_row[p2] < k2) ++p2;
+      const Index inside = p2 - p1;  // rows in this block's columns
+      const Index reach = d_below - p1;
+      for (Index t = 0; t < reach; ++t) rel[t] = map[d_row[p1 + t]];
+      // Each column of d ends with d's rows below its diagonal block.
+      for (Index j = super[d]; j < super[d + 1]; ++j) {
+        columns[j - super[d]] = values_.data() + col_ptr_[j + 1] - d_below + p1;
       }
-      d -= lki * lki;
-      row_idx_[next_free[i]] = static_cast<std::uint32_t>(k);
-      values_[next_free[i]] = lki;
-      ++next_free[i];
+      subtract_products(columns.data(), super[d + 1] - super[d], 0, inside, reach, rel.data(),
+                        block.data(), rows);
+      next_row[d] = p2;
+      enqueue(d);
+      d = next_d;
     }
-    if (!(d > 0.0) || !std::isfinite(d)) {
-      throw std::runtime_error("SparseCholesky: matrix not positive definite (pivot " +
-                               std::to_string(d) + " at elimination step " + std::to_string(k) +
-                               ")");
+
+    factor_block(block.data(), cols, rows, identity.data(), columns.data(), k1);
+
+    for (Index c = 0; c < cols; ++c) {
+      const double* col = block.data() + std::size_t{c} * rows;
+      values_.insert(values_.end(), col + c, col + rows);
     }
-    row_idx_[next_free[k]] = static_cast<std::uint32_t>(k);
-    values_[next_free[k]] = std::sqrt(d);
-    ++next_free[k];
+    next_row[s] = 0;
+    enqueue(s);
   }
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
 /// @file sparse_chol.hpp
-/// @brief General sparse Cholesky factorization (elimination-tree up-looking).
+/// @brief General sparse Cholesky factorization (supernodal, left-looking).
 ///
 /// The same-matrix/many-RHS fast path: factor the SPD conductance matrix once
 /// under a fill-reducing permutation, then every subsequent solve is two
@@ -14,18 +14,22 @@
 /// (amd_ordering in reorder.hpp), the one fill-reducing ordering of every
 /// sparse factor in the library. On the four paper benchmarks it leaves
 /// nnz(L) at 5.3-6.1x the lower triangle of G, where the reverse
-/// Cuthill-McKee bandwidth ordering it replaced left 43-74x. The ordering runs under its own
-/// `solver/factor_order` trace span, a child of whichever span wraps the
-/// factor build.
+/// Cuthill-McKee bandwidth ordering it replaced left 43-74x.
 ///
-/// The factorization is the classic up-looking algorithm: the elimination
-/// tree of the permuted matrix gives, via ereach, the nonzero pattern of each
-/// row of L in topological order; a symbolic pass counts fill (aborting early
-/// when it exceeds the configured fill-ratio guard) and the numeric pass
-/// computes one row per step with a sparse triangular solve. L is stored
-/// column-compressed with the diagonal first in each column and 32-bit column
-/// pointers and row indices, which makes both triangular sweeps straight
-/// loops over contiguous column slices.
+/// The factorization runs in three phases under the caller's span: the AMD
+/// order (`solver/factor_order`), a symbolic phase (`solver/factor_symbolic`:
+/// elimination tree, column counts, supernodes and L's pattern, with the
+/// fill guard applied to the column counts before L is allocated), and a
+/// supernodal numeric phase. A supernode is a run of consecutive columns,
+/// each the only child of the next, that share one pattern below the last
+/// of them. Each supernode is factored as one dense column block after the
+/// updates of its descendants are applied as dense products scattered
+/// through a relative row map (CHOLMOD's left-looking supernodal method,
+/// Chen, Davis, Hager & Rajamanickam, ACM TOMS 2008); the block is scratch,
+/// and its columns are exactly L's. L is stored column-compressed, in the
+/// given elimination order, with the diagonal first in each column and
+/// 32-bit column pointers and row indices, which makes both triangular
+/// sweeps straight loops over contiguous column slices.
 ///
 /// Many right-hand sides go through solve_batch, kSolveBlock per pass over
 /// the factor: a block is stored node-major (entry k of right-hand side r at
@@ -63,10 +67,11 @@ struct SparseCholeskyOptions {
 
 class SparseCholesky {
  public:
-  /// Factor SPD matrix @p a under its approximate-minimum-degree ordering.
-  /// Throws std::runtime_error when a pivot is non-positive (not SPD) or the
-  /// fill-ratio guard trips, and std::length_error when L would outgrow its
-  /// 32-bit indices.
+  /// Factor symmetric positive definite @p a under its approximate-minimum-
+  /// degree ordering. Throws std::runtime_error when a pivot is non-positive
+  /// (not SPD; the message names the elimination step) or the fill-ratio
+  /// guard trips, std::length_error when L would outgrow its 32-bit indices,
+  /// and std::invalid_argument when the pattern of @p a is not symmetric.
   explicit SparseCholesky(const Csr& a, const SparseCholeskyOptions& options = {});
 
   /// Factor under an explicit permutation @p perm (new index k corresponds
@@ -107,7 +112,6 @@ class SparseCholesky {
   std::size_t n_ = 0;
   double fill_ratio_ = 0.0;
   std::vector<std::size_t> perm_;  ///< new -> old
-  std::vector<std::size_t> pos_;   ///< old -> new
   // L column-compressed, diagonal first in each column, rows increasing.
   std::vector<std::uint32_t> col_ptr_;
   std::vector<std::uint32_t> row_idx_;

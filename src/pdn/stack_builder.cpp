@@ -34,13 +34,31 @@ LayerGrid make_grid(int die, int layer, std::string name, double w, double h, do
   return g;
 }
 
+bool routes_horizontal(tech::RouteDirection dir) {
+  return dir == tech::RouteDirection::kHorizontal || dir == tech::RouteDirection::kOmni;
+}
+
+bool routes_vertical(tech::RouteDirection dir) {
+  return dir == tech::RouteDirection::kVertical || dir == tech::RouteDirection::kOmni;
+}
+
+/// Resistors add_layer_mesh stamps for @p g.
+std::size_t layer_mesh_size(const LayerGrid& g, tech::RouteDirection dir) {
+  const auto nx = static_cast<std::size_t>(g.nx);
+  const auto ny = static_cast<std::size_t>(g.ny);
+  return (routes_horizontal(dir) ? (nx - 1) * ny : 0) + (routes_vertical(dir) ? nx * (ny - 1) : 0);
+}
+
+/// Resistors add_via_array stamps from @p lo.
+std::size_t via_array_size(const LayerGrid& lo) {
+  return static_cast<std::size_t>(lo.nx) * static_cast<std::size_t>(lo.ny);
+}
+
 /// Stamp the in-plane stripe mesh of one layer.
 void add_layer_mesh(StackModel& m, const LayerGrid& g, tech::RouteDirection dir,
                     double rs_over_usage) {
-  const bool horizontal =
-      dir == tech::RouteDirection::kHorizontal || dir == tech::RouteDirection::kOmni;
-  const bool vertical =
-      dir == tech::RouteDirection::kVertical || dir == tech::RouteDirection::kOmni;
+  const bool horizontal = routes_horizontal(dir);
+  const bool vertical = routes_vertical(dir);
   // A bundle of stripes of total width (usage * cell_height) and length dx
   // has R = Rs * dx / (usage * dy); symmetrically for vertical.
   const double r_h = rs_over_usage * g.dx / g.dy;
@@ -146,45 +164,7 @@ BuiltStack build_stack(const StackSpec& spec, const PdnConfig& config) {
     }
   }
 
-  // ---- Phase 2: stamp in-plane meshes, vias, and supply taps ---------------
-  const LayerGrid& pkg_grid = model.grid(kPackageDie, 0);
-  add_layer_mesh(model, pkg_grid, tech::RouteDirection::kOmni, ic.package_sheet_resistance);
-  for (const auto& ball : to_global(c4_grid(pkg_w, pkg_h, spec.bga_pitch), pkg_frame)) {
-    model.add_tap(pkg_grid.nearest(ball.x, ball.y), ic.c4_resistance);
-  }
-
-  if (on_chip) {
-    for (int l = 0; l < logic_layers; ++l) {
-      const auto& ml = tech.logic.layer(static_cast<std::size_t>(l));
-      add_layer_mesh(model, model.grid(kLogicDie, l), ml.direction,
-                     ml.segment_resistance(ml.default_vdd_usage));
-    }
-    for (int l = 0; l + 1 < logic_layers; ++l) {
-      add_via_array(model, model.grid(kLogicDie, l), model.grid(kLogicDie, l + 1),
-                    tech.logic.via_resistance);
-    }
-    const LayerGrid& logic_top = model.grid(kLogicDie, logic_layers - 1);
-    for (const auto& bump : to_global(c4_grid(logic_w, logic_h, spec.c4_pitch), logic_frame)) {
-      model.add_resistor(pkg_grid.nearest(bump.x, bump.y), logic_top.nearest(bump.x, bump.y),
-                         ic.logic_c4_resistance, ElementKind::kC4);
-    }
-  }
-
-  const double m2 = config.effective_m2();
-  const double m3 = config.effective_m3();
-  for (int d = 0; d < spec.num_dram_dies; ++d) {
-    const auto& l2 = tech.dram.layer(0);
-    const auto& l3 = tech.dram.layer(1);
-    add_layer_mesh(model, model.grid(d, 0), l2.direction, l2.segment_resistance(m2));
-    add_layer_mesh(model, model.grid(d, 1), l3.direction, l3.segment_resistance(m3));
-    add_via_array(model, model.grid(d, 0), model.grid(d, 1), tech.dram.via_resistance);
-    if (die_has_rdl(d)) {
-      add_layer_mesh(model, model.grid(d, kRdlLayer), tech::RouteDirection::kOmni,
-                     ic.rdl_sheet_resistance / ic.rdl_vdd_usage);
-    }
-  }
-
-  // ---- Phase 3: TSV planning ------------------------------------------------
+  // ---- Phase 2: TSV planning ------------------------------------------------
   const bool want_logic_pattern =
       config.rdl != RdlMode::kNone && config.logic_tsv_location != config.tsv_location;
   const std::vector<floorplan::Point> mem_sites_local =
@@ -222,12 +202,84 @@ BuiltStack build_stack(const StackSpec& spec, const PdnConfig& config) {
     info.avg_c4_tsv_distance_mm = average_c4_distance(bottom_sites, c4_global);
   }
 
+  // ---- Resistor count: what phases 2, 4 and 5 stamp, so the list is sized
+  // once (capacity equal to size) instead of regrowing by doubling. --------
+  const std::vector<floorplan::Point> logic_c4 =
+      on_chip ? c4_grid(logic_w, logic_h, spec.c4_pitch) : std::vector<floorplan::Point>{};
+  std::vector<floorplan::Point> rdl_taps_local = mem_sites_local;
+  {
+    const auto ring = edge_pad_ring(spec.dram_fp, spec.rdl_edge_pads_per_side);
+    rdl_taps_local.insert(rdl_taps_local.end(), ring.begin(), ring.end());
+  }
+  const bool f2f = config.bonding == BondingStyle::kF2F;
+  {
+    std::size_t count = layer_mesh_size(model.grid(kPackageDie, 0), tech::RouteDirection::kOmni);
+    if (on_chip) {
+      for (int l = 0; l < logic_layers; ++l) {
+        count += layer_mesh_size(model.grid(kLogicDie, l),
+                                 tech.logic.layer(static_cast<std::size_t>(l)).direction);
+        if (l + 1 < logic_layers) count += via_array_size(model.grid(kLogicDie, l));
+      }
+      count += logic_c4.size();
+    }
+    for (int d = 0; d < spec.num_dram_dies; ++d) {
+      count += layer_mesh_size(model.grid(d, 0), tech.dram.layer(0).direction);
+      count += layer_mesh_size(model.grid(d, 1), tech.dram.layer(1).direction);
+      count += via_array_size(model.grid(d, 0));
+      if (die_has_rdl(d)) {
+        count += layer_mesh_size(model.grid(d, kRdlLayer), tech::RouteDirection::kOmni);
+        count += rdl_taps_local.size();
+      }
+    }
+    count += bottom_sites.size();
+    for (int d = 0; d + 1 < spec.num_dram_dies; ++d) {
+      count += f2f && (d % 2 == 0) ? via_array_size(model.grid(d, 1)) : mem_sites.size();
+    }
+    model.reserve_resistors(count);
+  }
+
+  // ---- Phase 3: stamp in-plane meshes, vias, and supply taps ---------------
+  const LayerGrid& pkg_grid = model.grid(kPackageDie, 0);
+  add_layer_mesh(model, pkg_grid, tech::RouteDirection::kOmni, ic.package_sheet_resistance);
+  for (const auto& ball : to_global(c4_grid(pkg_w, pkg_h, spec.bga_pitch), pkg_frame)) {
+    model.add_tap(pkg_grid.nearest(ball.x, ball.y), ic.c4_resistance);
+  }
+
+  if (on_chip) {
+    for (int l = 0; l < logic_layers; ++l) {
+      const auto& ml = tech.logic.layer(static_cast<std::size_t>(l));
+      add_layer_mesh(model, model.grid(kLogicDie, l), ml.direction,
+                     ml.segment_resistance(ml.default_vdd_usage));
+    }
+    for (int l = 0; l + 1 < logic_layers; ++l) {
+      add_via_array(model, model.grid(kLogicDie, l), model.grid(kLogicDie, l + 1),
+                    tech.logic.via_resistance);
+    }
+    const LayerGrid& logic_top = model.grid(kLogicDie, logic_layers - 1);
+    for (const auto& bump : to_global(logic_c4, logic_frame)) {
+      model.add_resistor(pkg_grid.nearest(bump.x, bump.y), logic_top.nearest(bump.x, bump.y),
+                         ic.logic_c4_resistance, ElementKind::kC4);
+    }
+  }
+
+  const double m2 = config.effective_m2();
+  const double m3 = config.effective_m3();
+  for (int d = 0; d < spec.num_dram_dies; ++d) {
+    const auto& l2 = tech.dram.layer(0);
+    const auto& l3 = tech.dram.layer(1);
+    add_layer_mesh(model, model.grid(d, 0), l2.direction, l2.segment_resistance(m2));
+    add_layer_mesh(model, model.grid(d, 1), l3.direction, l3.segment_resistance(m3));
+    add_via_array(model, model.grid(d, 0), model.grid(d, 1), tech.dram.via_resistance);
+    if (die_has_rdl(d)) {
+      add_layer_mesh(model, model.grid(d, kRdlLayer), tech::RouteDirection::kOmni,
+                     ic.rdl_sheet_resistance / ic.rdl_vdd_usage);
+    }
+  }
+
   // ---- Phase 4: bottom interface (supply entry into DRAM1) ------------------
   // Lands on DRAM1's RDL when one is present, otherwise on M3.
   const LayerGrid& dram0_entry =
       die_has_rdl(0) ? model.grid(0, kRdlLayer) : model.grid(0, 1);
-  const bool f2f = config.bonding == BondingStyle::kF2F;
-
   if (on_chip && !config.dedicated_tsvs) {
     // Power rides the logic PDN, then PG TSVs through the logic die. With
     // F2F, DRAM1 is flipped face-up, so the path adds DRAM1's own TSVs.
@@ -261,9 +313,6 @@ BuiltStack build_stack(const StackSpec& spec, const PdnConfig& config) {
 
   // RDL -> M3 backside-pad vias (at memory TSV sites and an edge pad ring).
   {
-    std::vector<floorplan::Point> rdl_taps_local = mem_sites_local;
-    const auto ring = edge_pad_ring(spec.dram_fp, spec.rdl_edge_pads_per_side);
-    rdl_taps_local.insert(rdl_taps_local.end(), ring.begin(), ring.end());
     const auto rdl_taps = to_global(rdl_taps_local, dram_frame);
     for (int d = 0; d < spec.num_dram_dies; ++d) {
       if (!model.has_grid(d, kRdlLayer)) continue;

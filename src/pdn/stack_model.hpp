@@ -52,6 +52,10 @@ class StackModel {
 
   void add_resistor(std::size_t a, std::size_t b, double ohms,
                     ElementKind kind = ElementKind::kMesh);
+  /// Size the resistor list for @p count resistors in all, so a builder that
+  /// knows its total adds them without regrowing the list.
+  void reserve_resistors(std::size_t count) { resistors_.reserve(count); }
+  [[nodiscard]] std::size_t resistor_capacity() const { return resistors_.capacity(); }
   void add_tap(std::size_t node, double ohms);
 
   [[nodiscard]] double vdd() const { return vdd_; }

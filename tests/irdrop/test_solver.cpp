@@ -414,6 +414,7 @@ TEST(IrSolver, BenchmarkBaselinesFactorAtLowFill) {
 }
 
 TEST(IrSolver, BatchedSolveBitwiseMatchesIndividualSolvesInIndexOrder) {
+  // One block through the cached factor: out[r] is solve() of slice r.
   const auto m = starvable_mesh();
   IrSolver solver(m, SolverKind::kSparseDirect);
   const std::size_t n = m.node_count();
@@ -426,17 +427,20 @@ TEST(IrSolver, BatchedSolveBitwiseMatchesIndividualSolvesInIndexOrder) {
     }
   }
 
-  const auto batch = solver.solve(SolveRequest{.sinks = sinks, .batch_count = kBatch});
-  ASSERT_TRUE(batch.ok()) << batch.status.to_string();
-  ASSERT_EQ(batch.x.size(), n * kBatch);
-  EXPECT_EQ(batch.kind_used, SolverKind::kSparseDirect);
+  std::vector<double> block = sinks;
+  SolveScratch scratch;
+  std::array<SolveOutcome, kBatch> batch;
+  solver.solve_block(block, false, scratch, batch);
 
   for (std::size_t r = 0; r < kBatch; ++r) {
+    ASSERT_TRUE(batch[r].ok()) << batch[r].status.to_string();
+    EXPECT_EQ(batch[r].kind_used, SolverKind::kSparseDirect);
     const auto one = solver.solve(
         SolveRequest{.sinks = std::span<const double>(sinks.data() + r * n, n)});
     ASSERT_TRUE(one.ok());
+    ASSERT_EQ(batch[r].x.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(batch.x[r * n + i], one.x[i]) << "slice " << r << " node " << i;
+      EXPECT_EQ(batch[r].x[i], one.x[i]) << "slice " << r << " node " << i;
     }
   }
 }
@@ -445,38 +449,87 @@ TEST(IrSolver, BatchedIrConversionPerSlice) {
   const auto m = two_node_divider();
   IrSolver solver(m, SolverKind::kSparseDirect);
   const std::vector<double> sinks = {0.0, 1.0, 0.0, 0.5};  // two 2-node slices
-  const auto v = solver.solve(SolveRequest{.sinks = sinks, .batch_count = 2});
-  const auto ir = solver.solve(SolveRequest{.sinks = sinks, .want_ir = true, .batch_count = 2});
-  ASSERT_TRUE(v.ok());
-  ASSERT_TRUE(ir.ok());
-  ASSERT_EQ(ir.x.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(ir.x[i], m.vdd() - v.x[i]);
+  SolveScratch scratch;
+  std::array<SolveOutcome, 2> v;
+  std::array<SolveOutcome, 2> ir;
+  std::vector<double> block = sinks;
+  solver.solve_block(block, false, scratch, v);
+  block = sinks;
+  solver.solve_block(block, true, scratch, ir);
+  for (std::size_t r = 0; r < 2; ++r) {
+    ASSERT_TRUE(v[r].ok());
+    ASSERT_TRUE(ir[r].ok());
+    ASSERT_EQ(ir[r].x.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) EXPECT_EQ(ir[r].x[i], m.vdd() - v[r].x[i]);
   }
 }
 
+/// An analyzer on the off-chip baseline; @p power scales its loads.
+struct BaselineAnalyzer {
+  core::Benchmark bench = core::make_benchmark(core::BenchmarkKind::kStackedDdr3OffChip);
+  pdn::BuiltStack built = pdn::build_stack(bench.stack, bench.baseline);
+  IrAnalyzer analyzer;
+
+  explicit BaselineAnalyzer(PowerBinding power = {})
+      : analyzer(built.model, bench.stack.dram_fp, bench.stack.logic_fp, power,
+                 SolverKind::kSparseDirect) {}
+
+  [[nodiscard]] power::MemoryState state(std::string_view s) const {
+    return power::parse_memory_state(s, bench.stack.dram_spec, -1.0);
+  }
+};
+
 TEST(IrSolver, BatchRequestValidation) {
-  const auto m = two_node_divider();
-  IrSolver solver(m);
-  const std::vector<double> sinks = {0.0, 1.0, 0.0};  // not a multiple of n=2
-  EXPECT_THROW((void)solver.solve(SolveRequest{.sinks = sinks, .batch_count = 2}),
+  // A malformed state anywhere in analyze_batch rejects the whole batch,
+  // like a block whose size does not match its outcomes.
+  const BaselineAnalyzer f;
+  const auto good = f.state("0-0-0-2");
+  const auto bad = f.state("0-0-2");  // one die short
+  for (std::size_t at = 0; at < 3; ++at) {
+    std::vector<power::MemoryState> states(3, good);
+    states[at] = bad;
+    EXPECT_THROW((void)f.analyzer.analyze_batch(states), std::invalid_argument) << "at " << at;
+  }
+
+  const IrSolver& solver = f.analyzer.solver();
+  const std::size_t n = solver.node_count();
+  SolveScratch scratch;
+  std::array<SolveOutcome, linalg::kSolveBlock + 1> out;
+  std::vector<double> block(n * 2, 0.0);
+  EXPECT_THROW(solver.solve_block(block, false, scratch, std::span(out).first(3)),
                std::invalid_argument);
-  EXPECT_THROW((void)solver.solve(SolveRequest{.sinks = sinks, .batch_count = 0}),
+  EXPECT_THROW(solver.solve_block(block, false, scratch, std::span(out).first(0)),
                std::invalid_argument);
+  block.assign(n * out.size(), 0.0);
+  EXPECT_THROW(solver.solve_block(block, false, scratch, out), std::invalid_argument);
 }
 
 TEST(IrSolver, BatchFailsAsAWhole) {
-  // All-or-nothing: one bad slice fails the batch, and the failure names it.
-  const auto m = two_node_divider();
-  IrSolver solver(m, SolverKind::kSparseDirect);
-  std::vector<double> sinks = {0.0, 1.0, 0.0, 1.0, 0.0, 1.0};
-  sinks[2 * 2 + 1] = std::numeric_limits<double>::quiet_NaN();  // slice 2
-  const auto outcome = solver.solve(SolveRequest{.sinks = sinks, .batch_count = 3});
-  EXPECT_FALSE(outcome.ok());
-  EXPECT_TRUE(outcome.x.empty());
-  EXPECT_EQ(outcome.status.code(), core::StatusCode::kInputError);
-  EXPECT_NE(outcome.status.message().find("slice 2"), std::string::npos)
-      << outcome.status.message();
+  // All-or-nothing: analyze_batch throws the NumericalError of the first
+  // state whose solve fails, the one analyze() of that state throws, and
+  // returns no partial results. An overflowing activity polynomial makes
+  // the loads of states with active banks non-finite.
+  PowerBinding power;
+  power.dram.p1 = std::numeric_limits<double>::max();
+  power.dram.p2 = std::numeric_limits<double>::max();
+  power.dram_scale = 1e-300;
+  const BaselineAnalyzer f(power);
+  const std::vector<power::MemoryState> states = {f.state("0-0-0-0"), f.state("0-0-0-0"),
+                                                  f.state("0-0-0-2"), f.state("0-0-0-0")};
+  std::string alone;
+  try {
+    (void)f.analyzer.analyze(states[2]);
+  } catch (const core::NumericalError& e) {
+    alone = e.status().to_string();
+  }
+  ASSERT_FALSE(alone.empty()) << "state 2 must fail on its own";
+  ASSERT_NO_THROW((void)f.analyzer.analyze(states[0]));
+  try {
+    (void)f.analyzer.analyze_batch(states);
+    ADD_FAILURE() << "a batch with a failing state returned results";
+  } catch (const core::NumericalError& e) {
+    EXPECT_EQ(e.status().to_string(), alone);
+  }
 }
 
 TEST(SparseCholesky, BenchmarkBatchSlicesMatchSolveAtEveryCount) {

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/benchmarks.hpp"
+#include "irdrop/solver.hpp"
 #include "linalg/coo.hpp"
 #include "linalg/sparse_chol.hpp"
+#include "pdn/stack_builder.hpp"
+#include "util/fnv.hpp"
+#include "util/rng.hpp"
 
 namespace pdn3d::linalg {
 namespace {
@@ -96,6 +102,89 @@ TEST(Amd, FillsLessThanIdentityOrderingOnAGrid) {
   EXPECT_LT(3 * amd.factor_nnz(), 2 * natural.factor_nnz());
   // The self-ordering constructor ships exactly this ordering.
   EXPECT_EQ(SparseCholesky(a).factor_nnz(), amd.factor_nnz());
+}
+
+/// FNV-1a over the permutation, each index as eight little-endian bytes.
+std::uint64_t permutation_hash(const std::vector<std::size_t>& perm) {
+  util::Fnv1a h;
+  for (const std::size_t v : perm) {
+    for (int b = 0; b < 8; ++b) h.byte(static_cast<unsigned char>((std::uint64_t{v} >> (8 * b)) & 0xffU));
+  }
+  return h.value();
+}
+
+/// A TSV-stitched-looking SPD mesh: a perturbed grid, random long-range
+/// edges and a few ground taps.
+Csr make_stitched_mesh(std::uint64_t seed, int nx, int ny) {
+  util::Rng rng(seed);
+  const auto n = static_cast<std::size_t>(nx * ny);
+  CooBuilder b(n);
+  for (int j = 0; j < ny; ++j) {
+    for (int i = 0; i < nx; ++i) {
+      const auto k = static_cast<std::size_t>(j * nx + i);
+      if (i + 1 < nx) b.stamp_conductance(k, k + 1, 0.5 + rng.next_double());
+      if (j + 1 < ny) b.stamp_conductance(k, k + static_cast<std::size_t>(nx), 0.5 + rng.next_double());
+    }
+  }
+  for (int e = 0; e < nx + ny; ++e) {
+    const auto u = static_cast<std::size_t>(rng.next_double() * double(n - 1));
+    const auto v = static_cast<std::size_t>(rng.next_double() * double(n - 1));
+    if (u != v) b.stamp_conductance(u, v, 0.1 + rng.next_double());
+  }
+  for (int t = 0; t < 4; ++t) {
+    b.stamp_to_ground(static_cast<std::size_t>(rng.next_double() * double(n - 1)),
+                      0.05 + rng.next_double());
+  }
+  return b.compress();
+}
+
+struct Pin {
+  std::uint64_t hash;
+  std::size_t factor_nnz;
+};
+
+void expect_pinned(const Csr& a, const Pin& pin, const std::string& what) {
+  const auto perm = amd_ordering(a);
+  EXPECT_EQ(permutation_hash(perm), pin.hash) << what;
+  EXPECT_EQ(SparseCholesky(a, perm).factor_nnz(), pin.factor_nnz) << what;
+  EXPECT_EQ(SparseCholesky(a).factor_nnz(), pin.factor_nnz) << what;
+}
+
+TEST(Amd, PermutationPinnedOnTheBaselines) {
+  // The exact permutation, not only its fill: a faster AMD must make the
+  // same pivot choices, ties included. Recorded from the heap-and-pool
+  // implementation the library shipped before its 32-bit rewrite.
+  const Pin pins[] = {
+      {0x1b7002643ce50997ULL, 56434},   // off-chip
+      {0xe262f4839f2aaa12ULL, 85220},   // on-chip
+      {0x752f069dfa047716ULL, 111287},  // wide-io
+      {0x401854671c289b0eULL, 82576},   // hmc
+  };
+  const auto benches = core::all_benchmarks();
+  ASSERT_EQ(benches.size(), std::size(pins));
+  for (std::size_t b = 0; b < benches.size(); ++b) {
+    const auto built = pdn::build_stack(benches[b].stack, benches[b].baseline);
+    const irdrop::IrSolver solver(built.model, irdrop::SolverKind::kPcgIc);
+    expect_pinned(solver.conductance_matrix(), pins[b], benches[b].name);
+  }
+}
+
+TEST(Amd, PermutationPinnedOnSeededMeshes) {
+  const struct {
+    std::uint64_t seed;
+    int nx;
+    int ny;
+    Pin pin;
+  } cases[] = {
+      {11, 9, 7, {0x64874daa682e675cULL, 415}},
+      {12, 17, 13, {0x297f10122e75da7fULL, 2159}},
+      {13, 30, 24, {0x6d1707652cabe6bbULL, 10083}},
+      {14, 41, 37, {0x6eff05dbf558e80cULL, 26400}},
+  };
+  for (const auto& c : cases) {
+    expect_pinned(make_stitched_mesh(c.seed, c.nx, c.ny), c.pin,
+                  "seed " + std::to_string(c.seed));
+  }
 }
 
 }  // namespace

@@ -2,14 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "exec/cancel.hpp"
+#include "faults/faults.hpp"
 #include "linalg/coo.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/reorder.hpp"
 #include "util/rng.hpp"
+
+namespace {
+
+/// Bytes this thread allocates through operator new while counting is on.
+thread_local bool g_counting = false;
+thread_local std::size_t g_counted_bytes = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting) g_counted_bytes += size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so the compiler does not pair the free() with the vectors'
+// operator new calls it inlines.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pdn3d::linalg {
 namespace {
@@ -220,6 +247,171 @@ TEST(SparseCholesky, LinearityOfSolutions) {
   for (std::size_t i = 0; i < x3.size(); ++i) {
     EXPECT_NEAR(x3[i], x1[i] + x2[i], 1e-10);
   }
+}
+
+/// SPD matrix over @p n nodes from an edge list: unit conductance per edge
+/// and a small ground tap on every node.
+Csr make_graph(std::size_t n, const std::vector<std::pair<std::size_t, std::size_t>>& edges) {
+  CooBuilder b(n);
+  for (const auto& [u, v] : edges) b.stamp_conductance(u, v, 1.0);
+  for (std::size_t i = 0; i < n; ++i) b.stamp_to_ground(i, 0.1 + 0.01 * static_cast<double>(i % 3));
+  return b.compress();
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> path_edges(std::size_t first, std::size_t n) {
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (std::size_t i = first; i + 1 < first + n; ++i) edges.emplace_back(i, i + 1);
+  return edges;
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> clique_edges(std::size_t first, std::size_t n) {
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (std::size_t i = first; i < first + n; ++i) {
+    for (std::size_t j = i + 1; j < first + n; ++j) edges.emplace_back(i, j);
+  }
+  return edges;
+}
+
+/// nnz(L) of @p a under @p perm by eliminating a dense boolean pattern.
+std::size_t brute_force_factor_nnz(const Csr& a, const std::vector<std::size_t>& perm) {
+  const std::size_t n = a.dimension();
+  std::vector<std::size_t> pos(n);
+  for (std::size_t k = 0; k < n; ++k) pos[perm[k]] = k;
+  std::vector<char> p(n * n, 0);
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t q = rp[r]; q < rp[r + 1]; ++q) p[pos[r] * n + pos[ci[q]]] = 1;
+  }
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = k; i < n; ++i) {
+      if (p[i * n + k] == 0) continue;
+      ++count;
+      for (std::size_t j = k + 1; j <= i; ++j) {
+        if (i > k && p[j * n + k] != 0) p[i * n + j] = p[j * n + i] = 1;
+      }
+    }
+  }
+  return count;
+}
+
+TEST(SparseCholesky, SupernodalShapesMatchDenseAndExactFill) {
+  // Shapes that stress the supernode partition: one dense supernode, a
+  // chain whose merged supernodes carry relaxation zeros, a star whose
+  // leaves all update the hub (and, hub first, fill it in), dense blocks
+  // among singleton columns, and disconnected components. Each one, under
+  // the identity and under AMD, must match the dense reference to 1e-10 and
+  // keep exactly the structural nonzeros of L.
+  std::vector<std::pair<std::size_t, std::size_t>> blocks;
+  for (const auto& [first, size] : {std::pair<std::size_t, std::size_t>{0, 5}, {7, 7}, {16, 9}}) {
+    const auto edges = clique_edges(first, size);
+    blocks.insert(blocks.end(), edges.begin(), edges.end());
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> star;
+  for (std::size_t leaf = 1; leaf < 31; ++leaf) star.emplace_back(0, leaf);
+  std::vector<std::pair<std::size_t, std::size_t>> components = path_edges(0, 12);
+  for (std::size_t j = 0; j < 4; ++j) {
+    for (std::size_t i = 0; i < 5; ++i) {
+      const std::size_t k = 12 + j * 5 + i;
+      if (i + 1 < 5) components.emplace_back(k, k + 1);
+      if (j + 1 < 4) components.emplace_back(k, k + 5);
+    }
+  }
+  const struct {
+    std::string name;
+    Csr a;
+  } cases[] = {
+      {"dense (one supernode)", make_graph(12, clique_edges(0, 12))},
+      {"chain", make_graph(40, path_edges(0, 40))},
+      {"star", make_graph(31, star)},
+      {"blocks among singletons", make_graph(28, blocks)},
+      {"disconnected components", make_graph(32, components)},
+      {"grid", make_grid(9, 8)},
+  };
+  util::Rng rng(99);
+  for (const auto& c : cases) {
+    std::vector<double> b(c.a.dimension());
+    for (double& x : b) x = rng.next_double() * 2.0 - 1.0;
+    const auto x_ref = dense_reference_solve(c.a, b);
+    for (const auto& [order, perm] : {std::pair{"identity", identity_ordering(c.a.dimension())},
+                                      std::pair{"amd", amd_ordering(c.a)}}) {
+      const SparseCholesky chol(c.a, perm);
+      EXPECT_EQ(chol.factor_nnz(), brute_force_factor_nnz(c.a, perm)) << c.name << ", " << order;
+      const auto x = chol.solve(b);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        ASSERT_NEAR(x[i], x_ref[i], 1e-10) << c.name << ", " << order << ", index " << i;
+      }
+    }
+  }
+}
+
+TEST(SparseCholesky, NonSpdNamesItsEliminationStep) {
+  // A path whose third pivot goes negative: 2 - 1/2 = 1.5, then
+  // 0.5 - 1/1.5 < 0 at step 2, inside a supernode merged from the chain.
+  CooBuilder b(6);
+  for (std::size_t i = 0; i < 6; ++i) b.add(i, i, i == 2 ? 0.5 : 2.0);
+  for (std::size_t i = 0; i + 1 < 6; ++i) {
+    b.add(i, i + 1, -1.0);
+    b.add(i + 1, i, -1.0);
+  }
+  try {
+    const SparseCholesky chol(b.compress(), identity_ordering(6));
+    FAIL() << "an indefinite matrix factored";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("not positive definite"), std::string::npos) << what;
+    EXPECT_NE(what.find("at elimination step 2)"), std::string::npos) << what;
+  }
+}
+
+TEST(SparseCholesky, FillGuardTripsBeforeTheNumericPhaseAllocates) {
+  // Hub first, a star's factor is dense: nnz(L) = n (n + 1) / 2 against
+  // 2n - 1 lower-triangle entries. The guard reads the column counts, so it
+  // throws, with the total, having allocated O(n) and none of L.
+  constexpr std::size_t n = 3000;
+  std::vector<std::pair<std::size_t, std::size_t>> star;
+  for (std::size_t leaf = 1; leaf < n; ++leaf) star.emplace_back(0, leaf);
+  const Csr a = make_graph(n, star);
+  std::vector<std::size_t> perm = identity_ordering(n);
+  std::string what;
+  g_counted_bytes = 0;
+  g_counting = true;
+  try {
+    const SparseCholesky chol(a, std::move(perm));
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  g_counting = false;
+  EXPECT_NE(what.find("fill ratio exceeds guard (nnz(L) >= 4501500 against 5999"),
+            std::string::npos)
+      << what;
+  // Work arrays of a few hundred bytes per node, where L's row indices and
+  // values alone would take 12 bytes per entry (54 MB).
+  EXPECT_LT(g_counted_bytes, 256 * n) << "bytes allocated before the guard tripped";
+}
+
+TEST(SparseCholesky, CancellationDuringTheBuildAbortsIt) {
+  // The build stalls at its start until the token is cancelled; the
+  // factorization that follows must see the request and give up.
+  const Csr a = make_grid(40, 40);
+  auto& faults = faults::Registry::instance();
+  ASSERT_EQ(faults.configure("linalg.chol.stall=1.0:10000"), "");
+  exec::CancelToken token;
+  std::string what;
+  std::thread builder([&] {
+    const exec::CancelScope scope(token);
+    try {
+      const SparseCholesky chol(a);
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  token.cancel();
+  builder.join();
+  faults.reset();
+  EXPECT_NE(what.find("factorization cancelled at elimination step"), std::string::npos) << what;
 }
 
 }  // namespace

@@ -91,6 +91,8 @@ TEST_P(BuilderCombos, BuildsConnectedSolvableNetwork) {
 
   const auto built = build_stack(spec, cfg);
   ASSERT_TRUE(connected_to_taps(built.model)) << cfg.summary();
+  // The builder counts its resistors before stamping them.
+  EXPECT_EQ(built.model.resistor_capacity(), built.model.resistors().size()) << cfg.summary();
 
   irdrop::PowerBinding power;
   const irdrop::IrAnalyzer analyzer(built.model, spec.dram_fp, spec.logic_fp, power,

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "core/benchmarks.hpp"
 #include "floorplan/logic_floorplan.hpp"
 #include "tech/presets.hpp"
 
@@ -141,6 +142,16 @@ TEST(StackBuilder, BuildInfoConsistent) {
   EXPECT_EQ(built.info.tsvs_per_interface, 64);
   EXPECT_EQ(built.info.node_count, built.model.node_count());
   EXPECT_EQ(built.info.resistor_count, built.model.resistors().size());
+}
+
+TEST(StackBuilder, ResistorListIsSizedOnceOnTheBaselines) {
+  // Every resistor is counted before it is stamped, so the list never
+  // regrows: its capacity is its size.
+  for (const auto& b : core::all_benchmarks()) {
+    const auto built = build_stack(b.stack, b.baseline);
+    EXPECT_EQ(built.model.resistor_capacity(), built.model.resistors().size()) << b.name;
+    EXPECT_EQ(built.info.resistor_count, built.model.resistors().size()) << b.name;
+  }
 }
 
 TEST(StackBuilder, SingleDieModelForValidation) {
