@@ -107,7 +107,7 @@ class GroupMembers final : public irdrop::LaneFeed {
         if (!load_ || !load_->fits(built.model)) {
           load_ = std::make_shared<const irdrop::LoadMap>(
               built.model, bench_.stack.dram_fp, bench_.stack.logic_fp, power_);
-          load_->injection_into(state_, scratch_.solve.sinks);
+          load_->injection_into(state_, sinks_);
         }
       } catch (const ValidationError&) {
         out_[slot.member] = {0.0, std::current_exception()};
@@ -115,7 +115,7 @@ class GroupMembers final : public irdrop::LaneFeed {
         continue;
       }
       slot.load = load_;
-      sinks = scratch_.solve.sinks;
+      sinks = sinks_;
       return &*slot.solver;
     }
     return nullptr;
@@ -147,6 +147,7 @@ class GroupMembers final : public irdrop::LaneFeed {
   irdrop::LaneScratch& scratch_;
   power::MemoryState state_;
   std::shared_ptr<const irdrop::LoadMap> load_;
+  std::vector<double> sinks_;  ///< load_'s injection of state_
   std::size_t next_ = 0;
   std::array<Slot, linalg::kCgLanes> slots_;
 };

@@ -169,16 +169,22 @@ void IrAnalyzer::injection_into(const power::MemoryState& state,
   load_.injection_into(state, sinks);
 }
 
+SolveOutcome IrAnalyzer::solve_state(const power::MemoryState& state, bool want_ir,
+                                     SolveScratch* scratch) const {
+  SolveScratch local;
+  SolveScratch& ws = scratch != nullptr ? *scratch : local;
+  injection_into(state, ws.block);
+  return solver_.solve({.sinks = ws.block, .want_ir = want_ir}, &ws);
+}
+
 std::vector<double> IrAnalyzer::ir_map(const power::MemoryState& state) const {
-  const std::vector<double> sinks = injection(state);
-  SolveOutcome outcome = solver_.solve({.sinks = sinks, .want_ir = true});
+  SolveOutcome outcome = solve_state(state, true, nullptr);
   if (!outcome.ok()) throw core::NumericalError(std::move(outcome.status));
   return std::move(outcome.x);
 }
 
 std::vector<double> IrAnalyzer::node_voltages(const power::MemoryState& state) const {
-  const std::vector<double> sinks = injection(state);
-  SolveOutcome outcome = solver_.solve({.sinks = sinks});
+  SolveOutcome outcome = solve_state(state, false, nullptr);
   if (!outcome.ok()) throw core::NumericalError(std::move(outcome.status));
   return std::move(outcome.x);
 }
@@ -211,10 +217,7 @@ std::vector<IrAnalyzer::BlockIr> IrAnalyzer::block_report(const power::MemorySta
 
 IrResult IrAnalyzer::analyze(const power::MemoryState& state, SolveScratch* scratch) const {
   PDN3D_TRACE_SPAN("irdrop/analyze");
-  SolveScratch local;
-  SolveScratch& ws = scratch != nullptr ? *scratch : local;
-  injection_into(state, ws.sinks);
-  SolveOutcome outcome = solver_.solve({.sinks = ws.sinks, .want_ir = true}, &ws);
+  SolveOutcome outcome = solve_state(state, true, scratch);
   return load_.result(state, outcome);
 }
 

@@ -163,6 +163,12 @@ class IrAnalyzer {
   [[nodiscard]] const pdn::StackModel& model() const { return model_; }
 
  private:
+  /// The one-state solve behind analyze(), ir_map() and node_voltages():
+  /// the injection goes into the scratch block, which the solve turns into
+  /// its right-hand side.
+  [[nodiscard]] SolveOutcome solve_state(const power::MemoryState& state, bool want_ir,
+                                         SolveScratch* scratch) const;
+
   const pdn::StackModel& model_;
   const floorplan::Floorplan& dram_fp_;
   IrSolver solver_;  ///< before load_: the mesh is validated before it is rasterized

@@ -82,20 +82,6 @@ double relative_residual(const linalg::Csr& g, std::span<const double> rhs,
   return bnorm > 0.0 ? res / bnorm : res;
 }
 
-/// Pre-solve injection health: a NaN load current poisons every inner
-/// product, so name the offending node instead of letting CG spin. A failure
-/// counts in solver.failures.
-core::Status check_sinks(std::span<const double> sinks) {
-  static auto& m_failures = obs::counter("solver.failures");
-  for (std::size_t i = 0; i < sinks.size(); ++i) {
-    if (!std::isfinite(sinks[i])) {
-      m_failures.add(1);
-      return core::Status::input_error("non-finite sink current at node " + std::to_string(i));
-    }
-  }
-  return core::Status::ok();
-}
-
 }  // namespace
 
 const char* to_string(SolverKind kind) {
@@ -327,10 +313,20 @@ IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double>
   return out;
 }
 
-void IrSolver::rhs_into(std::span<const double> sinks, std::vector<double>& rhs) const {
+core::Status IrSolver::admit(std::span<double> slice) const {
+  static auto& m_failures = obs::counter("solver.failures");
   const std::size_t n = g_.dimension();
-  rhs.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) rhs[i] = supply_rhs_[i] - sinks[i];
+  if (slice.size() != n) throw std::invalid_argument("IrSolver: sink vector size mismatch");
+  for (std::size_t i = 0; i < n; ++i) {
+    // A NaN load current poisons every inner product, so name the offending
+    // node instead of letting CG spin.
+    if (!std::isfinite(slice[i])) {
+      m_failures.add(1);
+      return core::Status::input_error("non-finite sink current at node " + std::to_string(i));
+    }
+    slice[i] = supply_rhs_[i] - slice[i];
+  }
+  return core::Status::ok();
 }
 
 SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveScratch& ws,
@@ -352,15 +348,15 @@ SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveSc
   const SolverKind ladder[] = {kind_, fallback};
   const std::size_t rungs = options_.escalate && kind_ != SolverKind::kDense ? 2 : 1;
 
-  std::ostringstream trail;  // per-rung failure reasons for the final status
+  std::string trail;  // per-rung failure reasons for the final status
   for (std::size_t step = 0; step < rungs; ++step) {
     // Cooperative cancellation (service watchdog): stop instead of
-    // escalating into the other rung. A start rung run in a lane polled it
-    // already.
+    // escalating into the other rung. A start rung run in a lane or swept
+    // with its block polled it already.
     if ((step > 0 || first == nullptr) && exec::cancellation_requested()) {
       m_failures.add(1);
       outcome.status = core::Status::cancelled(
-          trail.tellp() > 0 ? "solve cancelled [" + trail.str() + "]" : "solve cancelled");
+          trail.empty() ? "solve cancelled" : "solve cancelled [" + trail + "]");
       return outcome;
     }
     const SolverKind kind = ladder[step];
@@ -395,15 +391,15 @@ SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveSc
         if (outcome.escalations > 0) {
           util::log_warn("IrSolver: ", to_string(kind_), " failed, recovered by ",
                          to_string(kind), " after ", outcome.escalations, " escalation(s) [",
-                         trail.str(), "]");
+                         trail, "]");
         }
         return outcome;
       }
     }
 
     rung_failure_counter(kind).add(1);
-    if (trail.tellp() > 0) trail << "; ";
-    trail << to_string(kind) << ": " << reject;
+    if (!trail.empty()) trail += "; ";
+    trail += std::string(to_string(kind)) + ": " + reject;
     if (step + 1 < rungs) {
       ++outcome.escalations;
       m_escalations.add(1);
@@ -411,38 +407,37 @@ SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveSc
   }
 
   m_failures.add(1);
-  outcome.status = core::Status::numerical_failure(
-      "all solver rungs failed [" + trail.str() + "]");
+  outcome.status = core::Status::numerical_failure("all solver rungs failed [" + trail + "]");
   return outcome;
 }
 
 void IrSolver::solve_block(std::span<double> block, bool want_ir, SolveScratch& ws,
                            std::span<SolveOutcome> out) const {
-  const std::size_t n = g_.dimension();
   const std::size_t count = out.size();
-  if (count == 0 || count > linalg::kSolveBlock || block.size() != n * count) {
+  if (count == 0 || count > linalg::kSolveBlock || block.size() != g_.dimension() * count) {
     throw std::invalid_argument("IrSolver::solve_block: block size mismatch");
   }
   PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
-
   PDN3D_TRACE_SPAN_NAMED(span, "solver/solve_batch");
   span.attribute("batch", static_cast<std::uint64_t>(count));
-  static auto& m_solves = obs::counter("solver.solves");
-  static auto& m_iters_hist =
-      obs::histogram("solver.iterations_per_solve", obs::exponential_buckets(1.0, 2.0, 16));
+  solve_slices(block, want_ir, ws, out);
+}
 
+void IrSolver::solve_slices(std::span<double> block, bool want_ir, SolveScratch& ws,
+                            std::span<SolveOutcome> out) const {
+  const std::size_t count = out.size();
+  const std::size_t n = block.size() / count;  // admit() rejects a slice of any other size
   for (std::size_t r = 0; r < count; ++r) {
-    const std::span<double> slice = block.subspan(r * n, n);
     out[r] = SolveOutcome{};
-    out[r].status = check_sinks(slice);
-    for (std::size_t i = 0; i < n; ++i) slice[i] = supply_rhs_[i] - slice[i];
+    out[r].status = admit(block.subspan(r * n, n));
   }
 
-  // The start rung of every slice in one pass over the cached factor. A
-  // pending cancellation leaves it to the ladders, which report it.
-  const linalg::SparseCholesky* fac =
-      kind_ == SolverKind::kSparseDirect && !exec::cancellation_requested() ? sparse(nullptr)
-                                                                             : nullptr;
+  // The start rung of a block's slices in one pass over the cached factor;
+  // a slice alone runs it in its ladder, like every slice of another start.
+  // A pending cancellation leaves it to the ladders, which report it.
+  const bool sweep =
+      count > 1 && kind_ == SolverKind::kSparseDirect && !exec::cancellation_requested();
+  const linalg::SparseCholesky* fac = sweep ? sparse(nullptr) : nullptr;
   if (fac != nullptr) {
     ws.block_x.resize(n * count);
     fac->solve_batch(block, ws.block_x, count, ws.direct);
@@ -450,39 +445,29 @@ void IrSolver::solve_block(std::span<double> block, bool want_ir, SolveScratch& 
 
   for (std::size_t r = 0; r < count; ++r) {
     if (!out[r].ok()) continue;
-    const std::span<const double> rhs = block.subspan(r * n, n);
+    RungResult swept;
     if (fac != nullptr) {
-      // ladder()'s acceptance of a verified first rung, with its counters.
-      const std::span<const double> x(ws.block_x.data() + r * n, n);
-      const double rel = relative_residual(g_, rhs, x, ws.ax);
-      if (std::isfinite(rel) && rel <= options_.verify_rel_tol) {
-        rung_attempt_counter(SolverKind::kSparseDirect).add(1);
-        m_solves.add(1);
-        m_iters_hist.observe(0.0);
-        out[r].x.resize(n);
-        for (std::size_t i = 0; i < n; ++i) out[r].x[i] = want_ir ? vdd_ - x[i] : x[i];
-        out[r].kind_used = SolverKind::kSparseDirect;
-        out[r].rel_residual = rel;
-        continue;
-      }
+      const auto x = std::span(ws.block_x).subspan(r * n, n);
+      swept.x.assign(x.begin(), x.end());
+      swept.produced = true;
     }
-    out[r] = ladder(rhs, want_ir, ws, nullptr);
+    out[r] = ladder(block.subspan(r * n, n), want_ir, ws, fac != nullptr ? &swept : nullptr);
   }
 }
 
 SolveOutcome IrSolver::solve(const SolveRequest& request, SolveScratch* scratch) const {
-  if (request.sinks.size() != g_.dimension()) {
-    throw std::invalid_argument("IrSolver::solve: sink vector size mismatch");
-  }
-
   SolveScratch local;
   SolveScratch& ws = scratch != nullptr ? *scratch : local;
   PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
-  SolveOutcome rejected;
-  rejected.status = check_sinks(request.sinks);
-  if (!rejected.ok()) return rejected;
-  rhs_into(request.sinks, ws.rhs);
-  return ladder(ws.rhs, request.want_ir, ws, nullptr);
+  // A block of one: the request's sinks become slice 0 of the scratch
+  // block, unless the caller injected them there.
+  if (request.sinks.data() != ws.block.data()) {
+    ws.block.assign(request.sinks.begin(), request.sinks.end());
+  }
+  SolveOutcome outcome;
+  solve_slices(std::span(ws.block).first(request.sinks.size()), request.want_ir, ws,
+               std::span(&outcome, 1));
+  return outcome;
 }
 
 /// solve()'s side of a lane solve: turns each member into a CG system (its
@@ -507,23 +492,19 @@ class IrSolver::LaneAdapter final : public linalg::CgLaneFeed {
         feed_.done(lane, alone);
         continue;
       }
-      const std::size_t n = solver->node_count();
-      if (sinks.size() != n) {
-        throw std::invalid_argument("IrSolver::solve: sink vector size mismatch");
-      }
       PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
+      std::vector<double>& rhs = scratch_.rhs[lane];
+      rhs.assign(sinks.begin(), sinks.end());
       SolveOutcome rejected;
-      rejected.status = check_sinks(sinks);
+      rejected.status = solver->admit(rhs);
       if (!rejected.ok()) {
         feed_.done(lane, rejected);
         continue;
       }
 
-      std::vector<double>& rhs = scratch_.rhs[lane];
-      solver->rhs_into(sinks, rhs);
       // The rail start of run_rung; the lane reads it only while loading.
       std::vector<double>& rail = scratch_.solve.rail;
-      rail.assign(n, solver->vdd_);
+      rail.assign(solver->node_count(), solver->vdd_);
       members_[lane] = solver;
       system = {.a = &solver->g_, .b = rhs, .x0 = rail, .ic = &solver->ic()};
       return true;

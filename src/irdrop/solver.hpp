@@ -105,22 +105,19 @@ struct SolveOutcome {
   [[nodiscard]] bool ok() const { return status.is_ok(); }
 };
 
-/// Per-solve work buffers (sink currents, assembled RHS, verification
-/// product, CG vectors, a block's right-hand sides and solutions). Solving
-/// allocates these fresh when none is supplied; a sweep keeps one
-/// SolveScratch per pool chunk and reuses it across thousands of same-sized
-/// solves. Never share one across concurrent solves.
+/// Per-solve work buffers (a block's sink currents turned right-hand sides
+/// and its solutions, verification product, CG vectors). Solving allocates
+/// these fresh when none is supplied; a sweep keeps one SolveScratch per
+/// pool chunk and reuses it across thousands of same-sized solves. Never
+/// share one across concurrent solves.
 struct SolveScratch {
-  /// IrAnalyzer::analyze's injection buffer. IrSolver::solve never writes
-  /// it, so a request's sinks may point into it.
-  std::vector<double> sinks;
-  std::vector<double> rhs;  ///< supply_rhs - sinks
   std::vector<double> ax;   ///< G*x for residual verification
   std::vector<double> rail; ///< ic-pcg's starting guess, VDD at every node
   linalg::CgScratch cg;
-  /// A block's sink currents, slice r at [r * n, (r + 1) * n): filled by
-  /// the caller of IrSolver::solve_block, which turns them into right-hand
-  /// sides in place.
+  /// A block's sink currents, slice r at [r * n, (r + 1) * n), turned into
+  /// right-hand sides in place: filled by the caller of
+  /// IrSolver::solve_block, and by IrSolver::solve from its request unless
+  /// the request's sinks already are this buffer (IrAnalyzer injects here).
   std::vector<double> block;
   std::vector<double> block_x;  ///< a block's solutions, laid out like block
   std::vector<double> direct;   ///< triangular-sweep workspace
@@ -167,8 +164,7 @@ class LaneFeed {
 /// A sweep chunk's state for lane solves and for the solvers they run: the
 /// structure of the last topology assembled, the lane CG buffers, each
 /// lane's right-hand side and one SolveScratch for the members' set-ups and
-/// ladders, which run one at a time (its sinks buffer is free for the feed).
-/// Never share one between threads.
+/// ladders, which run one at a time. Never share one between threads.
 struct LaneScratch {
   MeshStructure structure;
   linalg::CgScratch cg;
@@ -187,11 +183,13 @@ class IrSolver {
   explicit IrSolver(const pdn::StackModel& model, SolverKind kind = SolverKind::kPcgIc,
                     IrSolverOptions options = {}, MeshStructure* structure = nullptr);
 
-  /// The unified entry point. request.sinks must have model.node_count()
-  /// entries (std::invalid_argument otherwise -- a caller bug); every
-  /// data-dependent failure comes back in SolveOutcome::status. Thread-safe:
-  /// concurrent solves on one IrSolver are supported as long as each caller
-  /// passes its own @p scratch (or none).
+  /// The unified entry point: a block of one slice, through the slice
+  /// admission and ladder of solve_block() but without its span.
+  /// request.sinks must have model.node_count() entries
+  /// (std::invalid_argument otherwise -- a caller bug); every data-dependent
+  /// failure comes back in SolveOutcome::status. Thread-safe: concurrent
+  /// solves on one IrSolver are supported as long as each caller passes its
+  /// own @p scratch (or none).
   [[nodiscard]] SolveOutcome solve(const SolveRequest& request,
                                    SolveScratch* scratch = nullptr) const;
 
@@ -200,12 +198,14 @@ class IrSolver {
   /// @p block holds out.size() sink vectors back to back (RHS-major) and is
   /// left holding their right-hand sides. out[r] is bitwise what solve() of
   /// slice r alone returns, entry check, verification and counters included:
-  /// a sparse-direct start sweeps the cached factor once for the whole
-  /// block, and a slice that fails verification, like every slice of another
-  /// start or a declined factor, runs solve()'s ladder by itself. The block
-  /// is one solver/solve_batch span. Thread-safe like solve(); throws
-  /// std::invalid_argument when out is empty or longer than kSolveBlock, or
-  /// when block is not out.size() node vectors long.
+  /// a sparse-direct start sweeps the cached factor once for a block of two
+  /// or more and each slice's ladder accepts (or escalates from) its swept
+  /// solution; a slice alone, like every slice of another start or a
+  /// declined factor, runs its start rung in the ladder. The block is one
+  /// solver/solve_batch span around one solver/solve span per admitted
+  /// slice. Thread-safe like solve(); throws std::invalid_argument when out
+  /// is empty or longer than kSolveBlock, or when block is not out.size()
+  /// node vectors long.
   void solve_block(std::span<double> block, bool want_ir, SolveScratch& scratch,
                    std::span<SolveOutcome> out) const;
 
@@ -243,10 +243,17 @@ class IrSolver {
                                     SolveScratch& ws) const;
   [[nodiscard]] const linalg::IncompleteCholesky& ic() const;
   [[nodiscard]] const linalg::SparseCholesky* sparse(std::string* error) const;
-  /// rhs = supply_rhs - sinks.
-  void rhs_into(std::span<const double> sinks, std::vector<double>& rhs) const;
+  /// A slice's entry: throws std::invalid_argument unless it is one node
+  /// vector long, and turns its sink currents into the right-hand side
+  /// supply_rhs - sinks in place. A non-finite sink is an input error
+  /// (counted in solver.failures) naming its node.
+  [[nodiscard]] core::Status admit(std::span<double> slice) const;
+  /// Admit each slice of @p block, then solve each admitted one through its
+  /// ladder (the body of solve() and solve_block()).
+  void solve_slices(std::span<double> block, bool want_ir, SolveScratch& ws,
+                    std::span<SolveOutcome> out) const;
   /// The ladder over @p rhs. @p first, when given, is the start rung's
-  /// result, already run in a lane.
+  /// result, already run in a lane or swept with its block.
   [[nodiscard]] SolveOutcome ladder(std::span<const double> rhs, bool want_ir, SolveScratch& ws,
                                     RungResult* first) const;
   [[nodiscard]] linalg::CgOptions cg_options() const;

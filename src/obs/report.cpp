@@ -55,51 +55,6 @@ json::Value provenance_block(const RunReportOptions& options) {
   return prov;
 }
 
-json::Value metrics_block(const MetricsSnapshot& snap) {
-  json::Value counters = json::Value::object();
-  for (const auto& [name, value] : snap.counters) counters.set(name, value);
-
-  json::Value gauges = json::Value::object();
-  for (const auto& [name, value] : snap.gauges) gauges.set(name, value);
-
-  json::Value histograms = json::Value::object();
-  for (const auto& [name, h] : snap.histograms) {
-    json::Value hist = json::Value::object();
-    json::Value bounds = json::Value::array();
-    for (const double b : h.upper_bounds) bounds.push_back(b);
-    json::Value counts = json::Value::array();
-    for (const std::uint64_t c : h.bucket_counts) counts.push_back(c);
-    hist.set("upper_bounds", std::move(bounds));
-    hist.set("bucket_counts", std::move(counts));
-    hist.set("count", h.count);
-    hist.set("sum", h.sum);
-    histograms.set(name, std::move(hist));
-  }
-
-  // Schema v5: windowed quantile snapshots (obs::QuantileWindow).
-  json::Value windows = json::Value::object();
-  for (const auto& [name, w] : snap.windows) {
-    json::Value win = json::Value::object();
-    win.set("count", w.count);
-    win.set("window_count", static_cast<std::uint64_t>(w.window_count));
-    win.set("min", w.min);
-    win.set("max", w.max);
-    win.set("sum", w.sum);
-    win.set("p50", w.p50);
-    win.set("p90", w.p90);
-    win.set("p95", w.p95);
-    win.set("p99", w.p99);
-    windows.set(name, std::move(win));
-  }
-
-  json::Value metrics = json::Value::object();
-  metrics.set("counters", std::move(counters));
-  metrics.set("gauges", std::move(gauges));
-  metrics.set("histograms", std::move(histograms));
-  metrics.set("windows", std::move(windows));
-  return metrics;
-}
-
 json::Value spans_block() {
   // Aggregated per-path statistics; sorted by path, so the slash-separated
   // hierarchy reads as a tree (children follow their parent).
@@ -165,6 +120,51 @@ json::Value solver_block(const MetricsSnapshot& snap) {
 }
 
 }  // namespace
+
+json::Value metrics_block(const MetricsSnapshot& snap) {
+  json::Value counters = json::Value::object();
+  for (const auto& [name, value] : snap.counters) counters.set(name, value);
+
+  json::Value gauges = json::Value::object();
+  for (const auto& [name, value] : snap.gauges) gauges.set(name, value);
+
+  json::Value histograms = json::Value::object();
+  for (const auto& [name, h] : snap.histograms) {
+    json::Value hist = json::Value::object();
+    json::Value bounds = json::Value::array();
+    for (const double b : h.upper_bounds) bounds.push_back(b);
+    json::Value counts = json::Value::array();
+    for (const std::uint64_t c : h.bucket_counts) counts.push_back(c);
+    hist.set("upper_bounds", std::move(bounds));
+    hist.set("bucket_counts", std::move(counts));
+    hist.set("count", h.count);
+    hist.set("sum", h.sum);
+    histograms.set(name, std::move(hist));
+  }
+
+  // Schema v5: windowed quantile snapshots (obs::QuantileWindow).
+  json::Value windows = json::Value::object();
+  for (const auto& [name, w] : snap.windows) {
+    json::Value win = json::Value::object();
+    win.set("count", w.count);
+    win.set("window_count", static_cast<std::uint64_t>(w.window_count));
+    win.set("min", w.min);
+    win.set("max", w.max);
+    win.set("sum", w.sum);
+    win.set("p50", w.p50);
+    win.set("p90", w.p90);
+    win.set("p95", w.p95);
+    win.set("p99", w.p99);
+    windows.set(name, std::move(win));
+  }
+
+  json::Value metrics = json::Value::object();
+  metrics.set("counters", std::move(counters));
+  metrics.set("gauges", std::move(gauges));
+  metrics.set("histograms", std::move(histograms));
+  metrics.set("windows", std::move(windows));
+  return metrics;
+}
 
 json::Value build_run_report(const RunReportOptions& options) {
   const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();

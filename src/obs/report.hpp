@@ -58,6 +58,13 @@ struct RunReportOptions {
   std::string fingerprint;
 };
 
+struct MetricsSnapshot;
+
+/// The report's "metrics" block: counters, gauges, histograms and quantile
+/// windows keyed by metric name. The service's `stats` op takes its
+/// counters, gauges and windows from it.
+[[nodiscard]] json::Value metrics_block(const MetricsSnapshot& snap);
+
 /// Assemble the report document from the current process-wide metrics
 /// registry and trace store.
 [[nodiscard]] json::Value build_run_report(const RunReportOptions& options);

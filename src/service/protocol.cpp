@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -115,6 +116,15 @@ bool valid_request_id(std::string_view id) {
   return true;
 }
 
+/// The control ops without fields of their own, answered inline by the
+/// service.
+constexpr std::pair<std::string_view, Request::Kind> kInlineOps[] = {
+    {"ping", Request::Kind::kPing},
+    {"health", Request::Kind::kHealth},
+    {"stats", Request::Kind::kStats},
+    {"metrics", Request::Kind::kMetrics},
+};
+
 }  // namespace
 
 const char* to_string(ErrorKind kind) {
@@ -185,21 +195,11 @@ core::Status parse_request(std::string_view line, Request* out) {
     }
     return core::Status::ok();
   }
-  if (op->as_string() == "ping") {
-    out->kind = Request::Kind::kPing;
-    return core::Status::ok();
-  }
-  if (op->as_string() == "health") {
-    out->kind = Request::Kind::kHealth;
-    return core::Status::ok();
-  }
-  if (op->as_string() == "stats") {
-    out->kind = Request::Kind::kStats;
-    return core::Status::ok();
-  }
-  if (op->as_string() == "metrics") {
-    out->kind = Request::Kind::kMetrics;
-    return core::Status::ok();
+  for (const auto& [name, kind] : kInlineOps) {
+    if (op->as_string() == name) {
+      out->kind = kind;
+      return core::Status::ok();
+    }
   }
 
   out->kind = Request::Kind::kEvaluate;

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
+#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
 
@@ -115,6 +117,57 @@ obs::json::Value cache_json(const CacheStats& cs) {
   return block;
 }
 
+/// How an answer is counted: the Stats field it adds to, whether it also
+/// completes an evaluation (adds to `completed` and service.completed too),
+/// and its service.* counter. Null means none.
+struct Outcome {
+  ErrorKind kind;
+  std::uint64_t BatchService::Stats::*field;
+  bool completes;
+  const char* counter;
+};
+
+/// One row per ErrorKind, in enum order; kNone is an evaluation answered ok,
+/// fresh or from the cache (docs/SERVICE.md, "How an answer leaves the
+/// service").
+using Stats = BatchService::Stats;
+constexpr Outcome kOutcomes[] = {
+    // kind                        Stats field                 completes counter
+    {ErrorKind::kNone,             &Stats::completed,          false, "service.completed"},
+    {ErrorKind::kBadRequest,       &Stats::bad_requests,       false, "service.bad_requests"},
+    {ErrorKind::kQueueFull,        &Stats::rejected_full,      false, "service.queue_full"},
+    {ErrorKind::kDeadlineExceeded, &Stats::deadline_expired,   false, "service.deadline_expired"},
+    {ErrorKind::kCancelled,        &Stats::cancelled,          false, "service.cancelled"},
+    {ErrorKind::kShutdown,         &Stats::rejected_shutdown,  false, nullptr},
+    {ErrorKind::kNotFound,         nullptr,                    false, nullptr},
+    {ErrorKind::kEvaluationFailed, &Stats::completed,          false, "service.completed"},
+    {ErrorKind::kOverloaded,       &Stats::rejected_overload,  false, "service.rejected_overload"},
+    {ErrorKind::kTimeout,          &Stats::timeouts,           true,  "service.timeouts"},
+    {ErrorKind::kRequestTooLarge,  &Stats::rejected_too_large, false, "service.request_too_large"},
+    {ErrorKind::kInternal,         &Stats::internal_errors,    true,  "service.internal_errors"},
+};
+constexpr std::size_t kOutcomeCount = std::size(kOutcomes);
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kOutcomeCount; ++i) {
+        if (kOutcomes[i].kind != static_cast<ErrorKind>(i)) return false;
+      }
+      return kOutcomeCount == static_cast<std::size_t>(ErrorKind::kInternal) + 1;
+    }(),
+    "one outcome row per ErrorKind, in enum order");
+
+/// The rows' counters, registered on first use (BatchService's constructor).
+const std::array<obs::Counter*, kOutcomeCount>& outcome_counters() {
+  static const auto counters = [] {
+    std::array<obs::Counter*, kOutcomeCount> out{};
+    for (std::size_t i = 0; i < kOutcomeCount; ++i) {
+      if (kOutcomes[i].counter != nullptr) out[i] = &obs::counter(kOutcomes[i].counter);
+    }
+    return out;
+  }();
+  return counters;
+}
+
 }  // namespace
 
 struct BatchService::Pending {
@@ -136,8 +189,7 @@ struct BatchService::RequestRecord {
   std::string request_id;
   std::string op;
   std::string benchmark;
-  bool ok = false;
-  std::string error;  ///< ErrorKind token, empty when the evaluation ran ok
+  std::string error;  ///< ErrorKind token, empty when answered ok
   double queue_ms = 0.0;
   double run_ms = 0.0;
   double headline_mv = 0.0;
@@ -149,6 +201,7 @@ BatchService::BatchService(const api::Session& session, ServiceConfig config)
     : session_(session), config_(config) {
   if (config_.workers == 0) config_.workers = exec::default_thread_count();
   cache_ = std::make_unique<ResultCache>(config_.cache_entries);
+  (void)outcome_counters();  // every outcome counter scrapes from the start, at 0
 }
 
 BatchService::~BatchService() { drain(); }
@@ -281,29 +334,9 @@ std::string BatchService::stats_response(const Request& req) {
   doc.set("totals", std::move(totals_block));
   doc.set("cache", cache_json(cache_->stats()));
 
-  auto counters = obs::json::Value::object();
-  for (const auto& [name, value] : snap.counters) counters.set(name, obs::json::Value(value));
-  doc.set("counters", std::move(counters));
-
-  auto gauges = obs::json::Value::object();
-  for (const auto& [name, value] : snap.gauges) gauges.set(name, obs::json::Value(value));
-  doc.set("gauges", std::move(gauges));
-
-  auto windows = obs::json::Value::object();
-  for (const auto& [name, w] : snap.windows) {
-    auto win = obs::json::Value::object();
-    win.set("count", obs::json::Value(w.count));
-    win.set("window_count", obs::json::Value(static_cast<std::uint64_t>(w.window_count)));
-    win.set("min", obs::json::Value(w.min));
-    win.set("max", obs::json::Value(w.max));
-    win.set("sum", obs::json::Value(w.sum));
-    win.set("p50", obs::json::Value(w.p50));
-    win.set("p90", obs::json::Value(w.p90));
-    win.set("p95", obs::json::Value(w.p95));
-    win.set("p99", obs::json::Value(w.p99));
-    windows.set(name, std::move(win));
-  }
-  doc.set("windows", std::move(windows));
+  // The run report's renderer, so the two spell every metric alike.
+  const obs::json::Value metrics = obs::metrics_block(snap);
+  for (const char* key : {"counters", "gauges", "windows"}) doc.set(key, *metrics.find(key));
   if (!req.request_id.empty()) doc.set("request_id", obs::json::Value(req.request_id));
   return doc.dump();
 }
@@ -325,9 +358,6 @@ std::string BatchService::metrics_response(const Request& req) {
 
 void BatchService::submit_line(std::string_view line, ResponseSink sink) {
   static auto& m_requests = obs::counter("service.requests");
-  static auto& m_bad = obs::counter("service.bad_requests");
-  static auto& m_full = obs::counter("service.queue_full");
-  static auto& m_cancelled = obs::counter("service.cancelled");
   m_requests.add(1);
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -344,120 +374,69 @@ void BatchService::submit_line(std::string_view line, ResponseSink sink) {
   if (line.size() > kMaxRequestBytes) {
     // Answer before parsing: an oversized line is rejected on length alone,
     // never buffered into the JSON parser.
-    static auto& m_too_large = obs::counter("service.request_too_large");
-    m_too_large.add(1);
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.rejected_too_large;
-    }
-    sink(error_response(-1, ErrorKind::kRequestTooLarge,
-                        "request line exceeds " + std::to_string(kMaxRequestBytes) + " bytes",
-                        generate_request_id()));
+    reject(sink, -1, generate_request_id(), ErrorKind::kRequestTooLarge,
+           "request line exceeds " + std::to_string(kMaxRequestBytes) + " bytes");
     return;
   }
 
   Request req;
-  if (const core::Status st = parse_request(line, &req); !st.is_ok()) {
-    m_bad.add(1);
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.bad_requests;
-    }
-    if (req.request_id.empty()) req.request_id = generate_request_id();
+  const core::Status parsed = parse_request(line, &req);
+  if (req.request_id.empty()) req.request_id = generate_request_id();
+  if (!parsed.is_ok()) {
     obs::log_event(util::LogLevel::kDebug, "serve.bad_request",
                    {{"request_id", req.request_id}, {"id", req.id},
-                    {"message", std::string(st.message())}});
-    sink(error_response(req.id, ErrorKind::kBadRequest, st.message(), req.request_id));
-    return;
-  }
-  if (req.request_id.empty()) req.request_id = generate_request_id();
-
-  if (req.kind == Request::Kind::kPing) {
-    sink(ping_response(req.id, req.request_id));
+                    {"message", std::string(parsed.message())}});
+    reject(sink, req.id, req.request_id, ErrorKind::kBadRequest, parsed.message());
     return;
   }
 
-  if (req.kind == Request::Kind::kHealth) {
-    // Answered inline, even while draining: health is how an operator tells
-    // "draining" from "hung".
-    sink(health_response(req));
-    return;
-  }
-
-  if (req.kind == Request::Kind::kStats) {
-    // Inline and drain-proof like health: scrapes must work while the
-    // server sheds, stalls, or shuts down.
-    sink(stats_response(req));
-    return;
-  }
-
-  if (req.kind == Request::Kind::kMetrics) {
-    sink(metrics_response(req));
-    return;
-  }
-
-  if (req.kind == Request::Kind::kCancel) {
-    std::optional<Pending> removed;
-    if (queue_ != nullptr) {
-      removed = queue_->remove_if(
-          [&](const Pending& p) { return p.req.id == req.cancel_target; });
-    }
-    if (removed.has_value()) {
-      m_cancelled.add(1);
-      outstanding_cost_.fetch_sub(removed->cost, std::memory_order_relaxed);
-      publish_queue_depth();
-      removed->sink(error_response(removed->req.id, ErrorKind::kCancelled,
-                                   "cancelled while queued", removed->req.request_id));
-      RequestRecord rec;
-      rec.id = removed->req.id;
-      rec.request_id = removed->req.request_id;
-      rec.op = api::to_string(removed->req.eval.op);
-      rec.benchmark = api::benchmark_token(removed->req.eval.benchmark);
-      rec.error = to_string(ErrorKind::kCancelled);
-      rec.queue_ms = ms_between(removed->enqueued, Clock::now());
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.cancelled;
+  // The inline ops answer here, even while draining: health is how an
+  // operator tells "draining" from "hung", and scrapes must work while the
+  // server sheds, stalls, or shuts down.
+  switch (req.kind) {
+    case Request::Kind::kPing: sink(ping_response(req.id, req.request_id)); return;
+    case Request::Kind::kHealth: sink(health_response(req)); return;
+    case Request::Kind::kStats: sink(stats_response(req)); return;
+    case Request::Kind::kMetrics: sink(metrics_response(req)); return;
+    case Request::Kind::kCancel: {
+      std::optional<Pending> removed;
+      if (queue_ != nullptr) {
+        removed = queue_->remove_if(
+            [&](const Pending& p) { return p.req.id == req.cancel_target; });
       }
-      record(std::move(rec));
+      if (!removed.has_value()) {
+        reject(sink, req.id, req.request_id, ErrorKind::kNotFound,
+               "target not queued (already started, finished, or unknown)");
+        return;
+      }
+      publish_queue_depth();
+      RequestRecord rec = record_of(*removed, ms_between(removed->enqueued, Clock::now()));
+      answer(*removed, std::move(rec), ErrorKind::kCancelled,
+             error_response(removed->req.id, ErrorKind::kCancelled, "cancelled while queued",
+                            removed->req.request_id));
       sink(cancel_ok_response(req.id, req.cancel_target, req.request_id));
-    } else {
-      sink(error_response(req.id, ErrorKind::kNotFound,
-                          "target not queued (already started, finished, or unknown)",
-                          req.request_id));
+      return;
     }
-    return;
+    case Request::Kind::kEvaluate: break;
   }
 
   if (!started_ || queue_ == nullptr || queue_->closed()) {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.rejected_shutdown;
-    }
-    sink(error_response(req.id, ErrorKind::kShutdown, "service is draining", req.request_id));
+    reject(sink, req.id, req.request_id, ErrorKind::kShutdown, "service is draining");
     return;
   }
 
   // Cost units are arbitrary; what matters is the ratio (a co-optimization
   // sweep is dozens of solves, one analyze is one).
-  const std::uint64_t cost =
-      req.kind == Request::Kind::kEvaluate ? req.eval.admission_cost() : 1;
+  const std::uint64_t cost = req.eval.admission_cost();
   if (config_.max_outstanding_cost > 0) {
     // Approximate check-then-add: concurrent submitters can overshoot by at
     // most one request each, and an idle service always admits (cur == 0).
     const std::uint64_t cur = outstanding_cost_.load(std::memory_order_relaxed);
     if (cur > 0 && cur + cost > config_.max_outstanding_cost) {
-      static auto& m_overload = obs::counter("service.rejected_overload");
-      m_overload.add(1);
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.rejected_overload;
-      }
-      sink(error_response(req.id, ErrorKind::kOverloaded,
-                          "outstanding cost " + std::to_string(cur) + " + " +
-                              std::to_string(cost) + " exceeds limit " +
-                              std::to_string(config_.max_outstanding_cost) + "; retry later",
-                          req.request_id));
+      reject(sink, req.id, req.request_id, ErrorKind::kOverloaded,
+             "outstanding cost " + std::to_string(cur) + " + " + std::to_string(cost) +
+                 " exceeds limit " + std::to_string(config_.max_outstanding_cost) +
+                 "; retry later");
       return;
     }
   }
@@ -479,33 +458,19 @@ void BatchService::submit_line(std::string_view line, ResponseSink sink) {
   // try_push leaves the item untouched on failure, so pending (and its sink)
   // are still ours. The result carries the drain-vs-backpressure distinction
   // (decided under the queue lock) for the client's retry policy.
-  switch (queue_->try_push(std::move(pending))) {
-    case exec::PushResult::kOk:
-      publish_queue_depth();
-      break;
-    case exec::PushResult::kClosed: {
-      outstanding_cost_.fetch_sub(cost, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.rejected_shutdown;
-      }
-      pending.sink(error_response(pending.req.id, ErrorKind::kShutdown, "service is draining",
-                                  pending.req.request_id));
-      break;
-    }
-    case exec::PushResult::kFull: {
-      m_full.add(1);
-      outstanding_cost_.fetch_sub(cost, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.rejected_full;
-      }
-      pending.sink(error_response(pending.req.id, ErrorKind::kQueueFull,
-                                  "admission queue full (capacity " +
-                                      std::to_string(queue_->capacity()) + "); retry later",
-                                  pending.req.request_id));
-      break;
-    }
+  const exec::PushResult pushed = queue_->try_push(std::move(pending));
+  if (pushed == exec::PushResult::kOk) {
+    publish_queue_depth();
+    return;
+  }
+  outstanding_cost_.fetch_sub(cost, std::memory_order_relaxed);
+  if (pushed == exec::PushResult::kClosed) {
+    reject(pending.sink, pending.req.id, pending.req.request_id, ErrorKind::kShutdown,
+           "service is draining");
+  } else {
+    reject(pending.sink, pending.req.id, pending.req.request_id, ErrorKind::kQueueFull,
+           "admission queue full (capacity " + std::to_string(queue_->capacity()) +
+               "); retry later");
   }
 }
 
@@ -530,10 +495,6 @@ void BatchService::worker_loop() {
 }
 
 void BatchService::dispatch(std::vector<Pending>&& group) {
-  static auto& m_completed = obs::counter("service.completed");
-  static auto& m_deadline = obs::counter("service.deadline_expired");
-  static auto& m_timeouts = obs::counter("service.timeouts");
-  static auto& m_internal = obs::counter("service.internal_errors");
   static auto& m_groups = obs::counter("service.coalesce.groups");
   static auto& m_members = obs::counter("service.coalesce.requests");
   static auto& h_queue = obs::histogram("service.queue_ms", {1, 10, 100, 1000, 10000});
@@ -577,26 +538,12 @@ void BatchService::dispatch(std::vector<Pending>&& group) {
     h_queue.observe(queue_ms);
     w_queue.observe(queue_ms);
 
-    RequestRecord rec;
-    rec.id = pending.req.id;
-    rec.request_id = pending.req.request_id;
-    rec.op = api::to_string(pending.req.eval.op);
-    rec.benchmark = api::benchmark_token(pending.req.eval.benchmark);
-    rec.queue_ms = queue_ms;
-
+    RequestRecord rec = record_of(pending, queue_ms);
     if (start > pending.deadline) {
-      m_deadline.add(1);
-      outstanding_cost_.fetch_sub(pending.cost, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.deadline_expired;
-      }
-      rec.error = to_string(ErrorKind::kDeadlineExceeded);
-      record(std::move(rec));
-      pending.sink(error_response(pending.req.id, ErrorKind::kDeadlineExceeded,
-                                  "deadline expired after " + std::to_string(queue_ms) +
-                                      " ms in queue",
-                                  pending.req.request_id));
+      answer(pending, std::move(rec), ErrorKind::kDeadlineExceeded,
+             error_response(pending.req.id, ErrorKind::kDeadlineExceeded,
+                            "deadline expired after " + std::to_string(queue_ms) + " ms in queue",
+                            pending.req.request_id));
       continue;
     }
 
@@ -612,19 +559,12 @@ void BatchService::dispatch(std::vector<Pending>&& group) {
         const double run_ms = ms_between(start, Clock::now());
         h_run.observe(run_ms);
         w_run.observe(run_ms);
-        m_completed.add(1);
-        outstanding_cost_.fetch_sub(pending.cost, std::memory_order_relaxed);
-        rec.ok = true;
         rec.run_ms = run_ms;
         rec.headline_mv = cached->headline_mv;
         rec.fingerprint = cached->fingerprint;
         rec.cache = "hit";
-        {
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.completed;
-        }
-        record(std::move(rec));
-        pending.sink(ok_response(pending.req, *cached, queue_ms, run_ms, "hit"));
+        answer(pending, std::move(rec), ErrorKind::kNone,
+               ok_response(pending.req, *cached, queue_ms, run_ms, "hit"));
         continue;
       }
     }
@@ -737,10 +677,8 @@ void BatchService::dispatch(std::vector<Pending>&& group) {
 
   for (std::size_t i = 0; i < to_run.size(); ++i) {
     Member& m = to_run[i];
-    outstanding_cost_.fetch_sub(m.pending.cost, std::memory_order_relaxed);
     h_run.observe(run_ms);
     w_run.observe(run_ms);
-    m_completed.add(1);
     m.rec.run_ms = run_ms;
     const double queue_ms = m.rec.queue_ms;
 
@@ -760,17 +698,10 @@ void BatchService::dispatch(std::vector<Pending>&& group) {
     }
 
     if (internal_error || slot[i] >= results.size()) {
-      m_internal.add(1);
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.completed;
-        ++stats_.internal_errors;
-      }
-      m.rec.error = to_string(ErrorKind::kInternal);
-      record(std::move(m.rec));
-      m.pending.sink(error_response(m.pending.req.id, ErrorKind::kInternal,
-                                    internal_error ? internal_message : "batch result missing",
-                                    m.pending.req.request_id));
+      answer(m.pending, std::move(m.rec), ErrorKind::kInternal,
+             error_response(m.pending.req.id, ErrorKind::kInternal,
+                            internal_error ? internal_message : "batch result missing",
+                            m.pending.req.request_id));
       continue;
     }
 
@@ -778,45 +709,64 @@ void BatchService::dispatch(std::vector<Pending>&& group) {
     // that finished ok despite a late cancel still delivers its result.
     api::EvaluateResult& result = results[slot[i]];
     if (cancel.cancelled() && !result.ok()) {
-      m_timeouts.add(1);
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.completed;
-        ++stats_.timeouts;
-      }
-      m.rec.error = to_string(ErrorKind::kTimeout);
-      record(std::move(m.rec));
-      m.pending.sink(error_response(
-          m.pending.req.id, ErrorKind::kTimeout,
-          "evaluation exceeded watchdog (" +
-              std::to_string(static_cast<long long>(config_.watchdog_ms)) +
-              " ms): " + std::string(result.status.message()),
-          m.pending.req.request_id));
+      answer(m.pending, std::move(m.rec), ErrorKind::kTimeout,
+             error_response(m.pending.req.id, ErrorKind::kTimeout,
+                            "evaluation exceeded watchdog (" +
+                                std::to_string(static_cast<long long>(config_.watchdog_ms)) +
+                                " ms): " + std::string(result.status.message()),
+                            m.pending.req.request_id));
       continue;
     }
 
-    m.rec.ok = result.ok();
-    if (!result.ok()) m.rec.error = to_string(ErrorKind::kEvaluationFailed);
     m.rec.headline_mv = result.headline_mv;
     m.rec.fingerprint = result.fingerprint;
     m.rec.cache = m.plan.token;
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.completed;
-    }
-    record(std::move(m.rec));
     if (m.plan.store && result.ok()) cache_->insert(m.fp, result);
-    m.pending.sink(ok_response(m.pending.req, result, queue_ms, run_ms, m.plan.token));
+    answer(m.pending, std::move(m.rec),
+           result.ok() ? ErrorKind::kNone : ErrorKind::kEvaluationFailed,
+           ok_response(m.pending.req, result, queue_ms, run_ms, m.plan.token));
   }
 }
 
-void BatchService::record(RequestRecord rec) {
+BatchService::RequestRecord BatchService::record_of(const Pending& pending, double queue_ms) {
+  RequestRecord rec;
+  rec.id = pending.req.id;
+  rec.request_id = pending.req.request_id;
+  rec.op = api::to_string(pending.req.eval.op);
+  rec.benchmark = api::benchmark_token(pending.req.eval.benchmark);
+  rec.queue_ms = queue_ms;
+  return rec;
+}
+
+void BatchService::reject(const ResponseSink& sink, std::int64_t id, std::string_view request_id,
+                          ErrorKind kind, std::string_view message) {
+  count(kind, nullptr);
+  sink(error_response(id, kind, message, request_id));
+}
+
+void BatchService::answer(Pending& pending, RequestRecord record, ErrorKind kind,
+                          const std::string& line) {
+  outstanding_cost_.fetch_sub(pending.cost, std::memory_order_relaxed);
+  if (kind != ErrorKind::kNone) record.error = to_string(kind);
+  count(kind, &record);
+  pending.sink(line);
+}
+
+void BatchService::count(ErrorKind kind, RequestRecord* record) {
+  const auto row = static_cast<std::size_t>(kind);
+  const Outcome& outcome = kOutcomes[row];
+  const auto& counters = outcome_counters();
+  if (counters[row] != nullptr) counters[row]->add(1);
+  if (outcome.completes) counters[static_cast<std::size_t>(ErrorKind::kNone)]->add(1);
   const std::lock_guard<std::mutex> lock(stats_mutex_);
+  if (outcome.field != nullptr) ++(stats_.*outcome.field);
+  if (outcome.completes) ++stats_.completed;
+  if (record == nullptr) return;
   if (records_.size() >= kMaxRequestRecords) {
     ++records_dropped_;
-    return;
+  } else {
+    records_.push_back(std::move(*record));
   }
-  records_.push_back(std::move(rec));
 }
 
 void BatchService::drain() {
@@ -867,7 +817,7 @@ obs::json::Value BatchService::session_block() const {
     r.set("request_id", obs::json::Value(rec.request_id));
     r.set("op", obs::json::Value(rec.op));
     r.set("benchmark", obs::json::Value(rec.benchmark));
-    r.set("ok", obs::json::Value(rec.ok));
+    r.set("ok", obs::json::Value(rec.error.empty()));
     if (!rec.error.empty()) r.set("error", obs::json::Value(rec.error));
     r.set("queue_ms", obs::json::Value(rec.queue_ms));
     r.set("run_ms", obs::json::Value(rec.run_ms));
@@ -1030,11 +980,11 @@ void SocketServer::connection_loop(std::shared_ptr<ConnState> state) {
     }
     buffer.erase(0, pos);
     if (buffer.size() > kMaxRequestBytes) {
-      // A line this long is rejected on length alone; close rather than
-      // buffer an unbounded stream waiting for its newline.
-      sink(error_response(-1, ErrorKind::kRequestTooLarge,
-                          "request line exceeds " + std::to_string(kMaxRequestBytes) +
-                              " bytes"));
+      // The service rejects a line this long on length alone; close rather
+      // than buffer an unbounded stream waiting for its newline. Cleared so
+      // the tail submit below does not submit it twice.
+      service_.submit_line(buffer, sink);
+      buffer.clear();
       ::shutdown(state->fd, SHUT_RDWR);
       break;
     }

@@ -162,7 +162,20 @@ class BatchService {
   /// Session::evaluate_group call, then one response per member. Coalesced
   /// responses are byte-identical to single ones (modulo queue_ms/run_ms).
   void dispatch(std::vector<Pending>&& group);
-  void record(RequestRecord rec);
+  /// A request's session record, up to its queue time.
+  static RequestRecord record_of(const Pending& pending, double queue_ms);
+  /// The exit of a line that was never admitted (too large, bad request,
+  /// shutdown, overloaded, queue full, cancel target not queued): counts the
+  /// answer, then writes it. No session record.
+  void reject(const ResponseSink& sink, std::int64_t id, std::string_view request_id,
+              ErrorKind kind, std::string_view message);
+  /// The exit of every admitted request: releases its admission cost,
+  /// counts the answer and appends @p record under one lock, then writes
+  /// @p line. kNone is an evaluation answered ok.
+  void answer(Pending& pending, RequestRecord record, ErrorKind kind, const std::string& line);
+  /// The one place Stats fields and the outcome counters move (the outcome
+  /// table in server.cpp); appends @p record when given.
+  void count(ErrorKind kind, RequestRecord* record);
   /// Refresh the live service.queue_depth / service.inflight gauges (and
   /// their peaks) from the authoritative sources. Called on every queue or
   /// in-flight transition, so every exit path is covered by construction.

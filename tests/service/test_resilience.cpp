@@ -17,12 +17,15 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "faults/faults.hpp"
+#include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "service/protocol.hpp"
 
 namespace pdn3d::service {
@@ -449,6 +452,292 @@ TEST_F(ServiceSocketTest, SocketResetFaultDropsConnectionNotServer) {
   server.stop();
   service.drain();
   std::remove(path.c_str());
+}
+
+// Read one response line ("" on EOF/error).
+std::string read_line(int fd) {
+  std::string out;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1) {
+    if (c == '\n') return out;
+    out += c;
+  }
+  return "";
+}
+
+// Send @p bytes of padding with no newline: past kMaxRequestBytes the reader
+// stops buffering and hands what it has to the service.
+std::string send_newline_less_stream(const std::string& path, std::size_t bytes,
+                                     std::string* after) {
+  const int fd = connect_client(path);
+  if (fd < 0) return "";
+  const std::string stream(bytes, 'x');
+  std::size_t off = 0;
+  while (off < stream.size()) {
+    const ssize_t n = ::send(fd, stream.data() + off, stream.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  const std::string answer = read_line(fd);
+  *after = read_line(fd);  // "" once the server closed the connection
+  ::close(fd);
+  return answer;
+}
+
+TEST_F(ServiceSocketTest, NewlineLessStreamPastTheCapIsAnsweredByTheService) {
+  const std::string path = testing::TempDir() + "pdn3d_too_large.sock";
+  std::remove(path.c_str());
+  const api::Session session;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  BatchService service(session, cfg);
+  service.start();
+  SocketServer server(service, path);
+  server.start();
+
+  std::string after;
+  const std::string answer = send_newline_less_stream(path, 70000, &after);
+  EXPECT_TRUE(contains(answer, R"({"id":-1,"ok":false,"error":{"kind":"request_too_large")"))
+      << answer;
+  EXPECT_TRUE(contains(answer, R"("request_id":"r-)")) << answer;
+  EXPECT_EQ(after, "");  // exactly one answer, then the connection closes
+
+  server.stop();
+  service.drain();
+  const auto s = service.stats();
+  EXPECT_EQ(s.submitted, 1u);
+  EXPECT_EQ(s.rejected_too_large, 1u);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The outcome table: every answer the service writes is counted first.
+
+/// The Stats fields and service.* outcome counters, by name.
+std::map<std::string, std::uint64_t> outcome_counts(const BatchService& service) {
+  const BatchService::Stats s = service.stats();
+  std::map<std::string, std::uint64_t> out = {
+      {"completed", s.completed},
+      {"rejected_full", s.rejected_full},
+      {"rejected_shutdown", s.rejected_shutdown},
+      {"rejected_overload", s.rejected_overload},
+      {"rejected_too_large", s.rejected_too_large},
+      {"bad_requests", s.bad_requests},
+      {"deadline_expired", s.deadline_expired},
+      {"cancelled", s.cancelled},
+      {"timeouts", s.timeouts},
+      {"internal_errors", s.internal_errors},
+  };
+  for (const char* name :
+       {"service.completed", "service.bad_requests", "service.queue_full",
+        "service.deadline_expired", "service.cancelled", "service.rejected_overload",
+        "service.timeouts", "service.request_too_large", "service.internal_errors"}) {
+    out[name] = obs::counter(name).value();
+  }
+  return out;
+}
+
+/// What moved between two outcome_counts() readings (nonzero deltas only).
+std::map<std::string, std::uint64_t> moved(const std::map<std::string, std::uint64_t>& before,
+                                           const std::map<std::string, std::uint64_t>& after) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : after) {
+    if (value != before.at(name)) out[name] = value - before.at(name);
+  }
+  return out;
+}
+
+/// Answers in the order they were written, each with what had moved since
+/// the previous one by the time its sink ran. The steps below let one answer
+/// be counted at a time, so each entry is exactly one answer's count.
+class Ledger {
+ public:
+  explicit Ledger(const BatchService& service) : service_(service), last_(outcome_counts(service)) {}
+
+  ResponseSink expect(std::string label) {
+    return [this, label](const std::string& line) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      auto now = outcome_counts(service_);
+      entries_.push_back({label, moved(last_, now), line});
+      last_ = std::move(now);
+      cv_.notify_all();
+    };
+  }
+
+  /// Take what moved outside an expect() sink as the new baseline.
+  std::map<std::string, std::uint64_t> rebase() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto now = outcome_counts(service_);
+    auto delta = moved(last_, now);
+    last_ = std::move(now);
+    return delta;
+  }
+
+  struct Entry {
+    std::string label;
+    std::map<std::string, std::uint64_t> moved;
+    std::string line;
+  };
+  std::vector<Entry> wait_for(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, 30s, [&] { return entries_.size() >= n; });
+    return entries_;
+  }
+
+ private:
+  const BatchService& service_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::map<std::string, std::uint64_t> last_;
+  std::vector<Entry> entries_;
+};
+
+using Moves = std::map<std::string, std::uint64_t>;
+
+void expect_entries(const std::vector<Ledger::Entry>& got,
+                    const std::vector<std::pair<std::string, Moves>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].label, want[i].first);
+    EXPECT_EQ(got[i].moved, want[i].second) << want[i].first << ": " << got[i].line.substr(0, 200);
+  }
+}
+
+/// The `id` and `error` of each session record, in order.
+std::vector<std::string> session_records(const BatchService& service) {
+  std::vector<std::string> out;
+  const obs::json::Value block = service.session_block();
+  for (const obs::json::Value& rec : block.find("requests")->items()) {
+    const obs::json::Value* error = rec.find("error");
+    out.push_back(std::to_string(static_cast<long long>(rec.find("id")->as_number())) + ":" +
+                  (error != nullptr ? error->as_string() : "ok"));
+  }
+  return out;
+}
+
+std::string health_line(BatchService& service) {
+  std::string line;
+  service.submit_line(R"({"id":0,"op":"health"})", [&line](const std::string& l) { line = l; });
+  return line;
+}
+
+TEST_F(ServiceResilience, EveryAnswerIsCountedBeforeItIsWritten) {
+  const Moves completed = {{"completed", 1}, {"service.completed", 1}};
+  const api::Session session;
+  const std::string path = testing::TempDir() + "pdn3d_outcomes.sock";
+  std::remove(path.c_str());
+
+  // Admission answers, a fresh result, a hit, and the queue's own outcomes.
+  // A validate costs 1, a lut 16: with the holder running and one request
+  // queued, a third validate fits the cost ceiling of 3 but not the queue.
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 1;
+  cfg.max_outstanding_cost = 3;
+  cfg.enable_test_ops = true;
+  BatchService service(session, cfg);
+  service.start();
+
+  // Every outcome counter is listed from the first scrape.
+  std::string scrape;
+  service.submit_line(R"({"id":0,"op":"stats"})", [&scrape](const std::string& l) { scrape = l; });
+  const obs::json::Value counters = *obs::json::parse(scrape).find("counters");
+  for (const char* name : {"service.completed", "service.timeouts", "service.internal_errors",
+                           "service.deadline_expired", "service.cancelled"}) {
+    EXPECT_NE(counters.find(name), nullptr) << name;
+  }
+
+  Ledger ledger(service);
+  std::string oversized = R"({"id":1,"op":"ping","pad":")";
+  oversized.append(kMaxRequestBytes, 'x');
+  oversized += "\"}";
+  service.submit_line("not json", ledger.expect("bad_request"));
+  service.submit_line(oversized, ledger.expect("too_large"));
+  service.submit_line(R"({"id":2,"op":"cancel","target":99})", ledger.expect("not_found"));
+  const std::string validate = R"(,"op":"validate","benchmark":"wide-io")";
+  service.submit_line(R"({"id":3)" + validate + "}", ledger.expect("fresh"));
+  ledger.wait_for(4);
+  service.submit_line(R"({"id":4)" + validate + "}", ledger.expect("hit"));
+  ledger.wait_for(5);
+
+  {
+    // The socket reader's over-long stream is answered by the service too.
+    SocketServer server(service, path);
+    server.start();
+    std::string after;
+    const std::string answer = send_newline_less_stream(path, 70000, &after);
+    EXPECT_TRUE(contains(answer, R"("request_id":"r-)")) << answer;
+    EXPECT_EQ(ledger.rebase(), (Moves{{"rejected_too_large", 1}, {"service.request_too_large", 1}}));
+    server.stop();
+  }
+
+  service.submit_line(R"({"id":5)" + validate + R"(,"test_sleep_ms":500})",
+                      ledger.expect("holder"));
+  wait_drained_queue(service);
+  service.submit_line(R"({"id":6)" + validate + "}", ledger.expect("cancelled"));
+  service.submit_line(R"({"id":7)" + validate + "}", ledger.expect("queue_full"));
+  service.submit_line(R"({"id":8,"op":"lut","benchmark":"wide-io"})", ledger.expect("overloaded"));
+  Collector canceller;
+  service.submit_line(R"({"id":9,"op":"cancel","target":6})", canceller.sink());
+  service.submit_line(R"({"id":10)" + validate + R"(,"deadline_ms":1})",
+                      ledger.expect("deadline"));
+  ledger.wait_for(10);
+  service.drain();
+  service.submit_line(R"({"id":11)" + validate + "}", ledger.expect("shutdown"));
+
+  expect_entries(ledger.wait_for(11),
+                 {{"bad_request", {{"bad_requests", 1}, {"service.bad_requests", 1}}},
+                  {"too_large", {{"rejected_too_large", 1}, {"service.request_too_large", 1}}},
+                  {"not_found", {}},
+                  {"fresh", completed},
+                  {"hit", completed},
+                  {"queue_full", {{"rejected_full", 1}, {"service.queue_full", 1}}},
+                  {"overloaded", {{"rejected_overload", 1}, {"service.rejected_overload", 1}}},
+                  {"cancelled", {{"cancelled", 1}, {"service.cancelled", 1}}},
+                  {"holder", completed},
+                  {"deadline", {{"deadline_expired", 1}, {"service.deadline_expired", 1}}},
+                  {"shutdown", {{"rejected_shutdown", 1}}}});
+  EXPECT_TRUE(contains(ledger.wait_for(11)[4].line, R"("cache":"hit")"));
+  EXPECT_TRUE(contains(canceller.lines().at(0), R"("ok":true,"op":"cancel","target":6)"));
+  EXPECT_TRUE(contains(health_line(service), R"("outstanding_cost":0)"));
+  // One record per admitted answer; admission rejections make none.
+  EXPECT_EQ(session_records(service),
+            (std::vector<std::string>{"3:ok", "4:ok", "6:cancelled", "5:ok",
+                                      "10:deadline_exceeded"}));
+  std::remove(path.c_str());
+
+  // The evaluation's own outcomes: a watchdog timeout (the injected stall
+  // stands in for a stuck solve) and a failed evaluation (an injected
+  // bad_alloc in the solve). An `internal` answer needs an exception to
+  // escape Session::evaluate_group, which catches every failure and falls
+  // back to one evaluate() per request, which catches every std::exception:
+  // no request reaches it, so the walk leaves it out.
+  ServiceConfig watched;
+  watched.workers = 1;
+  watched.watchdog_ms = 150.0;
+  BatchService evaluations(session, watched);
+  evaluations.start();
+  Ledger eval_ledger(evaluations);
+  ASSERT_EQ(faults::Registry::instance().configure("service.worker.stall=1.0#1:10000"), "");
+  evaluations.submit_line(R"({"id":1,"op":"evaluate","benchmark":"wide-io"})",
+                          eval_ledger.expect("timeout"));
+  eval_ledger.wait_for(1);
+  ASSERT_EQ(faults::Registry::instance().configure("irdrop.solve.alloc=1/1#1"), "");
+  evaluations.submit_line(R"({"id":2,"op":"evaluate","benchmark":"wide-io"})",
+                          eval_ledger.expect("failed"));
+  eval_ledger.wait_for(2);
+  evaluations.drain();
+
+  expect_entries(eval_ledger.wait_for(2),
+                 {{"timeout",
+                   {{"timeouts", 1}, {"service.timeouts", 1}, {"completed", 1},
+                    {"service.completed", 1}}},
+                  {"failed", completed}});
+  EXPECT_TRUE(contains(eval_ledger.wait_for(2)[0].line, R"("kind":"timeout")"));
+  EXPECT_TRUE(contains(eval_ledger.wait_for(2)[1].line, R"("kind":"evaluation_failed")"));
+  EXPECT_TRUE(contains(health_line(evaluations), R"("outstanding_cost":0)"));
+  EXPECT_EQ(session_records(evaluations),
+            (std::vector<std::string>{"1:timeout", "2:evaluation_failed"}));
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -188,16 +189,19 @@ Args parse_args(int argc, char** argv) {
   } else {
     a.benchmark = argv[2];
   }
-  const std::vector<std::string> value_opts = {
-      "--state", "--activity", "--policy", "--limit",  "--alpha",   "--out",
-      "--m2",    "--m3",       "--tc",     "--tl",     "--bd",      "--rdl",
-      "--scale", "--tech",     "--trace",  "--samples", "--decap",  "--die",
-      "--report", "--top",     "--threads", "--socket", "--queue",  "--deadline",
-      "--bench", "--checkpoint", "--max-cost", "--watchdog", "--slow-ms", "--log-format",
-      "--cache-entries", "--em-wire-limit", "--em-tsv-limit", "--em-temp"};
-  const std::vector<std::string> known_flags = {"--wb",      "--dedicated", "--no-align",
-                                               "--verbose", "--quiet",     "--test-ops",
-                                               "--resume",  "--em"};
+  std::vector<std::string> value_opts = {
+      "--state",   "--activity", "--policy",     "--limit",    "--alpha",   "--out",
+      "--tech",    "--trace",    "--samples",    "--decap",    "--die",     "--report",
+      "--top",     "--threads",  "--socket",     "--queue",    "--deadline", "--bench",
+      "--checkpoint", "--max-cost", "--watchdog", "--slow-ms", "--log-format",
+      "--cache-entries"};
+  std::vector<std::string> known_flags = {"--verbose", "--quiet", "--test-ops", "--resume"};
+  // The design knobs come from the option table: flag keys are flags, every
+  // other kind takes a value.
+  for (const api::OptionSpec& spec : api::design_option_specs()) {
+    (spec.kind == api::OptionKind::kFlag ? known_flags : value_opts)
+        .push_back("--" + std::string(spec.key));
+  }
   for (int i = first_opt; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool takes_value =
@@ -476,8 +480,12 @@ int run_facade(const Args& a, api::Operation op, core::BenchmarkKind kind,
   req.design = design_options(a);
   if (const auto v = a.get("--state")) req.state = *v;
   req.activity = get_double(a, "--activity", -1.0, -1.0, 1.0);
-  req.samples = get_int(a, "--samples", 200, 1, 10000000);
-  req.alpha = get_double(a, "--alpha", 0.3, 0.0, 1.0);
+  // Only their syntax here: validate() range-checks them where the
+  // operation reads them, as it does for a served request.
+  req.samples = get_int(a, "--samples", 200, std::numeric_limits<long long>::min(),
+                        std::numeric_limits<long long>::max());
+  req.alpha = get_double(a, "--alpha", 0.3, std::numeric_limits<double>::lowest(),
+                         std::numeric_limits<double>::max());
   if (const auto v = a.get("--checkpoint")) req.checkpoint_path = *v;
   req.resume = a.has_flag("--resume");
   const core::Status st = req.validate();
