@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Pin the co-optimizer's headline output to its end-to-end reference digests.
+"""Pin a CLI command set's output to its end-to-end reference digests.
 
-Runs `pdn3d cooptimize off-chip --alpha 0.3` and `pdn3d cooptimize hmc
---alpha 0.1` (the two benchmarks of the end-to-end cooptimize workload) at
---threads 1 and at --threads 8 and compares the SHA-256 of each stdout with
-the entry of the same command in e2ebench/references.json, which this script
-only reads. A change of the co-optimizer's printed bytes (a moved optimum, a
-reworded line, a thread-count dependence) then fails tier-1 without running
-the end-to-end benchmark.
+Runs each command of the chosen set at --threads 1 and at --threads 8 and
+compares the SHA-256 of each stdout with the entry of the same command in
+e2ebench/references.json, which this script only reads. A change of the
+printed bytes (a moved optimum, a reworded line, a thread-count dependence)
+then fails tier-1 without running the end-to-end benchmark.
 
-Usage: check_cooptimize_reference.py PDN3D_BINARY REFERENCES_JSON
+Command sets:
+  cooptimize (default)  `cooptimize off-chip --alpha 0.3` and `cooptimize hmc
+                        --alpha 0.1`, the two benchmarks of the end-to-end
+                        cooptimize workload;
+  simulate              `simulate <bench> --policy distr --limit 60` on the
+                        four benchmarks, each at its baseline and at the two
+                        other designs the cli-oneshot workload runs.
+
+Usage: check_cooptimize_reference.py PDN3D_BINARY REFERENCES_JSON [SET]
 Exit 0 when every digest matches, 1 otherwise.
 
 Stdlib only, so the build can run it as a ctest without extra deps.
@@ -21,25 +27,34 @@ import os
 import subprocess
 import sys
 
-COMMANDS = (
-    ["cooptimize", "off-chip", "--alpha", "0.3"],
-    ["cooptimize", "hmc", "--alpha", "0.1"],
-)
+SIMULATE_DESIGNS = ([], ["--m2", "15", "--m3", "30"], ["--m2", "8", "--m3", "25", "--tc", "64"])
+COMMAND_SETS = {
+    "cooptimize": (
+        ["cooptimize", "off-chip", "--alpha", "0.3"],
+        ["cooptimize", "hmc", "--alpha", "0.1"],
+    ),
+    "simulate": tuple(
+        ["simulate", bench, "--policy", "distr", "--limit", "60", *design]
+        for bench in ("off-chip", "on-chip", "wide-io", "hmc")
+        for design in SIMULATE_DESIGNS
+    ),
+}
 THREADS = ("1", "8")
 
 
 def main(argv):
-    if len(argv) != 3:
-        print("usage: check_cooptimize_reference.py PDN3D_BINARY REFERENCES_JSON",
-              file=sys.stderr)
+    if len(argv) not in (3, 4) or (len(argv) == 4 and argv[3] not in COMMAND_SETS):
+        print("usage: check_cooptimize_reference.py PDN3D_BINARY REFERENCES_JSON "
+              f"[{' | '.join(COMMAND_SETS)}]", file=sys.stderr)
         return 2
     binary, references = argv[1], argv[2]
+    commands = COMMAND_SETS[argv[3] if len(argv) == 4 else "cooptimize"]
     with open(references, encoding="utf-8") as fh:
         recorded = json.load(fh)
     # The references were recorded without any PDN3D_* switch in effect.
     env = {k: v for k, v in os.environ.items() if not k.startswith("PDN3D_")}
     failed = False
-    for command in COMMANDS:
+    for command in commands:
         expected = recorded[" ".join(command)]
         for threads in THREADS:
             proc = subprocess.run([binary, *command, "--threads", threads], env=env,

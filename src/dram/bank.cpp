@@ -1,53 +1,8 @@
 #include "dram/bank.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace pdn3d::dram {
-
-Bank::Phase Bank::phase(Cycle now) const {
-  if (precharging_) {
-    return now >= precharge_done_ ? Phase::kClosed : Phase::kPrecharging;
-  }
-  if (!open_) return Phase::kClosed;
-  return now >= row_ready_ ? Phase::kOpen : Phase::kOpening;
-}
-
-bool Bank::can_activate(Cycle now) const {
-  return phase(now) == Phase::kClosed && now >= precharge_done_;
-}
-
-bool Bank::can_read(Cycle now, long row) const {
-  if (phase(now) != Phase::kOpen || open_row_ != row) return false;
-  if (last_read_ != kNever && now < last_read_ + timing_->tCCD) return false;
-  // Write-to-read turnaround: the write data must land plus tWTR.
-  if (last_write_ != kNever &&
-      now < last_write_ + timing_->tCWL + timing_->burst_cycles() + timing_->tWTR) {
-    return false;
-  }
-  return true;
-}
-
-bool Bank::can_write(Cycle now, long row) const {
-  if (phase(now) != Phase::kOpen || open_row_ != row) return false;
-  if (last_write_ != kNever && now < last_write_ + timing_->tCCD) return false;
-  // Read-to-write bus turnaround.
-  if (last_read_ != kNever && now < last_read_ + timing_->tRTW) return false;
-  return true;
-}
-
-bool Bank::can_precharge(Cycle now) const {
-  const Phase p = phase(now);
-  if (p != Phase::kOpen && p != Phase::kOpening) return false;
-  if (now < ras_satisfied_) return false;
-  if (last_read_ != kNever && now < last_read_ + timing_->tRTP) return false;
-  // Write recovery: data must be restored to the array before closing.
-  if (last_write_ != kNever &&
-      now < last_write_ + timing_->tCWL + timing_->burst_cycles() + timing_->tWR) {
-    return false;
-  }
-  return true;
-}
 
 void Bank::activate(Cycle now, long row) {
   if (!can_activate(now)) throw std::logic_error("Bank::activate: illegal");
@@ -83,10 +38,6 @@ void Bank::precharge(Cycle now) {
   precharging_ = true;
   precharge_issued_ = now;
   precharge_done_ = now + timing_->tRP;
-}
-
-Cycle Bank::last_activity() const {
-  return std::max({last_read_, last_write_, row_ready_});
 }
 
 }  // namespace pdn3d::dram

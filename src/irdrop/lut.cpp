@@ -145,9 +145,9 @@ IrLut IrLut::load(std::istream& is) {
     for (int d = 0; d < dies; ++d) {
       counts[static_cast<std::size_t>(d)] = std::stoi(parts[static_cast<std::size_t>(d)]);
     }
-    const std::size_t key = lut.index(counts);
-    if (lut.table_[key] < 0.0) ++filled;
-    lut.table_[key] = value;
+    const std::size_t k = lut.key(counts);
+    if (lut.table_[k] < 0.0) ++filled;
+    lut.table_[k] = value;
   }
   if (filled != total) {
     throw std::runtime_error("IrLut::load: table incomplete (" + std::to_string(filled) + "/" +
@@ -156,23 +156,23 @@ IrLut IrLut::load(std::istream& is) {
   return lut;
 }
 
-std::size_t IrLut::index(const std::vector<int>& counts) const {
+std::size_t IrLut::key(std::span<const int> counts) const {
   if (static_cast<int>(counts.size()) != die_count_) {
     throw std::invalid_argument("IrLut: counts size mismatch");
   }
   const int radix = max_per_die_ + 1;
-  std::size_t key = 0;
+  std::size_t out = 0;
   std::size_t mult = 1;
   for (int d = 0; d < die_count_; ++d) {
     const int c = counts[static_cast<std::size_t>(d)];
     if (c < 0 || c > max_per_die_) throw std::out_of_range("IrLut: count out of range");
-    key += static_cast<std::size_t>(c) * mult;
+    out += static_cast<std::size_t>(c) * mult;
     mult *= static_cast<std::size_t>(radix);
   }
-  return key;
+  return out;
 }
 
-double IrLut::max_ir_mv(const std::vector<int>& counts) const { return table_[index(counts)]; }
+double IrLut::max_ir_mv(const std::vector<int>& counts) const { return table_[key(counts)]; }
 
 double IrLut::worst_case_mv() const {
   return table_.empty() ? 0.0 : *std::max_element(table_.begin(), table_.end());

@@ -11,6 +11,7 @@
 
 #include <istream>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "irdrop/analysis.hpp"
@@ -46,6 +47,11 @@ class IrLut {
   /// Max IR drop (mV) of the state with the given per-die active-bank counts.
   [[nodiscard]] double max_ir_mv(const std::vector<int>& counts) const;
 
+  /// Table key of a state: die d's count is digit d, base max_per_die() + 1.
+  /// Throws std::invalid_argument on a wrong die count and std::out_of_range
+  /// on a count outside [0, max_per_die()].
+  [[nodiscard]] std::size_t key(std::span<const int> counts) const;
+
   [[nodiscard]] int die_count() const { return die_count_; }
   [[nodiscard]] int max_per_die() const { return max_per_die_; }
 
@@ -69,8 +75,6 @@ class IrLut {
  private:
   IrLut(int die_count, int max_per_die, std::vector<double> table)
       : die_count_(die_count), max_per_die_(max_per_die), table_(std::move(table)) {}
-
-  [[nodiscard]] std::size_t index(const std::vector<int>& counts) const;
 
   int die_count_ = 0;
   int max_per_die_ = 0;

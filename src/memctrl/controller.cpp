@@ -59,6 +59,7 @@ SimResult MemoryController::run(std::vector<Request> requests) {
   std::vector<dram::Cycle> bus_free(static_cast<std::size_t>(config_.channels), 0);
 
   ActivationPolicy policy(policy_config_, t, config_.dies, config_.max_active_per_die);
+  const irdrop::IrLut* lut = policy_config_.lut;
 
   std::vector<Request> queue;
   queue.reserve(static_cast<std::size_t>(config_.queue_capacity));
@@ -68,13 +69,37 @@ SimResult MemoryController::run(std::vector<Request> requests) {
   long completed = 0;
   const long total = static_cast<long>(requests.size());
   dram::Cycle now = 0;
-  dram::Cycle last_progress = 0;
+  dram::Cycle last_progress = 0;  ///< last request progress: arrival or command
   dram::Cycle last_completion = 0;
   double active_bank_cycles = 0.0;
 
+  // A bank is active (dram::Bank::is_active) exactly while it is open, at
+  // any cycle, so per-die counts kept on activate/precharge equal a recount
+  // of every bank. Each cycle works on a snapshot taken at its top (plus its
+  // own activations): a bank precharged during the cycle still counts until
+  // the next one.
+  std::vector<int> open_per_die(static_cast<std::size_t>(config_.dies), 0);
   std::vector<int> active_per_die(static_cast<std::size_t>(config_.dies), 0);
+  std::vector<int> open_banks;  ///< keys of the open banks, in no particular order
+  open_banks.reserve(static_cast<std::size_t>(nbanks));
+  bool state_changed = false;  ///< open_per_die moved since the last snapshot
+  std::vector<int> clamped(static_cast<std::size_t>(config_.dies), 0);
+  std::vector<int> bank_channel(static_cast<std::size_t>(nbanks), 0);
+  for (int d = 0; d < config_.dies; ++d) {
+    for (int b = 0; b < config_.banks_per_die; ++b) {
+      bank_channel[static_cast<std::size_t>(d * config_.banks_per_die + b)] = channel_of(d, b);
+    }
+  }
   std::vector<char> bank_touched(static_cast<std::size_t>(nbanks), 0);
   std::vector<char> cmd_used(static_cast<std::size_t>(config_.channels), 0);
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> to_remove;
+  order.reserve(queue.capacity());
+  to_remove.reserve(queue.capacity());
+  // Cycles spent at each queue depth: published with one histogram update
+  // per depth when the run ends, the same buckets, count and (whole-number)
+  // sum as one observation per cycle.
+  std::vector<std::uint64_t> depth_cycles(queue.capacity() + 1, 0);
 
   // Refresh bookkeeping (per die), staggered so dies do not refresh together.
   std::vector<dram::Cycle> refresh_due(static_cast<std::size_t>(config_.dies), dram::kNever);
@@ -92,8 +117,19 @@ SimResult MemoryController::run(std::vector<Request> requests) {
            (refresh_until[d] != dram::kNever && cyc < refresh_until[d]);
   };
 
-  const auto bank_at = [&](int die, int bank) -> dram::Bank& {
-    return banks[static_cast<std::size_t>(die * config_.banks_per_die + bank)];
+  const auto activate = [&](int key, long row) {
+    banks[static_cast<std::size_t>(key)].activate(now, row);
+    ++open_per_die[static_cast<std::size_t>(key / config_.banks_per_die)];
+    open_banks.push_back(key);
+    state_changed = true;
+  };
+  const auto precharge = [&](int key) {
+    banks[static_cast<std::size_t>(key)].precharge(now);
+    ++result.precharges;
+    --open_per_die[static_cast<std::size_t>(key / config_.banks_per_die)];
+    *std::find(open_banks.begin(), open_banks.end(), key) = open_banks.back();
+    open_banks.pop_back();
+    state_changed = true;
   };
 
   while (completed < total) {
@@ -104,27 +140,25 @@ SimResult MemoryController::run(std::vector<Request> requests) {
       ++next_arrival;
       last_progress = now;
     }
-    m_queue_depth.observe(static_cast<double>(queue.size()));
+    ++depth_cycles[queue.size()];
 
     // --- Current memory state. ---------------------------------------------
-    std::fill(active_per_die.begin(), active_per_die.end(), 0);
-    for (int d = 0; d < config_.dies; ++d) {
-      for (int b = 0; b < config_.banks_per_die; ++b) {
-        if (bank_at(d, b).is_active(now)) ++active_per_die[static_cast<std::size_t>(d)];
-      }
-    }
-    {
-      int total_active = 0;
-      for (int c : active_per_die) total_active += c;
-      active_bank_cycles += total_active;
-      if (policy_config_.lut != nullptr && total_active > 0) {
-        std::vector<int> clamped = active_per_die;
-        for (int& c : clamped) c = std::min(c, policy_config_.lut->max_per_die());
-        result.max_ir_mv = std::max(result.max_ir_mv, policy_config_.lut->max_ir_mv(clamped));
+    std::copy(open_per_die.begin(), open_per_die.end(), active_per_die.begin());
+    const auto total_active = static_cast<int>(open_banks.size());
+    active_bank_cycles += total_active;
+    // The worst LUT entry visited only moves when the state does.
+    if (state_changed) {
+      state_changed = false;
+      if (lut != nullptr && total_active > 0) {
+        for (std::size_t d = 0; d < clamped.size(); ++d) {
+          clamped[d] = std::min(active_per_die[d], lut->max_per_die());
+        }
+        result.max_ir_mv = std::max(result.max_ir_mv, lut->max_ir_mv(clamped));
       }
     }
 
     // --- Refresh scheduling (optional). --------------------------------------
+    bool refreshed = false;
     if (config_.enable_refresh) {
       for (int d = 0; d < config_.dies; ++d) {
         const auto dd = static_cast<std::size_t>(d);
@@ -134,11 +168,10 @@ SimResult MemoryController::run(std::vector<Request> requests) {
         if (refresh_pending[dd]) {
           bool all_closed = true;
           for (int b = 0; b < config_.banks_per_die; ++b) {
-            dram::Bank& bank = bank_at(d, b);
-            const auto ph = bank.phase(now);
-            if (ph == dram::Bank::Phase::kOpen && bank.can_precharge(now)) {
-              bank.precharge(now);
-              ++result.precharges;
+            const int key = d * config_.banks_per_die + b;
+            const dram::Bank& bank = banks[static_cast<std::size_t>(key)];
+            if (bank.phase(now) == dram::Bank::Phase::kOpen && bank.can_precharge(now)) {
+              precharge(key);
             }
             if (bank.phase(now) != dram::Bank::Phase::kClosed) all_closed = false;
           }
@@ -147,30 +180,33 @@ SimResult MemoryController::run(std::vector<Request> requests) {
             refresh_until[dd] = now + t.tRFC;
             refresh_due[dd] += t.tREFI;
             ++result.refreshes;
-            last_progress = now;
+            refreshed = true;
           }
         }
       }
     }
 
     // --- Idle-bank auto close (power action, Section 2.3). ------------------
-    for (int d = 0; d < config_.dies; ++d) {
-      for (int b = 0; b < config_.banks_per_die; ++b) {
-        dram::Bank& bank = bank_at(d, b);
-        if (bank.phase(now) == dram::Bank::Phase::kOpen &&
-            now - bank.last_activity() > config_.bank_close_timeout && bank.can_precharge(now)) {
-          bank.precharge(now);
-          ++result.precharges;
-        }
+    // Only an open bank can close, and whether it does depends on that bank
+    // alone, so the visiting order is free; precharge() swaps the last open
+    // bank into slot i.
+    for (std::size_t i = 0; i < open_banks.size();) {
+      const int key = open_banks[i];
+      const dram::Bank& bank = banks[static_cast<std::size_t>(key)];
+      if (bank.phase(now) == dram::Bank::Phase::kOpen &&
+          now - bank.last_activity() > config_.bank_close_timeout && bank.can_precharge(now)) {
+        precharge(key);
+      } else {
+        ++i;
       }
     }
 
     // --- Issue commands. -----------------------------------------------------
     std::fill(bank_touched.begin(), bank_touched.end(), 0);
     std::fill(cmd_used.begin(), cmd_used.end(), 0);
-    const auto order = schedule_order(queue, policy_config_.scheduling, active_per_die);
+    schedule_order(queue, policy_config_.scheduling, active_per_die, order);
     bool act_gate_open = true;
-    std::vector<std::size_t> to_remove;
+    to_remove.clear();
     for (std::size_t oi = 0; oi < order.size(); ++oi) {
       const std::size_t qi = order[oi];
       // An in-order controller only opens/closes rows for the oldest request
@@ -179,11 +215,11 @@ SimResult MemoryController::run(std::vector<Request> requests) {
       const bool may_manage_rows = policy_config_.out_of_order || oi == 0;
       Request& r = queue[qi];
       if (config_.enable_refresh && die_blocked(r.die, now)) continue;
-      const int ch = channel_of(r.die, r.bank);
-      if (cmd_used[static_cast<std::size_t>(ch)]) continue;
       const int bank_key = r.die * config_.banks_per_die + r.bank;
+      const int ch = bank_channel[static_cast<std::size_t>(bank_key)];
+      if (cmd_used[static_cast<std::size_t>(ch)]) continue;
       if (bank_touched[static_cast<std::size_t>(bank_key)]) continue;
-      dram::Bank& bank = bank_at(r.die, r.bank);
+      dram::Bank& bank = banks[static_cast<std::size_t>(bank_key)];
 
       const bool column_ready =
           r.is_write ? bank.can_write(now, r.row) : bank.can_read(now, r.row);
@@ -214,8 +250,7 @@ SimResult MemoryController::run(std::vector<Request> requests) {
         if (!may_manage_rows) continue;
         bank_touched[static_cast<std::size_t>(bank_key)] = 1;
         if (bank.can_precharge(now)) {
-          bank.precharge(now);
-          ++result.precharges;
+          precharge(bank_key);
           cmd_used[static_cast<std::size_t>(ch)] = 1;
           last_progress = now;
         }
@@ -233,14 +268,12 @@ SimResult MemoryController::run(std::vector<Request> requests) {
           if (policy_config_.scheduling == SchedulingKind::kFcfs) act_gate_open = false;
           continue;
         }
-        {
-          bank.activate(now, r.row);
-          policy.note_activate(now);
-          ++active_per_die[static_cast<std::size_t>(r.die)];
-          ++result.activates;
-          cmd_used[static_cast<std::size_t>(ch)] = 1;
-          last_progress = now;
-        }
+        activate(bank_key, r.row);
+        policy.note_activate(now);
+        ++active_per_die[static_cast<std::size_t>(r.die)];
+        ++result.activates;
+        cmd_used[static_cast<std::size_t>(ch)] = 1;
+        last_progress = now;
         continue;
       }
       // Opening or precharging: nothing to do this cycle.
@@ -254,19 +287,29 @@ SimResult MemoryController::run(std::vector<Request> requests) {
     }
 
     // --- Stall detection (IR constraint may admit no state at all). --------
-    if (last_progress != now) ++stall_cycles;
+    // A completed refresh is not a stall cycle, but only request progress
+    // resets the infeasibility timer: refreshes go on completing when the
+    // constraint admits no state.
+    if (last_progress != now && !refreshed) ++stall_cycles;
     if (now - last_progress > config_.stall_limit) {
       result.feasible = false;
       break;
     }
     ++now;
   }
+  for (std::size_t depth = 0; depth < depth_cycles.size(); ++depth) {
+    if (depth_cycles[depth] > 0) {
+      m_queue_depth.observe(static_cast<double>(depth), depth_cycles[depth]);
+    }
+  }
   m_stalls.add(stall_cycles);
   m_requests.add(static_cast<std::uint64_t>(completed));
-  span.attribute("requests", static_cast<std::uint64_t>(completed));
-  span.attribute("feasible", result.feasible ? "true" : "false");
 
   result.cycles = result.feasible ? last_completion : now;
+  span.attribute("requests", static_cast<std::uint64_t>(completed));
+  span.attribute("feasible", result.feasible ? "true" : "false");
+  span.attribute("cycles", static_cast<std::uint64_t>(result.cycles));
+  span.attribute("stall_cycles", stall_cycles);
   result.runtime_us = t.cycles_to_us(result.cycles);
   const long column_ops = result.reads + result.writes;
   result.bandwidth_reads_per_clk =

@@ -14,6 +14,8 @@
 ///    prioritizes requests whose target die currently has the fewest active
 ///    banks, balancing reads across dies.
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "dram/bank.hpp"
@@ -59,10 +61,14 @@ PolicyConfig ir_aware_policy(double constraint_mv,
 /// Decides whether a new activation on @p die is admissible now.
 class ActivationPolicy {
  public:
+  /// An IR-aware policy decides here, once, every (memory state, die)
+  /// admission its LUT covers; allows() then reads that table.
   ActivationPolicy(const PolicyConfig& config, const dram::TimingParams& timing, int dies,
                    int max_active_per_die);
 
   /// @param active_per_die current active-bank counts (Opening|Open).
+  /// IR-aware: throws what the LUT lookup of the resulting state throws --
+  /// std::out_of_range when a count leaves the table's range.
   [[nodiscard]] bool allows(dram::Cycle now, int die,
                             const std::vector<int>& active_per_die) const;
 
@@ -76,14 +82,18 @@ class ActivationPolicy {
   const dram::TimingParams* timing_;
   int max_active_per_die_;
   dram::Cycle last_activate_ = dram::kNever;
-  std::vector<dram::Cycle> recent_activates_;  ///< ring of last 4 ACT times
+  std::array<dram::Cycle, 4> recent_activates_;  ///< ring of the last 4 ACT times
+  std::size_t next_recent_ = 0;                  ///< ring slot of the next ACT
+  /// IR-aware: admitted_[key * dies + die] is 1 iff an activation on `die`
+  /// from the state with LUT key `key` is admitted (die count at the LUT's
+  /// top: 0, allows() throws before reading it).
+  std::vector<std::uint8_t> admitted_;
 };
 
-/// Sort request-queue indices by scheduling priority.
+/// Order request-queue indices by scheduling priority, highest first, into
+/// @p order (overwritten; a buffer the caller reuses across cycles).
 /// @param queue the pending requests; @param active_per_die current counts.
-/// Returns indices into @p queue, highest priority first.
-std::vector<std::size_t> schedule_order(const std::vector<Request>& queue,
-                                        SchedulingKind scheduling,
-                                        const std::vector<int>& active_per_die);
+void schedule_order(const std::vector<Request>& queue, SchedulingKind scheduling,
+                    const std::vector<int>& active_per_die, std::vector<std::size_t>& order);
 
 }  // namespace pdn3d::memctrl

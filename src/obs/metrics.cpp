@@ -15,12 +15,12 @@ Histogram::Histogram(std::vector<double> upper_bounds) : bounds_(std::move(upper
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
 }
 
-void Histogram::observe(double v) {
+void Histogram::observe(double v, std::uint64_t n) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+  buckets_[idx].fetch_add(n, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(v * static_cast<double>(n), std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {

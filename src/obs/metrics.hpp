@@ -60,7 +60,10 @@ class Histogram {
   /// @p upper_bounds must be non-empty and strictly increasing.
   explicit Histogram(std::vector<double> upper_bounds);
 
-  void observe(double v);
+  /// Record @p v, @p n times over in one update. Buckets and count match n
+  /// single observations; so does the sum whenever v * n is exact (whole
+  /// numbers, e.g. a per-cycle depth tallied by a loop and published once).
+  void observe(double v, std::uint64_t n = 1);
 
   [[nodiscard]] const std::vector<double>& upper_bounds() const { return bounds_; }
   /// Per-bucket counts; size() == upper_bounds().size() + 1 (overflow last).

@@ -891,11 +891,11 @@ void SocketServer::start() {
   acceptor_ = std::thread([this] { accept_loop(); });
 }
 
-/// Shared connection state: the reader thread, every in-flight response
-/// sink, and stop() each hold a shared_ptr, so the fd stays valid (not
-/// closed, hence never recycled) until the last of them lets go. stop() may
-/// therefore shutdown() the fd of a reader that already exited without
-/// racing a close().
+/// Shared connection state: the reader thread and every in-flight response
+/// sink hold a shared_ptr, so the fd stays valid (not closed, hence never
+/// recycled) until the last of them lets go; the client then reads EOF.
+/// stop() locks the connection's weak_ptr before it shutdown()s the fd, so
+/// it cannot race a close().
 struct SocketServer::ConnState {
   int fd = -1;
   std::mutex write_mutex;        ///< serializes response writes
@@ -907,7 +907,8 @@ struct SocketServer::ConnState {
 
 void SocketServer::reap_finished_locked() {
   for (auto it = connections_.begin(); it != connections_.end();) {
-    if (it->state->reader_done.load(std::memory_order_acquire)) {
+    const auto state = it->state.lock();
+    if (state == nullptr || state->reader_done.load(std::memory_order_acquire)) {
       it->reader.join();  // done flag is the reader's last store; join is brief
       it = connections_.erase(it);
     } else {
@@ -980,12 +981,14 @@ void SocketServer::connection_loop(std::shared_ptr<ConnState> state) {
     }
     buffer.erase(0, pos);
     if (buffer.size() > kMaxRequestBytes) {
-      // The service rejects a line this long on length alone; close rather
-      // than buffer an unbounded stream waiting for its newline. Cleared so
+      // The service rejects a line this long on length alone; stop reading
+      // rather than buffer an unbounded stream waiting for its newline.
+      // Only the read side: answers to requests admitted before it still
+      // go out, and the fd closes when the last of them lets go. Cleared so
       // the tail submit below does not submit it twice.
       service_.submit_line(buffer, sink);
       buffer.clear();
-      ::shutdown(state->fd, SHUT_RDWR);
+      ::shutdown(state->fd, SHUT_RD);
       break;
     }
   }
@@ -1008,8 +1011,10 @@ void SocketServer::stop() {
   // Unblock readers parked in read() on connections the client never closed:
   // SHUT_RD makes their read() return 0 without cutting the write side, so
   // responses still in flight keep delivering through the caller's
-  // BatchService::drain. The shared state guarantees the fd is still ours.
-  for (auto& c : conns) ::shutdown(c.state->fd, SHUT_RD);
+  // BatchService::drain. A locked state keeps the fd ours while we shut it.
+  for (auto& c : conns) {
+    if (const auto state = c.state.lock()) ::shutdown(state->fd, SHUT_RD);
+  }
   for (auto& c : conns) c.reader.join();
   ::unlink(path_.c_str());
 }

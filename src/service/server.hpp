@@ -239,13 +239,15 @@ class SocketServer {
   void stop();
 
  private:
-  /// Shared between the reader thread, every in-flight response sink, and
-  /// stop(); owns the fd (closed when the last holder lets go). Defined in
+  /// Shared between the reader thread and every in-flight response sink;
+  /// owns the fd (closed when the last holder lets go). Defined in
   /// server.cpp.
   struct ConnState;
   struct Connection {
     std::thread reader;
-    std::shared_ptr<ConnState> state;
+    /// Weak, so a connection closes once its reader and its answers are
+    /// done rather than when it is reaped; stop() locks it.
+    std::weak_ptr<ConnState> state;
   };
 
   void accept_loop();

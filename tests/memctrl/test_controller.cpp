@@ -152,6 +152,23 @@ TEST(Controller, TightConstraintIsInfeasible) {
   EXPECT_EQ(r.reads, 0);
 }
 
+TEST(Controller, RefreshWithNoAdmissibleStateIsInfeasible) {
+  // Refreshes keep completing while no activation is admitted; they must
+  // not reset the infeasibility timer, or the run never returns.
+  auto pc = ir_aware_policy(1.0, SchedulingKind::kFcfs);  // below any state
+  pc.lut = &shared_lut();
+  SimConfig sim = ddr3_sim();
+  sim.stall_limit = 2000;
+  sim.enable_refresh = true;
+  MemoryController mc(sim, pc);
+  const auto r = mc.run(simple_requests(10));
+  EXPECT_FALSE(r.feasible);
+  EXPECT_EQ(r.reads, 0);
+  EXPECT_GE(r.refreshes, 1);  // the first one falls due at cycle 1560
+  // The last arrival (cycle 45) was the last progress.
+  EXPECT_EQ(r.cycles, 45 + sim.stall_limit + 1);
+}
+
 TEST(Controller, DistRBalancesAcrossDies) {
   WorkloadConfig wc;
   wc.num_requests = 4000;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "util/rng.hpp"
+
 namespace pdn3d::memctrl {
 namespace {
 
@@ -71,7 +76,8 @@ TEST(ScheduleOrder, FcfsSortsByArrival) {
   q[0].arrival = 30;
   q[1].arrival = 10;
   q[2].arrival = 20;
-  const auto order = schedule_order(q, SchedulingKind::kFcfs, {0, 0, 0, 0});
+  std::vector<std::size_t> order;
+  schedule_order(q, SchedulingKind::kFcfs, {0, 0, 0, 0}, order);
   EXPECT_EQ(order, (std::vector<std::size_t>{1, 2, 0}));
 }
 
@@ -81,7 +87,8 @@ TEST(ScheduleOrder, DistRPrefersLeastActiveDie) {
   q[0].die = 0;  // older, but die 0 is busy
   q[1].arrival = 10;
   q[1].die = 2;  // younger, idle die
-  const auto order = schedule_order(q, SchedulingKind::kDistR, {2, 0, 0, 0});
+  std::vector<std::size_t> order;
+  schedule_order(q, SchedulingKind::kDistR, {2, 0, 0, 0}, order);
   EXPECT_EQ(order.front(), 1u);
 }
 
@@ -91,8 +98,36 @@ TEST(ScheduleOrder, DistRBreaksTiesByArrival) {
   q[0].die = 1;
   q[1].arrival = 0;
   q[1].die = 3;
-  const auto order = schedule_order(q, SchedulingKind::kDistR, {0, 0, 0, 0});
+  std::vector<std::size_t> order;
+  schedule_order(q, SchedulingKind::kDistR, {0, 0, 0, 0}, order);
   EXPECT_EQ(order.front(), 1u);
+}
+
+TEST(ScheduleOrder, StrictlyIncreasingArrivalsGiveTheUniqueSortedOrder) {
+  // Distinct arrivals make each comparator a strict total order, so the
+  // linear passes must land on the one order any correct sort gives.
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Request> q(static_cast<std::size_t>(rng.next_int(0, 40)));
+    dram::Cycle arrival = 0;
+    for (Request& r : q) {
+      arrival += rng.next_int(1, 3);
+      r.arrival = arrival;
+      r.die = rng.next_int(0, 3);
+    }
+    const std::vector<int> active = {rng.next_int(0, 2), rng.next_int(0, 2), rng.next_int(0, 2),
+                                     rng.next_int(0, 2)};
+    std::vector<std::size_t> expected(q.size());
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    std::vector<std::size_t> order;
+    schedule_order(q, SchedulingKind::kFcfs, active, order);
+    EXPECT_EQ(order, expected) << "trial " << trial;
+    const auto load = [&](std::size_t i) { return active[static_cast<std::size_t>(q[i].die)]; };
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::size_t a, std::size_t b) { return load(a) < load(b); });
+    schedule_order(q, SchedulingKind::kDistR, active, order);
+    EXPECT_EQ(order, expected) << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -13,9 +13,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -506,6 +508,66 @@ TEST_F(ServiceSocketTest, NewlineLessStreamPastTheCapIsAnsweredByTheService) {
   service.drain();
   const auto s = service.stats();
   EXPECT_EQ(s.submitted, 1u);
+  EXPECT_EQ(s.rejected_too_large, 1u);
+  std::remove(path.c_str());
+}
+
+TEST_F(ServiceSocketTest, RequestPipelinedBeforeAnOverLongStreamIsStillAnswered) {
+  const std::string path = testing::TempDir() + "pdn3d_pipelined_too_large.sock";
+  std::remove(path.c_str());
+  const api::Session session;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  BatchService service(session, cfg);
+  service.start();
+  SocketServer server(service, path);
+  server.start();
+
+  // A complete request, then a stream past the cap on the same connection:
+  // the reader stops reading, but the admitted request is still answered
+  // before the connection closes.
+  const int fd = connect_client(path);
+  ASSERT_GE(fd, 0);
+  const std::string stream =
+      std::string(R"({"id":1,"op":"evaluate","benchmark":"hmc"})") + "\n" + std::string(70000, 'x');
+  std::size_t off = 0;
+  while (off < stream.size()) {
+    const ssize_t n = ::send(fd, stream.data() + off, stream.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server stopped reading: EPIPE
+    off += static_cast<std::size_t>(n);
+  }
+  std::vector<std::string> answers;
+  std::string line;
+  char c = 0;
+  ssize_t n = 0;
+  while ((n = ::read(fd, &c, 1)) == 1) {
+    if (c != '\n') {
+      line += c;
+      continue;
+    }
+    answers.push_back(line);
+    line.clear();
+  }
+  // Closed, not timed out (SO_RCVTIMEO): EOF, or a reset because the
+  // stream's unread tail was still queued at the server when it closed.
+  const int read_errno = n == 0 ? 0 : errno;
+  ::close(fd);
+  EXPECT_TRUE(n == 0 || read_errno == ECONNRESET) << std::strerror(read_errno);
+  EXPECT_EQ(line, "");
+  ASSERT_EQ(answers.size(), 2u);
+  // Completion order: the evaluation may finish before or after the reject.
+  const bool evaluate_first = contains(answers[0], R"({"id":1,"ok":true)");
+  EXPECT_TRUE(contains(answers[evaluate_first ? 0 : 1], R"({"id":1,"ok":true)"))
+      << answers[0] << "\n" << answers[1];
+  EXPECT_TRUE(contains(answers[evaluate_first ? 1 : 0],
+                       R"({"id":-1,"ok":false,"error":{"kind":"request_too_large")"))
+      << answers[0] << "\n" << answers[1];
+
+  server.stop();
+  service.drain();
+  const auto s = service.stats();
+  EXPECT_EQ(s.submitted, 2u);
+  EXPECT_EQ(s.completed, 1u);
   EXPECT_EQ(s.rejected_too_large, 1u);
   std::remove(path.c_str());
 }
