@@ -110,11 +110,18 @@ void BM_TriangularSolveBatch(benchmark::State& state) {
   const std::size_t n = g.dimension();
   std::vector<double> rhs(n * count, 0.0);
   for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] = 1e-3 * static_cast<double>(i % 17);
-  std::vector<double> x(n * count, 0.0);
-  std::vector<double> work;
+  // Blocks of up to kSolveBlock right-hand sides, loaded node-major and
+  // solved in place.
+  std::vector<double> block(n * std::min(count, linalg::kSolveBlock), 0.0);
   for (auto _ : state) {
-    chol.solve_batch(rhs, x, count, work);
-    benchmark::DoNotOptimize(x.data());
+    for (std::size_t first = 0; first < count; first += linalg::kSolveBlock) {
+      const std::size_t width = std::min(linalg::kSolveBlock, count - first);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t r = 0; r < width; ++r) block[i * width + r] = rhs[(first + r) * n + i];
+      }
+      chol.solve_block(std::span(block).first(n * width), width);
+    }
+    benchmark::DoNotOptimize(block.data());
   }
   state.SetLabel(std::to_string(count) + " rhs");
 }
@@ -213,14 +220,10 @@ void BM_PoolDispatchOverhead(benchmark::State& state) {
     double sum = 0.0;
     if (pooled) {
       pool.parallel_chunks(8, [&](std::size_t, std::size_t begin, std::size_t end) {
-        irdrop::SolveScratch scratch;
-        for (std::size_t i = begin; i < end; ++i) {
-          sum += analyzer.analyze(st, &scratch).dram_max_mv;
-        }
+        for (std::size_t i = begin; i < end; ++i) sum += analyzer.analyze(st).dram_max_mv;
       });
     } else {
-      irdrop::SolveScratch scratch;
-      for (std::size_t i = 0; i < 8; ++i) sum += analyzer.analyze(st, &scratch).dram_max_mv;
+      for (std::size_t i = 0; i < 8; ++i) sum += analyzer.analyze(st).dram_max_mv;
     }
     benchmark::DoNotOptimize(sum);
   }

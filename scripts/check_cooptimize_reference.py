@@ -13,7 +13,11 @@ Command sets:
                         cooptimize workload;
   simulate              `simulate <bench> --policy distr --limit 60` on the
                         four benchmarks, each at its baseline and at the two
-                        other designs the cli-oneshot workload runs.
+                        other designs the cli-oneshot workload runs;
+  lut, montecarlo       every `lut` or `montecarlo` command the references
+                        hold (12 each);
+  analyze               every `analyze` and `em-check` command the
+                        references hold (72 + 36).
 
 Usage: check_cooptimize_reference.py PDN3D_BINARY REFERENCES_JSON [SET]
 Exit 0 when every digest matches, 1 otherwise.
@@ -39,18 +43,30 @@ COMMAND_SETS = {
         for design in SIMULATE_DESIGNS
     ),
 }
+# Sets read from the references themselves: every recorded command whose
+# first word is one of these.
+RECORDED_SETS = {
+    "lut": ("lut",),
+    "montecarlo": ("montecarlo",),
+    "analyze": ("analyze", "em-check"),
+}
 THREADS = ("1", "8")
 
 
 def main(argv):
-    if len(argv) not in (3, 4) or (len(argv) == 4 and argv[3] not in COMMAND_SETS):
+    sets = [*COMMAND_SETS, *RECORDED_SETS]
+    if len(argv) not in (3, 4) or (len(argv) == 4 and argv[3] not in sets):
         print("usage: check_cooptimize_reference.py PDN3D_BINARY REFERENCES_JSON "
-              f"[{' | '.join(COMMAND_SETS)}]", file=sys.stderr)
+              f"[{' | '.join(sets)}]", file=sys.stderr)
         return 2
     binary, references = argv[1], argv[2]
-    commands = COMMAND_SETS[argv[3] if len(argv) == 4 else "cooptimize"]
+    name = argv[3] if len(argv) == 4 else "cooptimize"
     with open(references, encoding="utf-8") as fh:
         recorded = json.load(fh)
+    if name in RECORDED_SETS:
+        commands = [key.split() for key in recorded if key.split()[0] in RECORDED_SETS[name]]
+    else:
+        commands = COMMAND_SETS[name]
     # The references were recorded without any PDN3D_* switch in effect.
     env = {k: v for k, v in os.environ.items() if not k.startswith("PDN3D_")}
     failed = False

@@ -69,10 +69,10 @@ class ThreadPool {
 
   /// Run chunk(c, begin, end) for every contiguous chunk of [0, n), one
   /// chunk per participating worker (c in [0, chunks)). This is the hook for
-  /// per-thread state: give each chunk its own irdrop::SolveScratch and reuse
-  /// it across the chunk's items. Chunk boundaries depend only on n and
-  /// thread_count(); use index-derived randomness to stay deterministic across
-  /// thread counts.
+  /// per-chunk state: give each chunk its own buffers (irdrop::LaneScratch)
+  /// and reuse them across the chunk's items. Chunk boundaries depend only
+  /// on n and thread_count(); use index-derived randomness to stay
+  /// deterministic across thread counts.
   void parallel_chunks(std::size_t n,
                        const std::function<void(std::size_t, std::size_t, std::size_t)>& chunk);
 

@@ -71,17 +71,21 @@ void LoadMap::injection_into(const power::MemoryState& state, std::vector<double
 }
 
 void LoadMap::injection_into(const power::MemoryState& state, std::span<double> sinks) const {
+  if (sinks.size() != node_count_) throw std::invalid_argument("IrAnalyzer: sink vector size");
+  std::fill(sinks.begin(), sinks.end(), 0.0);
+  inject(state, sinks.data(), 1);
+}
+
+void LoadMap::inject(const power::MemoryState& state, double* sinks, std::size_t stride) const {
   if (state.die_count() != static_cast<int>(dram_grids_.size())) {
     throw std::invalid_argument("IrAnalyzer: memory state die count mismatch");
   }
-  if (sinks.size() != node_count_) throw std::invalid_argument("IrAnalyzer: sink vector size");
-  std::fill(sinks.begin(), sinks.end(), 0.0);
   const double vdd = vdd_;
 
   const auto add_block_power = [&](const std::vector<std::size_t>& nodes, double watts) {
     if (nodes.empty() || watts <= 0.0) return;
     const double amps_per_node = watts / vdd / static_cast<double>(nodes.size());
-    for (std::size_t n : nodes) sinks[n] += amps_per_node;
+    for (std::size_t n : nodes) sinks[n * stride] += amps_per_node;
   };
 
   for (std::size_t d = 0; d < dram_grids_.size(); ++d) {
@@ -105,52 +109,99 @@ void LoadMap::injection_into(const power::MemoryState& state, std::span<double> 
   }
 }
 
-IrResult LoadMap::stats(const power::MemoryState& state, std::span<const double> ir,
-                        const SolveOutcome& outcome) const {
-  IrResult out;
-  out.solver_kind = outcome.kind_used;
-  out.solver_iterations = outcome.iterations;
-  out.solver_escalations = outcome.escalations;
-  out.dram_dies.resize(dram_grids_.size());
+template <std::size_t W, bool kDrops>
+void LoadMap::summarize_at(const double* x, std::span<IrResult> out) const {
+  const auto drop = [&](double v) { return kDrops ? v : vdd_ - v; };
   for (std::size_t d = 0; d < dram_grids_.size(); ++d) {
     const pdn::LayerGrid& g = dram_grids_[d];
-    double max_v = 0.0;
-    double sum = 0.0;
+    const double* row = x + g.base * W;
+    double max_v[W] = {};
+    double sum[W] = {};
     for (std::size_t k = 0; k < g.size(); ++k) {
-      const double v = ir[g.base + k];
-      max_v = std::max(max_v, v);
-      sum += v;
+      for (std::size_t r = 0; r < W; ++r) {
+        const double v = drop(row[k * W + r]);
+        max_v[r] = std::max(max_v[r], v);
+        sum[r] += v;
+      }
     }
-    auto& stats = out.dram_dies[d];
-    stats.max_mv = util::to_mV(max_v);
-    stats.avg_mv = util::to_mV(sum / static_cast<double>(g.size()));
-    out.dram_max_mv = std::max(out.dram_max_mv, stats.max_mv);
+    for (std::size_t r = 0; r < W; ++r) {
+      auto& stats = out[r].dram_dies[d];
+      stats.max_mv = util::to_mV(max_v[r]);
+      stats.avg_mv = util::to_mV(sum[r] / static_cast<double>(g.size()));
+      out[r].dram_max_mv = std::max(out[r].dram_max_mv, stats.max_mv);
+    }
   }
 
   if (logic_grid_) {
     const pdn::LayerGrid& g = *logic_grid_;
-    double max_v = 0.0;
-    for (std::size_t k = 0; k < g.size(); ++k) max_v = std::max(max_v, ir[g.base + k]);
-    out.logic_max_mv = util::to_mV(max_v);
+    const double* row = x + g.base * W;
+    double max_v[W] = {};
+    for (std::size_t k = 0; k < g.size(); ++k) {
+      for (std::size_t r = 0; r < W; ++r) max_v[r] = std::max(max_v[r], drop(row[k * W + r]));
+    }
+    for (std::size_t r = 0; r < W; ++r) out[r].logic_max_mv = util::to_mV(max_v[r]);
   }
-
-  for (std::size_t d = 0; d < dram_grids_.size(); ++d) {
-    const auto& die = state.dies[d];
-    const double die_mw = (die.active()
-                               ? power_.dram.active_die_mw(state.io_activity, die.count())
-                               : power_.dram.idle_mw) *
-                          power_.dram_scale;
-    out.total_power_mw += die_mw;
-    if (die.active()) out.active_die_power_mw = std::max(out.active_die_power_mw, die_mw);
-  }
-  return out;
 }
 
-IrResult LoadMap::result(const power::MemoryState& state, SolveOutcome& outcome) const {
+void LoadMap::summarize(std::span<const power::MemoryState> states,
+                        std::span<const SolveOutcome> outcomes, std::span<const double> x,
+                        bool drops, std::span<IrResult> out) const {
+  const std::size_t width = states.size();
+  if (outcomes.size() != width || out.size() != width || width == 0 ||
+      width > linalg::kSolveBlock || x.size() != node_count_ * width) {
+    throw std::invalid_argument("LoadMap::summarize: block size mismatch");
+  }
+  for (IrResult& r : out) {
+    r.dram_dies.resize(dram_grids_.size());
+    r.dram_max_mv = 0.0;
+    r.logic_max_mv = 0.0;
+  }
+  linalg::at_width(width, [&](auto w) {
+    if (drops) {
+      summarize_at<decltype(w)::value, true>(x.data(), out);
+    } else {
+      summarize_at<decltype(w)::value, false>(x.data(), out);
+    }
+  });
+
+  for (std::size_t r = 0; r < width; ++r) {
+    if (!outcomes[r].ok()) continue;
+    IrResult& res = out[r];
+    res.solver_kind = outcomes[r].kind_used;
+    res.solver_iterations = outcomes[r].iterations;
+    res.solver_escalations = outcomes[r].escalations;
+    res.total_power_mw = 0.0;
+    res.active_die_power_mw = 0.0;
+    const power::MemoryState& state = states[r];
+    for (std::size_t d = 0; d < dram_grids_.size(); ++d) {
+      const auto& die = state.dies[d];
+      const double die_mw = (die.active()
+                                 ? power_.dram.active_die_mw(state.io_activity, die.count())
+                                 : power_.dram.idle_mw) *
+                            power_.dram_scale;
+      res.total_power_mw += die_mw;
+      if (die.active()) res.active_die_power_mw = std::max(res.active_die_power_mw, die_mw);
+    }
+  }
+}
+
+namespace {
+
+/// The end of every analysis: counts the state, and throws the solve's
+/// failure.
+void finish_analysis(SolveOutcome& outcome) {
   static auto& m_states = obs::counter("analysis.states_analyzed");
   m_states.add(1);
   if (!outcome.ok()) throw core::NumericalError(std::move(outcome.status));
-  return stats(state, outcome.x, outcome);
+}
+
+}  // namespace
+
+IrResult LoadMap::result(const power::MemoryState& state, SolveOutcome& outcome) const {
+  finish_analysis(outcome);
+  IrResult out;
+  summarize({&state, 1}, {&outcome, 1}, outcome.x, /*drops=*/true, {&out, 1});
+  return out;
 }
 
 IrAnalyzer::IrAnalyzer(const pdn::StackModel& model, const floorplan::Floorplan& dram_fp,
@@ -169,24 +220,20 @@ void IrAnalyzer::injection_into(const power::MemoryState& state,
   load_.injection_into(state, sinks);
 }
 
-SolveOutcome IrAnalyzer::solve_state(const power::MemoryState& state, bool want_ir,
-                                     SolveScratch* scratch) const {
-  SolveScratch local;
-  SolveScratch& ws = scratch != nullptr ? *scratch : local;
-  injection_into(state, ws.block);
-  return solver_.solve({.sinks = ws.block, .want_ir = want_ir}, &ws);
+std::vector<double> IrAnalyzer::solved_map(const power::MemoryState& state, bool want_ir) const {
+  SolveOutcome outcome = solver_.solve_in_place(
+      [&](std::span<double> sinks, std::size_t) { load_.inject(state, sinks.data(), 1); },
+      want_ir);
+  if (!outcome.ok()) throw core::NumericalError(std::move(outcome.status));
+  return SolveWorkspace::local().solution(0);
 }
 
 std::vector<double> IrAnalyzer::ir_map(const power::MemoryState& state) const {
-  SolveOutcome outcome = solve_state(state, true, nullptr);
-  if (!outcome.ok()) throw core::NumericalError(std::move(outcome.status));
-  return std::move(outcome.x);
+  return solved_map(state, true);
 }
 
 std::vector<double> IrAnalyzer::node_voltages(const power::MemoryState& state) const {
-  SolveOutcome outcome = solve_state(state, false, nullptr);
-  if (!outcome.ok()) throw core::NumericalError(std::move(outcome.status));
-  return std::move(outcome.x);
+  return solved_map(state, false);
 }
 
 std::vector<IrAnalyzer::BlockIr> IrAnalyzer::block_report(const power::MemoryState& state,
@@ -215,36 +262,49 @@ std::vector<IrAnalyzer::BlockIr> IrAnalyzer::block_report(const power::MemorySta
   return out;
 }
 
-IrResult IrAnalyzer::analyze(const power::MemoryState& state, SolveScratch* scratch) const {
+IrResult IrAnalyzer::analyze(const power::MemoryState& state) const {
   PDN3D_TRACE_SPAN("irdrop/analyze");
-  SolveOutcome outcome = solve_state(state, true, scratch);
-  return load_.result(state, outcome);
+  SolveOutcome outcome = solver_.solve_in_place(
+      [&](std::span<double> sinks, std::size_t) { load_.inject(state, sinks.data(), 1); },
+      /*want_ir=*/true);
+  IrResult stats;
+  load_.summarize({&state, 1}, {&outcome, 1}, SolveWorkspace::local().solutions(),
+                  /*drops=*/false, {&stats, 1});
+  finish_analysis(outcome);
+  return stats;
 }
 
-void IrAnalyzer::solve_block(std::span<const power::MemoryState> states, SolveScratch& scratch,
-                             std::span<SolveOutcome> outcomes) const {
-  if (outcomes.size() != states.size()) {
-    throw std::invalid_argument("IrAnalyzer::solve_block: one outcome per state");
+void IrAnalyzer::solve_block(std::span<const power::MemoryState> states,
+                             std::span<SolveOutcome> outcomes, std::span<IrResult> results) const {
+  if (outcomes.size() != states.size() || results.size() != states.size()) {
+    throw std::invalid_argument("IrAnalyzer::solve_block: one outcome and one result per state");
   }
   PDN3D_TRACE_SPAN("irdrop/analyze_batch");
-  const std::size_t n = model_.node_count();
-  scratch.block.resize(n * states.size());
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    load_.injection_into(states[i], std::span(scratch.block).subspan(i * n, n));
-  }
-  solver_.solve_block(scratch.block, true, scratch, outcomes);
+  solver_.solve_block(
+      [&](std::span<double> sinks, std::size_t width) {
+        for (std::size_t r = 0; r < width; ++r) load_.inject(states[r], sinks.data() + r, width);
+      },
+      /*want_ir=*/true, outcomes);
+  load_.summarize(states, outcomes, SolveWorkspace::local().solutions(), /*drops=*/false,
+                  results);
+}
+
+const IrResult& IrAnalyzer::result(SolveOutcome& outcome, const IrResult& stats) const {
+  finish_analysis(outcome);
+  return stats;
 }
 
 std::vector<IrResult> IrAnalyzer::analyze_batch(
     std::span<const power::MemoryState> states) const {
   std::vector<IrResult> out;
   out.reserve(states.size());
-  SolveScratch scratch;
   std::array<SolveOutcome, linalg::kSolveBlock> outcomes;
+  std::array<IrResult, linalg::kSolveBlock> results;
   for (std::size_t first = 0; first < states.size(); first += linalg::kSolveBlock) {
-    const auto block = states.subspan(first, std::min(linalg::kSolveBlock, states.size() - first));
-    solve_block(block, scratch, std::span(outcomes).first(block.size()));
-    for (std::size_t i = 0; i < block.size(); ++i) out.push_back(result(block[i], outcomes[i]));
+    const std::size_t count = std::min(linalg::kSolveBlock, states.size() - first);
+    solve_block(states.subspan(first, count), std::span(outcomes).first(count),
+                std::span(results).first(count));
+    for (std::size_t i = 0; i < count; ++i) out.push_back(result(outcomes[i], results[i]));
   }
   return out;
 }

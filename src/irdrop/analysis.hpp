@@ -66,17 +66,25 @@ class LoadMap {
   void injection_into(const power::MemoryState& state, std::vector<double>& sinks) const;
   /// The same into @p sinks, one entry per node (zeroed here).
   void injection_into(const power::MemoryState& state, std::span<double> sinks) const;
+  /// Adds the sink currents of @p state to entries 0, @p stride, 2 * stride,
+  /// ... of @p sinks, one per node: one slice of a node-major block.
+  void inject(const power::MemoryState& state, double* sinks, std::size_t stride) const;
 
-  /// The statistics of one solved IR map (@p ir, one entry per node);
-  /// @p outcome supplies the solver telemetry.
-  [[nodiscard]] IrResult stats(const power::MemoryState& state, std::span<const double> ir,
-                               const SolveOutcome& outcome) const;
+  /// The statistics of states.size() solved slices, node-major in @p x
+  /// (entry i of slice r at i * states.size() + r): node voltages, or IR
+  /// drops when @p drops. out[r] gets slice r's, with outcomes[r]'s solver
+  /// telemetry, when outcomes[r] succeeded. One pass over the device-layer
+  /// nodes serves every slice, and each slice's drops (vdd - x) are summed
+  /// in node order, as for a lone map, so a slice's result is bit for bit
+  /// the same at any width.
+  void summarize(std::span<const power::MemoryState> states,
+                 std::span<const SolveOutcome> outcomes, std::span<const double> x, bool drops,
+                 std::span<IrResult> out) const;
 
-  /// The end of an analysis of @p state: counts the state and turns its
-  /// solve's outcome (IR drops) into the IrResult, or throws
-  /// core::NumericalError when the solve failed. IrAnalyzer::analyze ends
-  /// here, and so do a block's states (IrAnalyzer::result) and a sweep's lane
-  /// solve (IrSolver::solve_lanes).
+  /// The end of an analysis of @p state from its solve's outcome (IR drops
+  /// in outcome.x): counts the state and returns its IrResult, or throws
+  /// core::NumericalError when the solve failed. A sweep's lane solve
+  /// (IrSolver::solve_lanes) ends here.
   [[nodiscard]] IrResult result(const power::MemoryState& state, SolveOutcome& outcome) const;
 
   /// Device-layer nodes of every block of DRAM die @p die, in floorplan order.
@@ -93,6 +101,10 @@ class LoadMap {
   std::vector<pdn::LayerGrid> dram_grids_;  ///< device grid of each DRAM die
   std::optional<pdn::LayerGrid> logic_grid_;
 
+  /// summarize()'s pass at width W.
+  template <std::size_t W, bool kDrops>
+  void summarize_at(const double* x, std::span<IrResult> out) const;
+
   /// Block index -> device-layer node ids, per DRAM die.
   std::vector<std::vector<std::vector<std::size_t>>> dram_block_nodes_;
   std::vector<std::vector<std::size_t>> logic_block_nodes_;
@@ -107,27 +119,25 @@ class IrAnalyzer {
              const floorplan::Floorplan& logic_fp, PowerBinding power,
              SolverKind solver = SolverKind::kPcgIc);
 
-  /// Full IR analysis of one memory state. A sweep passes one @p scratch per
-  /// pool chunk and reuses its buffers across the chunk's states; null
-  /// allocates locally. Thread-safe when each concurrent caller passes its own
-  /// scratch (or none). Throws core::NumericalError when every solver rung
-  /// fails.
-  [[nodiscard]] IrResult analyze(const power::MemoryState& state,
-                                 SolveScratch* scratch = nullptr) const;
+  /// Full IR analysis of one memory state, solved and summarized in the
+  /// calling thread's workspace (IrSolver::solve_in_place). Thread-safe.
+  /// Throws core::NumericalError when every solver rung fails.
+  [[nodiscard]] IrResult analyze(const power::MemoryState& state) const;
 
-  /// The solves of analyze() for up to linalg::kSolveBlock states, in one
-  /// pass over the solver's cached factor (IrSolver::solve_block): the unit
-  /// of the LUT and Monte Carlo sweeps. @p outcomes (one per state) receive
-  /// what analyze(states[i], &scratch) solves, bit for bit; result() turns
-  /// each into the IrResult analyze() returns, or throws what it throws. The
-  /// block is one irdrop/analyze_batch span.
-  void solve_block(std::span<const power::MemoryState> states, SolveScratch& scratch,
-                   std::span<SolveOutcome> outcomes) const;
+  /// analyze() of up to linalg::kSolveBlock states as one block: one pass
+  /// over the solver's cached factor and one verification pass over G
+  /// (IrSolver::solve_block), then one statistics pass over the block
+  /// (LoadMap::summarize), all in the calling thread's workspace.
+  /// outcomes[i] receives state i's solve status and telemetry, and
+  /// results[i], when that solve succeeded, its statistics; result() turns
+  /// each pair into what analyze(states[i]) returns, or throws what it
+  /// throws. The block is one irdrop/analyze_batch span.
+  void solve_block(std::span<const power::MemoryState> states,
+                   std::span<SolveOutcome> outcomes, std::span<IrResult> results) const;
 
-  /// The end of analyze() for a state solved by solve_block().
-  [[nodiscard]] IrResult result(const power::MemoryState& state, SolveOutcome& outcome) const {
-    return load_.result(state, outcome);
-  }
+  /// The end of analyze() for a state of solve_block(): counts it and
+  /// returns @p stats, or throws core::NumericalError when @p outcome failed.
+  [[nodiscard]] const IrResult& result(SolveOutcome& outcome, const IrResult& stats) const;
 
   /// Analyze many states, linalg::kSolveBlock per solve_block() -- the
   /// service's request-coalescing path. Results come back in input order,
@@ -163,11 +173,9 @@ class IrAnalyzer {
   [[nodiscard]] const pdn::StackModel& model() const { return model_; }
 
  private:
-  /// The one-state solve behind analyze(), ir_map() and node_voltages():
-  /// the injection goes into the scratch block, which the solve turns into
-  /// its right-hand side.
-  [[nodiscard]] SolveOutcome solve_state(const power::MemoryState& state, bool want_ir,
-                                         SolveScratch* scratch) const;
+  /// The solved map of one state behind ir_map() and node_voltages().
+  [[nodiscard]] std::vector<double> solved_map(const power::MemoryState& state,
+                                               bool want_ir) const;
 
   const pdn::StackModel& model_;
   const floorplan::Floorplan& dram_fp_;

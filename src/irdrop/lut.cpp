@@ -41,7 +41,7 @@ IrLut IrLut::build(const IrAnalyzer& analyzer, const floorplan::DramFloorplanSpe
   // States go to the solver kSolveBlock at a time, one pass over the cached
   // factor per block; a checkpointed entry replays and leaves its block.
   std::vector<double> table(total, 0.0);
-  const auto run_block = [&](std::size_t b, SolveScratch& scratch) {
+  const auto run_block = [&](std::size_t b) {
     std::array<power::MemoryState, linalg::kSolveBlock> states;
     std::array<std::size_t, linalg::kSolveBlock> keys{};
     std::size_t count = 0;
@@ -75,19 +75,20 @@ IrLut IrLut::build(const IrAnalyzer& analyzer, const floorplan::DramFloorplanSpe
     }
     if (count == 0) return;
     std::array<SolveOutcome, linalg::kSolveBlock> outcomes;
-    analyzer.solve_block(std::span(states).first(count), scratch,
-                         std::span(outcomes).first(count));
+    std::array<IrResult, linalg::kSolveBlock> results;
+    analyzer.solve_block(std::span(states).first(count), std::span(outcomes).first(count),
+                         std::span(results).first(count));
     for (std::size_t i = 0; i < count; ++i) {
-      table[keys[i]] = analyzer.result(states[i], outcomes[i]).dram_max_mv;
+      table[keys[i]] = analyzer.result(outcomes[i], results[i]).dram_max_mv;
       if (checkpoint != nullptr) checkpoint->record(keys[i], {true, table[keys[i]], {}});
     }
   };
-  // Pool chunks are runs of whole blocks, one SolveScratch each.
+  // Pool chunks are runs of whole blocks, each solved in its thread's
+  // workspace.
   exec::ThreadPool pool(static_cast<std::size_t>(threads));
   const std::size_t blocks = (total + linalg::kSolveBlock - 1) / linalg::kSolveBlock;
   pool.parallel_chunks(blocks, [&](std::size_t, std::size_t first, std::size_t last) {
-    SolveScratch scratch;
-    for (std::size_t b = first; b < last; ++b) run_block(b, scratch);
+    for (std::size_t b = first; b < last; ++b) run_block(b);
   });
   if (checkpoint != nullptr) checkpoint->flush();
   return IrLut(dies, max_per_die, std::move(table));

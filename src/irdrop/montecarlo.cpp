@@ -70,7 +70,7 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
 
   // Samples go to the solver kSolveBlock at a time, one pass over the cached
   // factor per block; a checkpointed sample replays and leaves its block.
-  const auto run_block = [&](std::size_t b, SolveScratch& scratch) {
+  const auto run_block = [&](std::size_t b) {
     std::array<power::MemoryState, linalg::kSolveBlock> states;
     std::array<std::size_t, linalg::kSolveBlock> index{};
     std::size_t count = 0;
@@ -92,12 +92,13 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
     }
     if (count == 0) return;
     std::array<SolveOutcome, linalg::kSolveBlock> outcomes;
-    analyzer.solve_block(std::span(states).first(count), scratch,
-                         std::span(outcomes).first(count));
+    std::array<IrResult, linalg::kSolveBlock> results;
+    analyzer.solve_block(std::span(states).first(count), std::span(outcomes).first(count),
+                         std::span(results).first(count));
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t s = index[i];
       try {
-        values[s] = analyzer.result(states[i], outcomes[i]).dram_max_mv;
+        values[s] = analyzer.result(outcomes[i], results[i]).dram_max_mv;
         solved[s] = 1;
       } catch (const core::NumericalError& e) {
         // A cancellation must abort the sweep, not be skipped as a sample.
@@ -111,12 +112,12 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
       }
     }
   };
-  // Pool chunks are runs of whole blocks, one SolveScratch each.
+  // Pool chunks are runs of whole blocks, each solved in its thread's
+  // workspace.
   exec::ThreadPool pool(static_cast<std::size_t>(config.threads));
   const std::size_t blocks = (n + linalg::kSolveBlock - 1) / linalg::kSolveBlock;
   pool.parallel_chunks(blocks, [&](std::size_t, std::size_t first, std::size_t last) {
-    SolveScratch scratch;
-    for (std::size_t b = first; b < last; ++b) run_block(b, scratch);
+    for (std::size_t b = first; b < last; ++b) run_block(b);
   });
   if (config.checkpoint != nullptr) config.checkpoint->flush();
 

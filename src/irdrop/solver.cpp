@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -59,27 +60,78 @@ obs::Counter& rung_failure_counter(SolverKind kind) {
   return *counters[static_cast<std::size_t>(kind)];
 }
 
-/// The acceptance check every rung's answer must pass: the true relative
-/// residual ||rhs - Gx|| / ||rhs|| (plain ||rhs - Gx|| when rhs = 0), or NaN
-/// when x has a non-finite entry. @p ax receives G*x. A factorization of a
-/// near-singular system can "succeed" and still return garbage, so no rung
-/// is trusted without it.
-double relative_residual(const linalg::Csr& g, std::span<const double> rhs,
-                         std::span<const double> x, std::vector<double>& ax) {
+/// The counters every solve updates, registered once.
+struct SolveCounters {
+  obs::Counter& solves = obs::counter("solver.solves");
+  obs::Counter& failures = obs::counter("solver.failures");
+  obs::Counter& escalations = obs::counter("ladder.escalations");
+  obs::Histogram& iterations =
+      obs::histogram("solver.iterations_per_solve", obs::exponential_buckets(1.0, 2.0, 16));
+};
+
+const SolveCounters& counters() {
+  static const SolveCounters instance;
+  return instance;
+}
+
+/// Registered at 0, so stats, metrics and run reports show the row before a
+/// workspace first grows.
+obs::Counter& m_workspace_grows = obs::counter("solver.workspace_grows");
+
+/// The acceptance check every rung's answer must pass, for W slices at once:
+/// rel[r] is the true relative residual ||b - Gx|| / ||b|| of slice r
+/// (plain ||b - Gx|| when b = 0), or NaN when its x has a non-finite entry.
+/// @p x holds the slices node-major (entry i of slice r at i * W + r), and
+/// rhs(i, r) is entry i of slice r's right-hand side. Per slice it forms
+/// Csr::multiply's row sums (from 0.0, in column order), the squared
+/// differences summed in node order and norm2's sum of squares, so a slice's
+/// residual is bit for bit the same at any width, and the block pass and the
+/// ladder accept alike. A factorization of a near-singular system can
+/// "succeed" and still return garbage, so no rung is trusted without it.
+template <std::size_t W, typename Rhs>
+void residuals(const linalg::Csr& g, Rhs rhs, const double* x, double* rel) {
   const std::size_t n = g.dimension();
-  ax.assign(n, 0.0);
-  g.multiply(x, ax);
-  double res = 0.0;
-  bool finite = true;
+  const std::size_t* row_ptr = g.row_ptr().data();
+  const std::size_t* col_idx = g.col_idx().data();
+  const double* values = g.values().data();
+  double res[W] = {};
+  double bsq[W] = {};
+  bool finite[W];
+  for (std::size_t r = 0; r < W; ++r) finite[r] = true;
   for (std::size_t i = 0; i < n; ++i) {
-    const double d = rhs[i] - ax[i];
-    res += d * d;
-    if (!std::isfinite(x[i])) finite = false;
+    double ax[W] = {};
+    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      const double v = values[k];
+      const double* xk = x + col_idx[k] * W;
+      for (std::size_t r = 0; r < W; ++r) ax[r] += v * xk[r];
+    }
+    for (std::size_t r = 0; r < W; ++r) {
+      const double b = rhs(i, r);
+      const double d = b - ax[r];
+      res[r] += d * d;
+      bsq[r] += b * b;
+      finite[r] = finite[r] && std::isfinite(x[i * W + r]);
+    }
   }
-  if (!finite) return std::numeric_limits<double>::quiet_NaN();
-  res = std::sqrt(res);
-  const double bnorm = linalg::norm2(rhs);
-  return bnorm > 0.0 ? res / bnorm : res;
+  for (std::size_t r = 0; r < W; ++r) {
+    if (!finite[r]) {
+      rel[r] = std::numeric_limits<double>::quiet_NaN();
+      continue;
+    }
+    const double norm = std::sqrt(res[r]);
+    const double bnorm = std::sqrt(bsq[r]);
+    rel[r] = bnorm > 0.0 ? norm / bnorm : norm;
+  }
+}
+
+/// The verdict on a residual from residuals(): empty when the answer is
+/// accepted, else the reason a ladder records for rejecting it.
+std::string reject_reason(double rel, double tol) {
+  if (!std::isfinite(rel)) return "solution contains non-finite entries";
+  if (rel <= tol) return {};
+  std::ostringstream os;
+  os << "residual check failed: ||b-Gx||/||b|| = " << rel << " > " << tol;
+  return os.str();
 }
 
 }  // namespace
@@ -274,8 +326,8 @@ IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double>
           out.detail = "sparse factorization declined: " + error;
           return out;
         }
-        out.x.assign(n, 0.0);
-        fac->solve(rhs, out.x, ws.direct);
+        out.x.assign(rhs.begin(), rhs.end());
+        fac->solve_block(out.x, 1);
         out.produced = true;
         return out;
       }
@@ -313,31 +365,40 @@ IrSolver::RungResult IrSolver::run_rung(SolverKind kind, std::span<const double>
   return out;
 }
 
-core::Status IrSolver::admit(std::span<double> slice) const {
-  static auto& m_failures = obs::counter("solver.failures");
+void IrSolver::admit(const double* sinks, double* rhs, std::span<SolveOutcome> out) const {
   const std::size_t n = g_.dimension();
-  if (slice.size() != n) throw std::invalid_argument("IrSolver: sink vector size mismatch");
-  for (std::size_t i = 0; i < n; ++i) {
+  const double* supply = supply_rhs_.data();
+  std::array<bool, linalg::kSolveBlock> finite{};
+  linalg::at_width(out.size(), [&](auto w) {
+    constexpr std::size_t W = decltype(w)::value;
+    bool ok[W];
+    for (std::size_t r = 0; r < W; ++r) ok[r] = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t r = 0; r < W; ++r) {
+        const double sink = sinks[i * W + r];
+        ok[r] = ok[r] && std::isfinite(sink);
+        rhs[i * W + r] = supply[i] - sink;
+      }
+    }
+    std::copy(ok, ok + W, finite.begin());
+  });
+  const std::size_t width = out.size();
+  for (std::size_t r = 0; r < width; ++r) {
+    out[r] = SolveOutcome{};
+    if (finite[r]) continue;
     // A NaN load current poisons every inner product, so name the offending
     // node instead of letting CG spin.
-    if (!std::isfinite(slice[i])) {
-      m_failures.add(1);
-      return core::Status::input_error("non-finite sink current at node " + std::to_string(i));
-    }
-    slice[i] = supply_rhs_[i] - slice[i];
+    std::size_t node = 0;
+    while (std::isfinite(sinks[node * width + r])) ++node;
+    counters().failures.add(1);
+    out[r].status =
+        core::Status::input_error("non-finite sink current at node " + std::to_string(node));
   }
-  return core::Status::ok();
 }
 
 SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveScratch& ws,
-                              RungResult* first) const {
-  PDN3D_TRACE_SPAN_NAMED(span, "solver/solve");
-  static auto& m_solves = obs::counter("solver.solves");
-  static auto& m_failures = obs::counter("solver.failures");
-  static auto& m_escalations = obs::counter("ladder.escalations");
-  static auto& m_iters_hist =
-      obs::histogram("solver.iterations_per_solve", obs::exponential_buckets(1.0, 2.0, 16));
-
+                              RungResult* first, obs::TraceSpan& span) const {
+  const SolveCounters& m = counters();
   SolveOutcome outcome;
 
   // The two production rungs back each other up: a failed ic-pcg start
@@ -354,7 +415,7 @@ SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveSc
     // escalating into the other rung. A start rung run in a lane or swept
     // with its block polled it already.
     if ((step > 0 || first == nullptr) && exec::cancellation_requested()) {
-      m_failures.add(1);
+      m.failures.add(1);
       outcome.status = core::Status::cancelled(
           trail.empty() ? "solve cancelled" : "solve cancelled [" + trail + "]");
       return outcome;
@@ -367,15 +428,10 @@ SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveSc
     if (!rung.produced) {
       reject = rung.detail.empty() ? "no solution produced" : rung.detail;
     } else {
-      const double rel = relative_residual(g_, rhs, rung.x, ws.ax);
-      if (!std::isfinite(rel)) {
-        reject = "solution contains non-finite entries";
-      } else if (rel > options_.verify_rel_tol) {
-        std::ostringstream os;
-        os << "residual check failed: ||b-Gx||/||b|| = " << rel << " > "
-           << options_.verify_rel_tol;
-        reject = os.str();
-      } else {
+      double rel = 0.0;
+      residuals<1>(g_, [&](std::size_t i, std::size_t) { return rhs[i]; }, rung.x.data(), &rel);
+      reject = reject_reason(rel, options_.verify_rel_tol);
+      if (reject.empty()) {
         // Verified-correct: accept this rung.
         outcome.x = std::move(rung.x);
         if (want_ir) {
@@ -384,8 +440,8 @@ SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveSc
         outcome.kind_used = kind;
         outcome.iterations = rung.iterations;
         outcome.rel_residual = rel;
-        m_solves.add(1);
-        m_iters_hist.observe(static_cast<double>(rung.iterations));
+        m.solves.add(1);
+        m.iterations.observe(static_cast<double>(rung.iterations));
         span.attribute("rung", to_string(kind));
         span.attribute("iterations", static_cast<std::uint64_t>(rung.iterations));
         if (outcome.escalations > 0) {
@@ -402,71 +458,199 @@ SolveOutcome IrSolver::ladder(std::span<const double> rhs, bool want_ir, SolveSc
     trail += std::string(to_string(kind)) + ": " + reject;
     if (step + 1 < rungs) {
       ++outcome.escalations;
-      m_escalations.add(1);
+      m.escalations.add(1);
     }
   }
 
-  m_failures.add(1);
+  m.failures.add(1);
   outcome.status = core::Status::numerical_failure("all solver rungs failed [" + trail + "]");
   return outcome;
 }
 
-void IrSolver::solve_block(std::span<double> block, bool want_ir, SolveScratch& ws,
-                           std::span<SolveOutcome> out) const {
+/// Marks a workspace in use for one solve, sized for it, and records the
+/// block it will hold.
+class SolveWorkspace::Borrow {
+ public:
+  Borrow(SolveWorkspace& ws, std::size_t nodes, std::size_t width, double vdd, bool want_ir)
+      : ws_(ws) {
+    if (ws.busy_) throw std::logic_error("SolveWorkspace: borrowed twice at once");
+    const std::size_t room = nodes * linalg::kSolveBlock;
+    if (room > ws.block_capacity_) {
+      // A full block of the largest design so far, left untouched until a
+      // block reaches it.
+      ws.sinks_.reset();
+      ws.x_.reset();
+      ws.block_capacity_ = 0;
+      ws.sinks_ = std::make_unique_for_overwrite<double[]>(room);
+      ws.x_ = std::make_unique_for_overwrite<double[]>(room);
+      ws.block_capacity_ = room;
+      m_workspace_grows.add(1);
+    }
+    ws.busy_ = true;
+    ws.nodes_ = nodes;
+    ws.width_ = width;
+    ws.vdd_ = vdd;
+    ws.want_ir_ = want_ir;
+    ws.solved_.fill(false);
+  }
+  ~Borrow() { ws_.busy_ = false; }
+  Borrow(const Borrow&) = delete;
+  Borrow& operator=(const Borrow&) = delete;
+
+ private:
+  SolveWorkspace& ws_;
+};
+
+SolveWorkspace& SolveWorkspace::local() {
+  thread_local SolveWorkspace workspace;
+  return workspace;
+}
+
+std::size_t SolveWorkspace::capacity() const {
+  const linalg::CgScratch& cg = ladder_.cg;
+  return 2 * block_capacity_ + slice_.capacity() + ladder_.rail.capacity() + cg.x.capacity() +
+         cg.r.capacity() + cg.z.capacity() + cg.p.capacity() + cg.ap.capacity() +
+         cg.r0.capacity() + cg.z0.capacity();
+}
+
+std::vector<double> SolveWorkspace::solution(std::size_t r) const {
+  if (r >= width_ || !solved_[r]) return {};
+  std::vector<double> out(nodes_);
+  for (std::size_t i = 0; i < nodes_; ++i) {
+    const double v = x_[i * width_ + r];
+    out[i] = want_ir_ ? vdd_ - v : v;
+  }
+  return out;
+}
+
+IrSolver::BlockTally IrSolver::run_block(SolveWorkspace& ws, std::span<SolveOutcome> out,
+                                         bool lone) const {
+  const std::size_t n = g_.dimension();
+  const std::size_t width = out.size();
+  const double* sinks = ws.sinks_.get();
+  double* x = ws.x_.get();
+  admit(sinks, x, out);
+  BlockTally tally;
+  if (std::none_of(out.begin(), out.end(), [](const SolveOutcome& o) { return o.ok(); })) {
+    return tally;
+  }
+  std::optional<obs::TraceSpan> lone_span;
+  if (lone) lone_span.emplace("solver/solve");
+
+  // The start rung of every admitted slice in one pass over the cached
+  // factor, and its verification in one pass over G. A pending cancellation
+  // leaves the slices to their ladders, which report it.
+  const bool sweep = kind_ == SolverKind::kSparseDirect && !exec::cancellation_requested();
+  const linalg::SparseCholesky* fac = sweep ? sparse(nullptr) : nullptr;
+  std::array<double, linalg::kSolveBlock> rel{};
+  if (fac != nullptr) {
+    fac->solve_block({x, n * width}, width);
+    linalg::at_width(width, [&](auto w) {
+      constexpr std::size_t W = decltype(w)::value;
+      const double* supply = supply_rhs_.data();
+      residuals<W>(
+          g_, [&](std::size_t i, std::size_t r) { return supply[i] - sinks[i * W + r]; }, x,
+          rel.data());
+    });
+  }
+
+  const SolveCounters& m = counters();
+  for (std::size_t r = 0; r < width; ++r) {
+    if (!out[r].ok()) continue;
+    if (fac != nullptr && reject_reason(rel[r], options_.verify_rel_tol).empty()) {
+      // Verified with its block: the start rung's attempt and solve, with no
+      // ladder of its own.
+      rung_attempt_counter(SolverKind::kSparseDirect).add(1);
+      m.solves.add(1);
+      m.iterations.observe(0.0);
+      out[r].kind_used = SolverKind::kSparseDirect;
+      out[r].rel_residual = rel[r];
+      if (lone_span) {
+        lone_span->attribute("rung", to_string(SolverKind::kSparseDirect));
+        lone_span->attribute("iterations", std::uint64_t{0});
+      }
+      ws.solved_[r] = true;
+      ++tally.verified;
+      continue;
+    }
+    // The slice runs its ladder alone, on copies of its right-hand side and
+    // swept solution, so the block's other slices stay as they are.
+    ++tally.laddered;
+    ws.slice_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) ws.slice_[i] = supply_rhs_[i] - sinks[i * width + r];
+    RungResult swept;
+    if (fac != nullptr) {
+      swept.x.resize(n);
+      for (std::size_t i = 0; i < n; ++i) swept.x[i] = x[i * width + r];
+      swept.produced = true;
+    }
+    std::optional<obs::TraceSpan> own_span;
+    obs::TraceSpan& span = lone ? *lone_span : own_span.emplace("solver/solve");
+    out[r] = ladder(ws.slice_, /*want_ir=*/false, ws.ladder_, fac != nullptr ? &swept : nullptr,
+                    span);
+    if (!out[r].ok()) continue;
+    for (std::size_t i = 0; i < n; ++i) x[i * width + r] = out[r].x[i];
+    out[r].x = {};
+    ws.solved_[r] = true;
+  }
+  return tally;
+}
+
+void IrSolver::solve_block(const SinkFill& fill, bool want_ir, std::span<SolveOutcome> out) const {
   const std::size_t count = out.size();
-  if (count == 0 || count > linalg::kSolveBlock || block.size() != g_.dimension() * count) {
+  if (count == 0 || count > linalg::kSolveBlock) {
     throw std::invalid_argument("IrSolver::solve_block: block size mismatch");
   }
   PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
   PDN3D_TRACE_SPAN_NAMED(span, "solver/solve_batch");
   span.attribute("batch", static_cast<std::uint64_t>(count));
-  solve_slices(block, want_ir, ws, out);
+  SolveWorkspace& ws = SolveWorkspace::local();
+  const std::size_t n = g_.dimension();
+  const SolveWorkspace::Borrow borrow(ws, n, count, vdd_, want_ir);
+  std::fill_n(ws.sinks_.get(), n * count, 0.0);
+  fill({ws.sinks_.get(), n * count}, count);
+  const BlockTally tally = run_block(ws, out, /*lone=*/false);
+  span.attribute("verified", static_cast<std::uint64_t>(tally.verified));
+  span.attribute("escalated", static_cast<std::uint64_t>(tally.laddered));
 }
 
-void IrSolver::solve_slices(std::span<double> block, bool want_ir, SolveScratch& ws,
-                            std::span<SolveOutcome> out) const {
-  const std::size_t count = out.size();
-  const std::size_t n = block.size() / count;  // admit() rejects a slice of any other size
-  for (std::size_t r = 0; r < count; ++r) {
-    out[r] = SolveOutcome{};
-    out[r].status = admit(block.subspan(r * n, n));
+void IrSolver::solve_block(std::span<const double> sinks, bool want_ir,
+                           std::span<SolveOutcome> out) const {
+  const std::size_t n = g_.dimension();
+  if (sinks.size() != n * out.size()) {
+    throw std::invalid_argument("IrSolver::solve_block: block size mismatch");
   }
-
-  // The start rung of a block's slices in one pass over the cached factor;
-  // a slice alone runs it in its ladder, like every slice of another start.
-  // A pending cancellation leaves it to the ladders, which report it.
-  const bool sweep =
-      count > 1 && kind_ == SolverKind::kSparseDirect && !exec::cancellation_requested();
-  const linalg::SparseCholesky* fac = sweep ? sparse(nullptr) : nullptr;
-  if (fac != nullptr) {
-    ws.block_x.resize(n * count);
-    fac->solve_batch(block, ws.block_x, count, ws.direct);
-  }
-
-  for (std::size_t r = 0; r < count; ++r) {
-    if (!out[r].ok()) continue;
-    RungResult swept;
-    if (fac != nullptr) {
-      const auto x = std::span(ws.block_x).subspan(r * n, n);
-      swept.x.assign(x.begin(), x.end());
-      swept.produced = true;
-    }
-    out[r] = ladder(block.subspan(r * n, n), want_ir, ws, fac != nullptr ? &swept : nullptr);
-  }
+  solve_block(
+      [&](std::span<double> block, std::size_t width) {
+        for (std::size_t r = 0; r < width; ++r) {
+          for (std::size_t i = 0; i < n; ++i) block[i * width + r] = sinks[r * n + i];
+        }
+      },
+      want_ir, out);
 }
 
-SolveOutcome IrSolver::solve(const SolveRequest& request, SolveScratch* scratch) const {
-  SolveScratch local;
-  SolveScratch& ws = scratch != nullptr ? *scratch : local;
+SolveOutcome IrSolver::solve_in_place(const SinkFill& fill, bool want_ir) const {
   PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
-  // A block of one: the request's sinks become slice 0 of the scratch
-  // block, unless the caller injected them there.
-  if (request.sinks.data() != ws.block.data()) {
-    ws.block.assign(request.sinks.begin(), request.sinks.end());
-  }
+  SolveWorkspace& ws = SolveWorkspace::local();
+  const std::size_t n = g_.dimension();
+  const SolveWorkspace::Borrow borrow(ws, n, 1, vdd_, want_ir);
+  std::fill_n(ws.sinks_.get(), n, 0.0);
+  fill({ws.sinks_.get(), n}, 1);
   SolveOutcome outcome;
-  solve_slices(std::span(ws.block).first(request.sinks.size()), request.want_ir, ws,
-               std::span(&outcome, 1));
+  run_block(ws, std::span(&outcome, 1), /*lone=*/true);
+  return outcome;
+}
+
+SolveOutcome IrSolver::solve(const SolveRequest& request) const {
+  if (request.sinks.size() != g_.dimension()) {
+    throw std::invalid_argument("IrSolver: sink vector size mismatch");
+  }
+  SolveOutcome outcome = solve_in_place(
+      [&](std::span<double> block, std::size_t) {
+        std::copy(request.sinks.begin(), request.sinks.end(), block.begin());
+      },
+      request.want_ir);
+  if (outcome.ok()) outcome.x = SolveWorkspace::local().solution(0);
   return outcome;
 }
 
@@ -487,16 +671,18 @@ class IrSolver::LaneAdapter final : public linalg::CgLaneFeed {
         // Its topology did not fit the group's structure (or an entry summed
         // to 0.0), or it starts elsewhere: solved alone, a wrong grouping
         // costs time, never a bit.
-        SolveOutcome alone =
-            solver->solve({.sinks = sinks, .want_ir = want_ir_}, &scratch_.solve);
+        SolveOutcome alone = solver->solve({.sinks = sinks, .want_ir = want_ir_});
         feed_.done(lane, alone);
         continue;
       }
       PDN3D_FAULT_ALLOC("irdrop.solve.alloc");
+      if (sinks.size() != solver->node_count()) {
+        throw std::invalid_argument("IrSolver: sink vector size mismatch");
+      }
       std::vector<double>& rhs = scratch_.rhs[lane];
-      rhs.assign(sinks.begin(), sinks.end());
+      rhs.resize(sinks.size());
       SolveOutcome rejected;
-      rejected.status = solver->admit(rhs);
+      solver->admit(sinks.data(), rhs.data(), std::span(&rejected, 1));
       if (!rejected.ok()) {
         feed_.done(lane, rejected);
         continue;
@@ -513,8 +699,11 @@ class IrSolver::LaneAdapter final : public linalg::CgLaneFeed {
 
   void finish(std::size_t lane, linalg::CgResult& result) override {
     RungResult first = pcg_rung(result);
-    SolveOutcome outcome =
-        members_[lane]->ladder(scratch_.rhs[lane], want_ir_, scratch_.solve, &first);
+    SolveOutcome outcome;
+    {
+      PDN3D_TRACE_SPAN_NAMED(span, "solver/solve");
+      outcome = members_[lane]->ladder(scratch_.rhs[lane], want_ir_, scratch_.solve, &first, span);
+    }
     members_[lane] = nullptr;
     feed_.done(lane, outcome);
   }

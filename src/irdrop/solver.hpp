@@ -31,6 +31,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -44,6 +45,10 @@
 #include "linalg/ichol.hpp"
 #include "linalg/sparse_chol.hpp"
 #include "pdn/stack_model.hpp"
+
+namespace pdn3d::obs {
+class TraceSpan;
+}
 
 namespace pdn3d::irdrop {
 
@@ -96,7 +101,10 @@ struct SolveRequest {
 /// slice.
 struct SolveOutcome {
   core::Status status;     ///< ok, or kInputError / kNumericalFailure
-  std::vector<double> x;   ///< node voltages (or IR drops); empty when !status.is_ok()
+  /// Node voltages (or IR drops); empty when !status.is_ok(), and for a
+  /// slice of solve_block() or solve_in_place(), whose solution stays in the
+  /// thread's SolveWorkspace.
+  std::vector<double> x;
   SolverKind kind_used = SolverKind::kPcgIc;  ///< rung that produced x
   std::size_t iterations = 0;                 ///< CG iterations (0 for direct)
   double rel_residual = 0.0;                  ///< verified ||b - Gx|| / ||b||
@@ -105,22 +113,65 @@ struct SolveOutcome {
   [[nodiscard]] bool ok() const { return status.is_ok(); }
 };
 
-/// Per-solve work buffers (a block's sink currents turned right-hand sides
-/// and its solutions, verification product, CG vectors). Solving allocates
-/// these fresh when none is supplied; a sweep keeps one SolveScratch per
-/// pool chunk and reuses it across thousands of same-sized solves. Never
-/// share one across concurrent solves.
+/// A ladder's per-node work vectors: ic-pcg's rail start and CG buffers. A
+/// thread's SolveWorkspace holds one for the ladders of its solves, and a
+/// lane solve's members share their sweep chunk's (LaneScratch). Never share
+/// one across concurrent solves.
 struct SolveScratch {
-  std::vector<double> ax;   ///< G*x for residual verification
   std::vector<double> rail; ///< ic-pcg's starting guess, VDD at every node
   linalg::CgScratch cg;
-  /// A block's sink currents, slice r at [r * n, (r + 1) * n), turned into
-  /// right-hand sides in place: filled by the caller of
-  /// IrSolver::solve_block, and by IrSolver::solve from its request unless
-  /// the request's sinks already are this buffer (IrAnalyzer injects here).
-  std::vector<double> block;
-  std::vector<double> block_x;  ///< a block's solutions, laid out like block
-  std::vector<double> direct;   ///< triangular-sweep workspace
+};
+
+/// Writes the sink currents of a block's slices into @p block, node-major
+/// (entry i of slice r at i * width + r). The block comes zeroed.
+using SinkFill = std::function<void(std::span<double> block, std::size_t width)>;
+
+/// One thread's solve buffers. Every solve on a thread, lone or block, runs
+/// in the thread's one workspace (local()): a block of sink currents and a
+/// block of solutions, each node-major (entry i of slice r at i * width + r),
+/// room for one linalg::kSolveBlock-wide block of the largest design the
+/// thread has solved; one slice's right-hand side for its ladder; and the
+/// ladder's SolveScratch. Nothing in it is kept per slice. The blocks grow
+/// (solver.workspace_grows) only when a thread meets a larger design, and
+/// their pages are touched only as far as a block reaches. A workspace is
+/// never shared between threads, and a solve that finds its thread's
+/// workspace in use throws std::logic_error.
+class SolveWorkspace {
+ public:
+  /// The calling thread's workspace, made on first use.
+  [[nodiscard]] static SolveWorkspace& local();
+
+  /// Doubles the workspace has room for: both blocks and the per-node
+  /// vectors.
+  [[nodiscard]] std::size_t capacity() const;
+
+  /// The last block solved here (a lone solve is a block of one): node
+  /// voltages, node-major at the block's width, in the columns of its
+  /// accepted slices.
+  [[nodiscard]] std::span<const double> solutions() const {
+    return {x_.get(), nodes_ * width_};
+  }
+  /// Slice @p r of the last block as a vector: its node voltages, or IR
+  /// drops when it was solved with want_ir; empty when the slice failed.
+  [[nodiscard]] std::vector<double> solution(std::size_t r) const;
+
+ private:
+  friend class IrSolver;
+  class Borrow;
+
+  std::unique_ptr<double[]> sinks_;
+  std::unique_ptr<double[]> x_;
+  std::size_t block_capacity_ = 0;  ///< doubles in each block
+  std::vector<double> slice_;       ///< one slice's right-hand side for its ladder
+  SolveScratch ladder_;
+  bool busy_ = false;
+
+  // The last block.
+  std::size_t nodes_ = 0;
+  std::size_t width_ = 0;
+  double vdd_ = 0.0;
+  bool want_ir_ = false;
+  std::array<bool, linalg::kSolveBlock> solved_{};
 };
 
 /// Where a mesh topology's conductances land in G: the pattern and the slot
@@ -163,8 +214,8 @@ class LaneFeed {
 
 /// A sweep chunk's state for lane solves and for the solvers they run: the
 /// structure of the last topology assembled, the lane CG buffers, each
-/// lane's right-hand side and one SolveScratch for the members' set-ups and
-/// ladders, which run one at a time. Never share one between threads.
+/// lane's right-hand side and one SolveScratch for the members' ladders,
+/// which run one at a time. Never share one between threads.
 struct LaneScratch {
   MeshStructure structure;
   linalg::CgScratch cg;
@@ -183,31 +234,39 @@ class IrSolver {
   explicit IrSolver(const pdn::StackModel& model, SolverKind kind = SolverKind::kPcgIc,
                     IrSolverOptions options = {}, MeshStructure* structure = nullptr);
 
-  /// The unified entry point: a block of one slice, through the slice
-  /// admission and ladder of solve_block() but without its span.
+  /// The unified entry point: a block of one slice in the calling thread's
+  /// workspace, whose solution is copied into the outcome's x.
   /// request.sinks must have model.node_count() entries
   /// (std::invalid_argument otherwise -- a caller bug); every data-dependent
   /// failure comes back in SolveOutcome::status. Thread-safe: concurrent
-  /// solves on one IrSolver are supported as long as each caller passes its
-  /// own @p scratch (or none).
-  [[nodiscard]] SolveOutcome solve(const SolveRequest& request,
-                                   SolveScratch* scratch = nullptr) const;
+  /// solves on one IrSolver are supported, each in its own thread's
+  /// workspace.
+  [[nodiscard]] SolveOutcome solve(const SolveRequest& request) const;
+
+  /// solve() of the one slice @p fill writes, whose solution stays in the
+  /// calling thread's workspace (SolveWorkspace::solutions(), width 1)
+  /// instead of being copied out: the outcome's x stays empty.
+  [[nodiscard]] SolveOutcome solve_in_place(const SinkFill& fill, bool want_ir) const;
 
   /// solve() of up to linalg::kSolveBlock single-RHS requests at once, the
-  /// unit of the LUT and Monte Carlo sweeps and of coalesced evaluations.
-  /// @p block holds out.size() sink vectors back to back (RHS-major) and is
-  /// left holding their right-hand sides. out[r] is bitwise what solve() of
-  /// slice r alone returns, entry check, verification and counters included:
-  /// a sparse-direct start sweeps the cached factor once for a block of two
-  /// or more and each slice's ladder accepts (or escalates from) its swept
-  /// solution; a slice alone, like every slice of another start or a
-  /// declined factor, runs its start rung in the ladder. The block is one
-  /// solver/solve_batch span around one solver/solve span per admitted
-  /// slice. Thread-safe like solve(); throws std::invalid_argument when out
-  /// is empty or longer than kSolveBlock, or when block is not out.size()
-  /// node vectors long.
-  void solve_block(std::span<double> block, bool want_ir, SolveScratch& scratch,
-                   std::span<SolveOutcome> out) const;
+  /// unit of the LUT and Monte Carlo sweeps and of coalesced evaluations, in
+  /// the calling thread's workspace. @p fill writes the slices' sink
+  /// currents; out[r] is what solve() of slice r alone returns, bit for bit,
+  /// entry check, verification and counters included, and the slice's
+  /// solution stays in the workspace (SolveWorkspace::solutions(),
+  /// solution(r)). A sparse-direct start sweeps the cached factor once for
+  /// the block and verifies every swept slice in one pass over G; only a
+  /// slice that fails runs its ladder, alone and on copies, and so does
+  /// every slice of another start or a declined factor. The block is one
+  /// solver/solve_batch span, with a solver/solve child per slice that runs
+  /// its ladder. Thread-safe like solve(); throws std::invalid_argument
+  /// when out is empty or longer than kSolveBlock.
+  void solve_block(const SinkFill& fill, bool want_ir, std::span<SolveOutcome> out) const;
+
+  /// solve_block() of out.size() sink vectors stored back to back in
+  /// @p sinks (RHS-major); throws std::invalid_argument unless @p sinks is
+  /// out.size() node vectors long.
+  void solve_block(std::span<const double> sinks, bool want_ir, std::span<SolveOutcome> out) const;
 
   /// Solve up to @p members single-RHS members through
   /// linalg::solve_cg_lanes: three IC-PCG solves in lockstep, a finished lane
@@ -243,19 +302,29 @@ class IrSolver {
                                     SolveScratch& ws) const;
   [[nodiscard]] const linalg::IncompleteCholesky& ic() const;
   [[nodiscard]] const linalg::SparseCholesky* sparse(std::string* error) const;
-  /// A slice's entry: throws std::invalid_argument unless it is one node
-  /// vector long, and turns its sink currents into the right-hand side
-  /// supply_rhs - sinks in place. A non-finite sink is an input error
-  /// (counted in solver.failures) naming its node.
-  [[nodiscard]] core::Status admit(std::span<double> slice) const;
-  /// Admit each slice of @p block, then solve each admitted one through its
-  /// ladder (the body of solve() and solve_block()).
-  void solve_slices(std::span<double> block, bool want_ir, SolveScratch& ws,
-                    std::span<SolveOutcome> out) const;
+  /// A block's entry: turns the sink currents of out.size() slices
+  /// (node-major in @p sinks) into the right-hand sides supply_rhs - sinks,
+  /// laid out alike in @p rhs, and gives each slice with a non-finite sink
+  /// an input error naming its first such node (counted in solver.failures).
+  void admit(const double* sinks, double* rhs, std::span<SolveOutcome> out) const;
+  /// What a block's slices went through: verified with the block, or their
+  /// own ladder.
+  struct BlockTally {
+    std::size_t verified = 0;
+    std::size_t laddered = 0;
+  };
+  /// The body of every workspace solve: the sink currents of out.size()
+  /// slices are in @p ws's sink block. Admits them, sweeps the factor on a
+  /// sparse-direct start, verifies the swept slices, runs the ladder of each
+  /// other admitted slice, and leaves every accepted solution in @p ws's
+  /// solution block. @p lone: the slices' work is one solver/solve span, as
+  /// for solve().
+  BlockTally run_block(SolveWorkspace& ws, std::span<SolveOutcome> out, bool lone) const;
   /// The ladder over @p rhs. @p first, when given, is the start rung's
-  /// result, already run in a lane or swept with its block.
+  /// result, already run in a lane or swept with its block. @p span is the
+  /// solve's solver/solve span, which gets the accepted rung's attributes.
   [[nodiscard]] SolveOutcome ladder(std::span<const double> rhs, bool want_ir, SolveScratch& ws,
-                                    RungResult* first) const;
+                                    RungResult* first, obs::TraceSpan& span) const;
   [[nodiscard]] linalg::CgOptions cg_options() const;
   /// A solve_cg result as the ic-pcg rung's result.
   [[nodiscard]] static RungResult pcg_rung(linalg::CgResult& result);

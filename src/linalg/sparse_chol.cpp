@@ -458,33 +458,34 @@ SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
     next_row[s] = 0;
     enqueue(s);
   }
+  // The sweeps address a block in the original node order: every row index
+  // of L becomes the node it eliminates.
+  for (Index& row : row_idx_) row = static_cast<Index>(perm_[row]);
+  super_ = std::move(super);
 }
 
-void SparseCholesky::solve(std::span<const double> b, std::span<double> x,
-                           std::vector<double>& work) const {
+void SparseCholesky::solve(std::span<const double> b, std::span<double> x) const {
   if (b.size() != n_ || x.size() != n_) {
     throw std::invalid_argument("SparseCholesky::solve: size mismatch");
   }
-  solve_batch(b, x, 1, work);
+  if (x.data() != b.data()) std::copy(b.begin(), b.end(), x.begin());
+  solve_block(x, 1);
 }
 
 std::vector<double> SparseCholesky::solve(std::span<const double> b) const {
   std::vector<double> x(n_, 0.0);
-  std::vector<double> work;
-  solve(b, x, work);
+  solve(b, x);
   return x;
 }
 
 template <std::size_t Width>
-void SparseCholesky::sweep(double* y) const {
-  // solve()'s two sweeps with every scalar widened to Width right-hand
-  // sides. Each right-hand side sees solve()'s operations in solve()'s order,
-  // so its slice comes out bit for bit.
+void SparseCholesky::forward_by_columns(double* y) const {
   const double* values = values_.data();
   const std::uint32_t* col_ptr = col_ptr_.data();
   const std::uint32_t* row_idx = row_idx_.data();
+  const std::size_t* node = perm_.data();
   for (std::size_t j = 0; j < n_; ++j) {
-    double* yj = y + j * Width;
+    double* yj = y + node[j] * Width;
     const double d = values[col_ptr[j]];
     double t[Width];
     for (std::size_t r = 0; r < Width; ++r) {
@@ -497,8 +498,72 @@ void SparseCholesky::sweep(double* y) const {
       for (std::size_t r = 0; r < Width; ++r) yi[r] -= v * t[r];
     }
   }
+}
+
+template <std::size_t Width>
+void SparseCholesky::forward_by_supernodes(double* y) const {
+  // A supernode's columns first divide and update the later columns of its
+  // diagonal block, one after another. The rows below it, which every column
+  // shares and none of them reads, then take the supernode's updates in
+  // column order, each row held in registers: every entry sees the
+  // subtractions of forward_by_columns in its order.
+  const double* values = values_.data();
+  const std::uint32_t* col_ptr = col_ptr_.data();
+  const std::uint32_t* row_idx = row_idx_.data();
+  const std::size_t* node = perm_.data();
+  for (std::size_t s = 0; s + 1 < super_.size(); ++s) {
+    const std::size_t first = super_[s];
+    const std::size_t end = super_[s + 1];
+    for (std::size_t j = first; j < end; ++j) {
+      double* yj = y + node[j] * Width;
+      const double d = values[col_ptr[j]];
+      double t[Width];
+      for (std::size_t r = 0; r < Width; ++r) {
+        t[r] = yj[r] / d;
+        yj[r] = t[r];
+      }
+      const std::uint32_t diagonal_end = col_ptr[j] + static_cast<std::uint32_t>(end - j);
+      for (std::uint32_t p = col_ptr[j] + 1; p < diagonal_end; ++p) {
+        const double v = values[p];
+        double* yi = y + std::size_t{row_idx[p]} * Width;
+        for (std::size_t r = 0; r < Width; ++r) yi[r] -= v * t[r];
+      }
+    }
+    // Row k below sits at col_ptr[j] + (end - j) + k in every column j.
+    const std::uint32_t* below = row_idx + col_ptr[end - 1] + 1;
+    const std::size_t rows = col_ptr[end] - col_ptr[end - 1] - 1;
+    for (std::size_t k = 0; k < rows; ++k) {
+      double* yi = y + std::size_t{below[k]} * Width;
+      double acc[Width];
+      for (std::size_t r = 0; r < Width; ++r) acc[r] = yi[r];
+      for (std::size_t j = first; j < end; ++j) {
+        const double v = values[col_ptr[j] + (end - j) + k];
+        const double* t = y + node[j] * Width;
+        for (std::size_t r = 0; r < Width; ++r) acc[r] -= v * t[r];
+      }
+      for (std::size_t r = 0; r < Width; ++r) yi[r] = acc[r];
+    }
+  }
+}
+
+template <std::size_t Width>
+void SparseCholesky::sweep(double* y) const {
+  // solve()'s two sweeps with every scalar widened to Width right-hand
+  // sides. Each right-hand side sees solve()'s operations in solve()'s order,
+  // so its slice comes out bit for bit. Column j of L eliminates node
+  // perm_[j], and its row indices are nodes too, so the block is read and
+  // written where it lies.
+  if constexpr (Width < kRowWiseWidth) {
+    forward_by_columns<Width>(y);
+  } else {
+    forward_by_supernodes<Width>(y);
+  }
+  const double* values = values_.data();
+  const std::uint32_t* col_ptr = col_ptr_.data();
+  const std::uint32_t* row_idx = row_idx_.data();
+  const std::size_t* node = perm_.data();
   for (std::size_t j = n_; j-- > 0;) {
-    double* yj = y + j * Width;
+    double* yj = y + node[j] * Width;
     double sum[Width];
     for (std::size_t r = 0; r < Width; ++r) sum[r] = yj[r];
     for (std::uint32_t p = col_ptr[j] + 1; p < col_ptr[j + 1]; ++p) {
@@ -511,33 +576,11 @@ void SparseCholesky::sweep(double* y) const {
   }
 }
 
-void SparseCholesky::solve_batch(std::span<const double> b, std::span<double> x,
-                                 std::size_t count, std::vector<double>& work) const {
-  if (b.size() != n_ * count || x.size() != n_ * count) {
-    throw std::invalid_argument("SparseCholesky::solve_batch: size mismatch");
+void SparseCholesky::solve_block(std::span<double> y, std::size_t width) const {
+  if (width == 0 || width > kSolveBlock || y.size() != n_ * width) {
+    throw std::invalid_argument("SparseCholesky::solve_block: size mismatch");
   }
-  work.resize(n_ * std::min(count, kSolveBlock));
-  for (std::size_t first = 0; first < count; first += kSolveBlock) {
-    const std::size_t width = std::min(kSolveBlock, count - first);
-    const double* bb = b.data() + first * n_;
-    double* xb = x.data() + first * n_;
-    for (std::size_t k = 0; k < n_; ++k) {
-      for (std::size_t r = 0; r < width; ++r) work[k * width + r] = bb[r * n_ + perm_[k]];
-    }
-    switch (width) {
-      case 1: sweep<1>(work.data()); break;
-      case 2: sweep<2>(work.data()); break;
-      case 3: sweep<3>(work.data()); break;
-      case 4: sweep<4>(work.data()); break;
-      case 5: sweep<5>(work.data()); break;
-      case 6: sweep<6>(work.data()); break;
-      case 7: sweep<7>(work.data()); break;
-      default: sweep<kSolveBlock>(work.data()); break;
-    }
-    for (std::size_t k = 0; k < n_; ++k) {
-      for (std::size_t r = 0; r < width; ++r) xb[r * n_ + perm_[k]] = work[k * width + r];
-    }
-  }
+  at_width(width, [&](auto w) { sweep<decltype(w)::value>(y.data()); });
 }
 
 }  // namespace pdn3d::linalg

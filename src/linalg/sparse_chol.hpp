@@ -31,9 +31,12 @@
 /// 32-bit column pointers and row indices, which makes both triangular
 /// sweeps straight loops over contiguous column slices.
 ///
-/// Many right-hand sides go through solve_batch, kSolveBlock per pass over
-/// the factor: a block is stored node-major (entry k of right-hand side r at
-/// k * width + r), so each entry of L read serves the whole block.
+/// Many right-hand sides go through solve_block, up to kSolveBlock per pass
+/// over the factor: a block is stored node-major in the original node order
+/// (entry i of right-hand side r at i * width + r) and solved in place, so
+/// each entry of L read serves the whole block. L's row indices name the
+/// nodes they eliminate, so the sweeps address the block where it lies, with
+/// no permuted copy in or out.
 ///
 /// Thread-safety contract: construction does all mutation; every solve entry
 /// is const and touches only caller-provided (or per-call) buffers, so one
@@ -42,17 +45,36 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "linalg/csr.hpp"
 
 namespace pdn3d::linalg {
 
-/// Right-hand sides per pass over the factor in SparseCholesky::solve_batch.
+/// Right-hand sides per pass over the factor in SparseCholesky::solve_block.
 /// Eight take the cost per right-hand side to about 0.4 of a solve() on the
 /// paper benchmarks and four to about 0.5, while 16 or 32 add nothing (32
 /// loses on wide-io; docs/SOLVER.md). It is not an option.
 inline constexpr std::size_t kSolveBlock = 8;
+
+/// Calls @p f with std::integral_constant<std::size_t, W> for W = @p width
+/// (1 .. kSolveBlock), so a loop over a block's right-hand sides compiles at
+/// the block's width.
+template <typename F>
+void at_width(std::size_t width, F&& f) {
+  using std::integral_constant;
+  switch (width) {
+    case 1: f(integral_constant<std::size_t, 1>{}); break;
+    case 2: f(integral_constant<std::size_t, 2>{}); break;
+    case 3: f(integral_constant<std::size_t, 3>{}); break;
+    case 4: f(integral_constant<std::size_t, 4>{}); break;
+    case 5: f(integral_constant<std::size_t, 5>{}); break;
+    case 6: f(integral_constant<std::size_t, 6>{}); break;
+    case 7: f(integral_constant<std::size_t, 7>{}); break;
+    default: f(integral_constant<std::size_t, kSolveBlock>{}); break;
+  }
+}
 
 struct SparseCholeskyOptions {
   /// Refuse factorizations whose fill ratio nnz(L) / nnz(lower(A)) would
@@ -80,22 +102,22 @@ class SparseCholesky {
   SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
                  const SparseCholeskyOptions& options = {});
 
-  /// Solve A x = b in the original ordering. @p x and @p b must have size
-  /// dimension() and may alias each other; @p work is resized here.
-  void solve(std::span<const double> b, std::span<double> x, std::vector<double>& work) const;
+  /// Solve A x = b. @p x and @p b must have size dimension() and may alias
+  /// each other.
+  void solve(std::span<const double> b, std::span<double> x) const;
 
   /// Allocating convenience overload.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
-  /// Batched solve: @p b and @p x hold @p count right-hand sides back to
-  /// back, each dimension() long (RHS-major), and may alias each other. The
-  /// factor is swept once per block of kSolveBlock right-hand sides (a last,
-  /// partial block of k sweeps at width k, so it never costs more than k
-  /// solve() calls). Each solution is bitwise identical to the one solve()
-  /// produces for the same slice: every right-hand side keeps solve()'s
-  /// arithmetic order. @p work is resized here.
-  void solve_batch(std::span<const double> b, std::span<double> x, std::size_t count,
-                   std::vector<double>& work) const;
+  /// Solve A X = B in place for a block of @p width right-hand sides (1 ..
+  /// kSolveBlock), stored node-major in the original node order: @p y holds
+  /// entry i of right-hand side r at i * width + r, B on entry and X on
+  /// return. The factor is swept once for the block, and each solution is
+  /// bitwise identical to the one solve() produces for the same right-hand
+  /// side: every right-hand side keeps solve()'s arithmetic order. Throws
+  /// std::invalid_argument on a width outside that range or a block that is
+  /// not width node vectors long.
+  void solve_block(std::span<double> y, std::size_t width) const;
 
   [[nodiscard]] std::size_t dimension() const { return n_; }
   /// Structural nonzeros of L (diagonal included).
@@ -105,14 +127,33 @@ class SparseCholesky {
 
  private:
   /// Both triangular sweeps over @p y, @p Width right-hand sides stored
-  /// node-major (entry k of right-hand side r at k * Width + r).
+  /// node-major in the original order (entry i of right-hand side r at
+  /// i * Width + r).
   template <std::size_t Width>
   void sweep(double* y) const;
+  /// The forward sweep, one column of L at a time.
+  template <std::size_t Width>
+  void forward_by_columns(double* y) const;
+  /// The forward sweep, one supernode at a time: the same subtractions in
+  /// the same order for every entry, with each row below a supernode loaded
+  /// and stored once.
+  template <std::size_t Width>
+  void forward_by_supernodes(double* y) const;
+  /// Narrower blocks sweep forward by columns: a row below a supernode
+  /// holds too few right-hand sides to repay the strided reads of L. On the
+  /// paper benchmarks the supernodal sweep costs 0.85-0.9x per right-hand
+  /// side at width 8, about the same at 4, and 1.1-1.25x at 1 and 2.
+  static constexpr std::size_t kRowWiseWidth = 4;
 
   std::size_t n_ = 0;
   double fill_ratio_ = 0.0;
-  std::vector<std::size_t> perm_;  ///< new -> old
-  // L column-compressed, diagonal first in each column, rows increasing.
+  std::vector<std::size_t> perm_;  ///< new -> old: column j eliminates node perm_[j]
+  /// First column of each supernode, then n: a run of columns that share
+  /// their rows below the last of them.
+  std::vector<std::uint32_t> super_;
+  // L column-compressed, diagonal first in each column, rows increasing in
+  // elimination order. Once factored, each row index is the node it
+  // eliminates (perm_ applied).
   std::vector<std::uint32_t> col_ptr_;
   std::vector<std::uint32_t> row_idx_;
   std::vector<double> values_;

@@ -41,7 +41,7 @@ struct Measurement {
 /// evaluator per worker chunk: measure() may keep per-instance scratch
 /// without any locking, as long as fork()ed siblings are independent (shared
 /// data immutable or internally synchronized -- the canonical layering is the
-/// LUT and Monte Carlo sweeps' one irdrop::SolveScratch per chunk over a
+/// LUT and Monte Carlo sweeps' one irdrop::SolveWorkspace per thread over a
 /// shared IrAnalyzer).
 class Evaluator {
  public:

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <exception>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/benchmarks.hpp"
 #include "exec/thread_pool.hpp"
 #include "floorplan/logic_floorplan.hpp"
+#include "irdrop/lut.hpp"
+#include "irdrop/montecarlo.hpp"
+#include "obs/metrics.hpp"
 #include "pdn/stack_builder.hpp"
 #include "tech/presets.hpp"
 
@@ -181,19 +187,19 @@ TEST(IrAnalyzer, AnalyzeBatchHandlesEdgeSizes) {
 }
 
 TEST(IrAnalyzer, ScratchReuseIsBitwiseStable) {
-  // Repeated analyses through one scratch reuse its buffers; the answers must
-  // stay bitwise identical to analyses with fresh buffers.
+  // Repeated analyses reuse the thread's workspace; the answers must stay
+  // bitwise identical to an analysis on a fresh thread's.
   const Fixture f;
   const auto a = f.analyzer();
-  SolveScratch scratch;
   for (const char* s : {"0-0-0-2", "2-0-0-0", "1-1-0-0", "0-0-0-2"}) {
-    EXPECT_EQ(a.analyze(f.state(s), &scratch).dram_max_mv, a.analyze(f.state(s)).dram_max_mv)
-        << s;
+    double fresh = 0.0;
+    std::thread([&] { fresh = a.analyze(f.state(s)).dram_max_mv; }).join();
+    EXPECT_EQ(a.analyze(f.state(s)).dram_max_mv, fresh) << s;
   }
 }
 
 TEST(ConcurrentAnalyzer, PerChunkScratchAgreesWithSerial) {
-  // One scratch per pool chunk over one shared analyzer: results must be
+  // One workspace per pool thread over one shared analyzer: results must be
   // bitwise identical to the serial pass (the sweep-engine contract).
   const Fixture f;
   const auto a = f.analyzer();
@@ -209,14 +215,13 @@ TEST(ConcurrentAnalyzer, PerChunkScratchAgreesWithSerial) {
   exec::ThreadPool pool(4);
   std::vector<double> got(states.size(), 0.0);
   pool.parallel_chunks(states.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
-    SolveScratch scratch;
-    for (std::size_t i = begin; i < end; ++i) got[i] = a.analyze(states[i], &scratch).dram_max_mv;
+    for (std::size_t i = begin; i < end; ++i) got[i] = a.analyze(states[i]).dram_max_mv;
   });
   for (std::size_t i = 0; i < states.size(); ++i) EXPECT_EQ(got[i], expected[i]) << names[i];
 }
 
 TEST(ConcurrentAnalyzer, SharedAnalyzerIsRaceFreeUnderTsan) {
-  // Hammer one analyzer from many threads, each with its own scratch. The
+  // Hammer one analyzer from many threads, each in its own workspace. The
   // assertions are light; the value of this test is running under
   // PDN3D_SANITIZE=thread (scripts/run_sanitized_tests.sh).
   const Fixture f;
@@ -227,12 +232,114 @@ TEST(ConcurrentAnalyzer, SharedAnalyzerIsRaceFreeUnderTsan) {
   std::vector<double> results(4, 0.0);
   for (std::size_t t = 0; t < results.size(); ++t) {
     threads.emplace_back([&, t] {
-      SolveScratch scratch;
-      for (int rep = 0; rep < 3; ++rep) results[t] = a.analyze(st, &scratch).dram_max_mv;
+      for (int rep = 0; rep < 3; ++rep) results[t] = a.analyze(st).dram_max_mv;
     });
   }
   for (auto& th : threads) th.join();
   for (const double r : results) EXPECT_EQ(r, expected);
+}
+
+/// A paper benchmark's baseline analyzer on the sparse-direct start of a
+/// cached design.
+struct PaperDesign {
+  core::Benchmark bench;
+  pdn::BuiltStack built;
+  IrAnalyzer analyzer;
+
+  explicit PaperDesign(core::BenchmarkKind kind)
+      : bench(core::make_benchmark(kind)), built(pdn::build_stack(bench.stack, bench.baseline)),
+        analyzer(built.model, bench.stack.dram_fp, bench.stack.logic_fp, binding(bench),
+                 SolverKind::kSparseDirect) {}
+
+  static PowerBinding binding(const core::Benchmark& b) {
+    PowerBinding power;
+    power.dram = b.dram_power;
+    power.logic = b.logic_power;
+    power.dram_scale = b.power_scale;
+    return power;
+  }
+};
+
+TEST(ConcurrentWorkspace, GrowsOnceAndStaysWithinTwoBlocks) {
+  // On a fresh thread, two Monte Carlo runs, a LUT build and a batch of three
+  // states on wide-io share the thread's one workspace: it grows once, to a
+  // full block of the design, and never holds more than the two blocks and
+  // the per-node vectors (one slice's right-hand side, the rail and the
+  // seven CG vectors).
+  const PaperDesign wide(core::BenchmarkKind::kWideIo);
+  const auto& spec = wide.bench.stack.dram_spec;
+  const std::size_t n = wide.built.model.node_count();
+  const std::size_t bound = (2 * linalg::kSolveBlock + 9) * n;
+  std::thread([&] {
+    try {
+      const SolveWorkspace& ws = SolveWorkspace::local();
+      EXPECT_EQ(ws.capacity(), 0u);
+      obs::Counter& grows = obs::counter("solver.workspace_grows");
+      const std::uint64_t before = grows.value();
+      MonteCarloConfig mc;
+      mc.samples = 20;
+      mc.threads = 1;
+      for (const std::uint64_t seed : {1u, 2u}) {
+        mc.seed = seed;
+        EXPECT_EQ(sample_ir_distribution(wide.analyzer, spec, mc).samples, 20);
+        EXPECT_LE(ws.capacity(), bound);
+      }
+      EXPECT_EQ(IrLut::build(wide.analyzer, spec, 2, 1.0, 1).size(), 81u);
+      EXPECT_LE(ws.capacity(), bound);
+      const std::vector<power::MemoryState> states = {
+          power::parse_memory_state("0-0-0-2", spec, -1.0),
+          power::parse_memory_state("2-0-0-0", spec, -1.0),
+          power::parse_memory_state("0-0-2-2", spec, 0.5)};
+      EXPECT_EQ(wide.analyzer.analyze_batch(states).size(), 3u);
+      EXPECT_LE(ws.capacity(), bound);
+      EXPECT_GE(ws.capacity(), 2 * linalg::kSolveBlock * n);
+      EXPECT_EQ(grows.value() - before, 1u);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+  }).join();
+}
+
+TEST(ConcurrentWorkspace, LutAtFourThreadsBesideMonteCarloMatchesSerial) {
+  // A LUT build on four threads, with a Monte Carlo run on another thread
+  // over the same analyzer, gives the one-thread table and distribution bit
+  // for bit: every thread solves in its own workspace.
+  const PaperDesign wide(core::BenchmarkKind::kWideIo);
+  const auto& spec = wide.bench.stack.dram_spec;
+  const IrLut serial = IrLut::build(wide.analyzer, spec, 2, 1.0, 1);
+  MonteCarloConfig mc;
+  mc.samples = 40;
+  mc.threads = 1;
+  const MonteCarloResult mc_serial = sample_ir_distribution(wide.analyzer, spec, mc);
+
+  MonteCarloResult mc_beside;
+  std::exception_ptr beside_error;
+  std::jthread beside([&] {
+    try {
+      mc_beside = sample_ir_distribution(wide.analyzer, spec, mc);
+    } catch (...) {
+      beside_error = std::current_exception();
+    }
+  });
+  const IrLut parallel = IrLut::build(wide.analyzer, spec, 2, 1.0, 4);
+  beside.join();
+  ASSERT_EQ(beside_error, nullptr);
+
+  ASSERT_EQ(parallel.size(), serial.size());
+  std::vector<int> counts(static_cast<std::size_t>(serial.die_count()), 0);
+  for (std::size_t key = 0; key < serial.size(); ++key) {
+    std::size_t k = key;
+    for (int& c : counts) {
+      c = static_cast<int>(k % 3);
+      k /= 3;
+    }
+    EXPECT_EQ(parallel.max_ir_mv(counts), serial.max_ir_mv(counts)) << "key " << key;
+  }
+  EXPECT_EQ(mc_beside.samples, mc_serial.samples);
+  EXPECT_EQ(mc_beside.mean_mv, mc_serial.mean_mv);
+  EXPECT_EQ(mc_beside.p50_mv, mc_serial.p50_mv);
+  EXPECT_EQ(mc_beside.p99_mv, mc_serial.p99_mv);
+  EXPECT_EQ(mc_beside.max_mv, mc_serial.max_mv);
 }
 
 TEST(IrAnalyzer, MoreMetalLowersDrop) {

@@ -329,9 +329,9 @@ TEST(IrSolver, CallerScratchReuseIsBitwiseStable) {
   const std::vector<double> sinks(m.node_count(), 0.01);
   const auto fresh = solver.solve(SolveRequest{.sinks = sinks});
   ASSERT_TRUE(fresh.ok());
-  SolveScratch scratch;
+  // Each solve runs in this thread's one workspace.
   for (int rep = 0; rep < 3; ++rep) {
-    const auto reused = solver.solve(SolveRequest{.sinks = sinks}, &scratch);
+    const auto reused = solver.solve(SolveRequest{.sinks = sinks});
     ASSERT_TRUE(reused.ok());
     ASSERT_EQ(reused.x.size(), fresh.x.size());
     for (std::size_t i = 0; i < fresh.x.size(); ++i) EXPECT_EQ(reused.x[i], fresh.x[i]);
@@ -427,10 +427,11 @@ TEST(IrSolver, BatchedSolveBitwiseMatchesIndividualSolvesInIndexOrder) {
     }
   }
 
-  std::vector<double> block = sinks;
-  SolveScratch scratch;
   std::array<SolveOutcome, kBatch> batch;
-  solver.solve_block(block, false, scratch, batch);
+  solver.solve_block(sinks, false, batch);
+  // The slices' solutions, read before the lone solves reuse the workspace.
+  std::array<std::vector<double>, kBatch> x;
+  for (std::size_t r = 0; r < kBatch; ++r) x[r] = SolveWorkspace::local().solution(r);
 
   for (std::size_t r = 0; r < kBatch; ++r) {
     ASSERT_TRUE(batch[r].ok()) << batch[r].status.to_string();
@@ -438,9 +439,9 @@ TEST(IrSolver, BatchedSolveBitwiseMatchesIndividualSolvesInIndexOrder) {
     const auto one = solver.solve(
         SolveRequest{.sinks = std::span<const double>(sinks.data() + r * n, n)});
     ASSERT_TRUE(one.ok());
-    ASSERT_EQ(batch[r].x.size(), n);
+    ASSERT_EQ(x[r].size(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(batch[r].x[i], one.x[i]) << "slice " << r << " node " << i;
+      EXPECT_EQ(x[r][i], one.x[i]) << "slice " << r << " node " << i;
     }
   }
 }
@@ -449,18 +450,19 @@ TEST(IrSolver, BatchedIrConversionPerSlice) {
   const auto m = two_node_divider();
   IrSolver solver(m, SolverKind::kSparseDirect);
   const std::vector<double> sinks = {0.0, 1.0, 0.0, 0.5};  // two 2-node slices
-  SolveScratch scratch;
   std::array<SolveOutcome, 2> v;
   std::array<SolveOutcome, 2> ir;
-  std::vector<double> block = sinks;
-  solver.solve_block(block, false, scratch, v);
-  block = sinks;
-  solver.solve_block(block, true, scratch, ir);
+  std::array<std::vector<double>, 2> v_x;
+  std::array<std::vector<double>, 2> ir_x;
+  solver.solve_block(sinks, false, v);
+  for (std::size_t r = 0; r < 2; ++r) v_x[r] = SolveWorkspace::local().solution(r);
+  solver.solve_block(sinks, true, ir);
+  for (std::size_t r = 0; r < 2; ++r) ir_x[r] = SolveWorkspace::local().solution(r);
   for (std::size_t r = 0; r < 2; ++r) {
     ASSERT_TRUE(v[r].ok());
     ASSERT_TRUE(ir[r].ok());
-    ASSERT_EQ(ir[r].x.size(), 2u);
-    for (std::size_t i = 0; i < 2; ++i) EXPECT_EQ(ir[r].x[i], m.vdd() - v[r].x[i]);
+    ASSERT_EQ(ir_x[r].size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) EXPECT_EQ(ir_x[r][i], m.vdd() - v_x[r][i]);
   }
 }
 
@@ -493,15 +495,12 @@ TEST(IrSolver, BatchRequestValidation) {
 
   const IrSolver& solver = f.analyzer.solver();
   const std::size_t n = solver.node_count();
-  SolveScratch scratch;
   std::array<SolveOutcome, linalg::kSolveBlock + 1> out;
   std::vector<double> block(n * 2, 0.0);
-  EXPECT_THROW(solver.solve_block(block, false, scratch, std::span(out).first(3)),
-               std::invalid_argument);
-  EXPECT_THROW(solver.solve_block(block, false, scratch, std::span(out).first(0)),
-               std::invalid_argument);
+  EXPECT_THROW(solver.solve_block(block, false, std::span(out).first(3)), std::invalid_argument);
+  EXPECT_THROW(solver.solve_block(block, false, std::span(out).first(0)), std::invalid_argument);
   block.assign(n * out.size(), 0.0);
-  EXPECT_THROW(solver.solve_block(block, false, scratch, out), std::invalid_argument);
+  EXPECT_THROW(solver.solve_block(block, false, out), std::invalid_argument);
 }
 
 TEST(IrSolver, BatchFailsAsAWhole) {
@@ -533,23 +532,27 @@ TEST(IrSolver, BatchFailsAsAWhole) {
 }
 
 TEST(SparseCholesky, BenchmarkBatchSlicesMatchSolveAtEveryCount) {
-  // Full blocks, partial blocks and a block-and-a-bit, on a paper stack's G:
-  // every slice of solve_batch is solve() of that slice alone, bit for bit.
+  // Blocks of every width, on a paper stack's G: every slice of solve_block
+  // is solve() of that slice alone, bit for bit.
   const core::Benchmark bench = core::make_benchmark(core::BenchmarkKind::kHmc);
   const auto built = pdn::build_stack(bench.stack, bench.baseline);
   const IrSolver solver(built.model, SolverKind::kSparseDirect);
   const linalg::SparseCholesky chol(solver.conductance_matrix());
   const std::size_t n = chol.dimension();
   util::Rng rng(23);
-  std::vector<double> work;
-  for (const std::size_t count : {1, 2, 7, 8, 9, 16, 17}) {
+  for (std::size_t count = 1; count <= linalg::kSolveBlock; ++count) {
     std::vector<double> b(n * count);
     for (double& v : b) v = rng.next_double() * 2.0 - 1.0;
-    std::vector<double> x(n * count, 0.0);
-    chol.solve_batch(b, x, count, work);
+    std::vector<double> block(n * count);
+    for (std::size_t r = 0; r < count; ++r) {
+      for (std::size_t i = 0; i < n; ++i) block[i * count + r] = b[r * n + i];
+    }
+    chol.solve_block(block, count);
     for (std::size_t r = 0; r < count; ++r) {
       const auto one = chol.solve(std::span<const double>(b).subspan(r * n, n));
-      EXPECT_EQ(0, std::memcmp(one.data(), x.data() + r * n, n * sizeof(double)))
+      std::vector<double> x(n);
+      for (std::size_t i = 0; i < n; ++i) x[i] = block[i * count + r];
+      EXPECT_EQ(0, std::memcmp(one.data(), x.data(), n * sizeof(double)))
           << "count " << count << " slice " << r;
     }
   }
@@ -567,27 +570,92 @@ TEST(IrSolver, BlockSliceWithNaNSinksFailsAloneAsSolveDoes) {
   sinks[2 * n + 3] = std::numeric_limits<double>::quiet_NaN();
 
   CounterDeltas delta;
-  std::vector<double> block = sinks;
-  SolveScratch scratch;
   std::array<SolveOutcome, kCount> out;
-  solver.solve_block(block, true, scratch, out);
+  solver.solve_block(sinks, true, out);
   EXPECT_EQ(delta("solver.failures"), 1u);
   EXPECT_EQ(delta("solver.rung_attempts.sparse-direct"), kCount - 1);
+  // The slices' solutions, read before the lone solves reuse the workspace.
+  std::array<std::vector<double>, kCount> x;
+  for (std::size_t r = 0; r < kCount; ++r) x[r] = SolveWorkspace::local().solution(r);
 
   for (std::size_t r = 0; r < kCount; ++r) {
     const auto alone = solver.solve(
         SolveRequest{.sinks = std::span<const double>(sinks).subspan(r * n, n), .want_ir = true});
     EXPECT_EQ(out[r].status.to_string(), alone.status.to_string()) << "slice " << r;
-    ASSERT_EQ(out[r].x.size(), alone.x.size()) << "slice " << r;
+    ASSERT_EQ(x[r].size(), alone.x.size()) << "slice " << r;
     if (!alone.x.empty()) {
-      EXPECT_EQ(0, std::memcmp(out[r].x.data(), alone.x.data(), n * sizeof(double)))
+      EXPECT_EQ(0, std::memcmp(x[r].data(), alone.x.data(), n * sizeof(double)))
           << "slice " << r;
     }
     EXPECT_EQ(out[r].kind_used, alone.kind_used) << "slice " << r;
     EXPECT_EQ(out[r].rel_residual, alone.rel_residual) << "slice " << r;
   }
   EXPECT_FALSE(out[2].ok());
-  EXPECT_TRUE(out[2].x.empty());
+  EXPECT_TRUE(x[2].empty());
+}
+
+TEST(IrSolver, BlockSlicesThatFailVerificationRunTheirLadderAlone) {
+  // A verification tolerance below what the factor reaches rejects every
+  // swept slice of a full block in the block pass; each then runs its ladder
+  // alone and must end as solve() of it alone does: status, escalations,
+  // rung, and the same rung and escalation counts.
+  const auto m = starvable_mesh();
+  const std::size_t n = m.node_count();
+  constexpr std::size_t kCount = linalg::kSolveBlock;
+  std::vector<double> sinks(n * kCount);
+  for (std::size_t i = 0; i < sinks.size(); ++i) sinks[i] = 0.001 * static_cast<double>(i % 11);
+  const std::vector<std::string> names = {
+      "solver.rung_attempts.sparse-direct", "solver.rung_attempts.ic-pcg",
+      "solver.rung_failures.sparse-direct", "solver.rung_failures.ic-pcg", "ladder.escalations"};
+  const auto deltas = [&](CounterDeltas& delta) {
+    std::vector<std::uint64_t> out;
+    for (const std::string& name : names) out.push_back(delta(name));
+    return out;
+  };
+
+  IrSolverOptions strict;
+  strict.verify_rel_tol = 1e-300;
+  const IrSolver solver(m, SolverKind::kSparseDirect, strict);
+  std::array<SolveOutcome, kCount> out;
+  CounterDeltas block_delta;
+  solver.solve_block(sinks, false, out);
+  const std::vector<std::uint64_t> block_counts = deltas(block_delta);
+  for (std::size_t r = 0; r < kCount; ++r) {
+    EXPECT_TRUE(SolveWorkspace::local().solution(r).empty()) << "slice " << r;
+  }
+
+  CounterDeltas alone_delta;
+  for (std::size_t r = 0; r < kCount; ++r) {
+    const auto alone =
+        solver.solve(SolveRequest{.sinks = std::span<const double>(sinks).subspan(r * n, n)});
+    ASSERT_FALSE(alone.ok());
+    EXPECT_EQ(out[r].status.to_string(), alone.status.to_string()) << "slice " << r;
+    EXPECT_EQ(out[r].escalations, alone.escalations) << "slice " << r;
+    EXPECT_EQ(out[r].kind_used, alone.kind_used) << "slice " << r;
+  }
+  EXPECT_EQ(block_counts, deltas(alone_delta));
+  EXPECT_EQ(block_counts.front(), kCount);  // one sparse-direct attempt per slice
+  EXPECT_EQ(block_counts.back(), kCount);   // and one escalation each
+
+  // A starved ic-pcg start runs every slice's ladder, which recovers on the
+  // factor; each recovered solution lands in the block as solve() returns it.
+  IrSolverOptions starved;
+  starved.cg_max_iterations = 1;
+  const IrSolver pcg(m, SolverKind::kPcgIc, starved);
+  pcg.solve_block(sinks, true, out);
+  std::array<std::vector<double>, kCount> x;
+  for (std::size_t r = 0; r < kCount; ++r) x[r] = SolveWorkspace::local().solution(r);
+  for (std::size_t r = 0; r < kCount; ++r) {
+    const auto alone = pcg.solve(
+        SolveRequest{.sinks = std::span<const double>(sinks).subspan(r * n, n), .want_ir = true});
+    ASSERT_TRUE(alone.ok()) << alone.status.to_string();
+    ASSERT_TRUE(out[r].ok()) << out[r].status.to_string();
+    EXPECT_EQ(out[r].kind_used, SolverKind::kSparseDirect);
+    EXPECT_EQ(out[r].escalations, alone.escalations);
+    EXPECT_EQ(out[r].rel_residual, alone.rel_residual);
+    ASSERT_EQ(x[r].size(), n);
+    EXPECT_EQ(0, std::memcmp(x[r].data(), alone.x.data(), n * sizeof(double))) << "slice " << r;
+  }
 }
 
 TEST(IrSolver, DeclinedSparseFactorFallsDownLadder) {

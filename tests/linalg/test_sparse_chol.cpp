@@ -161,16 +161,21 @@ TEST(SparseCholesky, BatchSolveBitwiseMatchesIndividualSolves) {
   std::vector<double> b(n * kCount);
   for (double& x : b) x = rng.next_double() * 2.0 - 1.0;
 
-  std::vector<double> x_batch(n * kCount, 0.0);
-  std::vector<double> work;
-  chol.solve_batch(b, x_batch, kCount, work);
+  // The block is node-major: entry i of right-hand side r at i * kCount + r.
+  std::vector<double> block(n * kCount);
+  for (std::size_t r = 0; r < kCount; ++r) {
+    for (std::size_t i = 0; i < n; ++i) block[i * kCount + r] = b[r * n + i];
+  }
+  chol.solve_block(block, kCount);
 
   for (std::size_t r = 0; r < kCount; ++r) {
     const auto x_one =
         chol.solve(std::span<const double>(b.data() + r * n, n));
+    std::vector<double> x_batch(n);
+    for (std::size_t i = 0; i < n; ++i) x_batch[i] = block[i * kCount + r];
     // Bitwise, not approximate: the batched sweeps execute per-RHS
     // arithmetic in the same order as a single solve.
-    EXPECT_EQ(0, std::memcmp(x_one.data(), x_batch.data() + r * n, n * sizeof(double)))
+    EXPECT_EQ(0, std::memcmp(x_one.data(), x_batch.data(), n * sizeof(double)))
         << "slice " << r << " differs from individual solve";
   }
 }
@@ -181,9 +186,8 @@ TEST(SparseCholesky, BatchOfOneMatchesSolve) {
   std::vector<double> b(a.dimension());
   util::Rng rng(5);
   for (double& x : b) x = rng.next_double();
-  std::vector<double> x1(a.dimension(), 0.0);
-  std::vector<double> work;
-  chol.solve_batch(b, x1, 1, work);
+  std::vector<double> x1 = b;
+  chol.solve_block(x1, 1);
   const auto x2 = chol.solve(b);
   EXPECT_EQ(0, std::memcmp(x1.data(), x2.data(), x1.size() * sizeof(double)));
 }
@@ -226,9 +230,11 @@ TEST(SparseCholesky, RejectsIndefiniteAndBadInput) {
   const SparseCholesky ok(a, identity_ordering(a.dimension()));
   const std::vector<double> bad_rhs(3, 0.0);
   EXPECT_THROW(ok.solve(bad_rhs), std::invalid_argument);
-  std::vector<double> x(a.dimension(), 0.0);
-  std::vector<double> work;
-  EXPECT_THROW(ok.solve_batch(bad_rhs, x, 2, work), std::invalid_argument);
+  std::vector<double> block(a.dimension() * 2 + 1, 0.0);
+  EXPECT_THROW(ok.solve_block(block, 2), std::invalid_argument);
+  block.resize(a.dimension() * (kSolveBlock + 1));
+  EXPECT_THROW(ok.solve_block(block, kSolveBlock + 1), std::invalid_argument);
+  EXPECT_THROW(ok.solve_block(std::span(block).first(0), 0), std::invalid_argument);
 }
 
 TEST(SparseCholesky, LinearityOfSolutions) {

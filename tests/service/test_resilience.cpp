@@ -211,6 +211,54 @@ TEST_F(ServiceResilience, AllocationFaultSurfacesAsEvaluationFailed) {
   EXPECT_EQ(service.stats().completed, 2u);
 }
 
+TEST_F(ServiceResilience, AllocationFaultLeavesTheWorkspaceUsable) {
+  // A Monte Carlo request that fails at the solver's entry leaves its
+  // worker's solve workspace usable: the next Monte Carlo answer on that
+  // worker is byte-equal to a fresh server's.
+  const auto montecarlo = [](int id) {
+    return R"({"id":)" + std::to_string(id) +
+           R"(,"op":"montecarlo","benchmark":"wide-io","samples":20})";
+  };
+  const auto output = [](const std::string& line) {
+    const auto start = line.find(R"("output":")");
+    return start == std::string::npos ? std::string()
+                                      : line.substr(start, line.find(R"(","request_id")") - start);
+  };
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  std::string fresh;
+  {
+    const api::Session session;
+    BatchService service(session, cfg);
+    service.start();
+    Collector client;
+    service.submit_line(montecarlo(3), client.sink());
+    service.drain();
+    ASSERT_EQ(client.lines().size(), 1u);
+    fresh = client.lines()[0];
+  }
+  ASSERT_TRUE(contains(fresh, R"("ok":true)")) << fresh;
+
+  const api::Session session;
+  BatchService service(session, cfg);
+  service.start();
+  Collector warm, failed, next;
+  // An evaluate first sizes the worker's workspace to the design.
+  service.submit_line(R"({"id":1,"op":"evaluate","benchmark":"wide-io"})", warm.sink());
+  ASSERT_EQ(warm.wait_for(1).size(), 1u);
+  EXPECT_TRUE(contains(warm.lines()[0], R"("ok":true)")) << warm.lines()[0];
+  ASSERT_EQ(faults::Registry::instance().configure("irdrop.solve.alloc=1/1#1"), "");
+  service.submit_line(montecarlo(2), failed.sink());
+  ASSERT_EQ(failed.wait_for(1).size(), 1u);
+  EXPECT_TRUE(contains(failed.lines()[0], R"("kind":"evaluation_failed")")) << failed.lines()[0];
+  service.submit_line(montecarlo(3), next.sink());
+  service.drain();
+  ASSERT_EQ(next.lines().size(), 1u);
+  EXPECT_TRUE(contains(next.lines()[0], R"("ok":true)")) << next.lines()[0];
+  EXPECT_EQ(output(next.lines()[0]), output(fresh));
+  EXPECT_FALSE(output(fresh).empty());
+}
+
 TEST_F(ServiceResilience, QueueDelayFaultOnlySlowsNeverDrops) {
   ASSERT_EQ(faults::Registry::instance().configure("service.queue.delay=1.0:20"), "");
   const api::Session session;
