@@ -141,22 +141,33 @@ void render_evaluate_result(const pdn::PdnConfig& cfg, const std::string& state,
   result->headline_mv = r.dram_max_mv;
 }
 
+/// A failed EM limit check as the result's status, when the request
+/// enforces the limits.
+void enforce_em(const EvaluateRequest& request, const irdrop::EmReport& rep,
+                EvaluateResult* result) {
+  if (request.design.em_enforce && !rep.clean()) {
+    result->status = core::Status::numerical_failure(
+        std::to_string(rep.total_violations) + " EM limit violation(s)");
+  }
+}
+
 void render_evaluate(const core::Platform& p, const EvaluateRequest& request, std::ostream& os,
                      EvaluateResult* result) {
   const auto cfg = request.design.apply(p.benchmark().baseline);
   const std::string state =
       request.state.empty() ? p.benchmark().default_state : request.state;
   const auto parsed = p.parse_state(state, request.activity);
-  const auto r = p.analyze(cfg, parsed);
-  render_evaluate_result(cfg, state, parsed, r, os, result);
-  if (request.design.em_enabled()) {
-    const auto rep = p.em_check(cfg, parsed, em_options(request.design));
-    render_current_block(rep, os);
-    if (request.design.em_enforce && !rep.clean()) {
-      result->status = core::Status::numerical_failure(
-          std::to_string(rep.total_violations) + " EM limit violation(s)");
-    }
+  const auto render_ir = [&](const irdrop::IrResult& r) {
+    render_evaluate_result(cfg, state, parsed, r, os, result);
+  };
+  if (!request.design.em_enabled()) {
+    render_ir(p.analyze(cfg, parsed));
+    return;
   }
+  // One solve for both: the IR part is written before the EM pass can fail.
+  const auto rep = p.em_check(cfg, parsed, em_options(request.design), render_ir);
+  render_current_block(rep, os);
+  enforce_em(request, rep, result);
 }
 
 void render_em_check(const core::Platform& p, const EvaluateRequest& request, std::ostream& os,
@@ -165,18 +176,18 @@ void render_em_check(const core::Platform& p, const EvaluateRequest& request, st
   const std::string state =
       request.state.empty() ? p.benchmark().default_state : request.state;
   const auto parsed = p.parse_state(state, request.activity);
-  const auto ir = p.analyze(cfg, parsed);
-  os << "design : " << cfg.summary() << "\n";
-  os << "state  : " << state << " @ activity " << util::fmt_fixed(parsed.io_activity, 2)
-     << "\n";
-  const auto rep = p.em_check(cfg, parsed, em_options(request.design));
+  double ir_mv = 0.0;
+  const auto rep =
+      p.em_check(cfg, parsed, em_options(request.design), [&](const irdrop::IrResult& ir) {
+        os << "design : " << cfg.summary() << "\n";
+        os << "state  : " << state << " @ activity " << util::fmt_fixed(parsed.io_activity, 2)
+           << "\n";
+        ir_mv = ir.dram_max_mv;
+      });
   render_current_block(rep, os);
-  os << "max DRAM IR drop : " << util::fmt_fixed(ir.dram_max_mv, 2) << " mV\n";
-  result->headline_mv = ir.dram_max_mv;
-  if (request.design.em_enforce && !rep.clean()) {
-    result->status = core::Status::numerical_failure(
-        std::to_string(rep.total_violations) + " EM limit violation(s)");
-  }
+  os << "max DRAM IR drop : " << util::fmt_fixed(ir_mv, 2) << " mV\n";
+  result->headline_mv = ir_mv;
+  enforce_em(request, rep, result);
 }
 
 void render_lut(const core::Platform& p, const EvaluateRequest& request, std::ostream& os,
@@ -231,18 +242,24 @@ void render_lut(const core::Platform& p, const EvaluateRequest& request, std::os
 void render_montecarlo(const core::Platform& p, const EvaluateRequest& request,
                        std::ostream& os, EvaluateResult* result) {
   const auto cfg = request.design.apply(p.benchmark().baseline);
-  irdrop::MonteCarloConfig mc;
-  mc.samples = static_cast<int>(request.samples);
-  const auto ckpt = open_checkpoint(request, "|mc_seed=" + std::to_string(mc.seed),
-                                    static_cast<std::uint64_t>(mc.samples));
-  mc.checkpoint = ckpt.get();
-  // The cached design analyzer already declares the many-solves access
-  // pattern (sparse-direct factor), so repeated montecarlo requests on one
-  // design reuse both the mesh and the factorization.
-  const auto& analyzer = p.analyzer(cfg);
-  const auto r = irdrop::sample_ir_distribution(analyzer, p.benchmark().stack.dram_spec, mc);
+  const int samples = static_cast<int>(request.samples);
+  // With checkpointing the run bypasses the design's Monte Carlo prefix (as
+  // the LUT build bypasses the LUT cache) but samples the same stream on the
+  // same cached analyzer, so the table is identical either way.
+  irdrop::MonteCarloResult r;
+  if (request.checkpoint_path.empty()) {
+    r = p.montecarlo(cfg, samples);
+  } else {
+    irdrop::MonteCarloConfig mc;
+    mc.samples = samples;
+    const auto ckpt = open_checkpoint(request, "|mc_seed=" + std::to_string(mc.seed),
+                                      static_cast<std::uint64_t>(samples));
+    mc.checkpoint = ckpt.get();
+    r = irdrop::sample_ir_distribution(p.analyzer(cfg), p.benchmark().stack.dram_spec, mc);
+  }
   // The design worst case is the default state, solved on the same cached
   // analyzer (its stack and factor are already built).
+  const auto& analyzer = p.analyzer(cfg);
   const double worst =
       analyzer.analyze(p.parse_state(p.benchmark().default_state, p.benchmark().default_io_activity))
           .dram_max_mv;

@@ -172,11 +172,15 @@ double Platform::measure_ir_mv(const pdn::PdnConfig& config) const {
   return m.ir_mv;
 }
 
-irdrop::EmReport Platform::em_check(const pdn::PdnConfig& config,
-                                    const power::MemoryState& state,
-                                    const irdrop::EmOptions& options) const {
+irdrop::EmReport Platform::em_check(
+    const pdn::PdnConfig& config, const power::MemoryState& state,
+    const irdrop::EmOptions& options,
+    const std::function<void(const irdrop::IrResult&)>& on_ir) const {
   const irdrop::IrAnalyzer& a = analyzer(config);
-  return irdrop::em_check(a.model(), bench_.stack.tech, a.node_voltages(state), options);
+  const irdrop::IrResult ir = a.analyze(state);
+  if (on_ir) on_ir(ir);
+  return irdrop::em_check(a.model(), bench_.stack.tech,
+                          irdrop::SolveWorkspace::local().solutions(), options);
 }
 
 irdrop::EmReport Platform::measure_em(const pdn::PdnConfig& config,
@@ -225,6 +229,17 @@ const irdrop::IrLut& Platform::lut(const pdn::PdnConfig& config) const {
                              bench_.sim.io_demand_factor));
   }
   return *cd.lut;
+}
+
+irdrop::MonteCarloResult Platform::montecarlo(const pdn::PdnConfig& config, int samples) const {
+  CachedDesign& cd = design(config);
+  irdrop::MonteCarloConfig mc;
+  mc.samples = samples;
+  mc.prefix = &cd.montecarlo_prefix;
+  // Held for the whole run, as lut() holds lut_mutex for a build: a run
+  // that waited replays what the one before it solved.
+  const std::lock_guard<std::mutex> lock(cd.montecarlo_mutex);
+  return irdrop::sample_ir_distribution(*cd.analyzer, bench_.stack.dram_spec, mc);
 }
 
 const irdrop::IrAnalyzer& Platform::analyzer(const pdn::PdnConfig& config) const {

@@ -5,6 +5,7 @@
 /// facade tying floorplanning, PDN generation, R-Mesh analysis, the memory
 /// controller, and the co-optimizer together for one benchmark.
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,11 +13,13 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/benchmarks.hpp"
 #include "irdrop/analysis.hpp"
 #include "irdrop/em.hpp"
 #include "irdrop/lut.hpp"
+#include "irdrop/montecarlo.hpp"
 #include "memctrl/controller.hpp"
 #include "opt/cooptimizer.hpp"
 
@@ -56,11 +59,16 @@ class Platform {
                         std::span<opt::Measurement> out, irdrop::LaneScratch& scratch) const;
 
   /// Electromigration analysis of @p state on the design point @p config:
-  /// solves for node voltages on the cached analyzer, then runs the
-  /// irdrop::em_check post-solve pass against this benchmark's technology.
-  [[nodiscard]] irdrop::EmReport em_check(const pdn::PdnConfig& config,
-                                          const power::MemoryState& state,
-                                          const irdrop::EmOptions& options = {}) const;
+  /// one analyze() of the state on the cached analyzer, whose node voltages
+  /// the irdrop::em_check post-solve pass then reads against this
+  /// benchmark's technology. @p on_ir, when given, receives that solve's IR
+  /// statistics before the EM pass runs, so a caller can write them out
+  /// before an EM failure propagates; it must not solve on this thread,
+  /// whose workspace holds the voltages.
+  [[nodiscard]] irdrop::EmReport em_check(
+      const pdn::PdnConfig& config, const power::MemoryState& state,
+      const irdrop::EmOptions& options = {},
+      const std::function<void(const irdrop::IrResult&)>& on_ir = {}) const;
 
   /// One-shot EM check of the benchmark's default memory state -- the
   /// co-optimizer's hard-constraint probe. Uncached like measure_ir_mv, so
@@ -91,6 +99,16 @@ class Platform {
 
   /// IR look-up table over memory states (cached per config).
   [[nodiscard]] const irdrop::IrLut& lut(const pdn::PdnConfig& config) const;
+
+  /// Monte Carlo IR distribution of @p samples samples on the design point
+  /// @p config: irdrop::sample_ir_distribution of the default
+  /// irdrop::MonteCarloConfig on the cached analyzer, through the design's
+  /// prefix (MonteCarloConfig::prefix). Samples the prefix holds replay,
+  /// the rest are solved, and the prefix keeps the verified ones, up to
+  /// irdrop::kMaxPrefixSamples. Runs on one design take turns, so no sample
+  /// is solved twice; the result is bit for bit a run without the prefix.
+  [[nodiscard]] irdrop::MonteCarloResult montecarlo(const pdn::PdnConfig& config,
+                                                    int samples) const;
 
   /// The cached design's analyzer (built with the many-solves sparse-direct
   /// hint). Valid for the Platform's lifetime; safe for concurrent const use.
@@ -123,6 +141,8 @@ class Platform {
     std::unique_ptr<irdrop::IrAnalyzer> analyzer;
     std::mutex lut_mutex;  ///< guards the lazy LUT build below
     std::unique_ptr<irdrop::IrLut> lut;
+    std::mutex montecarlo_mutex;  ///< held for a whole montecarlo() run
+    std::vector<double> montecarlo_prefix;  ///< the default stream's verified prefix
   };
 
   [[nodiscard]] std::string cache_key(const pdn::PdnConfig& config) const;

@@ -202,7 +202,12 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   m_queue_depth.set(0.0);
   m_utilization.set(static_cast<double>(region->participants.load(std::memory_order_relaxed)) /
                     static_cast<double>(thread_count_));
-  if (region->first_error) std::rethrow_exception(region->first_error);
+  // Workers may still hold the region. Move the error out of it, so this
+  // thread holds the exception's last reference and destroys it here, not a
+  // worker dropping the region while the caller reads the exception.
+  if (std::exception_ptr error = std::move(region->first_error)) {
+    std::rethrow_exception(std::move(error));
+  }
 }
 
 void ThreadPool::parallel_chunks(

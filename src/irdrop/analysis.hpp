@@ -121,7 +121,10 @@ class IrAnalyzer {
 
   /// Full IR analysis of one memory state, solved and summarized in the
   /// calling thread's workspace (IrSolver::solve_in_place). Thread-safe.
-  /// Throws core::NumericalError when every solver rung fails.
+  /// Throws core::NumericalError when every solver rung fails. The state's
+  /// node voltages stay in the workspace (SolveWorkspace::solutions()) until
+  /// the thread's next solve: a post-solve pass such as em_check reads them
+  /// there instead of solving again.
   [[nodiscard]] IrResult analyze(const power::MemoryState& state) const;
 
   /// analyze() of up to linalg::kSolveBlock states as one block: one pass

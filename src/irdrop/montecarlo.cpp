@@ -16,6 +16,14 @@
 
 namespace pdn3d::irdrop {
 
+namespace {
+
+/// Registered at 0, so stats, metrics and run reports show the row before
+/// the first replay.
+obs::Counter& m_reused = obs::counter("montecarlo.samples_reused");
+
+}  // namespace
+
 power::MemoryState draw_sample(const MonteCarloConfig& config, std::size_t sample, int dies,
                                int banks) {
   util::Rng rng = util::Rng::split(config.seed, sample);
@@ -60,6 +68,8 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
   const int dies = analyzer.model().dram_die_count();
   const int banks = spec.bank_cols * spec.bank_rows;
   const std::size_t n = static_cast<std::size_t>(config.samples);
+  // Samples 0..known-1 replay from the prefix.
+  const std::size_t known = config.prefix != nullptr ? std::min(n, config.prefix->size()) : 0;
 
   // Per-sample result slots: the pool guarantees slot i is written by the
   // worker that ran sample i's block, and every statistic below is computed
@@ -67,15 +77,20 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
   std::vector<double> values(n, 0.0);
   std::vector<unsigned char> solved(n, 0);
   std::vector<std::string> failures(n);
+  if (known > 0) {
+    std::copy_n(config.prefix->begin(), known, values.begin());
+    std::fill_n(solved.begin(), known, 1);
+  }
 
   // Samples go to the solver kSolveBlock at a time, one pass over the cached
-  // factor per block; a checkpointed sample replays and leaves its block.
+  // factor per block; a sample the prefix or the checkpoint holds replays
+  // and leaves its block.
   const auto run_block = [&](std::size_t b) {
     std::array<power::MemoryState, linalg::kSolveBlock> states;
     std::array<std::size_t, linalg::kSolveBlock> index{};
     std::size_t count = 0;
-    for (std::size_t s = b * linalg::kSolveBlock; s < std::min(n, (b + 1) * linalg::kSolveBlock);
-         ++s) {
+    for (std::size_t s = std::max(known, b * linalg::kSolveBlock);
+         s < std::min(n, (b + 1) * linalg::kSolveBlock); ++s) {
       if (config.checkpoint != nullptr) {
         if (const util::CheckpointEntry* entry = config.checkpoint->find(s)) {
           if (entry->ok) {
@@ -112,14 +127,25 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
       }
     }
   };
-  // Pool chunks are runs of whole blocks, each solved in its thread's
-  // workspace.
-  exec::ThreadPool pool(static_cast<std::size_t>(config.threads));
-  const std::size_t blocks = (n + linalg::kSolveBlock - 1) / linalg::kSolveBlock;
-  pool.parallel_chunks(blocks, [&](std::size_t, std::size_t first, std::size_t last) {
-    for (std::size_t b = first; b < last; ++b) run_block(b);
-  });
+  // Pool chunks are runs of whole blocks past the prefix, each solved in its
+  // thread's workspace.
+  if (known < n) {
+    exec::ThreadPool pool(static_cast<std::size_t>(config.threads));
+    const std::size_t skip = known / linalg::kSolveBlock;
+    const std::size_t blocks = (n + linalg::kSolveBlock - 1) / linalg::kSolveBlock - skip;
+    pool.parallel_chunks(blocks, [&](std::size_t, std::size_t first, std::size_t last) {
+      for (std::size_t b = first; b < last; ++b) run_block(skip + b);
+    });
+  }
   if (config.checkpoint != nullptr) config.checkpoint->flush();
+  if (config.prefix != nullptr) {
+    // Keep the solved samples from the prefix's end up to the first skipped
+    // one, within the cap. A throw above leaves the prefix as it was.
+    std::vector<double>& prefix = *config.prefix;
+    for (std::size_t s = prefix.size(); s < std::min(n, kMaxPrefixSamples) && solved[s]; ++s) {
+      prefix.push_back(values[s]);
+    }
+  }
 
   std::vector<double> kept;
   kept.reserve(n);
@@ -136,7 +162,9 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
 
   m_samples.add(static_cast<std::uint64_t>(config.samples));
   m_skipped.add(static_cast<std::uint64_t>(skipped));
+  m_reused.add(known);
   span.attribute("samples", static_cast<std::uint64_t>(config.samples));
+  span.attribute("reused", static_cast<std::uint64_t>(known));
 
   MonteCarloResult out;
   out.samples = config.samples - skipped;

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "irdrop/analysis.hpp"
 
@@ -20,6 +21,11 @@ class SweepCheckpoint;
 }
 
 namespace pdn3d::irdrop {
+
+/// Samples a Monte Carlo prefix (MonteCarloConfig::prefix) keeps at most:
+/// 32 KiB of doubles. A run past it solves the samples beyond it, as a run
+/// without a prefix does, and keeps none of them.
+inline constexpr std::size_t kMaxPrefixSamples = 4096;
 
 struct MonteCarloConfig {
   int samples = 200;
@@ -39,6 +45,16 @@ struct MonteCarloConfig {
   /// Because each sample's RNG stream is independent, a resumed run is
   /// bitwise identical to an uninterrupted one (docs/ROBUSTNESS.md).
   util::SweepCheckpoint* checkpoint = nullptr;
+  /// Optional verified prefix of this config's sample stream (non-owning):
+  /// element s is the max DRAM IR drop (mV) of sample s, for samples 0 to
+  /// size() - 1, all solved on the same analyzer under every field above
+  /// but `samples`, `threads` and `checkpoint`. Its samples are replayed,
+  /// never solved. After a run that did not throw, the prefix grows by the
+  /// samples the run solved from its end up to the first skipped one, and
+  /// never past kMaxPrefixSamples: a skipped sample is never kept, so a
+  /// transient failure never replays into a later run. Runs on one prefix
+  /// must not overlap (core::Platform holds its design's mutex).
+  std::vector<double>* prefix = nullptr;
 };
 
 struct MonteCarloResult {
@@ -57,7 +73,10 @@ struct MonteCarloResult {
 
 /// Run the sampler. The analyzer's stack determines die/bank counts.
 /// Samples are solved linalg::kSolveBlock per pool task
-/// (IrAnalyzer::solve_block); each comes out as analyze() of its state alone.
+/// (IrAnalyzer::solve_block); each comes out as analyze() of its state alone,
+/// whichever run or block solved it, so a run that replays samples from a
+/// prefix or a checkpoint returns the same result, bit for bit, as one that
+/// solves them all.
 MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
                                         const floorplan::DramFloorplanSpec& spec,
                                         const MonteCarloConfig& config = {});

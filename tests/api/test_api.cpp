@@ -6,14 +6,34 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
+#include "obs/metrics.hpp"
 #include "service/protocol.hpp"
 
 namespace pdn3d::api {
 namespace {
+
+EvaluateRequest montecarlo_request(long long samples) {
+  EvaluateRequest req;
+  req.benchmark = core::BenchmarkKind::kWideIo;
+  req.op = Operation::kMonteCarlo;
+  req.samples = samples;
+  return req;
+}
+
+/// A fresh Session's answer: nothing reused.
+std::string fresh_output(const EvaluateRequest& req) {
+  const Session session;
+  const EvaluateResult result = session.evaluate(req);
+  EXPECT_TRUE(result.ok()) << result.output;
+  return result.output;
+}
 
 TEST(OperationTokens, RoundTripAndAnalyzeAlias) {
   std::size_t index = 0;
@@ -140,6 +160,105 @@ TEST(SessionTest, ValidateOperationReportsHealthy) {
   ASSERT_TRUE(result.ok()) << result.output;
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_NE(result.output.find("validation passed"), std::string::npos) << result.output;
+}
+
+// A Monte Carlo answer is the same whether the design's prefix replayed its
+// samples or they were solved: 64 -> 32 -> 64 on one Session and 32 -> 64
+// on another, each against a fresh Session's answer.
+TEST(SessionTest, MonteCarloReusedAnswersEqualFreshOnes) {
+  const std::string fresh32 = fresh_output(montecarlo_request(32));
+  const std::string fresh64 = fresh_output(montecarlo_request(64));
+  auto& reused = obs::counter("montecarlo.samples_reused");
+  struct Step {
+    long long samples;
+    std::uint64_t reused;
+  };
+  const std::vector<std::vector<Step>> sessions = {{{64, 0}, {32, 32}, {64, 64}},
+                                                   {{32, 0}, {64, 32}}};
+  for (const auto& steps : sessions) {
+    const Session session;
+    for (const Step& step : steps) {
+      SCOPED_TRACE(step.samples);
+      const std::uint64_t reused0 = reused.value();
+      const EvaluateResult result = session.evaluate(montecarlo_request(step.samples));
+      ASSERT_TRUE(result.ok()) << result.output;
+      EXPECT_EQ(result.output, step.samples == 32 ? fresh32 : fresh64);
+      EXPECT_EQ(reused.value() - reused0, step.reused);
+    }
+  }
+}
+
+// Three requests on one design at once take turns on its prefix: each
+// answers as it does alone, and no sample is solved twice (the 136 samples
+// asked for hold 64 distinct ones).
+TEST(ConcurrentMonteCarlo, OneDesignAnswersAsSerialAndSolvesEachSampleOnce) {
+  const std::array<long long, 3> samples = {24, 48, 64};
+  std::array<std::string, 3> serial;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    serial[i] = fresh_output(montecarlo_request(samples[i]));
+  }
+  auto& reused = obs::counter("montecarlo.samples_reused");
+  const std::uint64_t reused0 = reused.value();
+  const Session session;
+  std::array<EvaluateResult, 3> results;
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    threads.emplace_back(
+        [&, i] { results[i] = session.evaluate(montecarlo_request(samples[i])); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(results[i].output, serial[i]) << samples[i];
+  }
+  EXPECT_EQ(reused.value() - reused0, std::uint64_t{24 + 48 + 64 - 64});
+}
+
+// An EM-carrying evaluate and an em-check each solve their state once: the
+// IR statistics and the branch currents come from the same solve.
+TEST(SessionTest, EmRequestsSolveOnce) {
+  const Session session;
+  EvaluateRequest evaluate;
+  evaluate.benchmark = core::BenchmarkKind::kWideIo;
+  ASSERT_TRUE(evaluate.design.set_flag("em").is_ok());
+  EvaluateRequest em_check = evaluate;
+  em_check.op = Operation::kEmCheck;
+  ASSERT_TRUE(session.evaluate(evaluate).ok());  // builds the design and its factor
+  auto& solves = obs::counter("solver.solves");
+  for (const EvaluateRequest& req : {evaluate, em_check}) {
+    SCOPED_TRACE(to_string(req.op));
+    const std::uint64_t solves0 = solves.value();
+    const EvaluateResult result = session.evaluate(req);
+    ASSERT_TRUE(result.ok()) << result.output;
+    EXPECT_EQ(solves.value() - solves0, 1u);
+  }
+}
+
+// An EM pass that fails (a zero TSV cross-section) still leaves the output
+// written before it -- the evaluate block, or em-check's design and state
+// lines -- followed by the error line.
+TEST(SessionTest, EmFailureFollowsTheIrOutput) {
+  core::Benchmark bench = core::make_benchmark(core::BenchmarkKind::kWideIo);
+  bench.stack.tech.em.tsv_diameter_um = 0.0;
+  Session session;
+  session.install(core::BenchmarkKind::kWideIo, std::move(bench));
+  EvaluateRequest plain;
+  plain.benchmark = core::BenchmarkKind::kWideIo;
+  const EvaluateResult ir = session.evaluate(plain);
+  ASSERT_TRUE(ir.ok()) << ir.output;
+  const std::string error = "error: em_check: non-positive cross-section for tsv";
+
+  EvaluateRequest evaluate = plain;
+  ASSERT_TRUE(evaluate.design.set_flag("em").is_ok());
+  const EvaluateResult with_em = session.evaluate(evaluate);
+  EXPECT_FALSE(with_em.ok());
+  EXPECT_EQ(with_em.output.rfind(ir.output + error, 0), 0u) << with_em.output;
+
+  EvaluateRequest em_check = evaluate;
+  em_check.op = Operation::kEmCheck;
+  const EvaluateResult checked = session.evaluate(em_check);
+  EXPECT_FALSE(checked.ok());
+  const std::string head = ir.output.substr(0, ir.output.find("cost   : "));
+  EXPECT_EQ(checked.output.rfind(head + error, 0), 0u) << checked.output;
 }
 
 // Golden round trip: the same evaluation specified the CLI way (typed

@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "core/benchmarks.hpp"
 #include "core/platform.hpp"
 #include "irdrop/analysis.hpp"
+#include "obs/metrics.hpp"
 #include "pdn/stack_builder.hpp"
 
 namespace pdn3d::irdrop {
@@ -181,6 +183,40 @@ TEST(EmCheck, WideIoGoldenNumbers) {
 
   // F2B bonding: no face-to-face via field in this stack.
   EXPECT_EQ(rep.find(pdn::ElementKind::kF2fVia), nullptr);
+}
+
+// Platform::em_check solves its state once: on_ir gets that solve's IR
+// statistics, and the EM pass reads its node voltages, so both equal the
+// separate analyze() and node_voltages() of the state bit for bit.
+TEST(EmCheck, PlatformSolvesOnceForIrAndEm) {
+  const core::Platform p(core::make_benchmark(core::BenchmarkKind::kWideIo));
+  const auto& cfg = p.benchmark().baseline;
+  const auto state = p.parse_state(p.benchmark().default_state, -1.0);
+  const IrAnalyzer& analyzer = p.analyzer(cfg);
+  const IrResult ir = analyzer.analyze(state);
+  const EmReport separate =
+      em_check(analyzer.model(), p.benchmark().stack.tech, analyzer.node_voltages(state));
+
+  auto& solves = obs::counter("solver.solves");
+  const std::uint64_t solves0 = solves.value();
+  std::vector<IrResult> seen;
+  const EmReport rep = p.em_check(cfg, state, {}, [&](const IrResult& r) { seen.push_back(r); });
+  EXPECT_EQ(solves.value() - solves0, 1u);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].dram_max_mv, ir.dram_max_mv);
+  EXPECT_EQ(seen[0].logic_max_mv, ir.logic_max_mv);
+  EXPECT_EQ(rep.total_violations, separate.total_violations);
+  EXPECT_EQ(rep.worst_utilization, separate.worst_utilization);
+  EXPECT_EQ(rep.min_mttf_hours, separate.min_mttf_hours);
+  ASSERT_EQ(rep.kinds.size(), separate.kinds.size());
+  for (std::size_t k = 0; k < rep.kinds.size(); ++k) {
+    SCOPED_TRACE(pdn::to_string(rep.kinds[k].kind));
+    EXPECT_EQ(rep.kinds[k].current.max_amps, separate.kinds[k].current.max_amps);
+    EXPECT_EQ(rep.kinds[k].current.avg_amps, separate.kinds[k].current.avg_amps);
+    EXPECT_EQ(rep.kinds[k].max_j_ma_cm2, separate.kinds[k].max_j_ma_cm2);
+    EXPECT_EQ(rep.kinds[k].avg_j_ma_cm2, separate.kinds[k].avg_j_ma_cm2);
+    EXPECT_EQ(rep.kinds[k].mttf_hours, separate.kinds[k].mttf_hours);
+  }
 }
 
 // The request-level temperature override flows through to every MTTF.

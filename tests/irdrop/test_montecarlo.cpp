@@ -11,6 +11,9 @@
 #include <vector>
 
 #include "core/benchmarks.hpp"
+#include "exec/cancel.hpp"
+#include "faults/faults.hpp"
+#include "obs/metrics.hpp"
 #include "pdn/stack_builder.hpp"
 #include "util/checkpoint.hpp"
 #include "util/stats.hpp"
@@ -39,6 +42,16 @@ struct MixedFixture {
     p.dram_scale = 1e-300;
     return p;
   }();
+  IrAnalyzer analyzer{built.model, bench.stack.dram_fp, bench.stack.logic_fp, power,
+                      SolverKind::kSparseDirect};
+};
+
+/// The same stack on the cached factor, where every sample solves: the
+/// blocks of a design the service keeps.
+struct FactorFixture {
+  core::Benchmark bench = core::make_benchmark(core::BenchmarkKind::kStackedDdr3OffChip);
+  pdn::BuiltStack built = pdn::build_stack(bench.stack, bench.baseline);
+  PowerBinding power;
   IrAnalyzer analyzer{built.model, bench.stack.dram_fp, bench.stack.logic_fp, power,
                       SolverKind::kSparseDirect};
 };
@@ -215,6 +228,120 @@ TEST(ParallelMonteCarlo, ResumeMidBlockIsBitwiseTheStraightRun) {
     run(1, true, 11);
   }
   std::remove(path.c_str());
+}
+
+TEST(ParallelMonteCarlo, PrefixReplayIsBitwiseTheStraightRun) {
+  // A run that replays k verified samples and solves the rest returns the
+  // straight run's result, and leaves every sample it solved in the prefix:
+  // k = 0, inside a block, on a block boundary, and past the request.
+  const McFixture f;
+  MonteCarloConfig cfg;
+  cfg.samples = 24;
+  cfg.threads = 1;
+  const auto truth = sample_ir_distribution(f.analyzer, f.bench.stack.dram_spec, cfg);
+  const int dies = f.analyzer.model().dram_die_count();
+  const int banks = f.bench.stack.dram_spec.bank_cols * f.bench.stack.dram_spec.bank_rows;
+  std::vector<double> lone;
+  for (std::size_t s = 0; s < 40; ++s) {
+    lone.push_back(f.analyzer.analyze(draw_sample(cfg, s, dies, banks)).dram_max_mv);
+  }
+  auto& reused = obs::counter("montecarlo.samples_reused");
+  auto& analyzed = obs::counter("analysis.states_analyzed");
+  for (const std::size_t k : {0u, 5u, 16u, 40u}) {
+    const std::vector<double> head(lone.begin(), lone.begin() + static_cast<std::ptrdiff_t>(k));
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(testing::Message() << "k " << k << ", threads " << threads);
+      std::vector<double> prefix = head;
+      cfg.threads = threads;
+      cfg.prefix = &prefix;
+      const std::uint64_t reused0 = reused.value();
+      const std::uint64_t analyzed0 = analyzed.value();
+      expect_same(sample_ir_distribution(f.analyzer, f.bench.stack.dram_spec, cfg), truth);
+      EXPECT_EQ(reused.value() - reused0, std::min<std::size_t>(k, 24));
+      EXPECT_EQ(analyzed.value() - analyzed0, 24 - std::min<std::size_t>(k, 24));
+      const std::size_t grown = std::max<std::size_t>(k, 24);
+      EXPECT_EQ(prefix, std::vector<double>(lone.begin(),
+                                            lone.begin() + static_cast<std::ptrdiff_t>(grown)));
+    }
+  }
+}
+
+TEST(MonteCarlo, PrefixStopsBeforeTheFirstSkippedSample) {
+  // Only the solved samples before the first skip are kept, so a second run
+  // solves the skipped ones again and reports them as the first run did.
+  const MixedFixture f;
+  MonteCarloConfig cfg;
+  cfg.samples = 24;
+  cfg.threads = 1;
+  const auto straight = sample_ir_distribution(f.analyzer, f.bench.stack.dram_spec, cfg);
+  ASSERT_GT(straight.skipped_samples, 0);
+  const int dies = f.analyzer.model().dram_die_count();
+  const int banks = f.bench.stack.dram_spec.bank_cols * f.bench.stack.dram_spec.bank_rows;
+  std::vector<double> head;
+  for (std::size_t s = 0;; ++s) {
+    try {
+      head.push_back(f.analyzer.analyze(draw_sample(cfg, s, dies, banks)).dram_max_mv);
+    } catch (const core::NumericalError&) {
+      break;
+    }
+  }
+  ASSERT_LT(head.size(), 8u);  // the first failure sits in the first block
+
+  std::vector<double> prefix;
+  cfg.prefix = &prefix;
+  for (const int run : {1, 2}) {
+    SCOPED_TRACE(run);
+    expect_same(sample_ir_distribution(f.analyzer, f.bench.stack.dram_spec, cfg), straight);
+    EXPECT_EQ(prefix, head);
+  }
+}
+
+TEST(ParallelMonteCarlo, PrefixNeverGrowsPastTheCap) {
+  // A run past the cap keeps kMaxPrefixSamples samples and still answers as
+  // the straight run; the next one replays the cap and solves the rest.
+  const FactorFixture f;
+  MonteCarloConfig cfg;
+  cfg.samples = static_cast<int>(kMaxPrefixSamples) + 12;
+  cfg.threads = 8;
+  const auto truth = sample_ir_distribution(f.analyzer, f.bench.stack.dram_spec, cfg);
+  std::vector<double> prefix;
+  cfg.prefix = &prefix;
+  auto& reused = obs::counter("montecarlo.samples_reused");
+  for (const std::uint64_t replayed : {std::uint64_t{0}, std::uint64_t{kMaxPrefixSamples}}) {
+    SCOPED_TRACE(replayed);
+    const std::uint64_t reused0 = reused.value();
+    expect_same(sample_ir_distribution(f.analyzer, f.bench.stack.dram_spec, cfg), truth);
+    EXPECT_EQ(reused.value() - reused0, replayed);
+    EXPECT_EQ(prefix.size(), kMaxPrefixSamples);
+  }
+}
+
+TEST(MonteCarlo, AThrowLeavesThePrefixAsItWas) {
+  // A cancelled run, and a run whose third block throws after two were
+  // solved, keep nothing they solved.
+  const FactorFixture f;
+  MonteCarloConfig cfg;
+  cfg.samples = 8;
+  cfg.threads = 1;
+  std::vector<double> prefix;
+  cfg.prefix = &prefix;
+  (void)sample_ir_distribution(f.analyzer, f.bench.stack.dram_spec, cfg);
+  const std::vector<double> before = prefix;
+  ASSERT_EQ(before.size(), 8u);
+  cfg.samples = 40;
+  {
+    exec::CancelToken token;
+    token.cancel();
+    const exec::CancelScope scope(token);
+    EXPECT_THROW((void)sample_ir_distribution(f.analyzer, f.bench.stack.dram_spec, cfg),
+                 core::NumericalError);
+  }
+  EXPECT_EQ(prefix, before);
+  ASSERT_EQ(faults::Registry::instance().configure("irdrop.solve.alloc=1/3#1"), "");
+  EXPECT_THROW((void)sample_ir_distribution(f.analyzer, f.bench.stack.dram_spec, cfg),
+               std::bad_alloc);
+  faults::Registry::instance().reset();
+  EXPECT_EQ(prefix, before);
 }
 
 TEST(ParallelMonteCarlo, RejectsNegativeThreads) {
