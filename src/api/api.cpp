@@ -257,12 +257,9 @@ void render_montecarlo(const core::Platform& p, const EvaluateRequest& request,
     mc.checkpoint = ckpt.get();
     r = irdrop::sample_ir_distribution(p.analyzer(cfg), p.benchmark().stack.dram_spec, mc);
   }
-  // The design worst case is the default state, solved on the same cached
-  // analyzer (its stack and factor are already built).
-  const auto& analyzer = p.analyzer(cfg);
-  const double worst =
-      analyzer.analyze(p.parse_state(p.benchmark().default_state, p.benchmark().default_io_activity))
-          .dram_max_mv;
+  // The design worst case is the default state on the same cached analyzer,
+  // solved once per design.
+  const double worst = p.worst_case_mv(cfg);
   os << "design : " << cfg.summary() << "\n";
   os << "samples: " << r.samples << "\n";
   util::Table t({"statistic", "IR drop (mV)"});

@@ -242,6 +242,17 @@ irdrop::MonteCarloResult Platform::montecarlo(const pdn::PdnConfig& config, int 
   return irdrop::sample_ir_distribution(*cd.analyzer, bench_.stack.dram_spec, mc);
 }
 
+double Platform::worst_case_mv(const pdn::PdnConfig& config) const {
+  CachedDesign& cd = design(config);
+  const std::lock_guard<std::mutex> lock(cd.montecarlo_mutex);
+  if (!cd.worst_case_mv) {
+    cd.worst_case_mv =
+        cd.analyzer->analyze(parse_state(bench_.default_state, bench_.default_io_activity))
+            .dram_max_mv;
+  }
+  return *cd.worst_case_mv;
+}
+
 const irdrop::IrAnalyzer& Platform::analyzer(const pdn::PdnConfig& config) const {
   return *design(config).analyzer;
 }

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -110,6 +111,12 @@ class Platform {
   [[nodiscard]] irdrop::MonteCarloResult montecarlo(const pdn::PdnConfig& config,
                                                     int samples) const;
 
+  /// Max DRAM IR drop (mV) of the benchmark's default memory state on the
+  /// cached analyzer of @p config: the design worst case a Monte Carlo
+  /// answer quotes. Solved once per cached design, under the lock its
+  /// montecarlo() runs take; a throw leaves it unsolved.
+  [[nodiscard]] double worst_case_mv(const pdn::PdnConfig& config) const;
+
   /// The cached design's analyzer (built with the many-solves sparse-direct
   /// hint). Valid for the Platform's lifetime; safe for concurrent const use.
   [[nodiscard]] const irdrop::IrAnalyzer& analyzer(const pdn::PdnConfig& config) const;
@@ -143,6 +150,7 @@ class Platform {
     std::unique_ptr<irdrop::IrLut> lut;
     std::mutex montecarlo_mutex;  ///< held for a whole montecarlo() run
     std::vector<double> montecarlo_prefix;  ///< the default stream's verified prefix
+    std::optional<double> worst_case_mv;    ///< worst_case_mv(), once solved
   };
 
   [[nodiscard]] std::string cache_key(const pdn::PdnConfig& config) const;

@@ -12,7 +12,9 @@
 /// The flag is thread-local by design: nested parallel regions run inline on
 /// the calling thread (see exec::ThreadPool), so a scope installed around
 /// `Session::evaluate` on a service worker covers the whole per-request
-/// sweep without threading a token through every API layer.
+/// sweep without threading a token through every API layer. A region that
+/// does run on pool workers hands them the submitting thread's token for
+/// its tasks.
 
 #include <atomic>
 
@@ -33,6 +35,9 @@ class CancelToken {
 class CancelScope {
  public:
   explicit CancelScope(const CancelToken& token) noexcept;
+  /// Makes @p token (null: none) the active flag, as a pool worker adopts
+  /// its region's.
+  explicit CancelScope(const CancelToken* token) noexcept;
   ~CancelScope();
   CancelScope(const CancelScope&) = delete;
   CancelScope& operator=(const CancelScope&) = delete;
@@ -44,5 +49,8 @@ class CancelScope {
 /// True when a CancelScope is active on this thread and its token was
 /// cancelled. Cheap enough to poll from solver inner loops.
 bool cancellation_requested() noexcept;
+
+/// The calling thread's active token, null outside any CancelScope.
+const CancelToken* active_cancel_token() noexcept;
 
 }  // namespace pdn3d::exec

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "exec/cancel.hpp"
 #include "faults/faults.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -46,6 +47,8 @@ void set_default_thread_count(std::size_t threads) {
   g_thread_override.store(threads, std::memory_order_relaxed);
 }
 
+bool in_region() noexcept { return tls_in_region; }
+
 /// One parallel_for invocation. Tasks are claimed off `next` in index order
 /// (no per-worker queues, hence nothing to steal); `completed` reaching `n`
 /// is the region's only completion signal. Only the lowest-index exception
@@ -56,6 +59,8 @@ struct ThreadPool::Region {
   /// The submitting thread's open span path: workers root the region's spans
   /// there, so task spans nest under the span that opened the region.
   obs::SpanContext span_context;
+  /// The submitting thread's cancellation flag, which workers poll too.
+  const CancelToken* cancel_token = nullptr;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> completed{0};
   std::atomic<std::size_t> participants{0};
@@ -107,6 +112,7 @@ ThreadPool::ThreadPool(std::size_t threads)
           region = impl_->current;
         }
         const obs::ScopedSpanRoot span_root(region->span_context);
+        const CancelScope cancel_scope(region->cancel_token);
         tls_in_region = true;
         run_region(*region);
         tls_in_region = false;
@@ -180,6 +186,7 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   region->n = n;
   region->body = &body;
   region->span_context = obs::current_span_context();
+  region->cancel_token = active_cancel_token();
   m_queue_depth.set(static_cast<double>(n));
   {
     const std::lock_guard<std::mutex> lock(impl_->mutex);

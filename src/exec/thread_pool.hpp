@@ -22,6 +22,9 @@
 ///  - **Span nesting.** A region records the submitting thread's open trace
 ///    span path; workers root the spans of its tasks there for the length of
 ///    the region, so the trace tree is the same whichever thread ran a task.
+///  - **Cancellation.** Workers run a region's tasks under the submitting
+///    thread's exec::CancelToken, so a task polls the flag its caller's
+///    scope set, whichever thread runs it.
 ///  - **Determinism is the caller's contract.** The pool guarantees order of
 ///    results, not order of execution; callers must derive any randomness
 ///    from the task index (see util::Rng::split), never from thread identity.
@@ -45,6 +48,10 @@ namespace pdn3d::exec {
 /// Override the process-wide default (0 clears the override back to
 /// env/hardware resolution). Takes effect for pools constructed afterwards.
 void set_default_thread_count(std::size_t threads);
+
+/// True while the calling thread runs a region's task: any region it opens
+/// runs inline, and a pool built here spawns no threads.
+[[nodiscard]] bool in_region() noexcept;
 
 class ThreadPool {
  public:

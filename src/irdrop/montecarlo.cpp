@@ -128,8 +128,13 @@ MonteCarloResult sample_ir_distribution(const IrAnalyzer& analyzer,
     }
   };
   // Pool chunks are runs of whole blocks past the prefix, each solved in its
-  // thread's workspace.
+  // thread's workspace. A sparse-direct analyzer's factor is built first, on
+  // this thread, as IrLut::build does: inside a block's region task its
+  // numeric phase would run inline.
   if (known < n) {
+    if (analyzer.solver().kind() == SolverKind::kSparseDirect) {
+      (void)analyzer.solver().sparse_factor_available();
+    }
     exec::ThreadPool pool(static_cast<std::size_t>(config.threads));
     const std::size_t skip = known / linalg::kSolveBlock;
     const std::size_t blocks = (n + linalg::kSolveBlock - 1) / linalg::kSolveBlock - skip;

@@ -158,36 +158,121 @@ bool MeshStructure::matches(const pdn::StackModel& model) const {
 }
 
 void MeshStructure::build(const pdn::StackModel& model) {
-  if (model.node_count() > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error("MeshStructure: node ids exceed 32 bits");
+  const std::size_t n = model.node_count();
+  const auto resistors = model.resistors();
+  const auto taps = model.taps();
+  const std::size_t stamps = 4 * resistors.size() + taps.size();
+  if (n >= std::numeric_limits<std::uint32_t>::max() ||
+      stamps > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("MeshStructure: node ids or stamps exceed 32 bits");
   }
   // The stamp sequence of IrSolver's assembly: G[a][a], G[b][b], G[a][b],
-  // G[b][a] per resistor, then one diagonal entry per tap. Built aside, so a
-  // throw leaves the previous structure whole.
-  std::vector<std::uint32_t> ends;
-  std::vector<std::uint32_t> taps;
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> cols;
-  const std::size_t triplets = 4 * model.resistors().size() + model.taps().size();
-  rows.reserve(triplets);
-  cols.reserve(triplets);
-  ends.reserve(2 * model.resistors().size());
-  for (const auto& r : model.resistors()) {
-    ends.push_back(static_cast<std::uint32_t>(r.a));
-    ends.push_back(static_cast<std::uint32_t>(r.b));
-    rows.insert(rows.end(), {r.a, r.b, r.a, r.b});
-    cols.insert(cols.end(), {r.a, r.b, r.b, r.a});
+  // G[b][a] for resistor i (stamps 4i .. 4i + 3), then G[v][v] for tap t
+  // (stamp 4R + t), R the resistor count. A row's entries are its diagonal
+  // and one per other end of its resistors, so each row lists only its
+  // resistor ends e (2i in row a, 2i + 1 in row b; column ends[e ^ 1]) and
+  // its taps (2R + t; the diagonal), in stamp order, in a run of one array.
+  // Sorted by column, stably, a run holds the row's columns in order with
+  // each column's stamps in stamp order: linalg::coo_layout's order,
+  // without its triplets. Built aside, so a throw leaves the previous
+  // structure whole.
+  const std::size_t ends_count = 2 * resistors.size();
+  std::vector<std::uint32_t> ends(ends_count);
+  std::vector<std::uint32_t> tap_nodes(taps.size());
+  // Counts at start[r + 2], then run starts at start[r + 1], which the fill
+  // advances to the run's end: afterwards row r's run is [start[r],
+  // start[r + 1]).
+  std::vector<std::uint32_t> start(n + 2, 0);
+  for (std::size_t i = 0; i < resistors.size(); ++i) {
+    ends[2 * i] = static_cast<std::uint32_t>(resistors[i].a);
+    ends[2 * i + 1] = static_cast<std::uint32_t>(resistors[i].b);
+    ++start[resistors[i].a + 2];
+    ++start[resistors[i].b + 2];
   }
-  taps.reserve(model.taps().size());
-  for (const auto& t : model.taps()) {
-    taps.push_back(static_cast<std::uint32_t>(t.node));
-    rows.push_back(t.node);
-    cols.push_back(t.node);
+  for (std::size_t t = 0; t < taps.size(); ++t) {
+    tap_nodes[t] = static_cast<std::uint32_t>(taps[t].node);
+    ++start[taps[t].node + 2];
   }
-  layout_ = linalg::coo_layout(model.node_count(), rows, cols);
-  nodes_ = model.node_count();
+  for (std::size_t r = 2; r < n + 2; ++r) start[r] += start[r - 1];
+  const auto items = std::make_unique_for_overwrite<std::uint32_t[]>(ends_count + taps.size());
+  for (std::size_t e = 0; e < ends_count; ++e) {
+    items[start[ends[e] + 1]++] = static_cast<std::uint32_t>(e);
+  }
+  for (std::size_t t = 0; t < taps.size(); ++t) {
+    items[start[tap_nodes[t] + 1]++] = static_cast<std::uint32_t>(ends_count + t);
+  }
+
+  // Sort each run (a row holds a few to about fifty items) and count its
+  // entries: its distinct columns, and its diagonal.
+  auto pattern = std::make_shared<linalg::CsrPattern>();
+  pattern->n = n;
+  std::vector<std::size_t>& row_ptr = pattern->row_ptr;
+  row_ptr.assign(n + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::uint32_t* run = items.get() + start[r];
+    const std::uint32_t count = start[r + 1] - start[r];
+    const auto column = [&](std::uint32_t e) {
+      return e < ends_count ? ends[e ^ 1] : static_cast<std::uint32_t>(r);
+    };
+    std::size_t entries = count > 0 ? 1 : 0;  // the diagonal
+    for (std::uint32_t k = 0; k < count; ++k) {
+      const std::uint32_t e = run[k];
+      const std::uint32_t c = column(e);
+      std::uint32_t j = k;
+      for (; j > 0 && column(run[j - 1]) > c; --j) run[j] = run[j - 1];
+      run[j] = e;
+    }
+    for (std::uint32_t k = 0; k < count; ++k) {
+      const std::uint32_t c = column(run[k]);
+      entries += c != r && (k == 0 || c != column(run[k - 1]));
+    }
+    row_ptr[r + 1] = row_ptr[r] + entries;
+  }
+
+  // Give each column its entry and each stamp its slot: an end's
+  // off-diagonal stamp goes to its column's entry, and its diagonal stamp
+  // and every tap's to the row's diagonal.
+  linalg::CooLayout layout;
+  layout.slots.resize(stamps);
+  std::uint32_t* slots = layout.slots.data();
+  std::vector<std::size_t>& col_idx = pattern->col_idx;
+  col_idx.resize(row_ptr[n]);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::uint32_t* run = items.get() + start[r];
+    const std::uint32_t count = start[r + 1] - start[r];
+    if (count == 0) continue;
+    std::size_t diagonal = row_ptr[r];
+    std::uint32_t previous = std::numeric_limits<std::uint32_t>::max();
+    for (std::uint32_t k = 0; k < count && run[k] < ends_count && ends[run[k] ^ 1] < r; ++k) {
+      diagonal += ends[run[k] ^ 1] != previous;
+      previous = ends[run[k] ^ 1];
+    }
+    col_idx[diagonal] = r;
+    std::size_t next = row_ptr[r];
+    std::size_t entry = 0;
+    previous = std::numeric_limits<std::uint32_t>::max();
+    for (std::uint32_t k = 0; k < count; ++k) {
+      const std::uint32_t e = run[k];
+      if (e >= ends_count) {
+        slots[4 * resistors.size() + (e - ends_count)] = static_cast<std::uint32_t>(diagonal);
+        continue;
+      }
+      const std::uint32_t c = ends[e ^ 1];
+      if (c != previous) {
+        if (next == diagonal) ++next;
+        entry = next++;
+        col_idx[entry] = c;
+        previous = c;
+      }
+      slots[2 * e - (e & 1)] = static_cast<std::uint32_t>(diagonal);  // 4i or 4i + 1
+      slots[2 * e + 2 - (e & 1)] = static_cast<std::uint32_t>(entry);  // 4i + 2 or 4i + 3
+    }
+  }
+  layout.pattern = std::move(pattern);
+  layout_ = std::move(layout);
+  nodes_ = n;
   ends_ = std::move(ends);
-  taps_ = std::move(taps);
+  taps_ = std::move(tap_nodes);
 }
 
 IrSolver::IrSolver(const pdn::StackModel& model, SolverKind kind, IrSolverOptions options,
@@ -282,6 +367,10 @@ const linalg::SparseCholesky* IrSolver::sparse(std::string* error) const {
       m_fill_ratio.set(sparse_->fill_ratio());
       m_factor_nnz.set(static_cast<double>(sparse_->factor_nnz()));
     } catch (const std::exception& e) {
+      // A cancelled build says nothing about the matrix: it leaves
+      // call_once by exception, neither a build nor a failure, and the next
+      // solve builds the factor again.
+      if (exec::cancellation_requested()) throw;
       sparse_error_ = e.what();
       m_build_failures.add(1);
     }
@@ -291,7 +380,13 @@ const linalg::SparseCholesky* IrSolver::sparse(std::string* error) const {
   return sparse_.get();
 }
 
-bool IrSolver::sparse_factor_available() const { return sparse(nullptr) != nullptr; }
+bool IrSolver::sparse_factor_available() const {
+  try {
+    return sparse(nullptr) != nullptr;
+  } catch (const std::exception&) {
+    return false;  // cancelled: the solves that follow report it
+  }
+}
 
 linalg::CgOptions IrSolver::cg_options() const {
   linalg::CgOptions opts;
@@ -540,8 +635,14 @@ IrSolver::BlockTally IrSolver::run_block(SolveWorkspace& ws, std::span<SolveOutc
   // The start rung of every admitted slice in one pass over the cached
   // factor, and its verification in one pass over G. A pending cancellation
   // leaves the slices to their ladders, which report it.
-  const bool sweep = kind_ == SolverKind::kSparseDirect && !exec::cancellation_requested();
-  const linalg::SparseCholesky* fac = sweep ? sparse(nullptr) : nullptr;
+  const linalg::SparseCholesky* fac = nullptr;
+  if (kind_ == SolverKind::kSparseDirect && !exec::cancellation_requested()) {
+    try {
+      fac = sparse(nullptr);
+    } catch (const std::exception&) {
+      // Cancelled during the factor's build: the ladders report it.
+    }
+  }
   std::array<double, linalg::kSolveBlock> rel{};
   if (fac != nullptr) {
     fac->solve_block({x, n * width}, width);

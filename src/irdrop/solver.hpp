@@ -285,9 +285,11 @@ class IrSolver {
   [[nodiscard]] SolverKind kind() const { return kind_; }
 
   /// True when the cached sparse-direct factor exists, building it on first
-  /// call (once_flag; concurrent callers race safely). The LUT build calls it
-  /// before fanning out, so the factor is built on the calling thread rather
-  /// than inside one worker's first solve.
+  /// call (once_flag; concurrent callers race safely). The LUT build and the
+  /// Monte Carlo sweep call it before fanning out, so the factor is built on
+  /// the calling thread, where its numeric phase can use a pool, rather than
+  /// inside one worker's first solve. False, too, when the build is
+  /// cancelled; a later call builds it again.
   [[nodiscard]] bool sparse_factor_available() const;
 
  private:
@@ -343,7 +345,9 @@ class IrSolver {
   mutable std::unique_ptr<linalg::IncompleteCholesky> ic_;
   mutable std::once_flag sparse_once_;
   mutable std::unique_ptr<linalg::SparseCholesky> sparse_;
-  mutable std::string sparse_error_;  ///< sticky decline reason (fill guard, not SPD)
+  /// Sticky decline reason (fill guard, not SPD). A cancelled build sets
+  /// none: it leaves sparse_once_ unset, so the next solve builds again.
+  mutable std::string sparse_error_;
 };
 
 }  // namespace pdn3d::irdrop

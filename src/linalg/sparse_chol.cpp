@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <limits>
+#include <mutex>
+#include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "exec/cancel.hpp"
+#include "exec/thread_pool.hpp"
 #include "faults/faults.hpp"
 #include "linalg/reorder.hpp"
 #include "obs/trace.hpp"
@@ -250,14 +256,403 @@ void factor_block(double* block, Index cols, Index rows, const Index* identity,
   }
 }
 
+/// What the numeric phase reads and writes besides its block: the permuted
+/// matrix, the supernodes, L, and the left-looking loop's update lists. A
+/// supernode is queued, once factored, at the supernode of its first row
+/// below; each supernode it reaches takes its update and passes it on to
+/// the supernode of its next row below, so a list holds the descendants due
+/// to update its supernode next, newest first.
+struct NumericPhase {
+  const Permuted& m;
+  const std::vector<Index>& super;     ///< first column of each supernode, then n
+  const std::vector<Index>& super_of;  ///< column -> its supernode
+  const std::uint32_t* col_ptr;
+  const std::uint32_t* row_idx;
+  double* values;
+  Index max_rows = 0;
+  Index max_cols = 0;
+  std::size_t max_block = 0;
+  std::vector<Index> identity;  ///< 0 .. max_rows - 1
+  std::vector<Index> head;      ///< descendants due to update a supernode next
+  std::vector<Index> link;
+  std::vector<Index> next_row;  ///< a descendant's first row not yet applied
+
+  [[nodiscard]] Index rows_below(Index s) const {
+    const Index last = super[s + 1] - 1;
+    return col_ptr[last + 1] - col_ptr[last] - 1;
+  }
+  /// The rows below supernode s's last column.
+  [[nodiscard]] const Index* below(Index s) const { return row_idx + col_ptr[super[s + 1] - 1] + 1; }
+  /// The supernode @p d updates next, or kNone when it has updated all.
+  [[nodiscard]] Index target(Index d) const {
+    return next_row[d] == rows_below(d) ? kNone : super_of[below(d)[next_row[d]]];
+  }
+  void enqueue(Index d, Index target) {
+    link[d] = head[target];
+    head[target] = d;
+  }
+};
+
+/// Factors supernodes one at a time in one thread's buffers (CHOLMOD's
+/// left-looking supernodal method). A supernode is one dense column-major
+/// block whose rows are its own columns followed by the rows below its last
+/// column: exactly the rows of its first column in L, and from each later
+/// column on, exactly that column's. The block gathers its columns of A,
+/// subtracts the update of every descendant its list holds (a dense product
+/// of the descendant's columns in L, scattered through a relative row map),
+/// is factored in place and copied into L.
+class SupernodeWorker {
+ public:
+  explicit SupernodeWorker(NumericPhase& phase)
+      : ph_(phase),
+        block_(std::make_unique_for_overwrite<double[]>(phase.max_block)),
+        map_(phase.m.perm.size()),
+        rel_(phase.max_rows),
+        columns_(phase.max_cols) {}
+
+  /// Factors supernode @p s and queues its descendants and itself at their
+  /// next supernodes, each through @p pass(d, target).
+  template <typename Pass>
+  void factor(Index s, Pass&& pass) {
+    NumericPhase& ph = ph_;
+    const Index k1 = ph.super[s];
+    const Index k2 = ph.super[s + 1];
+    const Index cols = k2 - k1;
+    const Index* below = ph.below(s);
+    const Index rows = cols + ph.rows_below(s);
+    double* block = block_.get();
+    Index* map = map_.data();
+    std::fill(block, block + std::size_t{rows} * cols, 0.0);
+    for (Index i = k1; i < k2; ++i) map[i] = i - k1;
+    for (Index t = cols; t < rows; ++t) map[below[t - cols]] = t;
+
+    const auto av = ph.m.a.values();
+    for (Index j = k1; j < k2; ++j) {
+      double* col = block + std::size_t{j - k1} * rows;
+      ph.m.for_each(j, [&](Index i, std::size_t p) {
+        if (i < j) return;
+        // A row outside the block can only come from an asymmetric pattern.
+        if (i >= k2 && (map[i] < cols || map[i] >= rows || below[map[i] - cols] != i)) {
+          throw std::invalid_argument("SparseCholesky: matrix pattern is not symmetric");
+        }
+        col[map[i]] = av[p];
+      });
+    }
+
+    for (Index d = ph.head[s]; d != kNone;) {
+      const Index next_d = ph.link[d];
+      const Index d_below = ph.rows_below(d);
+      const Index* d_row = ph.below(d);
+      const Index p1 = ph.next_row[d];
+      Index p2 = p1;
+      while (p2 < d_below && d_row[p2] < k2) ++p2;
+      const Index inside = p2 - p1;  // rows in this block's columns
+      const Index reach = d_below - p1;
+      for (Index t = 0; t < reach; ++t) rel_[t] = map[d_row[p1 + t]];
+      // Each column of d ends with d's rows below its diagonal block.
+      const Index d_first = ph.super[d];
+      const Index d_cols = ph.super[d + 1] - d_first;
+      for (Index c = 0; c < d_cols; ++c) {
+        columns_[c] = ph.values + ph.col_ptr[d_first + c + 1] - d_below + p1;
+      }
+      subtract_products(columns_.data(), d_cols, 0, inside, reach, rel_.data(), block, rows);
+      ph.next_row[d] = p2;
+      if (const Index t = ph.target(d); t != kNone) pass(d, t);
+      d = next_d;
+    }
+
+    factor_block(block, cols, rows, ph.identity.data(), columns_.data(), k1);
+    for (Index c = 0; c < cols; ++c) {
+      const double* col = block + std::size_t{c} * rows;
+      std::copy(col + c, col + rows, ph.values + ph.col_ptr[k1 + c]);
+    }
+    ph.next_row[s] = 0;
+    if (const Index t = ph.target(s); t != kNone) pass(s, t);
+  }
+
+ private:
+  NumericPhase& ph_;
+  /// Each supernode zeroes its own part, so the pages past the largest block
+  /// this thread factors are never touched.
+  std::unique_ptr<double[]> block_;
+  std::vector<Index> map_;  ///< row -> its position in the current block
+  std::vector<Index> rel_;
+  std::vector<const double*> columns_;
+};
+
+/// Matrices of fewer nodes factor on the calling thread: their numeric
+/// phase takes a few hundred µs at most, about what starting the pool's
+/// threads costs.
+constexpr std::size_t kMinPoolNodes = 2048;
+
+/// Light subtrees per pool thread: many enough to balance the threads, few
+/// enough to leave little work above them.
+constexpr double kSubtreesPerThread = 8.0;
+
+/// The numeric phase on a pool. A light subtree is a maximal subtree of the
+/// supernodal elimination tree holding at most 1 / (kSubtreesPerThread *
+/// threads) of the estimated work; each is one task, factored in increasing
+/// order with the serial loop's lists, which only its own supernodes fill.
+/// Every supernode above them is a task of its own, ready once the tasks
+/// below it are done: a descendant's update of it is passed with its place
+/// in the serial loop (the supernode that passed it, and the pass's rank
+/// there), and its list is the passes sorted by that place, newest first,
+/// as the serial loop's list holds them. So every supernode takes its
+/// updates in the serial order, and L is bitwise the serial factor.
+///
+/// A thread whose task readies the task above goes on with that one; an
+/// idle thread takes the ready task heaviest with the work above it. A
+/// supernode that throws stops its task and spoils the tasks above it, the
+/// rest go on, and the error of the lowest such supernode is rethrown: the
+/// one the serial loop meets first, since every supernode below it succeeds
+/// alike. A cancellation stops every thread.
+class SubtreeNumeric {
+ public:
+  SubtreeNumeric(NumericPhase& phase, const std::vector<Index>& super_parent)
+      : ph_(phase), parent_(super_parent) {}
+
+  /// Factors every supernode; returns the number of light subtrees.
+  Index run(exec::ThreadPool& pool) {
+    build_tasks(pool.thread_count());
+    const auto tasks = static_cast<Index>(task_parent_.size());
+    std::priority_queue<std::pair<double, Index>> ready;
+    for (Index t = 0; t < tasks; ++t) {
+      if (pending_[t] == 0) ready.emplace(priority_[t], t);
+    }
+    Index remaining = tasks;
+    bool aborted = false;
+    Index first_failure = kNone;
+    std::exception_ptr error;
+    std::vector<unsigned char> spoiled(tasks, 0);
+    std::mutex mutex;
+    std::condition_variable ready_cv;
+
+    pool.parallel_for(pool.thread_count(), [&](std::size_t) {
+      std::unique_ptr<SupernodeWorker> worker;  // buffers, made with the first task
+      Index t = kNone;  // a task this thread readied, to go on with
+      for (;;) {
+        bool skip = false;
+        {
+          std::unique_lock<std::mutex> lock(mutex);
+          if (t == kNone) {
+            ready_cv.wait(lock, [&] { return aborted || remaining == 0 || !ready.empty(); });
+            if (aborted || ready.empty()) return;
+            t = ready.top().second;
+            ready.pop();
+          } else if (aborted) {
+            return;
+          }
+          skip = spoiled[t] != 0;
+        }
+        Index failed = kNone;
+        std::exception_ptr failure;
+        for (Index k = member_ptr_[t]; !skip && k < member_ptr_[t + 1]; ++k) {
+          try {
+            if (!worker) worker = std::make_unique<SupernodeWorker>(ph_);
+            factor(members_[k], *worker);
+          } catch (...) {
+            failed = members_[k];
+            failure = std::current_exception();
+            break;
+          }
+        }
+        bool finished = false;
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          if (failed != kNone) {
+            if (failed < first_failure) {
+              first_failure = failed;
+              error = std::move(failure);
+            }
+            if (exec::cancellation_requested()) aborted = true;
+          }
+          const Index p = task_parent_[t];
+          t = kNone;
+          if (p != kNone) {
+            if (skip || failed != kNone) spoiled[p] = 1;
+            if (--pending_[p] == 0) t = p;
+          }
+          --remaining;
+          finished = aborted || remaining == 0;
+        }
+        if (finished) ready_cv.notify_all();
+      }
+    });
+    if (error) std::rethrow_exception(error);
+    return subtrees_;
+  }
+
+ private:
+  /// An update passed to a supernode above the light subtrees: descendant
+  /// d, passed by supernode x as its rank-th pass.
+  struct Pass {
+    Index x;
+    Index rank;
+    Index d;
+  };
+  /// The passes to one supernode above the light subtrees.
+  struct Inbox {
+    std::mutex mutex;
+    std::vector<Pass> passes;
+  };
+
+  /// Factors supernode @p s: a supernode above the light subtrees first
+  /// lists its passes in the serial order.
+  void factor(Index s, SupernodeWorker& worker) {
+    if (const Index box = inbox_of_[s]; box != kNone) {
+      std::vector<Pass>& passes = inboxes_[box].passes;
+      std::sort(passes.begin(), passes.end(), [](const Pass& p, const Pass& q) {
+        return p.x < q.x || (p.x == q.x && p.rank < q.rank);
+      });
+      for (const Pass& p : passes) ph_.enqueue(p.d, s);
+    }
+    Index rank = 0;
+    worker.factor(s, [&](Index d, Index target) {
+      const Index box = inbox_of_[target];
+      if (box == kNone) {
+        ph_.enqueue(d, target);
+        return;
+      }
+      Inbox& inbox = inboxes_[box];
+      const std::lock_guard<std::mutex> lock(inbox.mutex);
+      inbox.passes.push_back({s, rank++, d});
+    });
+  }
+
+  /// Cuts the light subtrees by an estimate of each supernode's time, and
+  /// makes the tasks. A supernode's block costs about 7.5 ns an entry
+  /// (zeroing, gathering, pivoting and the first touch of L's pages), and
+  /// its updates of the supernodes above it, taken as one dense product of
+  /// its rows below, 0.25 ns a multiply-add and 4 ns a row mapped: the
+  /// terms of a fit to serial timings of the paper benchmarks' supernodes
+  /// (4-vCPU x86-64 host, first build).
+  void build_tasks(std::size_t threads) {
+    const auto ns = static_cast<Index>(parent_.size());
+    std::vector<double> work(ns);
+    std::vector<double> subtree(ns, 0.0);
+    double total = 0.0;
+    for (Index s = 0; s < ns; ++s) {
+      const double cols = ph_.super[s + 1] - ph_.super[s];
+      const double below = ph_.rows_below(s);
+      work[s] = 7.5 * (cols + below) * cols + 0.25 * cols * below * (below + 1) / 2 + 4.0 * below;
+      subtree[s] += work[s];
+      if (parent_[s] == kNone) {
+        total += subtree[s];
+      } else {
+        subtree[parent_[s]] += subtree[s];
+      }
+    }
+    const double limit = total / (kSubtreesPerThread * static_cast<double>(threads));
+    // Parents first: a supernode above the limit is a task and has an
+    // inbox; the root of a light subtree starts a task its subtree joins.
+    std::vector<Index> task_of(ns);
+    std::vector<double> above(ns);  // work from s up to its root
+    inbox_of_.assign(ns, kNone);
+    const auto new_task = [&](Index parent, double weight) {
+      task_parent_.push_back(parent == kNone ? kNone : task_of[parent]);
+      priority_.push_back(weight + (parent == kNone ? 0.0 : above[parent]));
+      return static_cast<Index>(task_parent_.size() - 1);
+    };
+    Index boxes = 0;
+    for (Index s = ns; s-- > 0;) {
+      const Index p = parent_[s];
+      above[s] = work[s] + (p == kNone ? 0.0 : above[p]);
+      if (subtree[s] > limit) {
+        task_of[s] = new_task(p, work[s]);
+        inbox_of_[s] = boxes++;
+      } else if (p == kNone || subtree[p] > limit) {
+        task_of[s] = new_task(p, subtree[s]);
+        ++subtrees_;
+      } else {
+        task_of[s] = task_of[p];
+      }
+    }
+    inboxes_ = std::make_unique<Inbox[]>(boxes);
+    const auto tasks = static_cast<Index>(task_parent_.size());
+    member_ptr_.assign(std::size_t{tasks} + 1, 0);
+    for (Index s = 0; s < ns; ++s) ++member_ptr_[task_of[s] + 1];
+    for (Index t = 0; t < tasks; ++t) member_ptr_[t + 1] += member_ptr_[t];
+    members_.resize(ns);
+    std::vector<Index> fill(member_ptr_.begin(), member_ptr_.end() - 1);
+    for (Index s = 0; s < ns; ++s) members_[fill[task_of[s]]++] = s;
+    pending_.assign(tasks, 0);
+    for (Index t = 0; t < tasks; ++t) {
+      if (task_parent_[t] != kNone) ++pending_[task_parent_[t]];
+    }
+  }
+
+  NumericPhase& ph_;
+  const std::vector<Index>& parent_;  ///< each supernode's parent
+  Index subtrees_ = 0;
+  // Task t factors members_[member_ptr_[t] ..] in increasing order once
+  // pending_[t] tasks below it are done; task_parent_[t] waits for it.
+  std::vector<Index> member_ptr_;
+  std::vector<Index> members_;
+  std::vector<Index> task_parent_;
+  std::vector<Index> pending_;
+  std::vector<double> priority_;  ///< a task's work and the work above it
+  std::vector<Index> inbox_of_;   ///< a supernode's inbox, kNone for a light one
+  std::unique_ptr<Inbox[]> inboxes_;
+};
+
+/// The pool a build's numeric phase runs on, if any: one per process at the
+/// process's default size, made by the first build that wants it and never
+/// joined, so no build waits for its threads to start or to stop. A build
+/// holds it from before its ordering, while its threads come up, to the end
+/// of its numeric phase. A small matrix, a one-thread default, a build in a
+/// region's task (where a pool would run inline) and a build that finds the
+/// pool held by another thread's build factor on the calling thread.
+class PoolLease {
+ public:
+  explicit PoolLease(std::size_t n) {
+    if (n < kMinPoolNodes || exec::in_region()) return;
+    const std::size_t threads = exec::default_thread_count();
+    if (threads <= 1) return;
+    Shared& shared = Shared::instance();
+    lock_ = std::unique_lock<std::mutex>(shared.mutex, std::try_to_lock);
+    if (!lock_) return;
+    if (!shared.pool || shared.pool->thread_count() != threads) {
+      shared.pool = std::make_unique<exec::ThreadPool>(threads);
+    }
+    pool_ = shared.pool.get();
+  }
+
+  [[nodiscard]] exec::ThreadPool* get() const { return pool_; }
+
+ private:
+  struct Shared {
+    std::mutex mutex;  ///< held by the build using the pool
+    std::unique_ptr<exec::ThreadPool> pool;
+    /// Never destroyed: the process exits without joining the threads.
+    static Shared& instance() {
+      static Shared* const shared = new Shared;
+      return *shared;
+    }
+  };
+  std::unique_lock<std::mutex> lock_;
+  exec::ThreadPool* pool_ = nullptr;
+};
+
 }  // namespace
 
 SparseCholesky::SparseCholesky(const Csr& a, const SparseCholeskyOptions& options)
-    : SparseCholesky(a, fill_reducing_ordering(a), options) {}
+    : n_(a.dimension()) {
+  // A new pool's threads start while AMD orders the matrix, so they are
+  // waiting when the numeric phase begins.
+  const PoolLease pool(n_);
+  perm_ = fill_reducing_ordering(a);
+  factor(a, options, pool.get());
+}
 
 SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
                                const SparseCholeskyOptions& options)
     : n_(a.dimension()), perm_(std::move(perm)) {
+  const PoolLease pool(n_);
+  factor(a, options, pool.get());
+}
+
+void SparseCholesky::factor(const Csr& a, const SparseCholeskyOptions& options,
+                            exec::ThreadPool* pool) {
   PDN3D_FAULT_STALL("linalg.chol.stall", 50.0);
   if (perm_.size() != n_) throw std::invalid_argument("SparseCholesky: permutation size");
   if (n_ >= kNone) throw std::length_error("SparseCholesky: factor exceeds 32-bit indexing");
@@ -275,6 +670,7 @@ SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
   // their sum), supernodes and L's pattern.
   std::vector<Index> super;  // first column of each supernode, then n
   std::vector<Index> super_of(n);
+  std::vector<Index> super_parent;  // each supernode's parent, kNone at a root
   {
     PDN3D_TRACE_SPAN("solver/factor_symbolic");
     std::size_t nnz_lower = 0;
@@ -308,6 +704,11 @@ SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
     }
     super.push_back(n);
     const auto ns = static_cast<Index>(super.size() - 1);
+    super_parent.resize(ns);
+    for (Index s = 0; s < ns; ++s) {
+      const Index up = parent[super[s + 1] - 1];
+      super_parent[s] = up == kNone ? kNone : super_of[up];
+    }
 
     // L's pattern. A supernode's columns share the rows below its last
     // column; row k joins them for every supernode on the tree path from an
@@ -330,8 +731,7 @@ SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
     for (Index s = 0; s < ns; ++s) {
       const Index last = super[s + 1] - 1;
       row_idx_[col_ptr_[last]] = last;
-      walk[s] = {kNone, col_ptr_[last] + 1, col_ptr_[last + 1],
-                 parent[last] == kNone ? kNone : super_of[parent[last]]};
+      walk[s] = {kNone, col_ptr_[last] + 1, col_ptr_[last + 1], super_parent[s]};
     }
     for (Index k = 0; k < n; ++k) {
       walk[super_of[k]].mark = k;
@@ -362,101 +762,42 @@ SparseCholesky::SparseCholesky(const Csr& a, std::vector<std::size_t> perm,
     }
   }
 
-  // Numeric phase, left-looking over supernodes (CHOLMOD's supernodal
-  // method). A supernode is factored as one dense column-major block in a
-  // scratch buffer, whose rows are its own columns followed by the rows
-  // below its last column: exactly the rows of its first column in L, and
-  // from each later column on, exactly that column's. The block gathers its
-  // columns of A, subtracts the update of every descendant that reaches it
-  // (a dense product of the descendant's columns in L, scattered through a
-  // relative row map), is factored in place and copied into L.
+  // Numeric phase: every supernode in increasing order on this thread, or
+  // the light subtrees on the pool first.
+  PDN3D_TRACE_SPAN_NAMED(span, "solver/factor_numeric");
   const auto ns = static_cast<Index>(super.size() - 1);
-  Index max_rows = 0;
-  Index max_cols = 0;
-  std::size_t max_block = 0;
-  const auto rows_below = [&](Index s) {
-    const Index last = super[s + 1] - 1;
-    return col_ptr_[last + 1] - col_ptr_[last] - 1;
-  };
+  values_ = std::make_unique_for_overwrite<double[]>(row_idx_.size());
+  NumericPhase phase{.m = m,
+                     .super = super,
+                     .super_of = super_of,
+                     .col_ptr = col_ptr_.data(),
+                     .row_idx = row_idx_.data(),
+                     .values = values_.get(),
+                     .identity = {},
+                     .head = std::vector<Index>(ns, kNone),
+                     .link = std::vector<Index>(ns, kNone),
+                     .next_row = std::vector<Index>(ns, 0)};
   for (Index s = 0; s < ns; ++s) {
     const Index cols = super[s + 1] - super[s];
-    const Index rows = cols + rows_below(s);
-    max_rows = std::max(max_rows, rows);
-    max_cols = std::max(max_cols, cols);
-    max_block = std::max(max_block, std::size_t{rows} * cols);
+    const Index rows = cols + phase.rows_below(s);
+    phase.max_rows = std::max(phase.max_rows, rows);
+    phase.max_cols = std::max(phase.max_cols, cols);
+    phase.max_block = std::max(phase.max_block, std::size_t{rows} * cols);
   }
-  // L's values are written in order, column by column, so they are
-  // appended rather than zero-filled first.
-  values_.reserve(row_idx_.size());
-  std::vector<double> block(max_block);
-  std::vector<Index> map(n);           // row -> its position in the current block
-  std::vector<Index> head(ns, kNone);  // descendants due to update a supernode next
-  std::vector<Index> link(ns, kNone);
-  std::vector<Index> next_row(ns, 0);  // a descendant's first row not yet applied
-  std::vector<Index> rel(max_rows);
-  std::vector<const double*> columns(max_cols);
-  std::vector<Index> identity(max_rows);
-  for (Index i = 0; i < max_rows; ++i) identity[i] = i;
-  const auto av = a.values();
-  const auto enqueue = [&](Index d) {
-    const Index* below = row_idx_.data() + col_ptr_[super[d + 1] - 1] + 1;
-    if (next_row[d] == rows_below(d)) return;
-    const Index target = super_of[below[next_row[d]]];
-    link[d] = head[target];
-    head[target] = d;
-  };
+  phase.identity.resize(phase.max_rows);
+  for (Index i = 0; i < phase.max_rows; ++i) phase.identity[i] = i;
 
-  for (Index s = 0; s < ns; ++s) {
-    const Index k1 = super[s];
-    const Index k2 = super[s + 1];
-    const Index cols = k2 - k1;
-    const Index* below = row_idx_.data() + col_ptr_[k2 - 1] + 1;
-    const Index rows = cols + rows_below(s);
-    std::fill(block.begin(), block.begin() + std::size_t{rows} * cols, 0.0);
-    for (Index i = k1; i < k2; ++i) map[i] = i - k1;
-    for (Index t = cols; t < rows; ++t) map[below[t - cols]] = t;
-
-    for (Index j = k1; j < k2; ++j) {
-      double* col = block.data() + std::size_t{j - k1} * rows;
-      m.for_each(j, [&](Index i, std::size_t p) {
-        if (i < j) return;
-        // A row outside the block can only come from an asymmetric pattern.
-        if (i >= k2 && (map[i] < cols || map[i] >= rows || below[map[i] - cols] != i)) {
-          throw std::invalid_argument("SparseCholesky: matrix pattern is not symmetric");
-        }
-        col[map[i]] = av[p];
-      });
+  if (pool != nullptr) {
+    span.attribute("threads", static_cast<std::uint64_t>(pool->thread_count()));
+    const Index subtrees = SubtreeNumeric(phase, super_parent).run(*pool);
+    span.attribute("subtrees", static_cast<std::uint64_t>(subtrees));
+  } else {
+    span.attribute("threads", std::uint64_t{1});
+    span.attribute("subtrees", std::uint64_t{0});
+    SupernodeWorker worker(phase);
+    for (Index s = 0; s < ns; ++s) {
+      worker.factor(s, [&](Index d, Index t) { phase.enqueue(d, t); });
     }
-
-    for (Index d = head[s]; d != kNone;) {
-      const Index next_d = link[d];
-      const Index d_below = rows_below(d);
-      const Index* d_row = row_idx_.data() + col_ptr_[super[d + 1] - 1] + 1;
-      const Index p1 = next_row[d];
-      Index p2 = p1;
-      while (p2 < d_below && d_row[p2] < k2) ++p2;
-      const Index inside = p2 - p1;  // rows in this block's columns
-      const Index reach = d_below - p1;
-      for (Index t = 0; t < reach; ++t) rel[t] = map[d_row[p1 + t]];
-      // Each column of d ends with d's rows below its diagonal block.
-      for (Index j = super[d]; j < super[d + 1]; ++j) {
-        columns[j - super[d]] = values_.data() + col_ptr_[j + 1] - d_below + p1;
-      }
-      subtract_products(columns.data(), super[d + 1] - super[d], 0, inside, reach, rel.data(),
-                        block.data(), rows);
-      next_row[d] = p2;
-      enqueue(d);
-      d = next_d;
-    }
-
-    factor_block(block.data(), cols, rows, identity.data(), columns.data(), k1);
-
-    for (Index c = 0; c < cols; ++c) {
-      const double* col = block.data() + std::size_t{c} * rows;
-      values_.insert(values_.end(), col + c, col + rows);
-    }
-    next_row[s] = 0;
-    enqueue(s);
   }
   // The sweeps address a block in the original node order: every row index
   // of L becomes the node it eliminates.
@@ -480,7 +821,7 @@ std::vector<double> SparseCholesky::solve(std::span<const double> b) const {
 
 template <std::size_t Width>
 void SparseCholesky::forward_by_columns(double* y) const {
-  const double* values = values_.data();
+  const double* values = values_.get();
   const std::uint32_t* col_ptr = col_ptr_.data();
   const std::uint32_t* row_idx = row_idx_.data();
   const std::size_t* node = perm_.data();
@@ -507,7 +848,7 @@ void SparseCholesky::forward_by_supernodes(double* y) const {
   // shares and none of them reads, then take the supernode's updates in
   // column order, each row held in registers: every entry sees the
   // subtractions of forward_by_columns in its order.
-  const double* values = values_.data();
+  const double* values = values_.get();
   const std::uint32_t* col_ptr = col_ptr_.data();
   const std::uint32_t* row_idx = row_idx_.data();
   const std::size_t* node = perm_.data();
@@ -558,7 +899,7 @@ void SparseCholesky::sweep(double* y) const {
   } else {
     forward_by_supernodes<Width>(y);
   }
-  const double* values = values_.data();
+  const double* values = values_.get();
   const std::uint32_t* col_ptr = col_ptr_.data();
   const std::uint32_t* row_idx = row_idx_.data();
   const std::size_t* node = perm_.data();

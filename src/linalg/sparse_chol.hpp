@@ -18,9 +18,10 @@
 ///
 /// The factorization runs in three phases under the caller's span: the AMD
 /// order (`solver/factor_order`), a symbolic phase (`solver/factor_symbolic`:
-/// elimination tree, column counts, supernodes and L's pattern, with the
-/// fill guard applied to the column counts before L is allocated), and a
-/// supernodal numeric phase. A supernode is a run of consecutive columns,
+/// elimination tree, column counts, supernodes, L's pattern and the order
+/// of the updates, with the fill guard applied to the column counts before
+/// L is allocated), and a supernodal numeric phase
+/// (`solver/factor_numeric`). A supernode is a run of consecutive columns,
 /// each the only child of the next, that share one pattern below the last
 /// of them. Each supernode is factored as one dense column block after the
 /// updates of its descendants are applied as dense products scattered
@@ -30,6 +31,15 @@
 /// given elimination order, with the diagonal first in each column and
 /// 32-bit column pointers and row indices, which makes both triangular
 /// sweeps straight loops over contiguous column slices.
+///
+/// Supernodes in disjoint subtrees of the elimination tree depend on none
+/// of each other, so off a pool region the numeric phase factors them on an
+/// exec::ThreadPool of the process's default size (the CLI's --threads),
+/// a supernode starting once its subtree is done; inside a region (a served
+/// request, a sweep task) it runs on the calling thread. Each supernode
+/// takes its descendants' updates in the order the serial loop applies
+/// them, recorded by the symbolic phase, so L is bitwise the same at any
+/// thread count.
 ///
 /// Many right-hand sides go through solve_block, up to kSolveBlock per pass
 /// over the factor: a block is stored node-major in the original node order
@@ -44,11 +54,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
 
 #include "linalg/csr.hpp"
+
+namespace pdn3d::exec {
+class ThreadPool;
+}
 
 namespace pdn3d::linalg {
 
@@ -91,7 +106,8 @@ class SparseCholesky {
  public:
   /// Factor symmetric positive definite @p a under its approximate-minimum-
   /// degree ordering. Throws std::runtime_error when a pivot is non-positive
-  /// (not SPD; the message names the elimination step) or the fill-ratio
+  /// (not SPD; the message names the step the serial loop stops at, at any
+  /// thread count), when a cancellation is requested, or when the fill-ratio
   /// guard trips, std::length_error when L would outgrow its 32-bit indices,
   /// and std::invalid_argument when the pattern of @p a is not symmetric.
   explicit SparseCholesky(const Csr& a, const SparseCholeskyOptions& options = {});
@@ -121,11 +137,20 @@ class SparseCholesky {
 
   [[nodiscard]] std::size_t dimension() const { return n_; }
   /// Structural nonzeros of L (diagonal included).
-  [[nodiscard]] std::size_t factor_nnz() const { return values_.size(); }
+  [[nodiscard]] std::size_t factor_nnz() const { return row_idx_.size(); }
   /// nnz(L) / nnz(lower triangle of A, diagonal included).
   [[nodiscard]] double fill_ratio() const { return fill_ratio_; }
+  /// L's values and row indices (the nodes they eliminate), column by
+  /// column, diagonal first: what a test pins to hold the factor's bits.
+  [[nodiscard]] std::span<const double> factor_values() const {
+    return {values_.get(), row_idx_.size()};
+  }
+  [[nodiscard]] std::span<const std::uint32_t> factor_rows() const { return row_idx_; }
 
  private:
+  /// The symbolic and numeric phases under perm_; the numeric phase runs on
+  /// @p pool when given.
+  void factor(const Csr& a, const SparseCholeskyOptions& options, exec::ThreadPool* pool);
   /// Both triangular sweeps over @p y, @p Width right-hand sides stored
   /// node-major in the original order (entry i of right-hand side r at
   /// i * Width + r).
@@ -153,10 +178,11 @@ class SparseCholesky {
   std::vector<std::uint32_t> super_;
   // L column-compressed, diagonal first in each column, rows increasing in
   // elimination order. Once factored, each row index is the node it
-  // eliminates (perm_ applied).
+  // eliminates (perm_ applied). Each value is written once, by the thread
+  // that factors its supernode, so the values start uninitialized.
   std::vector<std::uint32_t> col_ptr_;
   std::vector<std::uint32_t> row_idx_;
-  std::vector<double> values_;
+  std::unique_ptr<double[]> values_;
 };
 
 }  // namespace pdn3d::linalg

@@ -164,26 +164,32 @@ TEST(SessionTest, ValidateOperationReportsHealthy) {
 
 // A Monte Carlo answer is the same whether the design's prefix replayed its
 // samples or they were solved: 64 -> 32 -> 64 on one Session and 32 -> 64
-// on another, each against a fresh Session's answer.
+// on another, each against a fresh Session's answer. The design worst case
+// is solved once per design too: a request solves only the samples past the
+// prefix, plus the worst case the first time.
 TEST(SessionTest, MonteCarloReusedAnswersEqualFreshOnes) {
   const std::string fresh32 = fresh_output(montecarlo_request(32));
   const std::string fresh64 = fresh_output(montecarlo_request(64));
   auto& reused = obs::counter("montecarlo.samples_reused");
+  auto& solves = obs::counter("solver.solves");
   struct Step {
     long long samples;
     std::uint64_t reused;
+    std::uint64_t solved;
   };
-  const std::vector<std::vector<Step>> sessions = {{{64, 0}, {32, 32}, {64, 64}},
-                                                   {{32, 0}, {64, 32}}};
+  const std::vector<std::vector<Step>> sessions = {{{64, 0, 64 + 1}, {32, 32, 0}, {64, 64, 0}},
+                                                   {{32, 0, 32 + 1}, {64, 32, 32}}};
   for (const auto& steps : sessions) {
     const Session session;
     for (const Step& step : steps) {
       SCOPED_TRACE(step.samples);
       const std::uint64_t reused0 = reused.value();
+      const std::uint64_t solves0 = solves.value();
       const EvaluateResult result = session.evaluate(montecarlo_request(step.samples));
       ASSERT_TRUE(result.ok()) << result.output;
       EXPECT_EQ(result.output, step.samples == 32 ? fresh32 : fresh64);
       EXPECT_EQ(reused.value() - reused0, step.reused);
+      EXPECT_EQ(solves.value() - solves0, step.solved);
     }
   }
 }

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/cancel.hpp"
 #include "obs/trace.hpp"
 
 namespace pdn3d::exec {
@@ -200,6 +201,34 @@ TEST(ThreadPool, PoolBuiltInsideARegionSpawnsNoThreads) {
     EXPECT_EQ(inner.thread_count(), 3u);
     EXPECT_EQ(chunks_of(inner), top_chunks);
   });
+}
+
+TEST(ThreadPool, TasksPollTheSubmittersCancelToken) {
+  // Workers run a region's tasks under the submitting thread's token, and
+  // under none once the region is over.
+  ThreadPool pool(4);
+  constexpr std::size_t n = 32;
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  std::vector<char> seen(n, 0);
+  const auto body = [&](std::size_t i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    seen[i] = cancellation_requested() ? 1 : 0;
+    EXPECT_TRUE(in_region());
+    const std::lock_guard<std::mutex> lock(mutex);
+    threads.insert(std::this_thread::get_id());
+  };
+  CancelToken token;
+  token.cancel();
+  {
+    const CancelScope scope(token);
+    pool.parallel_for(n, body);
+  }
+  EXPECT_GT(threads.size(), 1u);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), static_cast<long>(n));
+  EXPECT_FALSE(in_region());
+  pool.parallel_for(n, body);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 0), static_cast<long>(n));
 }
 
 TEST(ThreadPool, DefaultCountHonorsOverride) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -12,10 +13,16 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <thread>
 #include <vector>
 
 #include "core/benchmarks.hpp"
+#include "exec/cancel.hpp"
+#include "exec/thread_pool.hpp"
+#include "faults/faults.hpp"
 #include "irdrop/analysis.hpp"
+#include "linalg/coo.hpp"
 #include "obs/metrics.hpp"
 #include "pdn/stack_builder.hpp"
 #include "power/memory_state.hpp"
@@ -821,6 +828,155 @@ TEST(MeshStructure, SharedStructureAssemblesTheCompressedMatrixBitForBit) {
   const IrSolver rebuilt(other, SolverKind::kPcgIc, {}, &shared);
   EXPECT_TRUE(shared.matches(other));
   EXPECT_EQ(delta("solver.structure_builds"), 5u);
+}
+
+/// linalg::coo_layout of @p m's stamp sequence: G[a][a], G[b][b], G[a][b],
+/// G[b][a] per resistor, then G[v][v] per tap.
+linalg::CooLayout stamped_layout(const pdn::StackModel& m) {
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> cols;
+  for (const pdn::Resistor& r : m.resistors()) {
+    rows.insert(rows.end(), {r.a, r.b, r.a, r.b});
+    cols.insert(cols.end(), {r.a, r.b, r.b, r.a});
+  }
+  for (const pdn::SupplyTap& t : m.taps()) {
+    rows.push_back(t.node);
+    cols.push_back(t.node);
+  }
+  return linalg::coo_layout(m.node_count(), rows, cols);
+}
+
+/// A TSV-stitched-looking mesh of one nx x ny grid, drawn from @p seed as
+/// the linalg pins' seeded meshes are: perturbed grid edges, random long
+/// edges (a repeated pair is a parallel resistor) and four taps.
+pdn::StackModel seeded_mesh(std::uint64_t seed, int nx, int ny) {
+  util::Rng rng(seed);
+  pdn::StackModel m(1.0);
+  pdn::LayerGrid g;
+  g.nx = nx;
+  g.ny = ny;
+  g.dx = g.dy = 1.0;
+  m.add_grid(g);
+  m.set_dram_die_count(1);
+  const auto n = static_cast<std::size_t>(nx * ny);
+  for (int j = 0; j < ny; ++j) {
+    for (int i = 0; i < nx; ++i) {
+      const auto k = static_cast<std::size_t>(j * nx + i);
+      if (i + 1 < nx) m.add_resistor(k, k + 1, 1.0 / (0.5 + rng.next_double()));
+      if (j + 1 < ny) m.add_resistor(k, k + static_cast<std::size_t>(nx), 1.0 / (0.5 + rng.next_double()));
+    }
+  }
+  for (int e = 0; e < nx + ny; ++e) {
+    const auto u = static_cast<std::size_t>(rng.next_double() * double(n - 1));
+    const auto v = static_cast<std::size_t>(rng.next_double() * double(n - 1));
+    if (u != v) m.add_resistor(u, v, 1.0 / (0.1 + rng.next_double()));
+  }
+  for (int t = 0; t < 4; ++t) {
+    m.add_tap(static_cast<std::size_t>(rng.next_double() * double(n - 1)),
+              1.0 / (0.05 + rng.next_double()));
+  }
+  return m;
+}
+
+TEST(MeshStructure, LayoutEqualsCooLayout) {
+  // The structure is built from the resistor endpoints and taps directly;
+  // its pattern and every stamp's slot must be coo_layout's of the stamp
+  // sequence, and G must be CooBuilder::compress's bit for bit.
+  std::vector<std::pair<std::string, pdn::StackModel>> models;
+  for (const auto& b : core::all_benchmarks()) {
+    models.emplace_back(b.name, pdn::build_stack(b.stack, b.baseline).model);
+  }
+  for (const auto& [seed, nx, ny] : {std::tuple{11, 9, 7}, {12, 17, 13}, {13, 30, 24}, {14, 41, 37}}) {
+    models.emplace_back("seed " + std::to_string(seed), seeded_mesh(seed, nx, ny));
+  }
+  {
+    // Parallel resistors, both ways round; taps alone on a node, twice on
+    // one, on a resistor's node; and a node with no stamp at all.
+    pdn::StackModel m(1.0);
+    pdn::LayerGrid g;
+    g.nx = 7;
+    g.ny = 1;
+    g.dx = g.dy = 1.0;
+    m.add_grid(g);
+    m.set_dram_die_count(1);
+    m.add_resistor(0, 1, 2.0);
+    m.add_resistor(1, 0, 3.0);
+    m.add_resistor(0, 1, 5.0);
+    m.add_resistor(1, 2, 1.0);
+    m.add_resistor(2, 4, 1.5);
+    m.add_tap(3, 0.5);
+    m.add_tap(5, 0.25);
+    m.add_tap(3, 0.75);
+    m.add_tap(0, 1.0);
+    models.emplace_back("parallel resistors, tap-only nodes", std::move(m));
+  }
+  for (const auto& [name, model] : models) {
+    SCOPED_TRACE(name);
+    MeshStructure structure;
+    structure.build(model);
+    const linalg::CooLayout& got = structure.layout();
+    const linalg::CooLayout want = stamped_layout(model);
+    EXPECT_EQ(got.pattern->n, want.pattern->n);
+    EXPECT_EQ(got.pattern->row_ptr, want.pattern->row_ptr);
+    EXPECT_EQ(got.pattern->col_idx, want.pattern->col_idx);
+    EXPECT_EQ(got.slots, want.slots);
+    EXPECT_TRUE(structure.matches(model));
+
+    linalg::CooBuilder builder(model.node_count());
+    for (const pdn::Resistor& r : model.resistors()) builder.stamp_conductance(r.a, r.b, 1.0 / r.ohms);
+    for (const pdn::SupplyTap& t : model.taps()) builder.stamp_to_ground(t.node, 1.0 / t.ohms);
+    const linalg::Csr compressed = builder.compress();
+    IrSolverOptions options;
+    options.validate = false;  // the small model has floating nodes on purpose
+    const IrSolver solver(model, SolverKind::kPcgIc, options);
+    const linalg::Csr& a = solver.conductance_matrix();
+    ASSERT_EQ(a.nnz(), compressed.nnz());
+    EXPECT_TRUE(std::equal(a.row_ptr().begin(), a.row_ptr().end(), compressed.row_ptr().begin()));
+    EXPECT_TRUE(std::equal(a.col_idx().begin(), a.col_idx().end(), compressed.col_idx().begin()));
+    EXPECT_EQ(std::memcmp(a.values().data(), compressed.values().data(), a.nnz() * sizeof(double)), 0);
+  }
+}
+
+TEST(IrSolver, CancelledFactorBuildIsBuiltAgainByTheNextSolve) {
+  // A watchdog cancellation during a cached design's first factor build is
+  // no verdict on the matrix: the next solve, with no token, builds the
+  // factor again and answers what a fresh solver does, bit for bit, and no
+  // build failure is counted.
+  const auto benches = core::all_benchmarks();
+  const auto built = pdn::build_stack(benches.front().stack, benches.front().baseline);
+  const std::vector<double> sinks(built.model.node_count(), 1e-4);
+  const SolveOutcome fresh =
+      IrSolver(built.model, SolverKind::kSparseDirect).solve({.sinks = sinks});
+  ASSERT_TRUE(fresh.ok()) << fresh.status.to_string();
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    exec::set_default_thread_count(threads);
+    const IrSolver solver(built.model, SolverKind::kSparseDirect);
+    CounterDeltas delta;
+    auto& faults = faults::Registry::instance();
+    ASSERT_EQ(faults.configure("linalg.chol.stall=1.0:10000"), "");
+    exec::CancelToken token;
+    SolveOutcome cancelled;
+    std::thread caller([&] {
+      const exec::CancelScope scope(token);
+      cancelled = solver.solve({.sinks = sinks});
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token.cancel();
+    caller.join();
+    faults.reset();
+    EXPECT_EQ(cancelled.status.code(), core::StatusCode::kCancelled) << cancelled.status.to_string();
+
+    const SolveOutcome again = solver.solve({.sinks = sinks});
+    ASSERT_TRUE(again.ok()) << again.status.to_string();
+    EXPECT_EQ(again.kind_used, SolverKind::kSparseDirect);
+    EXPECT_EQ(again.escalations, 0u);
+    ASSERT_EQ(again.x.size(), fresh.x.size());
+    EXPECT_EQ(std::memcmp(again.x.data(), fresh.x.data(), fresh.x.size() * sizeof(double)), 0);
+    EXPECT_EQ(delta("solver.factor_build_failures"), 0u);
+    EXPECT_EQ(delta("solver.factor_builds"), 1u);
+  }
+  exec::set_default_thread_count(0);
 }
 
 /// Hands out (solver, sinks) pairs in order; keeps each outcome.

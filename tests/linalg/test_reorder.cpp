@@ -11,8 +11,8 @@
 #include "linalg/coo.hpp"
 #include "linalg/sparse_chol.hpp"
 #include "pdn/stack_builder.hpp"
+#include "stitched_mesh.hpp"
 #include "util/fnv.hpp"
-#include "util/rng.hpp"
 
 namespace pdn3d::linalg {
 namespace {
@@ -113,31 +113,6 @@ std::uint64_t permutation_hash(const std::vector<std::size_t>& perm) {
   return h.value();
 }
 
-/// A TSV-stitched-looking SPD mesh: a perturbed grid, random long-range
-/// edges and a few ground taps.
-Csr make_stitched_mesh(std::uint64_t seed, int nx, int ny) {
-  util::Rng rng(seed);
-  const auto n = static_cast<std::size_t>(nx * ny);
-  CooBuilder b(n);
-  for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      const auto k = static_cast<std::size_t>(j * nx + i);
-      if (i + 1 < nx) b.stamp_conductance(k, k + 1, 0.5 + rng.next_double());
-      if (j + 1 < ny) b.stamp_conductance(k, k + static_cast<std::size_t>(nx), 0.5 + rng.next_double());
-    }
-  }
-  for (int e = 0; e < nx + ny; ++e) {
-    const auto u = static_cast<std::size_t>(rng.next_double() * double(n - 1));
-    const auto v = static_cast<std::size_t>(rng.next_double() * double(n - 1));
-    if (u != v) b.stamp_conductance(u, v, 0.1 + rng.next_double());
-  }
-  for (int t = 0; t < 4; ++t) {
-    b.stamp_to_ground(static_cast<std::size_t>(rng.next_double() * double(n - 1)),
-                      0.05 + rng.next_double());
-  }
-  return b.compress();
-}
-
 struct Pin {
   std::uint64_t hash;
   std::size_t factor_nnz;
@@ -170,20 +145,17 @@ TEST(Amd, PermutationPinnedOnTheBaselines) {
 }
 
 TEST(Amd, PermutationPinnedOnSeededMeshes) {
-  const struct {
-    std::uint64_t seed;
-    int nx;
-    int ny;
-    Pin pin;
-  } cases[] = {
-      {11, 9, 7, {0x64874daa682e675cULL, 415}},
-      {12, 17, 13, {0x297f10122e75da7fULL, 2159}},
-      {13, 30, 24, {0x6d1707652cabe6bbULL, 10083}},
-      {14, 41, 37, {0x6eff05dbf558e80cULL, 26400}},
+  const Pin pins[] = {
+      {0x64874daa682e675cULL, 415},
+      {0x297f10122e75da7fULL, 2159},
+      {0x6d1707652cabe6bbULL, 10083},
+      {0x6eff05dbf558e80cULL, 26400},
   };
-  for (const auto& c : cases) {
-    expect_pinned(make_stitched_mesh(c.seed, c.nx, c.ny), c.pin,
-                  "seed " + std::to_string(c.seed));
+  ASSERT_EQ(std::size(fixtures::kSeededMeshes), std::size(pins));
+  for (std::size_t c = 0; c < std::size(pins); ++c) {
+    const fixtures::SeededMesh& m = fixtures::kSeededMeshes[c];
+    expect_pinned(fixtures::make_stitched_mesh(m.seed, m.nx, m.ny), pins[c],
+                  "seed " + std::to_string(m.seed));
   }
 }
 

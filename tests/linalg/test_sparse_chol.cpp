@@ -12,11 +12,17 @@
 #include <utility>
 #include <vector>
 
+#include "core/benchmarks.hpp"
 #include "exec/cancel.hpp"
+#include "exec/thread_pool.hpp"
 #include "faults/faults.hpp"
+#include "irdrop/solver.hpp"
 #include "linalg/coo.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/reorder.hpp"
+#include "pdn/stack_builder.hpp"
+#include "stitched_mesh.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -352,6 +358,31 @@ TEST(SparseCholesky, SupernodalShapesMatchDenseAndExactFill) {
   }
 }
 
+/// The process default thread counts a build is checked at: one, on the
+/// calling thread, and the four a one-shot command runs with, on a pool
+/// (from 2048 nodes).
+constexpr std::size_t kThreadCounts[] = {1, 4};
+
+/// Sets the process's default thread count for a scope.
+class DefaultThreads {
+ public:
+  explicit DefaultThreads(std::size_t threads) { exec::set_default_thread_count(threads); }
+  ~DefaultThreads() { exec::set_default_thread_count(0); }
+  DefaultThreads(const DefaultThreads&) = delete;
+  DefaultThreads& operator=(const DefaultThreads&) = delete;
+};
+
+/// The message of the std::runtime_error factoring @p a under the identity
+/// order throws, or "" when it factors.
+std::string factor_error(const Csr& a) {
+  try {
+    const SparseCholesky chol(a, identity_ordering(a.dimension()));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(SparseCholesky, NonSpdNamesItsEliminationStep) {
   // A path whose third pivot goes negative: 2 - 1/2 = 1.5, then
   // 0.5 - 1/1.5 < 0 at step 2, inside a supernode merged from the chain.
@@ -361,13 +392,32 @@ TEST(SparseCholesky, NonSpdNamesItsEliminationStep) {
     b.add(i, i + 1, -1.0);
     b.add(i + 1, i, -1.0);
   }
-  try {
-    const SparseCholesky chol(b.compress(), identity_ordering(6));
-    FAIL() << "an indefinite matrix factored";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
+  const Csr path = b.compress();
+  // 64 independent paths of 40 nodes, each a light subtree of its own, with
+  // a negative diagonal at step 35 of the first and earlier steps of later
+  // ones: the pool may meet a later one first, and the error must still
+  // name the step the serial loop stops at.
+  constexpr std::size_t kPaths = 64;
+  constexpr std::size_t kLength = 40;
+  CooBuilder p(kPaths * kLength);
+  for (std::size_t c = 0; c < kPaths; ++c) {
+    const std::size_t first = c * kLength;
+    const std::size_t bad = c % 4 == 0 ? 35 - c / 4 : kLength;  // no defect when kLength
+    for (std::size_t i = 0; i < kLength; ++i) p.add(first + i, first + i, i == bad ? -1.0 : 2.0);
+    for (std::size_t i = 0; i + 1 < kLength; ++i) {
+      p.add(first + i, first + i + 1, -1.0);
+      p.add(first + i + 1, first + i, -1.0);
+    }
+  }
+  const Csr paths = p.compress();
+  for (const std::size_t threads : kThreadCounts) {
+    const DefaultThreads scope(threads);
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::string what = factor_error(path);
     EXPECT_NE(what.find("not positive definite"), std::string::npos) << what;
     EXPECT_NE(what.find("at elimination step 2)"), std::string::npos) << what;
+    const std::string first = factor_error(paths);
+    EXPECT_NE(first.find("at elimination step 35)"), std::string::npos) << first;
   }
 }
 
@@ -399,25 +449,98 @@ TEST(SparseCholesky, FillGuardTripsBeforeTheNumericPhaseAllocates) {
 
 TEST(SparseCholesky, CancellationDuringTheBuildAbortsIt) {
   // The build stalls at its start until the token is cancelled; the
-  // factorization that follows must see the request and give up.
-  const Csr a = make_grid(40, 40);
-  auto& faults = faults::Registry::instance();
-  ASSERT_EQ(faults.configure("linalg.chol.stall=1.0:10000"), "");
-  exec::CancelToken token;
-  std::string what;
-  std::thread builder([&] {
-    const exec::CancelScope scope(token);
-    try {
-      const SparseCholesky chol(a);
-    } catch (const std::runtime_error& e) {
-      what = e.what();
+  // factorization that follows must see the request and give up, on the
+  // pool's threads too.
+  const Csr a = make_grid(60, 60);
+  for (const std::size_t threads : kThreadCounts) {
+    const DefaultThreads scope(threads);
+    auto& faults = faults::Registry::instance();
+    ASSERT_EQ(faults.configure("linalg.chol.stall=1.0:10000"), "");
+    exec::CancelToken token;
+    std::string what;
+    std::thread builder([&] {
+      const exec::CancelScope cancel_scope(token);
+      try {
+        const SparseCholesky chol(a);
+      } catch (const std::runtime_error& e) {
+        what = e.what();
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token.cancel();
+    builder.join();
+    faults.reset();
+    EXPECT_NE(what.find("factorization cancelled at elimination step"), std::string::npos)
+        << "threads " << threads << ": " << what;
+  }
+}
+
+/// FNV-1a over L's values (their bytes) and then its row indices (four
+/// little-endian bytes each).
+std::uint64_t factor_hash(const SparseCholesky& chol) {
+  util::Fnv1a h;
+  for (const double v : chol.factor_values()) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char b : bytes) h.byte(b);
+  }
+  for (const std::uint32_t r : chol.factor_rows()) {
+    for (int b = 0; b < 4; ++b) h.byte(static_cast<unsigned char>((r >> (8 * b)) & 0xffU));
+  }
+  return h.value();
+}
+
+/// The matrices L is pinned on: G of the four paper baselines, then the
+/// seeded meshes of Amd.PermutationPinnedOnSeededMeshes.
+std::vector<std::pair<std::string, Csr>> pinned_matrices() {
+  std::vector<std::pair<std::string, Csr>> out;
+  for (const auto& b : core::all_benchmarks()) {
+    const auto built = pdn::build_stack(b.stack, b.baseline);
+    const irdrop::IrSolver solver(built.model, irdrop::SolverKind::kPcgIc);
+    out.emplace_back(b.name, solver.conductance_matrix());
+  }
+  for (const fixtures::SeededMesh& m : fixtures::kSeededMeshes) {
+    out.emplace_back("seed " + std::to_string(m.seed),
+                     fixtures::make_stitched_mesh(m.seed, m.nx, m.ny));
+  }
+  return out;
+}
+
+/// L's hash on each of pinned_matrices(), recorded from the serial
+/// supernodal numeric phase before it learned to factor subtrees on a pool.
+constexpr std::uint64_t kFactorPins[] = {
+    0x8805227d9eceb253ULL,  // off-chip
+    0x925042a843a6f47cULL,  // on-chip
+    0xfe83370bf6399b14ULL,  // wide-io
+    0xd459c3e81fe9f3beULL,  // hmc
+    0x3646b6ecb128fee8ULL,  // seed 11
+    0x9444d2343e5ff6e2ULL,  // seed 12
+    0xc2f1b81f03ba5eacULL,  // seed 13
+    0x298f71a4ebc0dff7ULL,  // seed 14
+};
+
+TEST(SparseCholesky, FactorPinnedOnTheBaselines) {
+  // L's exact bits under the shipped AMD order.
+  const auto matrices = pinned_matrices();
+  ASSERT_EQ(matrices.size(), std::size(kFactorPins));
+  for (std::size_t c = 0; c < matrices.size(); ++c) {
+    const SparseCholesky chol(matrices[c].second);
+    EXPECT_EQ(factor_hash(chol), kFactorPins[c]) << matrices[c].first;
+  }
+}
+
+TEST(ParallelFactor, BitwiseAtAnyThreadCount) {
+  // Every supernode takes its updates in the serial order whichever thread
+  // factors it, so L keeps the pinned bits on a pool of any size.
+  const auto matrices = pinned_matrices();
+  ASSERT_EQ(matrices.size(), std::size(kFactorPins));
+  for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+    const DefaultThreads scope(threads);
+    for (std::size_t c = 0; c < matrices.size(); ++c) {
+      const SparseCholesky chol(matrices[c].second);
+      EXPECT_EQ(factor_hash(chol), kFactorPins[c]) << matrices[c].first << ", threads " << threads;
     }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  token.cancel();
-  builder.join();
-  faults.reset();
-  EXPECT_NE(what.find("factorization cancelled at elimination step"), std::string::npos) << what;
+  }
 }
 
 }  // namespace
